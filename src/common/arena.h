@@ -22,8 +22,8 @@
 //
 // Lifetime contract: spans are valid until the owning arena's next
 // reset() or the end of the Epoch they were allocated under. ShareFlow
-// resets its arena at the top of each send_down call / expose_batch
-// chunk, so spans never outlive the LeafViews computation they feed.
+// resets its arena at the top of each send_down / expose_batch chunk, so
+// spans never outlive the LeafViews computation they feed.
 // Epochs generalise reset() to nested scopes: an Epoch captures the
 // bump cursor at construction and rewinds to it at destruction (strictly
 // LIFO — asserted), releasing any oversize slabs taken inside the scope

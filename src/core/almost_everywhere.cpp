@@ -490,6 +490,7 @@ AeResult AlmostEverywhereBA::run(Network& net, Adversary& adversary,
   result.rounds = net.round();
   result.open_tally_receivers = flow.open_receivers();
   result.open_tally_dispatches = flow.open_tallies();
+  result.share_decode_failures = flow.decode_failures();
   return result;
 }
 

@@ -96,6 +96,7 @@ struct AeResult {
   // extras only, never fingerprinted).
   std::uint64_t open_tally_receivers = 0;   ///< receivers tallied in total
   std::uint64_t open_tally_dispatches = 0;  ///< pooled tally dispatches
+  std::uint64_t share_decode_failures = 0;  ///< failed sendDown decodes
 };
 
 class AlmostEverywhereBA {

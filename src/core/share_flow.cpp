@@ -1,6 +1,8 @@
 #include "core/share_flow.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <unordered_map>
 
 #include "common/plurality.h"
@@ -72,6 +74,18 @@ void ShareFlow::open_tally(const TreeNode& node, const OpenPlan& plan,
                            MemberViews& out) {
   ensure_worker_scratch();
   const std::size_t nwords = views.nwords();
+  // Ledger charges depend only on identities, not on words: one serial
+  // walk of the binned senders in receiver order.
+  std::size_t lb = 0, sb = 0;
+  for (std::size_t pos = 0; pos < node.members.size(); ++pos) {
+    const ProcId receiver = node.members[pos];
+    const std::uint32_t le = plan.pos_leaf_ends[pos];
+    const std::size_t s_end = lb == le ? sb : plan.leaf_ends[le - 1];
+    for (std::size_t si = sb; si < s_end; ++si)
+      net_.charge_batch(plan.ids[si], receiver, nwords * kWordBits);
+    sb = s_end;
+    lb = le;
+  }
   const Rng salted(salt);
   open_receivers_ += node.members.size();
   open_tallies_ += 1;
@@ -102,43 +116,6 @@ void ShareFlow::open_tally(const TreeNode& node, const OpenPlan& plan,
       out.set(pos, w, Fp(node_tally.winner()));
     }
   });
-}
-
-void ShareFlow::optimistic_units(
-    std::size_t count, const std::function<void(std::size_t)>& draw_inputs,
-    const std::function<void(std::size_t, std::size_t)>& decode_range,
-    const std::function<bool(std::size_t)>& failed,
-    const std::function<void(std::size_t)>& fill_failure) {
-  std::size_t done = 0;
-  int restarts = 0;
-  while (done < count) {
-    if (restarts >= 2) {
-      // Dense failures: fall back to unit-serial processing (work within
-      // one unit still fans out via decode_range — a unit's failure
-      // draws cannot interleave with its own input draws).
-      for (std::size_t i = done; i < count; ++i) {
-        draw_inputs(i);
-        decode_range(i, i + 1);
-        if (failed(i)) fill_failure(i);
-      }
-      return;
-    }
-    const Rng snapshot = rng_;
-    for (std::size_t i = done; i < count; ++i) draw_inputs(i);
-    decode_range(done, count);
-    std::size_t fail = count;
-    for (std::size_t i = done; i < count && fail == count; ++i)
-      if (failed(i)) fail = i;
-    if (fail == count) return;  // every unit decoded; no more draws
-    // Rewind: replay input draws up to the failing unit (identical
-    // values), take its failure draws at their serial position, then
-    // restart after it.
-    rng_ = snapshot;
-    for (std::size_t i = done; i <= fail; ++i) draw_inputs(i);
-    fill_failure(fail);
-    done = fail + 1;
-    ++restarts;
-  }
 }
 
 std::vector<ShareRec> ShareFlow::deal_to_leaf(ProcId owner,
@@ -273,299 +250,16 @@ void ShareFlow::send_secret_up(
 
 LeafViews ShareFlow::send_down(const ArrayState& a, std::size_t w0,
                                std::size_t w1) {
-  BA_REQUIRE(a.level >= 2, "sendDown starts at level 2 or above");
-  BA_REQUIRE(w0 >= a.word_offset && w1 > w0, "bad word range");
-  const std::size_t nwords = w1 - w0;
-  const std::size_t s0 = w0 - a.word_offset;
-  const TreeNode& top = tree_.node(a.level, a.node_idx);
-  const std::size_t k1 = tree_.node(1, top.leaf_begin).members.size();
-  LeafViews views(top.leaf_begin, top.leaf_end - top.leaf_begin, k1, nwords);
-  ensure_worker_scratch();
-  arena_.reset();  // one exposure batch == one arena epoch
-  // Pin the decoder map for the whole exposure: every reference the
-  // pre-warm passes below collect stays valid (the bounded map defers
-  // its epoch reset until the pin drops).
-  SchemeCache::RobustPin pin(cache_);
-
-  // Decoding a dealing group yields the same value for every sibling
-  // receiver, so each node decodes once into an arena-backed batch and
-  // the frontier hands every child a (node, batch id) pair — replication
-  // is a span copy, never a word copy.
-  std::vector<std::vector<DownRec>> batches;
-  std::vector<std::pair<std::size_t, std::uint32_t>> frontier;
-  {
-    std::vector<DownRec> start;
-    start.reserve(a.recs.size());
-    for (const ShareRec& rec : a.recs) {
-      BA_REQUIRE(s0 + nwords <= rec.ys.size(), "range beyond stored words");
-      DownRec dr;
-      dr.chain = rec.chain;
-      dr.holder_pos = rec.holder_pos;
-      Fp* buf = arena_.alloc(nwords);
-      std::copy(rec.ys.begin() + s0, rec.ys.begin() + s0 + nwords, buf);
-      dr.ys = FpSpan{buf, nwords};
-      start.push_back(dr);
-    }
-    batches.push_back(std::move(start));
-    frontier.emplace_back(a.node_idx, 0);
-  }
-
-  // One recombination group: the shares of one parent chain inside one
-  // node, decoded once (ok == 1) or filled with garbage serially.
-  struct Group {
-    Chain pc = 0;
-    std::uint32_t holder_pos = 0;
-    std::uint32_t share_begin = 0, share_end = 0;  // into NodeWork::shares
-    const RobustDecoder* dec = nullptr;
-    Fp* out = nullptr;
-    std::uint8_t ok = 0;
-  };
-  struct NodeWork {
-    std::size_t ci = 0;
-    std::uint32_t batch = 0;
-    std::vector<FpSpan> sent;            // per rec: what the holder sends
-    std::vector<std::uint8_t> dropped;   // per rec: silent holder
-    std::vector<std::pair<std::uint32_t, Fp*>> lie_bufs;  // rec order
-    std::vector<std::uint32_t> shares;   // rec indices, grouped contiguously
-    std::vector<Group> groups;           // map-iteration order (see below)
-    std::uint32_t decoded_batch = 0;
-  };
-
-  std::vector<Fp> xs;  // per-group point scratch for the decoder lookup
-  for (std::size_t m = a.level; m >= 2; --m) {
-    const std::size_t d_deal = tree_.uplinks(m - 1).degree();
-    const std::size_t t = params_.privacy_threshold(d_deal);
-
-    // ---- P0 (serial, draw-free): transmissions, groups, decoders.
-    std::vector<NodeWork> nodes(frontier.size());
-    for (std::size_t ni = 0; ni < frontier.size(); ++ni) {
-      NodeWork& nw = nodes[ni];
-      nw.ci = frontier[ni].first;
-      nw.batch = frontier[ni].second;
-      const std::vector<DownRec>& recs = batches[nw.batch];
-      const TreeNode& c_node = tree_.node(m, nw.ci);
-      nw.sent.resize(recs.size());
-      nw.dropped.assign(recs.size(), 0);
-      for (std::size_t ri = 0; ri < recs.size(); ++ri) {
-        const ProcId sender = c_node.members[recs[ri].holder_pos];
-        if (silent(sender)) {
-          nw.dropped[ri] = 1;
-        } else if (lying(sender)) {
-          Fp* buf = arena_.alloc(nwords);  // filled by the draw pass
-          nw.lie_bufs.emplace_back(static_cast<std::uint32_t>(ri), buf);
-          nw.sent[ri] = FpSpan{buf, nwords};
-        } else {
-          nw.sent[ri] = recs[ri].ys;
-        }
-      }
-      // Group by parent chain. The map's iteration order fixes the
-      // decoded-record order (and with it all downstream draw order), as
-      // it has since the serial pipeline — built identically here, it
-      // iterates identically at every worker count.
-      std::unordered_map<Chain, std::vector<std::uint32_t>> group_map;
-      for (std::size_t ri = 0; ri < recs.size(); ++ri) {
-        if (nw.dropped[ri]) continue;
-        group_map[chain_parent(recs[ri].chain, m)].push_back(
-            static_cast<std::uint32_t>(ri));
-      }
-      for (auto& [pc, members] : group_map) {
-        if (members.size() < t + 1) continue;  // not enough survived
-        Group g;
-        g.pc = pc;
-        g.holder_pos = chain_pos(tree_, pc, m - 1);
-        g.share_begin = static_cast<std::uint32_t>(nw.shares.size());
-        for (std::uint32_t ri : members) nw.shares.push_back(ri);
-        g.share_end = static_cast<std::uint32_t>(nw.shares.size());
-        g.out = arena_.alloc(nwords);
-        nw.groups.push_back(g);
-      }
-    }
-    // Pre-warm every decoder the level needs (phase 1 of the cache's
-    // two-phase protocol); the pin keeps the references stable.
-    const std::uint64_t epoch = cache_.robust_epoch();
-    for (NodeWork& nw : nodes) {
-      const std::vector<DownRec>& recs = batches[nw.batch];
-      for (Group& g : nw.groups) {
-        xs.clear();
-        for (std::uint32_t si = g.share_begin; si < g.share_end; ++si)
-          xs.push_back(Fp(chain_elem(recs[nw.shares[si]].chain, m - 1)));
-        g.dec = &cache_.prewarm_points(xs, t);
-      }
-    }
-    BA_ENSURE(cache_.robust_epoch() == epoch,
-              "decoder map reset mid-level despite the pin");
-
-    // ---- Draw + decode, optimistically across nodes (serial draw order
-    // is preserved exactly; see the header comment).
-    const auto draw_node_inputs = [&](NodeWork& nw) {
-      for (auto& [ri, buf] : nw.lie_bufs) {
-        (void)ri;
-        fill_garbage_span(buf, nwords);
-      }
-    };
-    const auto decode_groups_parallel = [&](std::size_t node_begin,
-                                            std::size_t node_end) {
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> todo;
-      for (std::size_t ni = node_begin; ni < node_end; ++ni)
-        for (std::size_t gi = 0; gi < nodes[ni].groups.size(); ++gi)
-          todo.emplace_back(static_cast<std::uint32_t>(ni),
-                            static_cast<std::uint32_t>(gi));
-      Pool::for_each(todo.size(), [&](std::size_t wi, std::size_t worker) {
-        NodeWork& nw = nodes[todo[wi].first];
-        Group& g = nw.groups[todo[wi].second];
-        std::vector<FpSpan>& spans = span_scratch_[worker];
-        spans.clear();
-        for (std::uint32_t si = g.share_begin; si < g.share_end; ++si)
-          spans.push_back(nw.sent[nw.shares[si]]);
-        g.ok = g.dec->reconstruct_into(spans.data(), spans.size(), nwords,
-                                       g.out, decode_scratch_[worker])
-                   ? 1
-                   : 0;
-      });
-    };
-    const auto fill_node_failures = [&](NodeWork& nw) {
-      for (Group& g : nw.groups)
-        if (!g.ok) fill_garbage_span(g.out, nwords);
-    };
-
-    optimistic_units(
-        nodes.size(),
-        [&](std::size_t ni) { draw_node_inputs(nodes[ni]); },
-        decode_groups_parallel,
-        [&](std::size_t ni) -> bool {
-          for (const Group& g : nodes[ni].groups)
-            if (!g.ok) return true;
-          return false;
-        },
-        [&](std::size_t ni) { fill_node_failures(nodes[ni]); });
-
-    // ---- P4 (serial, draw-free): decoded batches, charges, frontier.
-    std::vector<std::pair<std::size_t, std::uint32_t>> next;
-    for (NodeWork& nw : nodes) {
-      std::vector<DownRec> decoded;
-      decoded.reserve(nw.groups.size());
-      for (const Group& g : nw.groups) {
-        DownRec dr;
-        dr.chain = g.pc;
-        dr.holder_pos = g.holder_pos;
-        dr.ys = FpSpan{g.out, nwords};
-        decoded.push_back(dr);
-      }
-      nw.decoded_batch = static_cast<std::uint32_t>(batches.size());
-      batches.push_back(std::move(decoded));
-      const std::vector<DownRec>& recs = batches[nw.batch];
-      const TreeNode& c_node = tree_.node(m, nw.ci);
-      // Charge one message per share per child and hand each child the
-      // decoded batch.
-      for (std::size_t child : c_node.children) {
-        const TreeNode& d_node = tree_.node(m - 1, child);
-        for (std::size_t ri = 0; ri < recs.size(); ++ri) {
-          if (nw.dropped[ri]) continue;
-          const ProcId sender = c_node.members[recs[ri].holder_pos];
-          const std::uint32_t rpos =
-              chain_pos(tree_, chain_parent(recs[ri].chain, m), m - 1);
-          net_.charge_batch(sender, d_node.members[rpos],
-                            nwords * kWordBits);
-        }
-        next.emplace_back(child, nw.decoded_batch);
-      }
-    }
-    frontier = std::move(next);
-  }
-
-  // ---- Leaf exchange: members of each leaf node swap their
-  // reconstructed 1-shares and recover the exposed words. Same
-  // optimistic draw/decode split, one recombination per leaf.
-  const std::size_t t1 = params_.privacy_threshold(k1);
-  struct LeafWork {
-    std::size_t leaf_idx = 0;
-    std::vector<FpSpan> shares;  // per surviving sender, record order
-    std::vector<Fp> xs;          // their evaluation points, same order
-    std::vector<Fp*> lie_bufs;   // record order
-    const RobustDecoder* dec = nullptr;  // nullptr: not enough survived
-    Fp* secret = nullptr;
-    std::uint8_t ok = 0;
-  };
-  std::vector<LeafWork> leaves(frontier.size());
-  for (std::size_t li = 0; li < frontier.size(); ++li) {
-    LeafWork& lw = leaves[li];
-    lw.leaf_idx = frontier[li].first;
-    const std::vector<DownRec>& recs = batches[frontier[li].second];
-    const TreeNode& leaf = tree_.node(1, lw.leaf_idx);
-    for (const DownRec& rec : recs) {
-      const ProcId sender = leaf.members[rec.holder_pos];
-      if (silent(sender)) continue;
-      if (lying(sender)) {
-        Fp* buf = arena_.alloc(nwords);  // filled by the draw pass
-        lw.lie_bufs.push_back(buf);
-        lw.shares.push_back(FpSpan{buf, nwords});
-      } else {
-        lw.shares.push_back(rec.ys);
-      }
-      lw.xs.push_back(Fp(chain_elem(rec.chain, 0) + 1));
-      for (std::size_t pos = 0; pos < leaf.members.size(); ++pos)
-        net_.charge_batch(sender, leaf.members[pos], nwords * kWordBits);
-    }
-  }
-  // Pre-warm pass; the pin keeps every captured reference stable across
-  // the batch.
-  const std::uint64_t leaf_epoch = cache_.robust_epoch();
-  for (LeafWork& lw : leaves) {
-    if (lw.shares.size() < t1 + 1) continue;
-    lw.dec = &cache_.prewarm_points(lw.xs, t1);
-    lw.secret = arena_.alloc(nwords);
-  }
-  BA_ENSURE(cache_.robust_epoch() == leaf_epoch,
-            "decoder map reset mid-exchange despite the pin");
-
-  const auto fill_leaf_failure = [&](const LeafWork& lw) {
-    const TreeNode& leaf = tree_.node(1, lw.leaf_idx);
-    const std::size_t rel = lw.leaf_idx - top.leaf_begin;
-    for (std::size_t pos = 0; pos < leaf.members.size(); ++pos)
-      for (std::size_t w = 0; w < nwords; ++w)
-        views.set(rel, pos, w, garbage());
-  };
-  const auto decode_leaves_parallel = [&](std::size_t begin,
-                                          std::size_t end) {
-    Pool::for_each(end - begin, [&](std::size_t i, std::size_t worker) {
-      LeafWork& lw = leaves[begin + i];
-      if (lw.dec == nullptr) return;  // finalized by the draw pass
-      lw.ok = lw.dec->reconstruct_into(lw.shares.data(), lw.shares.size(),
-                                       nwords, lw.secret,
-                                       decode_scratch_[worker])
-                  ? 1
-                  : 0;
-      if (lw.ok) {
-        const TreeNode& leaf = tree_.node(1, lw.leaf_idx);
-        const std::size_t rel = lw.leaf_idx - top.leaf_begin;
-        for (std::size_t pos = 0; pos < leaf.members.size(); ++pos)
-          for (std::size_t w = 0; w < nwords; ++w)
-            views.set(rel, pos, w, lw.secret[w]);
-      }
-    });
-  };
-  const auto draw_leaf_inputs = [&](LeafWork& lw) {
-    for (Fp* buf : lw.lie_bufs) fill_garbage_span(buf, nwords);
-    // A leaf without enough surviving shares fails deterministically:
-    // its failure draws belong right here in the serial order, need no
-    // decode result, and must not burn the optimistic restart budget.
-    // Replays from a rewound rng_ redraw identical values.
-    if (lw.dec == nullptr) fill_leaf_failure(lw);
-  };
-
-  optimistic_units(
-      leaves.size(),
-      [&](std::size_t li) { draw_leaf_inputs(leaves[li]); },
-      decode_leaves_parallel,
-      [&](std::size_t li) {
-        return leaves[li].dec != nullptr && leaves[li].ok == 0;
-      },
-      [&](std::size_t li) { fill_leaf_failure(leaves[li]); });
-  return views;
+  return std::move(expose({{&a, w0, w1}}, /*open=*/false).front().views);
 }
 
 std::vector<ShareFlow::Exposure> ShareFlow::expose_batch(
     const std::vector<ExposeJob>& jobs) {
+  return expose(jobs, /*open=*/true);
+}
+
+std::vector<ShareFlow::Exposure> ShareFlow::expose(
+    const std::vector<ExposeJob>& jobs, bool open) {
   std::vector<Exposure> out;
   out.reserve(jobs.size());
   if (jobs.empty()) return out;
@@ -579,114 +273,97 @@ std::vector<ShareFlow::Exposure> ShareFlow::expose_batch(
   }
   ensure_worker_scratch();
 
-  // The serial path both defines the draw order and is the fallback when
-  // a chunk hits a decode failure (it charges, pins and resets the arena
-  // itself).
-  const auto serial_from = [&](std::size_t i, std::size_t end) {
-    for (; i < end; ++i) {
-      LeafViews lv = send_down(*jobs[i].a, jobs[i].w0, jobs[i].w1);
-      MemberViews mv = send_open(level, jobs[i].a->node_idx, lv);
-      out.push_back(Exposure{std::move(lv), std::move(mv)});
-    }
-  };
-
-  // ---- Per-chunk plan structures. BNode/BGroup/BLeaf mirror send_down's
-  // NodeWork/Group/LeafWork one for one; the sendOpen structure is the
-  // same OpenPlan the standalone path builds (sender identities survive
-  // the structural pass because the batched charges are deferred to the
-  // apply phase).
-  struct BGroup {
+  // ---- Plan structures. One recombination group: the shares of one
+  // parent chain inside one node, decoded once into `out`. Decoding a
+  // group yields the same value for every sibling receiver, so each node
+  // decodes once into an arena-backed batch and the frontier hands every
+  // child a batch id — replication is a span copy, never a word copy.
+  struct Group {
     Chain pc = 0;
     std::uint32_t holder_pos = 0;
-    std::uint32_t share_begin = 0, share_end = 0;
+    std::uint32_t share_begin = 0, share_end = 0;  // into NodeWork::shares
     const RobustDecoder* dec = nullptr;
     Fp* out = nullptr;
-    std::uint8_t ok = 0;
   };
-  struct BNode {
+  struct NodeWork {
     std::size_t ci = 0;
-    std::uint32_t batch = 0;
-    std::vector<FpSpan> sent;
-    std::vector<std::uint8_t> dropped;
-    std::vector<std::pair<std::uint32_t, Fp*>> lie_bufs;
-    std::vector<std::uint32_t> shares;
-    std::vector<BGroup> groups;
-    std::uint32_t decoded_batch = 0;
+    std::uint32_t batch = 0;             // incoming records, Job::batches
+    std::vector<FpSpan> sent;            // per rec: what the holder sends
+    std::vector<std::uint8_t> dropped;   // per rec: silent holder
+    std::vector<Fp*> lie_bufs;           // lying holders, rec order
+    std::vector<std::uint32_t> shares;   // rec indices, grouped contiguously
+    std::vector<Group> groups;           // map-iteration order (see below)
   };
-  struct BLeaf {
+  struct LevelWork {
+    std::vector<NodeWork> nodes;
+    std::uint64_t salt = 0;  ///< failed groups' garbage-stream salt
+  };
+  struct LeafWork {
     std::size_t leaf_idx = 0;
-    std::vector<FpSpan> shares;
-    std::vector<Fp> xs;
-    std::vector<ProcId> senders;  ///< surviving senders, share order
-    std::vector<Fp*> lie_bufs;
-    const RobustDecoder* dec = nullptr;
+    std::vector<FpSpan> shares;   // per surviving sender, record order
+    std::vector<ProcId> senders;  // surviving senders, same order
+    std::vector<Fp*> lie_bufs;    // record order
+    const RobustDecoder* dec = nullptr;  // nullptr: not enough survived
     Fp* secret = nullptr;
-    std::uint8_t ok = 0;
   };
-  struct BJob {
-    const ArrayState* a = nullptr;
-    std::size_t nwords = 0, s0 = 0;
+  struct Job {
+    std::size_t nwords = 0;
     const TreeNode* top = nullptr;
-    std::size_t k1 = 0, t1 = 0;
     std::vector<std::vector<DownRec>> batches;
-    std::vector<std::vector<BNode>> levels;  ///< [li] is tree level - li
-    std::vector<BLeaf> leaves;
-    OpenPlan open;           ///< sendOpen structure, receiver-binned
-    std::uint64_t salt = 0;  ///< sendOpen garbage-stream salt (draw pass)
+    std::vector<LevelWork> levels;  ///< [li] is tree level `level - li`
+    std::vector<LeafWork> leaves;
+    std::uint64_t leaf_salt = 0;    ///< failed leaves' garbage-stream salt
+    OpenPlan open;                  ///< sendOpen structure (open only)
+    std::uint64_t open_salt = 0;    ///< sendOpen garbage-stream salt
   };
 
-  // ---- Structural pass for one job: everything send_down + send_open
-  // compute that does not consume rng_ and does not charge — frontier
-  // walk, groups (the unordered_map is built with the identical key
-  // sequence, so it iterates identically), decoder pre-warms, buffer
-  // allocation, the open sender lists. Deferred: lie/failure draws (the
-  // draw pass), decodes (the lock-step pass), charges + tallies (apply).
-  const auto build_job = [&](const ExposeJob& job, BJob& plan,
+  // ---- Structural pass for one job (serial, draw-free, charge-free):
+  // frontier walk, groups, decoder pre-warms (phase 1 of the cache's
+  // two-phase protocol), buffer allocation, the open sender lists. The
+  // decoded batches point at group buffers the decode passes fill later.
+  const auto build_job = [&](const ExposeJob& ej, Job& job,
                              std::vector<LeafViews>& views_of) {
-    const ArrayState& a = *job.a;
-    plan.a = &a;
-    plan.nwords = job.w1 - job.w0;
-    plan.s0 = job.w0 - a.word_offset;
-    plan.top = &tree_.node(level, a.node_idx);
-    plan.k1 = tree_.node(1, plan.top->leaf_begin).members.size();
-    plan.t1 = params_.privacy_threshold(plan.k1);
-    const std::size_t nwords = plan.nwords;
-    views_of.emplace_back(plan.top->leaf_begin,
-                          plan.top->leaf_end - plan.top->leaf_begin, plan.k1,
-                          nwords);
+    const ArrayState& a = *ej.a;
+    const std::size_t nwords = ej.w1 - ej.w0;
+    const std::size_t s0 = ej.w0 - a.word_offset;
+    job.nwords = nwords;
+    job.top = &tree_.node(level, a.node_idx);
+    const std::size_t k1 = tree_.node(1, job.top->leaf_begin).members.size();
+    const std::size_t t1 = params_.privacy_threshold(k1);
+    views_of.emplace_back(job.top->leaf_begin,
+                          job.top->leaf_end - job.top->leaf_begin, k1, nwords);
 
     std::vector<std::pair<std::size_t, std::uint32_t>> frontier;
     {
       std::vector<DownRec> start;
       start.reserve(a.recs.size());
       for (const ShareRec& rec : a.recs) {
-        BA_REQUIRE(plan.s0 + nwords <= rec.ys.size(),
-                   "range beyond stored words");
+        BA_REQUIRE(s0 + nwords <= rec.ys.size(), "range beyond stored words");
         DownRec dr;
         dr.chain = rec.chain;
         dr.holder_pos = rec.holder_pos;
         Fp* buf = arena_.alloc(nwords);
-        std::copy(rec.ys.begin() + static_cast<std::ptrdiff_t>(plan.s0),
-                  rec.ys.begin() + static_cast<std::ptrdiff_t>(plan.s0) +
-                      static_cast<std::ptrdiff_t>(nwords),
-                  buf);
+        std::copy_n(rec.ys.begin() + static_cast<std::ptrdiff_t>(s0), nwords,
+                    buf);
         dr.ys = FpSpan{buf, nwords};
         start.push_back(dr);
       }
-      plan.batches.push_back(std::move(start));
+      job.batches.push_back(std::move(start));
       frontier.emplace_back(a.node_idx, 0);
     }
 
-    std::vector<Fp> xs;
+    std::vector<Fp> xs;  // per-recombination points for the decoder lookup
     for (std::size_t m = level; m >= 2; --m) {
       const std::size_t d_deal = tree_.uplinks(m - 1).degree();
       const std::size_t t = params_.privacy_threshold(d_deal);
-      std::vector<BNode> nodes(frontier.size());
+      LevelWork& lvl = job.levels.emplace_back();
+      lvl.nodes.resize(frontier.size());
+      std::vector<std::pair<std::size_t, std::uint32_t>> next;
       for (std::size_t ni = 0; ni < frontier.size(); ++ni) {
-        BNode& nw = nodes[ni];
+        NodeWork& nw = lvl.nodes[ni];
         nw.ci = frontier[ni].first;
         nw.batch = frontier[ni].second;
-        const std::vector<DownRec>& recs = plan.batches[nw.batch];
+        const std::vector<DownRec>& recs = job.batches[nw.batch];
         const TreeNode& c_node = tree_.node(m, nw.ci);
         nw.sent.resize(recs.size());
         nw.dropped.assign(recs.size(), 0);
@@ -696,69 +373,59 @@ std::vector<ShareFlow::Exposure> ShareFlow::expose_batch(
             nw.dropped[ri] = 1;
           } else if (lying(sender)) {
             Fp* buf = arena_.alloc(nwords);  // filled by the draw pass
-            nw.lie_bufs.emplace_back(static_cast<std::uint32_t>(ri), buf);
+            nw.lie_bufs.push_back(buf);
             nw.sent[ri] = FpSpan{buf, nwords};
           } else {
             nw.sent[ri] = recs[ri].ys;
           }
         }
+        // Group by parent chain. The map's iteration order fixes the
+        // decoded-record order and with it the next level's lie-draw
+        // order; built with the identical key sequence, it iterates
+        // identically every run.
         std::unordered_map<Chain, std::vector<std::uint32_t>> group_map;
         for (std::size_t ri = 0; ri < recs.size(); ++ri) {
           if (nw.dropped[ri]) continue;
           group_map[chain_parent(recs[ri].chain, m)].push_back(
               static_cast<std::uint32_t>(ri));
         }
+        std::vector<DownRec> decoded;
+        decoded.reserve(group_map.size());
         for (auto& [pc, members] : group_map) {
-          if (members.size() < t + 1) continue;
-          BGroup g;
+          if (members.size() < t + 1) continue;  // not enough survived
+          Group g;
           g.pc = pc;
           g.holder_pos = chain_pos(tree_, pc, m - 1);
           g.share_begin = static_cast<std::uint32_t>(nw.shares.size());
-          for (std::uint32_t ri : members) nw.shares.push_back(ri);
+          xs.clear();
+          for (std::uint32_t ri : members) {
+            nw.shares.push_back(ri);
+            xs.push_back(Fp(chain_elem(recs[ri].chain, m - 1)));
+          }
           g.share_end = static_cast<std::uint32_t>(nw.shares.size());
+          g.dec = &cache_.prewarm_points(xs, t);
           g.out = arena_.alloc(nwords);
           nw.groups.push_back(g);
+          decoded.push_back(DownRec{g.pc, g.holder_pos, FpSpan{g.out, nwords}});
         }
-      }
-      for (BNode& nw : nodes) {
-        const std::vector<DownRec>& recs = plan.batches[nw.batch];
-        for (BGroup& g : nw.groups) {
-          xs.clear();
-          for (std::uint32_t si = g.share_begin; si < g.share_end; ++si)
-            xs.push_back(Fp(chain_elem(recs[nw.shares[si]].chain, m - 1)));
-          g.dec = &cache_.prewarm_points(xs, t);
-        }
-      }
-      // Decoded batches and the next frontier (send_down's P4, minus its
-      // charges): the decoded spans point at group buffers the lock-step
-      // pass fills later.
-      std::vector<std::pair<std::size_t, std::uint32_t>> next;
-      for (BNode& nw : nodes) {
-        std::vector<DownRec> decoded;
-        decoded.reserve(nw.groups.size());
-        for (const BGroup& g : nw.groups) {
-          DownRec dr;
-          dr.chain = g.pc;
-          dr.holder_pos = g.holder_pos;
-          dr.ys = FpSpan{g.out, nwords};
-          decoded.push_back(dr);
-        }
-        nw.decoded_batch = static_cast<std::uint32_t>(plan.batches.size());
-        plan.batches.push_back(std::move(decoded));
-        const TreeNode& c_node = tree_.node(m, nw.ci);
+        const auto decoded_batch =
+            static_cast<std::uint32_t>(job.batches.size());
+        job.batches.push_back(std::move(decoded));
         for (std::size_t child : c_node.children)
-          next.emplace_back(child, nw.decoded_batch);
+          next.emplace_back(child, decoded_batch);
       }
-      plan.levels.push_back(std::move(nodes));
       frontier = std::move(next);
     }
 
-    plan.leaves.resize(frontier.size());
+    // Leaf exchange: members of each leaf node swap their reconstructed
+    // 1-shares and recover the exposed words, one recombination per leaf.
+    job.leaves.resize(frontier.size());
     for (std::size_t li = 0; li < frontier.size(); ++li) {
-      BLeaf& lw = plan.leaves[li];
+      LeafWork& lw = job.leaves[li];
       lw.leaf_idx = frontier[li].first;
-      const std::vector<DownRec>& recs = plan.batches[frontier[li].second];
+      const std::vector<DownRec>& recs = job.batches[frontier[li].second];
       const TreeNode& leaf = tree_.node(1, lw.leaf_idx);
+      xs.clear();
       for (const DownRec& rec : recs) {
         const ProcId sender = leaf.members[rec.holder_pos];
         if (silent(sender)) continue;
@@ -769,58 +436,48 @@ std::vector<ShareFlow::Exposure> ShareFlow::expose_batch(
         } else {
           lw.shares.push_back(rec.ys);
         }
-        lw.xs.push_back(Fp(chain_elem(rec.chain, 0) + 1));
+        xs.push_back(Fp(chain_elem(rec.chain, 0) + 1));
         lw.senders.push_back(sender);
       }
-      if (lw.shares.size() >= plan.t1 + 1) {
-        lw.dec = &cache_.prewarm_points(lw.xs, plan.t1);
+      if (lw.shares.size() >= t1 + 1) {
+        lw.dec = &cache_.prewarm_points(xs, t1);
         lw.secret = arena_.alloc(nwords);
       }
     }
 
-    // sendOpen sender lists, receiver-binned exactly as the standalone
-    // path builds them.
-    build_open_plan(level, a.node_idx, plan.top->leaf_begin, plan.open);
+    if (open) build_open_plan(level, a.node_idx, job.top->leaf_begin, job.open);
   };
 
-  // ---- Draw pass for one job: exactly the draws the serial path takes,
-  // in its order — per level (descending) the lying holders' transmissions
-  // in frontier/record order, then per leaf the lying 1-shares plus the
-  // deterministic not-enough-survivors failure views, then sendOpen's
-  // one salt draw (the per-receiver garbage streams the apply-phase tally
-  // forks from it are off-rng_ by construction).
-  const auto draw_job = [&](BJob& plan, LeafViews& views) {
-    const std::size_t nwords = plan.nwords;
-    for (std::vector<BNode>& nodes : plan.levels)
-      for (BNode& nw : nodes)
-        for (auto& [ri, buf] : nw.lie_bufs) {
-          (void)ri;
-          fill_garbage_span(buf, nwords);
-        }
-    for (BLeaf& lw : plan.leaves) {
-      for (Fp* buf : lw.lie_bufs) fill_garbage_span(buf, nwords);
-      if (lw.dec == nullptr) {
-        const TreeNode& leaf = tree_.node(1, lw.leaf_idx);
-        const std::size_t rel = lw.leaf_idx - plan.top->leaf_begin;
-        for (std::size_t pos = 0; pos < leaf.members.size(); ++pos)
-          for (std::size_t w = 0; w < nwords; ++w)
-            views.set(rel, pos, w, garbage());
-      }
+  // ---- Draw pass for one job: every rng_ draw the exposure takes, in
+  // its fixed order — per level (descending) the lying holders'
+  // transmissions in frontier/record order and then that level's
+  // failure salt; the lying 1-shares in leaf/record order and then the
+  // leaf-exchange failure salt; then sendOpen's salt. Decode outcomes
+  // never feed back into rng_, so this order is known before decoding.
+  const auto draw_job = [&](Job& job) {
+    for (LevelWork& lvl : job.levels) {
+      for (const NodeWork& nw : lvl.nodes)
+        for (Fp* buf : nw.lie_bufs) fill_garbage_span(rng_, buf, job.nwords);
+      lvl.salt = rng_.next();
     }
-    plan.salt = rng_.next();
+    for (const LeafWork& lw : job.leaves)
+      for (Fp* buf : lw.lie_bufs) fill_garbage_span(rng_, buf, job.nwords);
+    job.leaf_salt = rng_.next();
+    if (open) job.open_salt = rng_.next();
   };
 
-  // ---- Apply pass for one fully-decoded job: the deferred ledger
-  // charges (order within a round is immaterial — the ledger digests
-  // per-processor totals and no round advances inside a batch) and the
+  // ---- Apply pass for one decoded job: the deferred ledger charges
+  // (order within a round is immaterial — the ledger digests
+  // per-processor totals and no round advances inside a call) and the
   // pooled sendOpen tally over the decoded leaf views.
-  const auto apply_job = [&](BJob& plan, LeafViews& views) {
-    const std::size_t nwords = plan.nwords;
-    for (std::size_t li = 0; li < plan.levels.size(); ++li) {
+  const auto apply_job = [&](const Job& job, LeafViews& views) {
+    const std::size_t nwords = job.nwords;
+    for (std::size_t li = 0; li < job.levels.size(); ++li) {
       const std::size_t m = level - li;
-      for (BNode& nw : plan.levels[li]) {
-        const std::vector<DownRec>& recs = plan.batches[nw.batch];
+      for (const NodeWork& nw : job.levels[li].nodes) {
+        const std::vector<DownRec>& recs = job.batches[nw.batch];
         const TreeNode& c_node = tree_.node(m, nw.ci);
+        // One message per share per child.
         for (std::size_t child : c_node.children) {
           const TreeNode& d_node = tree_.node(m - 1, child);
           for (std::size_t ri = 0; ri < recs.size(); ++ri) {
@@ -834,139 +491,109 @@ std::vector<ShareFlow::Exposure> ShareFlow::expose_batch(
         }
       }
     }
-    for (const BLeaf& lw : plan.leaves) {
+    for (const LeafWork& lw : job.leaves) {
       const TreeNode& leaf = tree_.node(1, lw.leaf_idx);
       for (const ProcId sender : lw.senders)
         for (std::size_t pos = 0; pos < leaf.members.size(); ++pos)
           net_.charge_batch(sender, leaf.members[pos], nwords * kWordBits);
     }
-    const TreeNode& node = tree_.node(level, plan.a->node_idx);
-    MemberViews mv(node.members.size(), nwords);
-    std::size_t lb = 0, sb = 0;
-    for (std::size_t pos = 0; pos < node.members.size(); ++pos) {
-      const ProcId receiver = node.members[pos];
-      const std::uint32_t le = plan.open.pos_leaf_ends[pos];
-      const std::size_t s_end = lb == le ? sb : plan.open.leaf_ends[le - 1];
-      for (std::size_t si = sb; si < s_end; ++si)
-        net_.charge_batch(plan.open.ids[si], receiver,
-                          nwords * kWordBits);
-      sb = s_end;
-      lb = le;
+    if (!open) {
+      out.push_back(Exposure{std::move(views), MemberViews(0, nwords)});
+      return;
     }
-    open_tally(node, plan.open, views, plan.salt, mv);
+    MemberViews mv(job.top->members.size(), nwords);
+    open_tally(*job.top, job.open, views, job.open_salt, mv);
     out.push_back(Exposure{std::move(views), std::move(mv)});
   };
 
-  // ---- One chunk: build + draw every job (serial, job-major — exactly
-  // the serial draw order because the structural pass is draw-free), then
-  // decode every tree level across all jobs in one pool dispatch each.
-  // `limit` tracks the leading run of failure-free jobs; a decode failure
-  // at job j keeps jobs < j, rewinds rng_ to j's snapshot and replays
-  // from j through the serial path.
+  // ---- One chunk: build + draw every job (serial, job-major), then
+  // decode each tree level across all jobs in one pool dispatch, then the
+  // leaf exchanges in one more, then apply job by job. A recombination
+  // that fails fills its output inside its decode item from its own
+  // garbage stream — Rng(level salt).fork((node << 32) | group) for a
+  // group, Rng(leaf salt).fork(leaf) for a leaf exchange — so a failure
+  // is a function of (salt, position) alone and no draw waits on a
+  // decode result.
+  std::atomic<std::uint64_t> failures{0};
   const auto run_chunk = [&](std::size_t jb, std::size_t je) {
     const std::size_t count = je - jb;
     arena_.reset();  // one chunk == one arena epoch
-    std::vector<BJob> plans(count);
+    std::vector<Job> plans(count);
     std::vector<LeafViews> views_of;
     views_of.reserve(count);
-    std::vector<Rng> snaps;
-    snaps.reserve(count);
-    std::size_t limit = count;
-    {
-      SchemeCache::RobustPin pin(cache_);
-      const std::uint64_t epoch = cache_.robust_epoch();
-      for (std::size_t ji = 0; ji < count; ++ji) {
-        snaps.push_back(rng_);
-        build_job(jobs[jb + ji], plans[ji], views_of);
-        draw_job(plans[ji], views_of[ji]);
-      }
-      BA_ENSURE(cache_.robust_epoch() == epoch,
-                "decoder map reset mid-chunk despite the pin");
-      const std::size_t num_levels = level - 1;
-      std::vector<std::array<std::uint32_t, 3>> todo;
-      for (std::size_t li = 0; li < num_levels; ++li) {
-        todo.clear();
-        for (std::size_t ji = 0; ji < limit; ++ji)
-          for (std::size_t ni = 0; ni < plans[ji].levels[li].size(); ++ni)
-            for (std::size_t gi = 0;
-                 gi < plans[ji].levels[li][ni].groups.size(); ++gi)
-              todo.push_back({static_cast<std::uint32_t>(ji),
-                              static_cast<std::uint32_t>(ni),
-                              static_cast<std::uint32_t>(gi)});
-        Pool::for_each(todo.size(), [&](std::size_t wi, std::size_t worker) {
-          BNode& nw = plans[todo[wi][0]].levels[li][todo[wi][1]];
-          BGroup& g = nw.groups[todo[wi][2]];
-          std::vector<FpSpan>& spans = span_scratch_[worker];
-          spans.clear();
-          for (std::uint32_t si = g.share_begin; si < g.share_end; ++si)
-            spans.push_back(nw.sent[nw.shares[si]]);
-          g.ok = g.dec->reconstruct_into(spans.data(), spans.size(),
-                                         plans[todo[wi][0]].nwords, g.out,
-                                         decode_scratch_[worker])
-                     ? 1
-                     : 0;
-        });
-        for (std::size_t ji = 0; ji < limit; ++ji) {
-          bool fail = false;
-          for (const BNode& nw : plans[ji].levels[li]) {
-            for (const BGroup& g : nw.groups)
-              if (!g.ok) {
-                fail = true;
-                break;
-              }
-            if (fail) break;
-          }
-          if (fail) {
-            limit = ji;
-            break;
-          }
-        }
-      }
-      todo.clear();
-      for (std::size_t ji = 0; ji < limit; ++ji)
-        for (std::size_t li = 0; li < plans[ji].leaves.size(); ++li)
-          if (plans[ji].leaves[li].dec != nullptr)
-            todo.push_back({static_cast<std::uint32_t>(ji),
-                            static_cast<std::uint32_t>(li), 0});
-      Pool::for_each(todo.size(), [&](std::size_t wi, std::size_t worker) {
-        BJob& plan = plans[todo[wi][0]];
-        BLeaf& lw = plan.leaves[todo[wi][1]];
-        lw.ok = lw.dec->reconstruct_into(lw.shares.data(), lw.shares.size(),
-                                         plan.nwords, lw.secret,
-                                         decode_scratch_[worker])
-                    ? 1
-                    : 0;
-        if (lw.ok) {
-          const TreeNode& leaf = tree_.node(1, lw.leaf_idx);
-          const std::size_t rel = lw.leaf_idx - plan.top->leaf_begin;
-          LeafViews& views = views_of[todo[wi][0]];
-          for (std::size_t pos = 0; pos < leaf.members.size(); ++pos)
-            for (std::size_t w = 0; w < plan.nwords; ++w)
-              views.set(rel, pos, w, lw.secret[w]);
-        }
-      });
-      for (std::size_t ji = 0; ji < limit; ++ji) {
-        bool fail = false;
-        for (const BLeaf& lw : plans[ji].leaves)
-          if (lw.dec != nullptr && lw.ok == 0) {
-            fail = true;
-            break;
-          }
-        if (fail) {
-          limit = ji;
-          break;
-        }
-      }
-    }  // pin drops before any serial replay re-pins
-    for (std::size_t ji = 0; ji < limit; ++ji)
-      apply_job(plans[ji], views_of[ji]);
-    if (limit < count) {
-      rng_ = snaps[limit];
-      serial_from(jb + limit, je);
+    SchemeCache::RobustPin pin(cache_);
+    const std::uint64_t epoch = cache_.robust_epoch();
+    for (std::size_t ji = 0; ji < count; ++ji) {
+      build_job(jobs[jb + ji], plans[ji], views_of);
+      draw_job(plans[ji]);
     }
+    BA_ENSURE(cache_.robust_epoch() == epoch,
+              "decoder map reset mid-chunk despite the pin");
+
+    std::vector<std::array<std::uint32_t, 3>> todo;
+    for (std::size_t li = 0; li + 1 < level; ++li) {
+      todo.clear();
+      for (std::size_t ji = 0; ji < count; ++ji)
+        for (std::size_t ni = 0; ni < plans[ji].levels[li].nodes.size(); ++ni)
+          for (std::size_t gi = 0;
+               gi < plans[ji].levels[li].nodes[ni].groups.size(); ++gi)
+            todo.push_back({static_cast<std::uint32_t>(ji),
+                            static_cast<std::uint32_t>(ni),
+                            static_cast<std::uint32_t>(gi)});
+      Pool::for_each(todo.size(), [&](std::size_t wi, std::size_t worker) {
+        const Job& job = plans[todo[wi][0]];
+        const LevelWork& lvl = job.levels[li];
+        const NodeWork& nw = lvl.nodes[todo[wi][1]];
+        const Group& g = nw.groups[todo[wi][2]];
+        std::vector<FpSpan>& spans = span_scratch_[worker];
+        spans.clear();
+        for (std::uint32_t si = g.share_begin; si < g.share_end; ++si)
+          spans.push_back(nw.sent[nw.shares[si]]);
+        if (g.dec->reconstruct_into(spans.data(), spans.size(), job.nwords,
+                                    g.out, decode_scratch_[worker]))
+          return;
+        ++failures;
+        Rng stream = Rng(lvl.salt).fork(
+            (static_cast<std::uint64_t>(nw.ci) << 32) | todo[wi][2]);
+        fill_garbage_span(stream, g.out, job.nwords);
+      });
+    }
+
+    todo.clear();
+    for (std::size_t ji = 0; ji < count; ++ji)
+      for (std::size_t li = 0; li < plans[ji].leaves.size(); ++li)
+        todo.push_back({static_cast<std::uint32_t>(ji),
+                        static_cast<std::uint32_t>(li), 0});
+    Pool::for_each(todo.size(), [&](std::size_t wi, std::size_t worker) {
+      const Job& job = plans[todo[wi][0]];
+      const LeafWork& lw = job.leaves[todo[wi][1]];
+      LeafViews& views = views_of[todo[wi][0]];
+      const std::size_t k = tree_.node(1, lw.leaf_idx).members.size();
+      const std::size_t rel = lw.leaf_idx - job.top->leaf_begin;
+      if (lw.dec != nullptr) {
+        if (lw.dec->reconstruct_into(lw.shares.data(), lw.shares.size(),
+                                     job.nwords, lw.secret,
+                                     decode_scratch_[worker])) {
+          for (std::size_t pos = 0; pos < k; ++pos)
+            for (std::size_t w = 0; w < job.nwords; ++w)
+              views.set(rel, pos, w, lw.secret[w]);
+          return;
+        }
+        ++failures;
+      }
+      // Failed, or too few surviving shares to try: every member's view
+      // is garbage, drawn in (pos, word) order.
+      Rng stream = Rng(job.leaf_salt).fork(lw.leaf_idx);
+      for (std::size_t pos = 0; pos < k; ++pos)
+        for (std::size_t w = 0; w < job.nwords; ++w)
+          views.set(rel, pos, w, Fp(stream.next()));
+    });
+
+    for (std::size_t ji = 0; ji < count; ++ji)
+      apply_job(plans[ji], views_of[ji]);
   };
 
-  // Chunk so one batch never holds more than a bounded window of leaf
+  // Chunk so one call never holds more than a bounded window of leaf
   // work (views + arena words), whatever the level or job count.
   constexpr std::size_t kChunkLeafCap = 4096;
   std::size_t jb = 0;
@@ -978,38 +605,25 @@ std::vector<ShareFlow::Exposure> ShareFlow::expose_batch(
       acc += top.leaf_end - top.leaf_begin;
       ++je;
     } while (je < jobs.size() && acc < kChunkLeafCap);
-    if (je - jb == 1)
-      serial_from(jb, je);  // nothing to batch; skip the plan overhead
-    else
-      run_chunk(jb, je);
+    run_chunk(jb, je);
     jb = je;
   }
+  decode_failures_ += failures;
   return out;
 }
 
 MemberViews ShareFlow::send_open(std::size_t level, std::size_t node_idx,
                                  const LeafViews& views) {
   const TreeNode& node = tree_.node(level, node_idx);
-  const std::size_t nwords = views.nwords();
-  MemberViews out(node.members.size(), nwords);
+  MemberViews out(node.members.size(), views.nwords());
   // Structural pass (serial, draw-free): the surviving (leaf, member)
-  // sender set, each sender's lying flag, and the ledger charges depend
-  // only on identities, not on words — computed once per receiver (the
-  // seed re-walked every leaf member per word and recounted pluralities
-  // with an O(k^2) nested loop).
+  // sender set and each sender's lying flag depend only on identities,
+  // not on words — computed once per receiver (the seed re-walked every
+  // leaf member per word and recounted pluralities with an O(k^2) nested
+  // loop).
   OpenPlan& plan = open_plan_scratch_;
   plan.clear();
   build_open_plan(level, node_idx, views.leaf_begin(), plan);
-  std::size_t lb = 0, sb = 0;
-  for (std::size_t pos = 0; pos < node.members.size(); ++pos) {
-    const ProcId receiver = node.members[pos];
-    const std::uint32_t le = plan.pos_leaf_ends[pos];
-    const std::size_t s_end = lb == le ? sb : plan.leaf_ends[le - 1];
-    for (std::size_t si = sb; si < s_end; ++si)
-      net_.charge_batch(plan.ids[si], receiver, nwords * kWordBits);
-    sb = s_end;
-    lb = le;
-  }
   // One salt draw at the call's serial rng_ position seeds every
   // receiver's forked garbage stream; the per-receiver tallies then run
   // draw-free on the pool.

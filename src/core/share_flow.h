@@ -25,47 +25,43 @@
 // barycentric fast-path precompute survives across dealing groups, levels
 // and exposure batches instead of being rebuilt per call. Damaged words
 // decode via Gao's O(m^2) extended-Euclid decoder. Corruption draws are
-// centralised in fill_garbage (core/array_state.h); all paths keep the
-// seed's Rng draw order, so fixed-seed runs are byte-identical to the
-// pre-cache pipeline.
+// centralised in fill_garbage (core/array_state.h).
 //
 // Parallelism (the round engine, common/pool.h). The flows are fanned
 // across the pool under the cache's two-phase protocol and a hard
-// draw-order contract that keeps every run byte-identical to the serial
-// pipeline at any worker count:
+// draw-order contract that keeps every run byte-identical at any worker
+// count:
 //
-//  * Randomness never moves: each batch splits into a serial driver pass
-//    that consumes rng_ in exactly the order the serial code did (dealing
-//    coefficients via CachedScheme::draw_coeffs, lying holders' garbage)
-//    and a draw-free parallel pass (Vandermonde products via
-//    deal_from_coeffs, robust decoding via reconstruct_into) whose writes
-//    are item-indexed.
-//  * Decode-failure garbage is the one draw that depends on a parallel
-//    result, so sendDown runs optimistically: snapshot rng_, draw all
-//    input garbage, decode the whole frontier in parallel; if some group
-//    failed, rewind to the snapshot, replay draws up to the first failing
-//    node (identical values), take its failure draws serially, and
-//    restart from the next node. Failures are the adversarial rare case;
-//    after two restarts the remainder runs node-serial (groups within one
-//    node still fan out — their failure draws cannot interleave with
-//    their own input draws).
-//  * Word storage for one sendDown exposure batch lives in a per-flow
-//    WordArena (common/arena.h): decoded groups and transmitted values
-//    are FpSpans, so handing a decoded record to every child of a node —
-//    the dominant replication in the flow — copies pointers, not words.
-//    The arena resets at the top of each send_down call.
+//  * Randomness never depends on scheduling: each batch splits into a
+//    serial driver pass that consumes rng_ in a fixed order (dealing
+//    coefficients via CachedScheme::draw_coeffs, lying holders' garbage,
+//    stream salts) and a draw-free parallel pass (Vandermonde products
+//    via deal_from_coeffs, robust decoding via reconstruct_into) whose
+//    writes are item-indexed.
+//  * Garbage that depends on a parallel result comes from salted stream
+//    forks, the pool's per-item derivation: the driver takes one salt
+//    from rng_ at a fixed position and each pool item draws from
+//    Rng(salt).fork(item). sendDown takes one salt per tree level (after
+//    the level's lying-holder draws) and one per leaf exchange (after the
+//    lying 1-shares); a recombination whose decode fails fills its output
+//    inside its decode item from Rng(level salt).fork((node << 32) |
+//    group) or Rng(leaf salt).fork(leaf). No draw waits on a decode, so
+//    each tree level decodes in one pool dispatch however many groups
+//    fail — damaged words are common under a lying minority, not rare.
+//  * Word storage for one exposure batch lives in a per-flow WordArena
+//    (common/arena.h): decoded groups and transmitted values are
+//    FpSpans, so handing a decoded record to every child of a node — the
+//    dominant replication in the flow — copies pointers, not words. The
+//    arena resets at the top of each batch chunk.
 //
-// sendOpen fans out per receiver: the structural pass bins the surviving
-// (leaf, member) senders per receiver (contiguous receiver -> leaves ->
-// senders slices), one salt is drawn from rng_ at the call's serial
-// position, and each receiver's tally runs on the pool drawing its
-// lying-sender garbage from Rng(salt).fork(pos) — the pool's per-item
-// stream-fork derivation, so draws depend on (salt, receiver) and never
-// on worker scheduling. This decouples the garbage from the global draw
-// order (the seed interleaved the two), which is why PR 7 re-pinned the
-// parity fingerprints and golden reports; the re-pin procedure is in
-// docs/ARCHITECTURE.md. Ledger charges are order-independent totals and
-// move freely between phases.
+// sendOpen fans out per receiver the same way: the structural pass bins
+// the surviving (leaf, member) senders per receiver (contiguous receiver
+// -> leaves -> senders slices), one salt is drawn from rng_ at the call's
+// serial position, and each receiver's tally runs on the pool drawing its
+// lying-sender garbage from Rng(salt).fork(pos). Moving any rng_ draw or
+// salt changes fixed-seed outcomes and re-pins the parity fingerprints
+// and golden reports (procedure in docs/ARCHITECTURE.md). Ledger charges
+// are order-independent totals and move freely between phases.
 #pragma once
 
 #include <cstdint>
@@ -177,8 +173,8 @@ class ShareFlow {
                       const std::function<bool(std::size_t)>& holder_forwards);
 
   /// sendDown: expose words [w0, w1) of array a to every leaf member of
-  /// the subtree of a's current node. Group recombinations fan out across
-  /// the pool (see the header comment for the draw-order contract).
+  /// the subtree of a's current node. Exactly expose_batch of one job
+  /// without the open: same draws, charges and views.
   LeafViews send_down(const ArrayState& a, std::size_t w0, std::size_t w1);
 
   /// sendOpen: members of node (level, node_idx) learn the exposed words
@@ -204,14 +200,13 @@ class ShareFlow {
   /// job at the same tree level). Byte-identical to calling send_down +
   /// send_open job by job — same Rng draw order, same ledger totals,
   /// same views — but the batch shares one arena epoch and one decoder
-  /// pin per chunk, and recombinations across all jobs of a level fan
-  /// out in a single pool dispatch per tree level instead of one per
-  /// array. Decode failures are the adversarial rare case: the batch
-  /// optimistically assumes none; on the first failure it keeps every
-  /// fully-clean preceding job, rewinds rng_ to the failing job's
-  /// snapshot, and replays the remainder through the serial path (the
-  /// definition of the draw order). Jobs chunk internally so a level's
-  /// batch never holds more than a bounded window of leaf work.
+  /// pin per chunk, and recombinations across all jobs fan out in one
+  /// pool dispatch per tree level plus one for the leaf exchanges. Each
+  /// job draws, in order: per level its lying holders' garbage and then
+  /// the level's failure salt, its lying 1-shares and then the leaf
+  /// salt, then the sendOpen salt (see the header comment). Jobs chunk
+  /// internally so a batch never holds more than a bounded window of
+  /// leaf work.
   std::vector<Exposure> expose_batch(const std::vector<ExposeJob>& jobs);
 
   /// Network rounds one sendDown + sendOpen from `level` costs: level-1
@@ -222,6 +217,9 @@ class ShareFlow {
   std::uint64_t open_receivers() const { return open_receivers_; }
   /// Pooled sendOpen tally dispatches so far (report extras).
   std::uint64_t open_tallies() const { return open_tallies_; }
+  /// sendDown recombinations (tree groups and leaf exchanges) whose
+  /// robust decode failed so far (report extras).
+  std::uint64_t decode_failures() const { return decode_failures_; }
 
  private:
   /// A share record travelling down the tree: word values borrowed from
@@ -266,17 +264,21 @@ class ShareFlow {
   void build_open_plan(std::size_t level, std::size_t node_idx,
                        std::size_t views_leaf_begin, OpenPlan& plan);
 
-  /// Parallel sendOpen tally: per-receiver pluralities over the pool,
-  /// lying senders drawing from Rng(salt).fork(pos). Draw-free on rng_;
-  /// writes are receiver-indexed.
+  /// sendOpen: the ledger charges (serial, receiver order), then the
+  /// per-receiver pluralities over the pool, lying senders drawing from
+  /// Rng(salt).fork(pos). Draw-free on rng_; writes are receiver-indexed.
   void open_tally(const TreeNode& node, const OpenPlan& plan,
                   const LeafViews& views, std::uint64_t salt,
                   MemberViews& out);
 
-  Fp garbage() { return Fp(rng_.next()); }
+  /// The one sendDown implementation behind send_down (open = false) and
+  /// expose_batch (open = true): structural, draw, per-level decode and
+  /// apply passes over chunks of jobs.
+  std::vector<Exposure> expose(const std::vector<ExposeJob>& jobs, bool open);
+
   /// fill_garbage (core/array_state.h) over an arena run.
-  void fill_garbage_span(Fp* ys, std::size_t words) {
-    for (std::size_t w = 0; w < words; ++w) ys[w] = garbage();
+  static void fill_garbage_span(Rng& rng, Fp* ys, std::size_t words) {
+    for (std::size_t w = 0; w < words; ++w) ys[w] = Fp(rng.next());
   }
   bool lying(ProcId p) const {
     return style_ == FaultStyle::lying && net_.is_corrupt(p);
@@ -288,28 +290,13 @@ class ShareFlow {
   /// (Re)size the per-worker scratch slots to the pool's current width.
   void ensure_worker_scratch();
 
-  /// The optimistic draw/decode/rewind loop shared by send_down's level
-  /// and leaf-exchange phases (see the header comment). Units are
-  /// processed so that rng_ consumes draws in exactly the serial order:
-  /// draw_inputs(i) (serial, in unit order; re-invocations must
-  /// reproduce identical draws from an identical rng_ state),
-  /// decode_range(begin, end) (parallel, draw-free, item-indexed
-  /// writes), failed(i) (pure), fill_failure(i) (serial, draws). After
-  /// two rewinds the remainder runs unit-serially.
-  void optimistic_units(std::size_t count,
-                        const std::function<void(std::size_t)>& draw_inputs,
-                        const std::function<void(std::size_t, std::size_t)>&
-                            decode_range,
-                        const std::function<bool(std::size_t)>& failed,
-                        const std::function<void(std::size_t)>& fill_failure);
-
   const ProtocolParams& params_;
   const TournamentTree& tree_;
   Network& net_;
   Rng rng_;
   FaultStyle style_ = FaultStyle::lying;
   SchemeCache cache_;  ///< amortized dealing matrices and robust decoders
-  WordArena arena_;    ///< word storage for one sendDown exposure batch
+  WordArena arena_;    ///< word storage for one exposure batch chunk
 
   // Per-worker scratch (common/pool.h contract: reinitialized by every
   // item that uses a slot).
@@ -325,6 +312,7 @@ class ShareFlow {
   // Instrumentation for report extras (not part of any fingerprint).
   std::uint64_t open_receivers_ = 0;
   std::uint64_t open_tallies_ = 0;
+  std::uint64_t decode_failures_ = 0;
 };
 
 }  // namespace ba

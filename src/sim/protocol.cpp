@@ -269,14 +269,18 @@ class EverywhereProtocol final : public Protocol {
                               sum_agree / static_cast<double>(loops));
       }
     }
-    // Pooled sendOpen tally fan-out (extras only — never fingerprinted,
-    // so the parity contract is untouched by the worker count).
+    // Share-flow instrumentation: pooled sendOpen tally fan-out and
+    // failed sendDown decodes (extras only — never fingerprinted, so the
+    // parity contract is untouched by the worker count).
     r.extras.emplace_back("open_tally_receivers",
                           static_cast<double>(res.ae.open_tally_receivers));
     r.extras.emplace_back("open_tally_dispatches",
                           static_cast<double>(res.ae.open_tally_dispatches));
     r.extras.emplace_back("open_tally_workers",
                           static_cast<double>(Pool::num_threads()));
+    r.extras.emplace_back(
+        "share_decode_failures",
+        static_cast<double>(res.ae.share_decode_failures));
     fill_ledger_totals(r, net);
 
     auto detail = std::make_shared<RunDetail>();
@@ -337,13 +341,16 @@ class AlmostEverywhereProtocol final : public Protocol {
     r.agreement_fraction = res.agreement_fraction;
     r.rounds = res.rounds;
     r.fingerprint = d.h;
-    // Pooled sendOpen tally fan-out (extras only — never fingerprinted).
+    // Share-flow instrumentation (extras only — never fingerprinted).
     r.extras.emplace_back("open_tally_receivers",
                           static_cast<double>(res.open_tally_receivers));
     r.extras.emplace_back("open_tally_dispatches",
                           static_cast<double>(res.open_tally_dispatches));
     r.extras.emplace_back("open_tally_workers",
                           static_cast<double>(Pool::num_threads()));
+    r.extras.emplace_back(
+        "share_decode_failures",
+        static_cast<double>(res.share_decode_failures));
     fill_ledger_totals(r, net);
 
     detail->corrupt_mask = net.corrupt_mask();

@@ -818,8 +818,9 @@ void register_matrix(std::vector<ScenarioSpec>& out) {
     s.adversary_seed = 2000;
     s.inputs = InputPattern::kAlternating;
     // Calibrated so every matrix cell's probabilistic outcome clears its
-    // assertion at this laptop scale under the streaming-sendOpen draw
-    // order (the theorem's constants want much larger n).
+    // assertion at this laptop scale under the forked-stream draw order
+    // of sendOpen and sendDown failures (the theorem's constants want
+    // much larger n).
     s.protocol_seed = 91;
     out.push_back(s);
   }

@@ -16,9 +16,9 @@
 // deliberately changes protocol draw order, re-record the constants from
 // a trusted serial run — the full procedure is documented under
 // "Re-pinning the parity baseline" in docs/ARCHITECTURE.md. The pins
-// below are the streaming-sendOpen baseline: sendOpen garbage draws come
-// from per-receiver forked streams, so scenarios exercising lying
-// senders re-recorded once when that stage went parallel.)
+// below are the forked-stream baseline: sendOpen lying-sender garbage and
+// sendDown decode-failure garbage both come from salted stream forks, so
+// scenarios exercising lying senders re-recorded once for each.)
 //
 // Scenarios mirror the examples (quickstart, randomness_beacon) and one
 // E-series configuration per protocol family: AEBA with unreliable coins
@@ -86,7 +86,7 @@ TEST(ParallelParity, Quickstart) {
   expect_parity("quickstart",
                 registry_scenario(ScenarioRegistry::get("quickstart")
                                       .with_n(64)),
-                0xcc0336754bc0c7c2ULL);
+                0xc0344b1e666f6c7aULL);
 }
 
 TEST(ParallelParity, RandomnessBeacon) {
@@ -96,7 +96,7 @@ TEST(ParallelParity, RandomnessBeacon) {
   expect_parity("randomness_beacon",
                 registry_scenario(ScenarioRegistry::get("randomness_beacon")
                                       .with_n(64)),
-                0xd78d2c3dbf708b22ULL);
+                0xc1247447063c9255ULL);
 }
 
 TEST(ParallelParity, AebaUnreliableCoins) {
@@ -134,7 +134,7 @@ TEST(ParallelParity, UniverseReduction) {
   expect_parity("universe_e13",
                 registry_scenario(
                     ScenarioRegistry::get("e13_universe_small")),
-                0x14958ab45c47fe76ULL);
+                0xa96cddf28cb0b9f0ULL);
 }
 
 // ---------------------------------------- partial-synchrony scenarios --
@@ -167,7 +167,7 @@ TEST(ParallelParity, BoundedDelayEverywhere) {
   expect_parity("everywhere_delay",
                 registry_scenario(
                     ScenarioRegistry::get("everywhere_delay")),
-                0x3ef4b0f1cd39254bULL);
+                0x1b834c8719624b8fULL);
 }
 
 TEST(ParallelParity, BoundedDelayEverywhereBreakPoint) {
@@ -177,7 +177,7 @@ TEST(ParallelParity, BoundedDelayEverywhereBreakPoint) {
   expect_parity("everywhere_delay_break",
                 registry_scenario(
                     ScenarioRegistry::get("everywhere_delay_break")),
-                0xcd44c217f4751eccULL);
+                0x81fc997ef1decf4fULL);
 }
 
 TEST(ParallelParity, ReorderRushEverywhere) {
@@ -191,7 +191,7 @@ TEST(ParallelParity, ReorderRushEverywhere) {
                                       .with_delta_max(2)
                                       .with_rush_depth(1)
                                       .with_scheduler_seed(5)),
-                0xc391c546c996a099ULL);
+                0x100d29def1a20cd1ULL);
 }
 
 TEST(ParallelParity, DeltaZeroSchedulerReproducesLockstepPins) {
@@ -208,7 +208,7 @@ TEST(ParallelParity, DeltaZeroSchedulerReproducesLockstepPins) {
                           .with_scheduler(sim::SchedulerKind::kBoundedDelay)
                           .with_delta_max(0)
                           .with_scheduler_seed(seed)),
-                  0xcc0336754bc0c7c2ULL);
+                  0xc0344b1e666f6c7aULL);
     expect_parity("benor_delta0",
                   registry_scenario(
                       ScenarioRegistry::get("e9_benor_small")
@@ -221,14 +221,28 @@ TEST(ParallelParity, DeltaZeroSchedulerReproducesLockstepPins) {
 
 // ------------------------------------------ harness-level scenarios --
 
+void mix_views(RunDigest& d, const LeafViews& lv) {
+  for (std::size_t leaf = 0; leaf < lv.leaf_count(); ++leaf)
+    for (std::size_t pos = 0; pos < lv.k1(); ++pos)
+      for (std::size_t w = 0; w < lv.nwords(); ++w)
+        d.mix(lv.at(leaf, pos, w).value());
+}
+
+void mix_views(RunDigest& d, const MemberViews& mv, std::size_t members) {
+  for (std::size_t pos = 0; pos < members; ++pos)
+    for (std::size_t w = 0; w < mv.nwords(); ++w)
+      d.mix(mv.at(pos, w).value());
+}
+
 std::uint64_t run_share_flow_e8() {
   // E8 configuration: the secret-sharing path in isolation, share-heavy —
   // a batched dealing storm at every leaf, iterated re-dealing to the
   // root, and robust recombination back down, under a corrupt fifth. The
-  // lying style forces damaged decodes and reconstruction failures (the
-  // optimistic-restart path); the silent style forces below-threshold
-  // groups and insufficient leaf exchanges. Every leaf view word, member
-  // view word, and ledger row feeds the digest.
+  // lying style forces damaged decodes and reconstruction failures (whose
+  // garbage comes from the per-level and per-leaf forked streams); the
+  // silent style forces below-threshold groups and insufficient leaf
+  // exchanges. Every leaf view word, member view word, and ledger row
+  // feeds the digest.
   RunDigest d;
   for (int style = 0; style < 2; ++style) {
     const std::size_t n = 64;
@@ -271,16 +285,9 @@ std::uint64_t run_share_flow_e8() {
                             [](std::size_t) { return true; });
       for (std::size_t w0 : {std::size_t{2}, std::size_t{5}}) {
         LeafViews lv = flow.send_down(a, w0, w0 + 3);
-        for (std::size_t leaf = 0; leaf < lv.leaf_count(); ++leaf)
-          for (std::size_t pos = 0; pos < lv.k1(); ++pos)
-            for (std::size_t w = 0; w < lv.nwords(); ++w)
-              d.mix(lv.at(leaf, pos, w).value());
+        mix_views(d, lv);
         MemberViews mv = flow.send_open(a.level, a.node_idx, lv);
-        const std::size_t members =
-            tree.node(a.level, a.node_idx).members.size();
-        for (std::size_t pos = 0; pos < members; ++pos)
-          for (std::size_t w = 0; w < mv.nwords(); ++w)
-            d.mix(mv.at(pos, w).value());
+        mix_views(d, mv, tree.node(a.level, a.node_idx).members.size());
       }
     }
     mix_ledger(d, net);
@@ -290,32 +297,30 @@ std::uint64_t run_share_flow_e8() {
 
 TEST(ParallelParity, ShareFlowSecretSharing) {
   expect_parity("share_flow_e8", run_share_flow_e8,
-                0xae25abcc99f8af0dULL);
+                0x0c6cd8545a9e8824ULL);
 }
 
-std::uint64_t run_send_open_storm() {
-  // Lying-sender storm for the streaming sendOpen stage: the corruption
-  // budget is spent in full (n/3, vs E8's fifth), so nearly every leaf
-  // the opens walk contains corrupt members and the pooled per-receiver
-  // tallies draw from their forked garbage streams on almost every
-  // slice — the worst interleaving for the per-receiver stream-fork
-  // derivation. Both open paths feed the digest: the batched expose path
-  // (one salt per job, drawn at the job's serial position) and the
-  // direct send_down + send_open pair that defines the draw order. The
-  // second pass flips to the silent style at the same budget, pinning
-  // the below-threshold branches of the same binned structural pass.
-  RunDigest d;
-  for (int style = 0; style < 2; ++style) {
-    const std::size_t n = 64;
-    ProtocolParams params = ProtocolParams::laptop_scale(n);
-    params.tree.q = 4;
-    params.tree.k1 = 12;
-    params.tree.d_up = 12;
-    Rng rng(9700 + style);
-    Rng tree_rng = rng.fork(1);
-    TournamentTree tree(params.tree, tree_rng);
-    Network net(n, n / 3);
-    ShareFlow flow(params, tree, net, rng.fork(2));
+/// The full-budget storm setup shared by the sendOpen storm and the
+/// batched-vs-serial check: n = 64, the corruption budget spent in full
+/// (n/3, vs E8's fifth), four arrays dealt and marched to the root. Two
+/// Storms built with the same style are identical.
+struct Storm {
+  static constexpr std::size_t n = 64;
+  static ProtocolParams make_params() {
+    ProtocolParams p = ProtocolParams::laptop_scale(n);
+    p.tree.q = 4;
+    p.tree.k1 = 12;
+    p.tree.d_up = 12;
+    return p;
+  }
+
+  explicit Storm(int style)
+      : params(make_params()),
+        rng(9700 + style),
+        tree_rng(rng.fork(1)),
+        tree(params.tree, tree_rng),
+        net(n, n / 3),
+        flow(params, tree, net, rng.fork(2)) {
     flow.set_fault_style(style == 0 ? FaultStyle::lying
                                     : FaultStyle::silent);
     while (net.corruption_budget_left() > 0) {
@@ -333,7 +338,6 @@ std::uint64_t run_send_open_storm() {
       jobs[i].words = &all_words[i];
     }
     auto dealt = flow.deal_to_leaf_batch(jobs);
-    std::vector<ArrayState> arrays;
     for (ProcId id : {ProcId{3}, ProcId{9}, ProcId{21}, ProcId{40}}) {
       ArrayState a;
       a.id = id;
@@ -345,47 +349,115 @@ std::uint64_t run_send_open_storm() {
                             [](std::size_t) { return true; });
       arrays.push_back(std::move(a));
     }
-    // Batched path: every array exposes two word ranges in one batch.
+  }
+
+  // The flow holds references to the members above.
+  Storm(const Storm&) = delete;
+  Storm& operator=(const Storm&) = delete;
+
+  /// Every array exposes two word ranges.
+  std::vector<ShareFlow::ExposeJob> expose_jobs() const {
     std::vector<ShareFlow::ExposeJob> batch;
     for (const ArrayState& a : arrays)
       for (std::size_t w0 : {std::size_t{2}, std::size_t{5}})
         batch.push_back({&a, w0, w0 + 3});
+    return batch;
+  }
+
+  std::size_t open_members(const ShareFlow::ExposeJob& job) const {
+    return tree.node(job.a->level, job.a->node_idx).members.size();
+  }
+
+  ProtocolParams params;
+  Rng rng;
+  Rng tree_rng;
+  TournamentTree tree;
+  Network net;
+  ShareFlow flow;
+  std::vector<ArrayState> arrays;
+};
+
+std::uint64_t run_send_open_storm() {
+  // Lying-sender storm for the streaming sendOpen stage: nearly every
+  // leaf the opens walk contains corrupt members, so the pooled
+  // per-receiver tallies draw from their forked garbage streams on almost
+  // every slice — the worst interleaving for the per-receiver stream-fork
+  // derivation. Both open paths feed the digest: the batched expose path
+  // and the direct send_down + send_open pair. The second pass flips to
+  // the silent style at the same budget, pinning the below-threshold
+  // branches of the same binned structural pass.
+  RunDigest d;
+  for (int style = 0; style < 2; ++style) {
+    Storm s(style);
+    const std::vector<ShareFlow::ExposeJob> batch = s.expose_jobs();
     const std::vector<ShareFlow::Exposure> exposures =
-        flow.expose_batch(batch);
+        s.flow.expose_batch(batch);
     for (std::size_t j = 0; j < exposures.size(); ++j) {
-      const ShareFlow::Exposure& e = exposures[j];
-      for (std::size_t leaf = 0; leaf < e.views.leaf_count(); ++leaf)
-        for (std::size_t pos = 0; pos < e.views.k1(); ++pos)
-          for (std::size_t w = 0; w < e.views.nwords(); ++w)
-            d.mix(e.views.at(leaf, pos, w).value());
-      const std::size_t opened_members =
-          tree.node(batch[j].a->level, batch[j].a->node_idx)
-              .members.size();
-      for (std::size_t pos = 0; pos < opened_members; ++pos)
-        for (std::size_t w = 0; w < e.opened.nwords(); ++w)
-          d.mix(e.opened.at(pos, w).value());
+      mix_views(d, exposures[j].views);
+      mix_views(d, exposures[j].opened, s.open_members(batch[j]));
     }
-    // Direct path (the draw-order definition) on the first array.
-    const ArrayState& a0 = arrays.front();
-    LeafViews lv = flow.send_down(a0, 3, 6);
-    for (std::size_t leaf = 0; leaf < lv.leaf_count(); ++leaf)
-      for (std::size_t pos = 0; pos < lv.k1(); ++pos)
-        for (std::size_t w = 0; w < lv.nwords(); ++w)
-          d.mix(lv.at(leaf, pos, w).value());
-    MemberViews mv = flow.send_open(a0.level, a0.node_idx, lv);
-    const std::size_t members =
-        tree.node(a0.level, a0.node_idx).members.size();
-    for (std::size_t pos = 0; pos < members; ++pos)
-      for (std::size_t w = 0; w < mv.nwords(); ++w)
-        d.mix(mv.at(pos, w).value());
-    mix_ledger(d, net);
+    const ArrayState& a0 = s.arrays.front();
+    LeafViews lv = s.flow.send_down(a0, 3, 6);
+    mix_views(d, lv);
+    MemberViews mv = s.flow.send_open(a0.level, a0.node_idx, lv);
+    mix_views(d, mv, s.open_members({&a0, 3, 6}));
+    mix_ledger(d, s.net);
   }
   return d.h;
 }
 
 TEST(ParallelParity, SendOpenLyingStorm) {
   expect_parity("send_open_storm", run_send_open_storm,
-                0x1ab01d696c68b47eULL);
+                0x234732ea2d634e01ULL);
+}
+
+TEST(ParallelParity, BatchedExposeEqualsSerialUnderDenseFailures) {
+  // expose_batch must equal send_down + send_open job by job, view for
+  // view and ledger row for ledger row, even when a large share of the
+  // recombinations fail: two identically seeded flows take the lying
+  // storm one each way. Failed groups and leaves draw from forked
+  // streams keyed by (salt, position), never from a rewound rng_, so the
+  // batched path has no serial fallback to hide behind.
+  for (std::size_t workers : {1, 2, 8}) {
+    SCOPED_TRACE(workers);
+    Pool::set_threads(workers);
+    Storm batched(0), serial(0);
+    const std::vector<ShareFlow::ExposeJob> jobs_b = batched.expose_jobs();
+    const std::vector<ShareFlow::ExposeJob> jobs_s = serial.expose_jobs();
+    const std::vector<ShareFlow::Exposure> exposures =
+        batched.flow.expose_batch(jobs_b);
+    ASSERT_EQ(exposures.size(), jobs_s.size());
+    for (std::size_t j = 0; j < jobs_s.size(); ++j) {
+      const ShareFlow::ExposeJob& job = jobs_s[j];
+      const LeafViews lv = serial.flow.send_down(*job.a, job.w0, job.w1);
+      const MemberViews mv =
+          serial.flow.send_open(job.a->level, job.a->node_idx, lv);
+      const LeafViews& blv = exposures[j].views;
+      const MemberViews& bmv = exposures[j].opened;
+      ASSERT_EQ(blv.leaf_count(), lv.leaf_count());
+      for (std::size_t leaf = 0; leaf < lv.leaf_count(); ++leaf)
+        for (std::size_t pos = 0; pos < lv.k1(); ++pos)
+          for (std::size_t w = 0; w < lv.nwords(); ++w)
+            ASSERT_EQ(blv.at(leaf, pos, w).value(), lv.at(leaf, pos, w).value())
+                << "job " << j << " leaf " << leaf << " pos " << pos;
+      for (std::size_t pos = 0; pos < serial.open_members(job); ++pos)
+        for (std::size_t w = 0; w < mv.nwords(); ++w)
+          ASSERT_EQ(bmv.at(pos, w).value(), mv.at(pos, w).value())
+              << "job " << j << " member " << pos;
+    }
+    const BitLedger& lb = batched.net.ledger();
+    const BitLedger& ls = serial.net.ledger();
+    for (ProcId p = 0; p < Storm::n; ++p) {
+      EXPECT_EQ(lb.bits_sent(p), ls.bits_sent(p)) << "processor " << p;
+      EXPECT_EQ(lb.msgs_sent(p), ls.msgs_sent(p)) << "processor " << p;
+      EXPECT_EQ(lb.bits_received(p), ls.bits_received(p))
+          << "processor " << p;
+    }
+    // The failure branch is really exercised, equally on both paths.
+    EXPECT_GT(batched.flow.decode_failures(), 0u);
+    EXPECT_EQ(batched.flow.decode_failures(), serial.flow.decode_failures());
+  }
+  Pool::set_threads(0);
 }
 
 TEST(ParallelParity, NetworkDeliveryMixedTags) {
