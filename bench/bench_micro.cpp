@@ -340,6 +340,53 @@ Comparison compare_damaged_word_decode() {
   return c;
 }
 
+Comparison compare_damaged_word_decode_m12() {
+  // The protocol's damaged-word shape: a sendDown recombination group of
+  // 12 shares at t = 3 (budget 4) carrying one word, 4 shares lying.
+  // Seed: fresh Berlekamp–Welch solve. Current: the cached decoder with a
+  // warm per-worker scratch, exactly as ShareFlow calls it.
+  constexpr std::size_t kShares = 12, kThreshold = 3;
+  Rng rng(3002);
+  ShamirScheme scheme(kShares, kThreshold);
+  const std::vector<Fp> secret{Fp(rng.next())};
+  auto shares = scheme.deal(secret, rng);
+  for (auto b : rng.sample_without_replacement(kShares, 4))
+    shares[b].ys[0] = Fp(rng.next());
+  SchemeCache cache;
+  std::vector<Fp> xs(kShares);
+  std::vector<FpSpan> spans(kShares);
+  for (std::size_t i = 0; i < kShares; ++i) {
+    xs[i] = Fp(shares[i].x);
+    spans[i] = FpSpan{shares[i].ys.data(), 1};
+  }
+  RobustDecoder::Scratch scratch;
+  Fp out;
+  // Sanity: both decoders must recover the dealt secret.
+  BA_REQUIRE(legacy::robust_reconstruct_damaged(shares, kThreshold) ==
+                 std::optional<std::vector<Fp>>(secret),
+             "legacy damaged decode failed");
+  BA_REQUIRE(cache.robust(xs, kThreshold)
+                     .reconstruct_into(spans.data(), kShares, 1, &out,
+                                       scratch) &&
+                 out == secret[0],
+             "current damaged decode failed");
+  Comparison c;
+  c.name = "damaged_word_decode_m12";
+  c.params = "shares=12 threshold=3 words=1 corrupt_shares=4";
+  c.legacy_ns = time_ns_per_op([&] {
+    auto rec = legacy::robust_reconstruct_damaged(shares, kThreshold);
+    benchmark::DoNotOptimize(rec);
+  });
+  c.current_ns = time_ns_per_op([&] {
+    const bool ok = cache.robust(xs, kThreshold)
+                        .reconstruct_into(spans.data(), kShares, 1, &out,
+                                          scratch);
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(out);
+  });
+  return c;
+}
+
 Comparison compare_tagged_inbox_scan() {
   // Acceptance target: >= 2x on per-tag tally loops at n = 4096. Four
   // protocol tags multiplexed over one round (the tournament's steady
@@ -978,6 +1025,7 @@ int write_comparison_json() {
   comps.push_back(compare_shamir_reconstruct());
   comps.push_back(compare_shamir_deal());
   comps.push_back(compare_damaged_word_decode());
+  comps.push_back(compare_damaged_word_decode_m12());
   comps.push_back(compare_network_round());
   comps.push_back(compare_payload_churn());
   comps.push_back(compare_tagged_inbox_scan());

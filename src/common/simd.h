@@ -1,10 +1,11 @@
 // Portable SIMD kernels for GF(2^61 - 1) bulk arithmetic.
 //
-// The three protocol hot loops — the cached Vandermonde dealing matmul
-// (crypto/scheme_cache.cpp), barycentric row evaluation (common/field.cpp)
-// and the Gao Euclid/verification inner loops (crypto/gao.cpp) — are all
-// dot-product or elementwise shapes over canonical 61-bit words. This
-// header gives each shape one kernel with three interchangeable backends:
+// The protocol hot loops are dot-product or elementwise shapes over
+// canonical 61-bit words: dot4_mod_p for the cached Vandermonde dealing
+// matmul (crypto/scheme_cache.cpp), dot_mod_p for barycentric rows
+// (common/field.cpp) and Gao's basis interpolation, fnma_mod_p for Gao's
+// pseudo-division and exact division, horner_step_mod_p for its
+// verification (crypto/gao.cpp). Each kernel has three backends:
 //
 //   * scalar   — unsigned __int128 accumulation with one Mersenne fold
 //                per 60-term chunk (the proven deferred-reduction scheme
@@ -126,12 +127,6 @@ inline void dot4_mod_p(const Fp* a, const Fp* b0, const Fp* b1, const Fp* b2,
 /// out[i] -= c * in[i] (mod p), canonical — the Euclid update shape.
 inline void fnma_mod_p(Fp* out, const Fp* in, Fp c, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] -= c * in[i];
-}
-
-/// out[i] = (x[i] - y[i]) * z[i] (mod p) — the Newton level shape.
-inline void sub_mul_mod_p(Fp* out, const Fp* x, const Fp* y, const Fp* z,
-                          std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = (x[i] - y[i]) * z[i];
 }
 
 /// acc[i] = acc[i] * x[i] + c (mod p) — one lane-parallel Horner step
@@ -323,18 +318,6 @@ inline void fnma_mod_p(Fp* out, const Fp* in, Fp c, std::size_t n) {
   scalar::fnma_mod_p(out + i, in + i, c, n - i);
 }
 
-inline void sub_mul_mod_p(Fp* out, const Fp* x, const Fp* y, const Fp* z,
-                          std::size_t n) {
-  if (n < 4) return scalar::sub_mul_mod_p(out, x, y, z, n);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i d = detail::sub_mod_p(detail::loadu(x + i),
-                                        detail::loadu(y + i));
-    detail::storeu(out + i, detail::mul_mod_p(d, detail::loadu(z + i)));
-  }
-  scalar::sub_mul_mod_p(out + i, x + i, y + i, z + i, n - i);
-}
-
 inline void horner_step_mod_p(Fp* acc, const Fp* x, Fp c, std::size_t n) {
   if (n < 4) return scalar::horner_step_mod_p(acc, x, c, n);
   const __m256i vc = _mm256_set1_epi64x(static_cast<long long>(c.value()));
@@ -499,18 +482,6 @@ inline void fnma_mod_p(Fp* out, const Fp* in, Fp c, std::size_t n) {
   scalar::fnma_mod_p(out + i, in + i, c, n - i);
 }
 
-inline void sub_mul_mod_p(Fp* out, const Fp* x, const Fp* y, const Fp* z,
-                          std::size_t n) {
-  if (n < 2) return scalar::sub_mul_mod_p(out, x, y, z, n);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t d = detail::sub_mod_p(detail::loadu(x + i),
-                                           detail::loadu(y + i));
-    detail::storeu(out + i, detail::mul_mod_p(d, detail::loadu(z + i)));
-  }
-  scalar::sub_mul_mod_p(out + i, x + i, y + i, z + i, n - i);
-}
-
 inline void horner_step_mod_p(Fp* acc, const Fp* x, Fp c, std::size_t n) {
   if (n < 2) return scalar::horner_step_mod_p(acc, x, c, n);
   const uint64x2_t vc = vdupq_n_u64(c.value());
@@ -529,7 +500,6 @@ using scalar::dot4_mod_p;
 using scalar::dot_mod_p;
 using scalar::fnma_mod_p;
 using scalar::horner_step_mod_p;
-using scalar::sub_mul_mod_p;
 
 #endif
 

@@ -491,6 +491,7 @@ AeResult AlmostEverywhereBA::run(Network& net, Adversary& adversary,
   result.open_tally_receivers = flow.open_receivers();
   result.open_tally_dispatches = flow.open_tallies();
   result.share_decode_failures = flow.decode_failures();
+  result.share_damaged_words = flow.damaged_words();
   return result;
 }
 

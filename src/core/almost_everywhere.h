@@ -97,6 +97,7 @@ struct AeResult {
   std::uint64_t open_tally_receivers = 0;   ///< receivers tallied in total
   std::uint64_t open_tally_dispatches = 0;  ///< pooled tally dispatches
   std::uint64_t share_decode_failures = 0;  ///< failed sendDown decodes
+  std::uint64_t share_damaged_words = 0;    ///< Gao-decoded sendDown words
 };
 
 class AlmostEverywhereBA {

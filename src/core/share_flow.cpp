@@ -609,6 +609,10 @@ std::vector<ShareFlow::Exposure> ShareFlow::expose(
     jb = je;
   }
   decode_failures_ += failures;
+  for (RobustDecoder::Scratch& s : decode_scratch_) {
+    damaged_words_ += s.damaged_words;
+    s.damaged_words = 0;
+  }
   return out;
 }
 

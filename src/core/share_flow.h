@@ -220,6 +220,9 @@ class ShareFlow {
   /// sendDown recombinations (tree groups and leaf exchanges) whose
   /// robust decode failed so far (report extras).
   std::uint64_t decode_failures() const { return decode_failures_; }
+  /// Words of sendDown recombinations that missed the fast-path check
+  /// and paid a robust (Gao) decode so far (report extras).
+  std::uint64_t damaged_words() const { return damaged_words_; }
 
  private:
   /// A share record travelling down the tree: word values borrowed from
@@ -313,6 +316,7 @@ class ShareFlow {
   std::uint64_t open_receivers_ = 0;
   std::uint64_t open_tallies_ = 0;
   std::uint64_t decode_failures_ = 0;
+  std::uint64_t damaged_words_ = 0;
 };
 
 }  // namespace ba

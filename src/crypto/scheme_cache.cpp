@@ -143,6 +143,7 @@ std::uint64_t RobustDecoder::precompute_fingerprint() const {
   for (const Fp& x : xs_) d.mix(x.value());
   for (const auto& row : check_rows_)
     for (const Fp& v : row) d.mix(v.value());
+  if (gao_) d.mix(gao_->precompute_fingerprint());
   return d.h;
 }
 
@@ -154,16 +155,17 @@ const GaoContext& RobustDecoder::gao() const {
 }
 
 std::optional<Fp> RobustDecoder::decode_word(Scratch& scratch) const {
+  if (all_distinct_) {
+    if (max_errors_ == 0 ||
+        !gao().decode(scratch.ys.data(), t_, max_errors_, scratch.gao))
+      return std::nullopt;
+    return scratch.gao.msg[0];
+  }
   std::optional<std::vector<Fp>> p;
   if (!fast_)
     p = berlekamp_welch(xs_, scratch.ys, t_, 0);  // degenerate point set
-  if (!p && max_errors_ > 0) {
-    if (all_distinct_) {
-      p = gao().decode(scratch.ys, t_, max_errors_);
-    } else {
-      p = berlekamp_welch(xs_, scratch.ys, t_, max_errors_);
-    }
-  }
+  if (!p && max_errors_ > 0)
+    p = berlekamp_welch(xs_, scratch.ys, t_, max_errors_);
   if (!p) return std::nullopt;
   return (*p)[0];
 }
@@ -214,6 +216,7 @@ bool RobustDecoder::reconstruct_into(const FpSpan* shares, std::size_t count,
       out[w] = interp_->eval_at_zero(scratch.head);
       continue;
     }
+    ++scratch.damaged_words;
     auto value = decode_word(scratch);
     if (!value) return false;
     out[w] = *value;

@@ -18,9 +18,11 @@
 //
 //  * RobustDecoder, keyed by (point set, t): the no-error fast path
 //    precompute (BarycentricInterpolator through the first t+1 points plus
-//    one verification row per redundant point) and a lazily built
-//    GaoContext for damaged words. robust_reconstruct() in
-//    berlekamp_welch.h is the uncached entry point over the same code.
+//    one verification row per redundant point) and, built on the first
+//    damaged word, a GaoContext (g0 and the Lagrange-basis matrix) whose
+//    inversion-free decode keeps every working polynomial in the caller's
+//    Scratch. robust_reconstruct() in berlekamp_welch.h is the uncached
+//    entry point over the same code.
 //
 //  * SchemeCache: owns both maps. Entries are allocated once and have
 //    stable addresses; a ShareFlow holds one cache for its lifetime, so
@@ -29,13 +31,14 @@
 // Threading (the parallel round engine, common/pool.h): precompute and
 // per-call scratch are split explicitly. Everything computed at
 // construction — dealing matrices, barycentric rows, Gao point-set
-// contexts — is immutable afterwards (asserted via
-// precompute_fingerprint() in the tests) and safe to share read-only
+// contexts and their basis matrices — is immutable afterwards (asserted
+// via precompute_fingerprint() in the tests) and safe to share read-only
 // across workers. Per-call scratch is the caller's: the deal_into /
 // reconstruct overloads taking an explicit Scratch are const and
-// thread-safe when each worker owns its Scratch. The scratch-less
-// convenience overloads fall back to one internal buffer and stay
-// single-threaded.
+// thread-safe when each worker owns its Scratch, and a warm
+// RobustDecoder::Scratch decodes damaged words without heap allocation.
+// The scratch-less convenience overloads fall back to one internal buffer
+// and stay single-threaded.
 //
 // SchemeCache itself follows a two-phase protocol per parallel batch
 // (this is what lets ShareFlow fan deal / reconstruct batches across the
@@ -139,6 +142,10 @@ class RobustDecoder {
     std::vector<Fp> ys;       ///< all m values of the current word
     std::vector<Fp> head;     ///< first t+1 values
     std::vector<FpSpan> spans;  ///< share views for the vector overload
+    GaoContext::Scratch gao;  ///< damaged-word working polynomials
+    /// Words that missed the fast-path check and paid a robust decode.
+    /// A running count, not working state: the owner reads and resets it.
+    std::uint64_t damaged_words = 0;
   };
 
   /// `xs` are the shares' evaluation points in share order; `t` the privacy
@@ -173,8 +180,9 @@ class RobustDecoder {
                         std::size_t words, Fp* out, Scratch& scratch) const;
 
   /// Order-independent digest of the precompute (points, fast-path rows,
-  /// flags). Stable for the decoder's lifetime; tests assert no call path
-  /// mutates it.
+  /// flags, and the Gao context once the first damaged word has built
+  /// it). Stable from then on; tests assert no call path mutates it. Not
+  /// safe concurrently with a decode that may build the context.
   std::uint64_t precompute_fingerprint() const;
 
  private:

@@ -269,9 +269,10 @@ class EverywhereProtocol final : public Protocol {
                               sum_agree / static_cast<double>(loops));
       }
     }
-    // Share-flow instrumentation: pooled sendOpen tally fan-out and
-    // failed sendDown decodes (extras only — never fingerprinted, so the
-    // parity contract is untouched by the worker count).
+    // Share-flow instrumentation: pooled sendOpen tally fan-out, failed
+    // and damaged (Gao-decoded) sendDown words (extras only — never
+    // fingerprinted, so the parity contract is untouched by the worker
+    // count).
     r.extras.emplace_back("open_tally_receivers",
                           static_cast<double>(res.ae.open_tally_receivers));
     r.extras.emplace_back("open_tally_dispatches",
@@ -281,6 +282,8 @@ class EverywhereProtocol final : public Protocol {
     r.extras.emplace_back(
         "share_decode_failures",
         static_cast<double>(res.ae.share_decode_failures));
+    r.extras.emplace_back("share_damaged_words",
+                          static_cast<double>(res.ae.share_damaged_words));
     fill_ledger_totals(r, net);
 
     auto detail = std::make_shared<RunDetail>();
@@ -351,6 +354,8 @@ class AlmostEverywhereProtocol final : public Protocol {
     r.extras.emplace_back(
         "share_decode_failures",
         static_cast<double>(res.share_decode_failures));
+    r.extras.emplace_back("share_damaged_words",
+                          static_cast<double>(res.share_damaged_words));
     fill_ledger_totals(r, net);
 
     detail->corrupt_mask = net.corrupt_mask();

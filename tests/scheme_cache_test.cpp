@@ -4,12 +4,33 @@
 // every error pattern inside the unique-decoding budget.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "common/pool.h"
 #include "crypto/berlekamp_welch.h"
 #include "crypto/gao.h"
 #include "crypto/iterated.h"
 #include "crypto/scheme_cache.h"
 #include "crypto/shamir.h"
+
+// Heap-allocation counter for the zero-allocation test: every global
+// operator new in this binary bumps it.
+namespace ba::alloc_count {
+std::atomic<std::uint64_t> news{0};
+}  // namespace ba::alloc_count
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  ba::alloc_count::news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace ba {
 namespace {
@@ -222,6 +243,123 @@ TEST(Gao, RejectsDuplicatePoints) {
   (void)ys;
 }
 
+TEST(Gao, BasisInterpolantEqualsNewtonInterpolation) {
+  // The cached Lagrange basis must produce exactly interpolate_coeffs'
+  // monomial coefficients, on point sets with and without x = 0.
+  Rng rng(24);
+  for (std::size_t m = 1; m <= 40; ++m)
+    for (int rep = 0; rep < 4; ++rep) {
+      std::vector<Fp> xs;
+      if (rep % 2 == 1) xs.push_back(Fp(0));
+      while (xs.size() < m) {
+        const Fp x(rep < 2 ? rng.below(4 * m) + 1 : rng.next());
+        bool fresh = true;
+        for (const Fp& y : xs) fresh = fresh && y != x;
+        if (fresh) xs.push_back(x);
+      }
+      std::swap(xs.front(), xs[rng.below(m)]);
+      std::vector<Fp> ys(m);
+      for (auto& y : ys) y = Fp(rng.next());
+      GaoContext ctx(xs);
+      std::vector<Fp> got(m);
+      ctx.interpolate(ys.data(), got.data());
+      EXPECT_EQ(got, interpolate_coeffs(xs, ys)) << "m=" << m << " rep "
+                                                 << rep;
+    }
+}
+
+TEST(Gao, ReusedScratchMatchesFreshScratch) {
+  // One scratch carried across a clean word, a word beyond the budget,
+  // messages of lower degree than the last one and point sets of other
+  // sizes must answer exactly like a fresh scratch per call: no stale
+  // coefficient may leak between decodes.
+  Rng rng(25);
+  GaoContext::Scratch reused;
+  // Decode a word whose message has `terms` coefficients (0: the zero
+  // polynomial) with `errors` corrupted points.
+  const auto check = [&](const GaoContext& ctx, std::size_t terms,
+                         std::size_t errors, std::size_t degree,
+                         std::size_t budget) {
+    const std::vector<Fp>& xs = ctx.points();
+    std::vector<Fp> coeffs(degree + 1, Fp(0));
+    for (std::size_t c = 0; c < terms; ++c) coeffs[c] = Fp(rng.next());
+    std::vector<Fp> ys(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i)
+      ys[i] = poly_eval(coeffs, xs[i]);
+    for (auto b : rng.sample_without_replacement(xs.size(), errors))
+      ys[b] += Fp(1 + rng.below(1000));
+    GaoContext::Scratch fresh;
+    const bool a = ctx.decode(ys.data(), degree, budget, reused);
+    const bool b = ctx.decode(ys.data(), degree, budget, fresh);
+    ASSERT_EQ(a, errors <= budget) << "terms " << terms << " errors "
+                                   << errors;
+    ASSERT_EQ(a, b);
+    if (a) {
+      EXPECT_EQ(reused.msg, coeffs);
+      EXPECT_EQ(fresh.msg, coeffs);
+    }
+    EXPECT_EQ(ctx.decode(ys, degree, budget).has_value(), a);
+  };
+  std::vector<Fp> xs12(12), xs7(7), xs31(31);
+  for (std::size_t i = 0; i < 31; ++i) xs31[i] = Fp(3 * i + 2);
+  for (std::size_t i = 0; i < 12; ++i) xs12[i] = Fp(i + 1);
+  for (std::size_t i = 0; i < 7; ++i) xs7[i] = Fp(11 * i + 5);
+  const GaoContext c12(xs12), c7(xs7), c31(xs31);
+  check(c12, 4, 0, 3, 4);   // clean
+  check(c12, 4, 4, 3, 4);   // full budget
+  check(c12, 4, 6, 3, 4);   // beyond the budget
+  check(c12, 4, 3, 3, 4);
+  check(c12, 2, 4, 3, 4);   // lower-degree message after a full one
+  check(c12, 0, 3, 3, 4);   // zero codeword plus errors
+  check(c12, 4, 3, 3, 1);   // tight budget: disagreements counted
+  check(c7, 3, 2, 2, 2);    // smaller m
+  check(c31, 9, 11, 8, 11);  // larger m
+  check(c31, 9, 14, 8, 11);
+  check(c12, 4, 3, 3, 4);   // back to the first shape
+  check(c7, 1, 3, 0, 3);
+}
+
+TEST(Gao, AgreesWithBerlekampWelchAtProtocolShapeForEveryErrorWeight) {
+  // m = 12 shares, t = 3 (degree 3), budget 4: the sendDown shape. Gao
+  // and Berlekamp–Welch must agree on accept/reject and on the decoded
+  // polynomial for every error weight 0..12, beyond the budget included,
+  // and also under a tighter budget of 2 (where Gao must count the
+  // disagreements instead of bounding them by deg v).
+  Rng rng(26);
+  constexpr std::size_t kM = 12, kDegree = 3, kBudget = 4;
+  std::vector<Fp> xs(kM);
+  for (std::size_t i = 0; i < kM; ++i) xs[i] = Fp(i + 1);
+  const GaoContext ctx(xs);
+  GaoContext::Scratch scratch;
+  for (std::size_t weight = 0; weight <= kM; ++weight)
+    for (int trial = 0; trial < 60; ++trial) {
+      std::vector<Fp> coeffs(kDegree + 1);
+      for (auto& c : coeffs) c = Fp(trial % 7 == 0 ? 0 : rng.next());
+      std::vector<Fp> ys(kM);
+      for (std::size_t i = 0; i < kM; ++i) ys[i] = poly_eval(coeffs, xs[i]);
+      for (auto b : rng.sample_without_replacement(kM, weight))
+        ys[b] += Fp(1 + rng.below(Fp::kP - 1));
+      for (std::size_t budget : {kBudget, std::size_t{2}}) {
+        const auto bw = berlekamp_welch(xs, ys, kDegree, budget);
+        const bool ok = ctx.decode(ys.data(), kDegree, budget, scratch);
+        ASSERT_EQ(ok, bw.has_value())
+            << "budget " << budget << " weight " << weight << " trial "
+            << trial;
+        if (weight <= budget) {
+          ASSERT_TRUE(ok);
+          EXPECT_EQ(scratch.msg, coeffs);
+        }
+        if (!ok) continue;
+        for (std::size_t c = 0; c <= kDegree; ++c) {
+          const Fp w = c < bw->size() ? (*bw)[c] : Fp(0);
+          EXPECT_EQ(scratch.msg[c], w)
+              << "budget " << budget << " weight " << weight << " coeff "
+              << c;
+        }
+      }
+    }
+}
+
 // ------------------------------------------------- BatchedBerlekampWelch --
 
 TEST(BatchedBerlekampWelch, MatchesPlainBerlekampWelchPerWord) {
@@ -329,10 +467,15 @@ TEST(RobustDecoder, PrecomputeImmutableAfterConstruction) {
   for (auto& y : damaged[2].ys) y = Fp(rng.next());
   for (auto& y : damaged[6].ys) y = Fp(rng.next());
   ASSERT_TRUE(dec.reconstruct(damaged).has_value());  // builds Gao context
-  EXPECT_EQ(dec.precompute_fingerprint(), fp0);
+  // The first damaged word mixes the Gao precompute in; from then on the
+  // digest covers it and must stay fixed.
+  const std::uint64_t fp1 = dec.precompute_fingerprint();
+  EXPECT_NE(fp1, fp0);
+  ASSERT_TRUE(dec.reconstruct(damaged).has_value());
+  EXPECT_EQ(dec.precompute_fingerprint(), fp1);
   RobustDecoder::Scratch scratch;
   ASSERT_TRUE(dec.reconstruct(damaged, scratch).has_value());
-  EXPECT_EQ(dec.precompute_fingerprint(), fp0);
+  EXPECT_EQ(dec.precompute_fingerprint(), fp1);
 
   const CachedScheme& cs = cache.scheme(11, 3);
   const std::uint64_t sfp0 = cs.precompute_fingerprint();
@@ -377,6 +520,109 @@ TEST(RobustDecoder, PermutedPointSetStillDecodes) {
   EXPECT_EQ(*rec, secret);
 }
 
+/// Damaged words at the protocol shape (12 shares, t = 3, one word),
+/// as share spans: `errors` corrupted shares per word.
+struct DamagedWords {
+  std::vector<Fp> xs;
+  std::vector<std::vector<Fp>> cols;  // [share][word]
+  std::vector<Fp> secrets;
+
+  DamagedWords(Rng& rng, std::size_t words, std::size_t max_corrupt)
+      : xs(12), cols(12, std::vector<Fp>(words)), secrets(words) {
+    ShamirScheme scheme(12, 3);
+    for (std::size_t i = 0; i < 12; ++i) xs[i] = Fp(i + 1);
+    for (std::size_t w = 0; w < words; ++w) {
+      secrets[w] = Fp(rng.next());
+      auto shares = scheme.deal({secrets[w]}, rng);
+      const std::size_t errors = 1 + rng.below(max_corrupt);
+      for (auto b : rng.sample_without_replacement(12, errors))
+        shares[b].ys[0] = Fp(rng.next());
+      for (std::size_t i = 0; i < 12; ++i) cols[i][w] = shares[i].ys[0];
+    }
+  }
+  /// The 12 share spans of word w.
+  std::vector<FpSpan> word(std::size_t w) const {
+    std::vector<FpSpan> out;
+    for (const auto& col : cols) out.push_back(FpSpan{&col[w], 1});
+    return out;
+  }
+};
+
+TEST(RobustDecoder, WarmScratchDecodesDamagedWordsWithoutAllocating) {
+  // The damaged-word path keeps every working polynomial in the caller's
+  // scratch: once the Gao context is built and the scratch is warm,
+  // neither a decoded nor a failing word may touch the heap.
+  Rng rng(35);
+  const DamagedWords data(rng, 64, 6);  // 5 and 6 errors exceed budget 4
+  std::vector<std::vector<FpSpan>> words;
+  for (std::size_t w = 0; w < 64; ++w) words.push_back(data.word(w));
+  RobustDecoder dec(data.xs, 3);
+  RobustDecoder::Scratch scratch;
+  Fp out;
+  for (const auto& spans : words)  // warm-up: builds the Gao context
+    dec.reconstruct_into(spans.data(), 12, 1, &out, scratch);
+  std::vector<std::uint8_t> ok(words.size());
+  const std::uint64_t before = alloc_count::news.load();
+  for (std::size_t w = 0; w < words.size(); ++w)
+    ok[w] = dec.reconstruct_into(words[w].data(), 12, 1, &out, scratch);
+  EXPECT_EQ(alloc_count::news.load() - before, 0u);
+  EXPECT_EQ(scratch.damaged_words, 2 * words.size());
+  std::size_t failed = 0;
+  for (auto o : ok) failed += o ? 0 : 1;
+  EXPECT_GT(failed, 0u);  // the failing path was exercised too
+  EXPECT_LT(failed, words.size());
+}
+
+TEST(RobustDecoder, GaoPrecomputeUnchangedByWorkerBatch) {
+  // Four workers decode damaged words against one decoder (and one
+  // standalone GaoContext) with per-worker scratch: results match the
+  // serial pass and neither precompute digest moves.
+  Rng rng(36);
+  const std::size_t kWords = 512;
+  const DamagedWords data(rng, kWords, 5);
+  RobustDecoder dec(data.xs, 3);
+  const GaoContext ctx(data.xs);
+  std::vector<std::vector<FpSpan>> words;
+  for (std::size_t w = 0; w < kWords; ++w) words.push_back(data.word(w));
+  const auto decode_item = [&](std::size_t w, RobustDecoder::Scratch& rs,
+                               GaoContext::Scratch& gs) {
+    Fnv1a d;
+    Fp out;
+    const bool ok = dec.reconstruct_into(words[w].data(), 12, 1, &out, rs);
+    d.mix(ok ? out.value() + 1 : 0);
+    std::vector<Fp> ys(12);
+    for (std::size_t i = 0; i < 12; ++i) ys[i] = data.cols[i][w];
+    if (ctx.decode(ys.data(), 3, 4, gs))
+      for (const Fp& c : gs.msg) d.mix(c.value());
+    return d.h;
+  };
+  std::vector<std::uint64_t> serial(kWords);
+  {
+    RobustDecoder::Scratch rs;
+    GaoContext::Scratch gs;
+    for (std::size_t w = 0; w < kWords; ++w)
+      serial[w] = decode_item(w, rs, gs);
+  }
+  const std::uint64_t dec_fp = dec.precompute_fingerprint();
+  const std::uint64_t ctx_fp = ctx.precompute_fingerprint();
+
+  Pool::set_threads(4);
+  std::vector<RobustDecoder::Scratch> rs(Pool::num_threads());
+  std::vector<GaoContext::Scratch> gs(Pool::num_threads());
+  std::vector<std::uint64_t> batched(kWords, 0);
+  Pool::for_each(kWords, [&](std::size_t w, std::size_t worker) {
+    batched[w] = decode_item(w, rs[worker], gs[worker]);
+  });
+  Pool::set_threads(0);
+
+  EXPECT_EQ(batched, serial);
+  EXPECT_EQ(dec.precompute_fingerprint(), dec_fp);
+  EXPECT_EQ(ctx.precompute_fingerprint(), ctx_fp);
+  std::uint64_t damaged = 0;
+  for (const auto& s : rs) damaged += s.damaged_words;
+  EXPECT_EQ(damaged, kWords);  // every word has at least one bad share
+}
+
 // ------------------------------------------- two-phase prewarm protocol --
 
 TEST(SchemeCache, PrewarmMakesLookupsConstUnderWorkerStorm) {
@@ -396,8 +642,7 @@ TEST(SchemeCache, PrewarmMakesLookupsConstUnderWorkerStorm) {
   const RobustDecoder& dec_full = cache.prewarm_points(xs, kT);
   const RobustDecoder& dec_partial = cache.prewarm_points(xs_partial, kT);
   const std::uint64_t scheme_fp = scheme.precompute_fingerprint();
-  const std::uint64_t full_fp = dec_full.precompute_fingerprint();
-  const std::uint64_t partial_fp = dec_partial.precompute_fingerprint();
+  const std::uint64_t prewarm_full_fp = dec_full.precompute_fingerprint();
   const std::uint64_t epoch = cache.robust_epoch();
 
   // One storm item: fork an Rng, deal, damage two shares, reconstruct
@@ -435,6 +680,11 @@ TEST(SchemeCache, PrewarmMakesLookupsConstUnderWorkerStorm) {
     for (std::size_t i = 0; i < kItems; ++i)
       serial[i] = run_item(i, scheme, dec_full, dec_partial, ds, rs);
   }
+  // The serial pass built both Gao contexts (every item is damaged), so
+  // the digests now cover them.
+  const std::uint64_t full_fp = dec_full.precompute_fingerprint();
+  const std::uint64_t partial_fp = dec_partial.precompute_fingerprint();
+  EXPECT_NE(full_fp, prewarm_full_fp);
 
   Pool::set_threads(8);
   std::vector<std::uint64_t> stormed(kItems, 0);

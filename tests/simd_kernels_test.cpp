@@ -155,27 +155,6 @@ TEST(SimdKernels, FnmaModP) {
       }
 }
 
-TEST(SimdKernels, SubMulModP) {
-  Rng rng(0x51D6);
-  for (int shape = 0; shape < 3; ++shape)
-    for (std::size_t n : kLens)
-      for (int rep = 0; rep < 12; ++rep) {
-        const auto x = draw_words(rng, n, shape);
-        const auto y = draw_words(rng, n, shape);
-        const auto z = draw_words(rng, n, shape);
-        std::vector<Fp> ref(n);
-        for (std::size_t i = 0; i < n; ++i) ref[i] = (x[i] - y[i]) * z[i];
-        std::vector<Fp> got(n), sc(n);
-        simd::sub_mul_mod_p(got.data(), x.data(), y.data(), z.data(), n);
-        simd::scalar::sub_mul_mod_p(sc.data(), x.data(), y.data(), z.data(),
-                                    n);
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(ref[i].value(), got[i].value()) << "n=" << n << " i=" << i;
-          ASSERT_EQ(ref[i].value(), sc[i].value()) << "n=" << n << " i=" << i;
-        }
-      }
-}
-
 TEST(SimdKernels, HornerStepModP) {
   Rng rng(0x51D7);
   for (int shape = 0; shape < 3; ++shape)
