@@ -426,8 +426,9 @@ AeResult AlmostEverywhereBA::run(Network& net, Adversary& adversary,
     ArrayState& a = arrays[root_cands[j % root_cands.size()]];
     const std::size_t word =
         layout_.root_block_offset() + j / root_cands.size();
-    LeafViews lv = flow.send_down(a, word, word + 1);
-    MemberViews mv = flow.send_open(num_levels, 0, lv);
+    const std::vector<ShareFlow::Exposure> exps =
+        flow.expose_batch({{&a, word, word + 1}});
+    const MemberViews& mv = exps.front().opened;
     for (std::size_t pos = 0; pos < n; ++pos)
       root_coin_buffer[pos] = mv.at(pos, 0).value();
     advance_rounds(net, ShareFlow::exposure_rounds(num_levels));
@@ -492,6 +493,8 @@ AeResult AlmostEverywhereBA::run(Network& net, Adversary& adversary,
   result.open_tally_dispatches = flow.open_tallies();
   result.share_decode_failures = flow.decode_failures();
   result.share_damaged_words = flow.damaged_words();
+  result.share_plans_built = flow.plans_built();
+  result.share_plan_reuses = flow.plan_reuses();
   return result;
 }
 

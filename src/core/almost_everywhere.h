@@ -98,6 +98,8 @@ struct AeResult {
   std::uint64_t open_tally_dispatches = 0;  ///< pooled tally dispatches
   std::uint64_t share_decode_failures = 0;  ///< failed sendDown decodes
   std::uint64_t share_damaged_words = 0;    ///< Gao-decoded sendDown words
+  std::uint64_t share_plans_built = 0;      ///< exposure plans built
+  std::uint64_t share_plan_reuses = 0;      ///< exposures on a cached plan
 };
 
 class AlmostEverywhereBA {

@@ -22,6 +22,33 @@ std::uint32_t chain_pos(const TournamentTree& tree, Chain c,
   return pos;
 }
 
+/// Per-processor message counts of one plan, folded into charge rows in
+/// first-touch order.
+class ChargeTally {
+ public:
+  explicit ChargeTally(std::size_t n) : row_of_(n, kNone) {}
+
+  void add(ProcId from, ProcId to) {
+    ++row(from).sent;
+    ++row(to).received;
+  }
+  std::vector<ChargeRow> take() { return std::move(rows_); }
+
+ private:
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+  ChargeRow& row(ProcId p) {
+    BA_REQUIRE(p < row_of_.size(), "processor id out of range");
+    if (row_of_[p] == kNone) {
+      row_of_[p] = static_cast<std::uint32_t>(rows_.size());
+      rows_.push_back({p, 0, 0});
+    }
+    return rows_[row_of_[p]];
+  }
+
+  std::vector<std::uint32_t> row_of_;
+  std::vector<ChargeRow> rows_;
+};
+
 }  // namespace
 
 ShareFlow::ShareFlow(const ProtocolParams& params, const TournamentTree& tree,
@@ -40,26 +67,188 @@ void ShareFlow::ensure_worker_scratch() {
   }
 }
 
-void ShareFlow::build_open_plan(std::size_t level, std::size_t node_idx,
-                                std::size_t views_leaf_begin, OpenPlan& plan) {
+void ShareFlow::set_fault_style(FaultStyle s) {
+  style_ = s;
+  plan_level_ = SIZE_MAX;
+  plans_.clear();
+}
+
+ShareFlow::NodePlans& ShareFlow::plans_at(std::size_t level,
+                                          std::size_t node_idx) {
+  if (plan_level_ != level || plan_corrupt_count_ != net_.corrupt_count() ||
+      plan_robust_epoch_ != cache_.robust_epoch()) {
+    plan_level_ = level;
+    plan_corrupt_count_ = net_.corrupt_count();
+    plan_robust_epoch_ = cache_.robust_epoch();
+    plans_.clear();
+    plans_.resize(tree_.nodes_at(level));
+  }
+  return plans_[node_idx];
+}
+
+const ShareFlow::ExposurePlan& ShareFlow::exposure_plan(const ArrayState& a) {
+  NodePlans& node = plans_at(a.level, a.node_idx);
+  for (const auto& plan : node.exposures) {
+    if (std::equal(plan->layout.begin(), plan->layout.end(), a.recs.begin(),
+                   a.recs.end(), [](const auto& key, const ShareRec& rec) {
+                     return key.first == rec.chain &&
+                            key.second == rec.holder_pos;
+                   })) {
+      ++plan_reuses_;
+      return *plan;
+    }
+  }
+  node.exposures.push_back(
+      std::make_unique<ExposurePlan>(build_exposure_plan(a)));
+  ++plans_built_;
+  return *node.exposures.back();
+}
+
+const ShareFlow::OpenPlan& ShareFlow::open_plan(std::size_t level,
+                                                std::size_t node_idx) {
+  NodePlans& node = plans_at(level, node_idx);
+  if (!node.open) node.open = build_open_plan(level, node_idx);
+  return *node.open;
+}
+
+ShareFlow::ExposurePlan ShareFlow::build_exposure_plan(const ArrayState& a) {
+  const std::size_t level = a.level;
+  ExposurePlan plan;
+  ChargeTally charges(net_.size());
+  // A record travelling down the plan: the slot its words are in.
+  struct Rec {
+    Chain chain = 0;
+    std::uint32_t holder_pos = 0;
+    std::uint32_t slot = 0;
+  };
+  // Decoding a group yields the same value for every sibling receiver,
+  // so each node decodes once into a batch of records and the frontier
+  // hands every child the batch id.
+  std::vector<std::vector<Rec>> batches(1);
+  for (const ShareRec& rec : a.recs) {
+    plan.layout.emplace_back(rec.chain, rec.holder_pos);
+    batches[0].push_back({rec.chain, rec.holder_pos, plan.slots++});
+  }
+  std::vector<std::pair<std::size_t, std::uint32_t>> frontier{{a.node_idx, 0}};
+
+  constexpr std::uint32_t kDropped = UINT32_MAX;
+  std::vector<std::uint32_t> sent;  // per record: the slot its holder sends
+  std::vector<Fp> xs;  // per-recombination points for the decoder lookup
+  for (std::size_t m = level; m >= 2; --m) {
+    const std::size_t t =
+        params_.privacy_threshold(tree_.uplinks(m - 1).degree());
+    std::vector<std::pair<std::size_t, std::uint32_t>> next;
+    for (const auto& [ci, batch] : frontier) {
+      const std::vector<Rec>& recs = batches[batch];
+      const TreeNode& c_node = tree_.node(m, ci);
+      sent.assign(recs.size(), kDropped);
+      for (std::size_t ri = 0; ri < recs.size(); ++ri) {
+        const ProcId sender = c_node.members[recs[ri].holder_pos];
+        if (silent(sender)) continue;
+        sent[ri] = recs[ri].slot;
+        if (lying(sender)) {
+          sent[ri] = plan.slots++;
+          plan.lies.push_back(sent[ri]);
+        }
+      }
+      // Group by parent chain. The map's iteration order fixes the
+      // decoded-record order and with it the next level's lie-draw
+      // order; built with the identical key sequence, it iterates
+      // identically every run, so the plan records it once.
+      std::unordered_map<Chain, std::vector<std::uint32_t>> group_map;
+      for (std::size_t ri = 0; ri < recs.size(); ++ri)
+        if (sent[ri] != kDropped)
+          group_map[chain_parent(recs[ri].chain, m)].push_back(
+              static_cast<std::uint32_t>(ri));
+      std::vector<Rec> decoded;
+      decoded.reserve(group_map.size());
+      for (const auto& [pc, members] : group_map) {
+        // One message per share per child, to the group's holder there.
+        const std::uint32_t rpos = chain_pos(tree_, pc, m - 1);
+        for (std::size_t child : c_node.children) {
+          const ProcId receiver = tree_.node(m - 1, child).members[rpos];
+          for (std::uint32_t ri : members)
+            charges.add(c_node.members[recs[ri].holder_pos], receiver);
+        }
+        if (members.size() < t + 1) continue;  // not enough survived
+        ExposurePlan::Group g;
+        g.stream = (std::uint64_t{ci} << 32) | decoded.size();
+        g.share_begin = static_cast<std::uint32_t>(plan.shares.size());
+        xs.clear();
+        for (std::uint32_t ri : members) {
+          plan.shares.push_back(sent[ri]);
+          xs.push_back(Fp(chain_elem(recs[ri].chain, m - 1)));
+        }
+        g.share_end = static_cast<std::uint32_t>(plan.shares.size());
+        g.dec = &cache_.prewarm_points(xs, t);
+        g.out = plan.slots++;
+        decoded.push_back({pc, rpos, g.out});
+        plan.groups.push_back(g);
+      }
+      const auto decoded_batch = static_cast<std::uint32_t>(batches.size());
+      batches.push_back(std::move(decoded));
+      for (std::size_t child : c_node.children)
+        next.emplace_back(child, decoded_batch);
+    }
+    plan.levels.push_back({static_cast<std::uint32_t>(plan.groups.size()),
+                           static_cast<std::uint32_t>(plan.lies.size())});
+    frontier = std::move(next);
+  }
+
+  // Leaf exchange: members of each leaf node swap their reconstructed
+  // 1-shares and recover the exposed words, one recombination per leaf.
+  const TreeNode& top = tree_.node(level, a.node_idx);
+  const std::size_t t1 = params_.privacy_threshold(
+      tree_.node(1, top.leaf_begin).members.size());
+  for (const auto& [leaf_idx, batch] : frontier) {
+    const TreeNode& leaf = tree_.node(1, leaf_idx);
+    ExposurePlan::Leaf lf;
+    lf.leaf_idx = static_cast<std::uint32_t>(leaf_idx);
+    lf.share_begin = static_cast<std::uint32_t>(plan.shares.size());
+    xs.clear();
+    for (const Rec& rec : batches[batch]) {
+      const ProcId sender = leaf.members[rec.holder_pos];
+      if (silent(sender)) continue;
+      std::uint32_t slot = rec.slot;
+      if (lying(sender)) {
+        slot = plan.slots++;
+        plan.lies.push_back(slot);
+      }
+      plan.shares.push_back(slot);
+      xs.push_back(Fp(chain_elem(rec.chain, 0) + 1));
+      for (const ProcId member : leaf.members) charges.add(sender, member);
+    }
+    lf.share_end = static_cast<std::uint32_t>(plan.shares.size());
+    if (lf.share_end - lf.share_begin >= t1 + 1) {
+      lf.dec = &cache_.prewarm_points(xs, t1);
+      lf.secret = plan.slots++;
+    }
+    plan.leaves.push_back(lf);
+  }
+  plan.charges = charges.take();
+  return plan;
+}
+
+ShareFlow::OpenPlan ShareFlow::build_open_plan(std::size_t level,
+                                               std::size_t node_idx) {
   const TreeNode& node = tree_.node(level, node_idx);
+  OpenPlan plan;
+  ChargeTally charges(net_.size());
   std::size_t links = 0;
   for (const auto& leaves : node.ell) links += leaves.size();
-  plan.senders.reserve(plan.senders.size() + links * params_.tree.k1);
-  plan.ids.reserve(plan.ids.size() + links * params_.tree.k1);
-  plan.leaf_ends.reserve(plan.leaf_ends.size() + links);
-  plan.pos_leaf_ends.reserve(plan.pos_leaf_ends.size() + node.members.size());
+  plan.senders.reserve(links * params_.tree.k1);
+  plan.leaf_ends.reserve(links);
+  plan.pos_leaf_ends.reserve(node.members.size());
   for (std::size_t pos = 0; pos < node.members.size(); ++pos) {
     for (std::uint32_t leaf_abs : node.ell[pos]) {
       const TreeNode& leaf = tree_.node(1, leaf_abs);
-      const auto rel =
-          static_cast<std::uint32_t>(leaf_abs - views_leaf_begin);
+      const auto rel = static_cast<std::uint32_t>(leaf_abs - node.leaf_begin);
       for (std::size_t i = 0; i < leaf.members.size(); ++i) {
         const ProcId sender = leaf.members[i];
         if (silent(sender)) continue;
         plan.senders.push_back({rel, static_cast<std::uint16_t>(i),
                                 static_cast<std::uint8_t>(lying(sender))});
-        plan.ids.push_back(sender);
+        charges.add(sender, node.members[pos]);
       }
       plan.leaf_ends.push_back(
           static_cast<std::uint32_t>(plan.senders.size()));
@@ -67,6 +256,8 @@ void ShareFlow::build_open_plan(std::size_t level, std::size_t node_idx,
     plan.pos_leaf_ends.push_back(
         static_cast<std::uint32_t>(plan.leaf_ends.size()));
   }
+  plan.charges = charges.take();
+  return plan;
 }
 
 void ShareFlow::open_tally(const TreeNode& node, const OpenPlan& plan,
@@ -74,18 +265,7 @@ void ShareFlow::open_tally(const TreeNode& node, const OpenPlan& plan,
                            MemberViews& out) {
   ensure_worker_scratch();
   const std::size_t nwords = views.nwords();
-  // Ledger charges depend only on identities, not on words: one serial
-  // walk of the binned senders in receiver order.
-  std::size_t lb = 0, sb = 0;
-  for (std::size_t pos = 0; pos < node.members.size(); ++pos) {
-    const ProcId receiver = node.members[pos];
-    const std::uint32_t le = plan.pos_leaf_ends[pos];
-    const std::size_t s_end = lb == le ? sb : plan.leaf_ends[le - 1];
-    for (std::size_t si = sb; si < s_end; ++si)
-      net_.charge_batch(plan.ids[si], receiver, nwords * kWordBits);
-    sb = s_end;
-    lb = le;
-  }
+  const std::size_t rel0 = node.leaf_begin - views.leaf_begin();
   const Rng salted(salt);
   open_receivers_ += node.members.size();
   open_tallies_ += 1;
@@ -107,9 +287,9 @@ void ShareFlow::open_tally(const TreeNode& node, const OpenPlan& plan,
         leaf_tally.clear();
         for (; si < plan.leaf_ends[l]; ++si) {
           const OpenSender& s = plan.senders[si];
-          leaf_tally.add(s.lies
-                             ? garbage_stream.next()
-                             : views.at(s.leaf_rel, s.member_idx, w).value());
+          leaf_tally.add(
+              s.lies ? garbage_stream.next()
+                     : views.at(rel0 + s.leaf_rel, s.member_idx, w).value());
         }
         node_tally.add(leaf_tally.winner());
       }
@@ -273,240 +453,79 @@ std::vector<ShareFlow::Exposure> ShareFlow::expose(
   }
   ensure_worker_scratch();
 
-  // ---- Plan structures. One recombination group: the shares of one
-  // parent chain inside one node, decoded once into `out`. Decoding a
-  // group yields the same value for every sibling receiver, so each node
-  // decodes once into an arena-backed batch and the frontier hands every
-  // child a batch id — replication is a span copy, never a word copy.
-  struct Group {
-    Chain pc = 0;
-    std::uint32_t holder_pos = 0;
-    std::uint32_t share_begin = 0, share_end = 0;  // into NodeWork::shares
-    const RobustDecoder* dec = nullptr;
-    Fp* out = nullptr;
-  };
-  struct NodeWork {
-    std::size_t ci = 0;
-    std::uint32_t batch = 0;             // incoming records, Job::batches
-    std::vector<FpSpan> sent;            // per rec: what the holder sends
-    std::vector<std::uint8_t> dropped;   // per rec: silent holder
-    std::vector<Fp*> lie_bufs;           // lying holders, rec order
-    std::vector<std::uint32_t> shares;   // rec indices, grouped contiguously
-    std::vector<Group> groups;           // map-iteration order (see below)
-  };
-  struct LevelWork {
-    std::vector<NodeWork> nodes;
-    std::uint64_t salt = 0;  ///< failed groups' garbage-stream salt
-  };
-  struct LeafWork {
-    std::size_t leaf_idx = 0;
-    std::vector<FpSpan> shares;   // per surviving sender, record order
-    std::vector<ProcId> senders;  // surviving senders, same order
-    std::vector<Fp*> lie_bufs;    // record order
-    const RobustDecoder* dec = nullptr;  // nullptr: not enough survived
-    Fp* secret = nullptr;
-  };
-  struct Job {
-    std::size_t nwords = 0;
+  // One exposure in flight: its plans, its arena block and its salts.
+  struct Instance {
+    const ExposurePlan* plan = nullptr;
+    const OpenPlan* open = nullptr;  ///< sendOpen plan (open only)
     const TreeNode* top = nullptr;
-    std::vector<std::vector<DownRec>> batches;
-    std::vector<LevelWork> levels;  ///< [li] is tree level `level - li`
-    std::vector<LeafWork> leaves;
-    std::uint64_t leaf_salt = 0;    ///< failed leaves' garbage-stream salt
-    OpenPlan open;                  ///< sendOpen structure (open only)
-    std::uint64_t open_salt = 0;    ///< sendOpen garbage-stream salt
+    std::size_t nwords = 0;
+    Fp* block = nullptr;
+    std::vector<std::uint64_t> salts;  ///< per tree level, then the leaves'
+    std::uint64_t open_salt = 0;
+
+    Fp* slot(std::uint32_t s) const { return block + s * nwords; }
+    FpSpan span(std::uint32_t s) const { return FpSpan{slot(s), nwords}; }
   };
 
-  // ---- Structural pass for one job (serial, draw-free, charge-free):
-  // frontier walk, groups, decoder pre-warms (phase 1 of the cache's
-  // two-phase protocol), buffer allocation, the open sender lists. The
-  // decoded batches point at group buffers the decode passes fill later.
-  const auto build_job = [&](const ExposeJob& ej, Job& job,
-                             std::vector<LeafViews>& views_of) {
-    const ArrayState& a = *ej.a;
-    const std::size_t nwords = ej.w1 - ej.w0;
-    const std::size_t s0 = ej.w0 - a.word_offset;
-    job.nwords = nwords;
-    job.top = &tree_.node(level, a.node_idx);
-    const std::size_t k1 = tree_.node(1, job.top->leaf_begin).members.size();
-    const std::size_t t1 = params_.privacy_threshold(k1);
-    views_of.emplace_back(job.top->leaf_begin,
-                          job.top->leaf_end - job.top->leaf_begin, k1, nwords);
-
-    std::vector<std::pair<std::size_t, std::uint32_t>> frontier;
-    {
-      std::vector<DownRec> start;
-      start.reserve(a.recs.size());
-      for (const ShareRec& rec : a.recs) {
-        BA_REQUIRE(s0 + nwords <= rec.ys.size(), "range beyond stored words");
-        DownRec dr;
-        dr.chain = rec.chain;
-        dr.holder_pos = rec.holder_pos;
-        Fp* buf = arena_.alloc(nwords);
-        std::copy_n(rec.ys.begin() + static_cast<std::ptrdiff_t>(s0), nwords,
-                    buf);
-        dr.ys = FpSpan{buf, nwords};
-        start.push_back(dr);
-      }
-      job.batches.push_back(std::move(start));
-      frontier.emplace_back(a.node_idx, 0);
-    }
-
-    std::vector<Fp> xs;  // per-recombination points for the decoder lookup
-    for (std::size_t m = level; m >= 2; --m) {
-      const std::size_t d_deal = tree_.uplinks(m - 1).degree();
-      const std::size_t t = params_.privacy_threshold(d_deal);
-      LevelWork& lvl = job.levels.emplace_back();
-      lvl.nodes.resize(frontier.size());
-      std::vector<std::pair<std::size_t, std::uint32_t>> next;
-      for (std::size_t ni = 0; ni < frontier.size(); ++ni) {
-        NodeWork& nw = lvl.nodes[ni];
-        nw.ci = frontier[ni].first;
-        nw.batch = frontier[ni].second;
-        const std::vector<DownRec>& recs = job.batches[nw.batch];
-        const TreeNode& c_node = tree_.node(m, nw.ci);
-        nw.sent.resize(recs.size());
-        nw.dropped.assign(recs.size(), 0);
-        for (std::size_t ri = 0; ri < recs.size(); ++ri) {
-          const ProcId sender = c_node.members[recs[ri].holder_pos];
-          if (silent(sender)) {
-            nw.dropped[ri] = 1;
-          } else if (lying(sender)) {
-            Fp* buf = arena_.alloc(nwords);  // filled by the draw pass
-            nw.lie_bufs.push_back(buf);
-            nw.sent[ri] = FpSpan{buf, nwords};
-          } else {
-            nw.sent[ri] = recs[ri].ys;
-          }
-        }
-        // Group by parent chain. The map's iteration order fixes the
-        // decoded-record order and with it the next level's lie-draw
-        // order; built with the identical key sequence, it iterates
-        // identically every run.
-        std::unordered_map<Chain, std::vector<std::uint32_t>> group_map;
-        for (std::size_t ri = 0; ri < recs.size(); ++ri) {
-          if (nw.dropped[ri]) continue;
-          group_map[chain_parent(recs[ri].chain, m)].push_back(
-              static_cast<std::uint32_t>(ri));
-        }
-        std::vector<DownRec> decoded;
-        decoded.reserve(group_map.size());
-        for (auto& [pc, members] : group_map) {
-          if (members.size() < t + 1) continue;  // not enough survived
-          Group g;
-          g.pc = pc;
-          g.holder_pos = chain_pos(tree_, pc, m - 1);
-          g.share_begin = static_cast<std::uint32_t>(nw.shares.size());
-          xs.clear();
-          for (std::uint32_t ri : members) {
-            nw.shares.push_back(ri);
-            xs.push_back(Fp(chain_elem(recs[ri].chain, m - 1)));
-          }
-          g.share_end = static_cast<std::uint32_t>(nw.shares.size());
-          g.dec = &cache_.prewarm_points(xs, t);
-          g.out = arena_.alloc(nwords);
-          nw.groups.push_back(g);
-          decoded.push_back(DownRec{g.pc, g.holder_pos, FpSpan{g.out, nwords}});
-        }
-        const auto decoded_batch =
-            static_cast<std::uint32_t>(job.batches.size());
-        job.batches.push_back(std::move(decoded));
-        for (std::size_t child : c_node.children)
-          next.emplace_back(child, decoded_batch);
-      }
-      frontier = std::move(next);
-    }
-
-    // Leaf exchange: members of each leaf node swap their reconstructed
-    // 1-shares and recover the exposed words, one recombination per leaf.
-    job.leaves.resize(frontier.size());
-    for (std::size_t li = 0; li < frontier.size(); ++li) {
-      LeafWork& lw = job.leaves[li];
-      lw.leaf_idx = frontier[li].first;
-      const std::vector<DownRec>& recs = job.batches[frontier[li].second];
-      const TreeNode& leaf = tree_.node(1, lw.leaf_idx);
-      xs.clear();
-      for (const DownRec& rec : recs) {
-        const ProcId sender = leaf.members[rec.holder_pos];
-        if (silent(sender)) continue;
-        if (lying(sender)) {
-          Fp* buf = arena_.alloc(nwords);  // filled by the draw pass
-          lw.lie_bufs.push_back(buf);
-          lw.shares.push_back(FpSpan{buf, nwords});
-        } else {
-          lw.shares.push_back(rec.ys);
-        }
-        xs.push_back(Fp(chain_elem(rec.chain, 0) + 1));
-        lw.senders.push_back(sender);
-      }
-      if (lw.shares.size() >= t1 + 1) {
-        lw.dec = &cache_.prewarm_points(xs, t1);
-        lw.secret = arena_.alloc(nwords);
-      }
-    }
-
-    if (open) build_open_plan(level, a.node_idx, job.top->leaf_begin, job.open);
-  };
-
-  // ---- Draw pass for one job: every rng_ draw the exposure takes, in
+  // ---- Instantiation of one job (serial): its plan, its block with the
+  // array's records copied in, and every rng_ draw the exposure takes, in
   // its fixed order — per level (descending) the lying holders'
   // transmissions in frontier/record order and then that level's
   // failure salt; the lying 1-shares in leaf/record order and then the
   // leaf-exchange failure salt; then sendOpen's salt. Decode outcomes
   // never feed back into rng_, so this order is known before decoding.
-  const auto draw_job = [&](Job& job) {
-    for (LevelWork& lvl : job.levels) {
-      for (const NodeWork& nw : lvl.nodes)
-        for (Fp* buf : nw.lie_bufs) fill_garbage_span(rng_, buf, job.nwords);
-      lvl.salt = rng_.next();
+  const auto instantiate = [&](const ExposeJob& ej, Instance& in,
+                               std::vector<LeafViews>& views_of) {
+    const ArrayState& a = *ej.a;
+    const ExposurePlan& plan = exposure_plan(a);
+    in.plan = &plan;
+    in.top = &tree_.node(level, a.node_idx);
+    in.nwords = ej.w1 - ej.w0;
+    in.block = arena_.alloc(plan.slots * in.nwords);
+    const std::size_t s0 = ej.w0 - a.word_offset;
+    for (std::size_t ri = 0; ri < a.recs.size(); ++ri) {
+      const std::vector<Fp>& ys = a.recs[ri].ys;
+      BA_REQUIRE(s0 + in.nwords <= ys.size(), "range beyond stored words");
+      std::copy_n(ys.begin() + static_cast<std::ptrdiff_t>(s0), in.nwords,
+                  in.slot(static_cast<std::uint32_t>(ri)));
     }
-    for (const LeafWork& lw : job.leaves)
-      for (Fp* buf : lw.lie_bufs) fill_garbage_span(rng_, buf, job.nwords);
-    job.leaf_salt = rng_.next();
-    if (open) job.open_salt = rng_.next();
+    std::size_t lie = 0;
+    for (const ExposurePlan::Level& lvl : plan.levels) {
+      for (; lie < lvl.lie_end; ++lie)
+        fill_garbage_span(rng_, in.slot(plan.lies[lie]), in.nwords);
+      in.salts.push_back(rng_.next());
+    }
+    for (; lie < plan.lies.size(); ++lie)
+      fill_garbage_span(rng_, in.slot(plan.lies[lie]), in.nwords);
+    in.salts.push_back(rng_.next());
+    if (open) {
+      in.open = &open_plan(level, a.node_idx);
+      in.open_salt = rng_.next();
+    }
+    views_of.emplace_back(in.top->leaf_begin,
+                          in.top->leaf_end - in.top->leaf_begin,
+                          tree_.node(1, in.top->leaf_begin).members.size(),
+                          in.nwords);
   };
 
-  // ---- Apply pass for one decoded job: the deferred ledger charges
-  // (order within a round is immaterial — the ledger digests
-  // per-processor totals and no round advances inside a call) and the
-  // pooled sendOpen tally over the decoded leaf views.
-  const auto apply_job = [&](const Job& job, LeafViews& views) {
-    const std::size_t nwords = job.nwords;
-    for (std::size_t li = 0; li < job.levels.size(); ++li) {
-      const std::size_t m = level - li;
-      for (const NodeWork& nw : job.levels[li].nodes) {
-        const std::vector<DownRec>& recs = job.batches[nw.batch];
-        const TreeNode& c_node = tree_.node(m, nw.ci);
-        // One message per share per child.
-        for (std::size_t child : c_node.children) {
-          const TreeNode& d_node = tree_.node(m - 1, child);
-          for (std::size_t ri = 0; ri < recs.size(); ++ri) {
-            if (nw.dropped[ri]) continue;
-            const ProcId sender = c_node.members[recs[ri].holder_pos];
-            const std::uint32_t rpos =
-                chain_pos(tree_, chain_parent(recs[ri].chain, m), m - 1);
-            net_.charge_batch(sender, d_node.members[rpos],
-                              nwords * kWordBits);
-          }
-        }
-      }
-    }
-    for (const LeafWork& lw : job.leaves) {
-      const TreeNode& leaf = tree_.node(1, lw.leaf_idx);
-      for (const ProcId sender : lw.senders)
-        for (std::size_t pos = 0; pos < leaf.members.size(); ++pos)
-          net_.charge_batch(sender, leaf.members[pos], nwords * kWordBits);
-    }
+  // ---- Apply pass for one decoded job: the ledger charges from the
+  // plans' tables (order within a round is immaterial — the ledger
+  // digests per-processor totals and no round advances inside a call)
+  // and the pooled sendOpen tally over the decoded leaf views.
+  const auto apply = [&](const Instance& in, LeafViews& views) {
+    const std::size_t content_bits = in.nwords * kWordBits;
+    net_.charge_table(in.plan->charges, content_bits);
     if (!open) {
-      out.push_back(Exposure{std::move(views), MemberViews(0, nwords)});
+      out.push_back(Exposure{std::move(views), MemberViews(0, in.nwords)});
       return;
     }
-    MemberViews mv(job.top->members.size(), nwords);
-    open_tally(*job.top, job.open, views, job.open_salt, mv);
+    net_.charge_table(in.open->charges, content_bits);
+    MemberViews mv(in.top->members.size(), in.nwords);
+    open_tally(*in.top, *in.open, views, in.open_salt, mv);
     out.push_back(Exposure{std::move(views), std::move(mv)});
   };
 
-  // ---- One chunk: build + draw every job (serial, job-major), then
+  // ---- One chunk: instantiate every job (serial, job-major), then
   // decode each tree level across all jobs in one pool dispatch, then the
   // leaf exchanges in one more, then apply job by job. A recombination
   // that fails fills its output inside its decode item from its own
@@ -518,79 +537,77 @@ std::vector<ShareFlow::Exposure> ShareFlow::expose(
   const auto run_chunk = [&](std::size_t jb, std::size_t je) {
     const std::size_t count = je - jb;
     arena_.reset();  // one chunk == one arena epoch
-    std::vector<Job> plans(count);
+    std::vector<Instance> ins(count);
     std::vector<LeafViews> views_of;
     views_of.reserve(count);
     SchemeCache::RobustPin pin(cache_);
     const std::uint64_t epoch = cache_.robust_epoch();
-    for (std::size_t ji = 0; ji < count; ++ji) {
-      build_job(jobs[jb + ji], plans[ji], views_of);
-      draw_job(plans[ji]);
-    }
+    for (std::size_t ji = 0; ji < count; ++ji)
+      instantiate(jobs[jb + ji], ins[ji], views_of);
     BA_ENSURE(cache_.robust_epoch() == epoch,
               "decoder map reset mid-chunk despite the pin");
 
-    std::vector<std::array<std::uint32_t, 3>> todo;
+    std::vector<std::array<std::uint32_t, 2>> todo;
     for (std::size_t li = 0; li + 1 < level; ++li) {
       todo.clear();
-      for (std::size_t ji = 0; ji < count; ++ji)
-        for (std::size_t ni = 0; ni < plans[ji].levels[li].nodes.size(); ++ni)
-          for (std::size_t gi = 0;
-               gi < plans[ji].levels[li].nodes[ni].groups.size(); ++gi)
-            todo.push_back({static_cast<std::uint32_t>(ji),
-                            static_cast<std::uint32_t>(ni),
-                            static_cast<std::uint32_t>(gi)});
+      for (std::size_t ji = 0; ji < count; ++ji) {
+        const ExposurePlan& plan = *ins[ji].plan;
+        const std::uint32_t gb = li == 0 ? 0 : plan.levels[li - 1].group_end;
+        for (std::uint32_t gi = gb; gi < plan.levels[li].group_end; ++gi)
+          todo.push_back({static_cast<std::uint32_t>(ji), gi});
+      }
       Pool::for_each(todo.size(), [&](std::size_t wi, std::size_t worker) {
-        const Job& job = plans[todo[wi][0]];
-        const LevelWork& lvl = job.levels[li];
-        const NodeWork& nw = lvl.nodes[todo[wi][1]];
-        const Group& g = nw.groups[todo[wi][2]];
+        const Instance& in = ins[todo[wi][0]];
+        const ExposurePlan::Group& g = in.plan->groups[todo[wi][1]];
         std::vector<FpSpan>& spans = span_scratch_[worker];
         spans.clear();
         for (std::uint32_t si = g.share_begin; si < g.share_end; ++si)
-          spans.push_back(nw.sent[nw.shares[si]]);
-        if (g.dec->reconstruct_into(spans.data(), spans.size(), job.nwords,
-                                    g.out, decode_scratch_[worker]))
+          spans.push_back(in.span(in.plan->shares[si]));
+        if (g.dec->reconstruct_into(spans.data(), spans.size(), in.nwords,
+                                    in.slot(g.out), decode_scratch_[worker]))
           return;
         ++failures;
-        Rng stream = Rng(lvl.salt).fork(
-            (static_cast<std::uint64_t>(nw.ci) << 32) | todo[wi][2]);
-        fill_garbage_span(stream, g.out, job.nwords);
+        Rng stream = Rng(in.salts[li]).fork(g.stream);
+        fill_garbage_span(stream, in.slot(g.out), in.nwords);
       });
     }
 
     todo.clear();
     for (std::size_t ji = 0; ji < count; ++ji)
-      for (std::size_t li = 0; li < plans[ji].leaves.size(); ++li)
+      for (std::size_t li = 0; li < ins[ji].plan->leaves.size(); ++li)
         todo.push_back({static_cast<std::uint32_t>(ji),
-                        static_cast<std::uint32_t>(li), 0});
+                        static_cast<std::uint32_t>(li)});
     Pool::for_each(todo.size(), [&](std::size_t wi, std::size_t worker) {
-      const Job& job = plans[todo[wi][0]];
-      const LeafWork& lw = job.leaves[todo[wi][1]];
+      const Instance& in = ins[todo[wi][0]];
+      const ExposurePlan::Leaf& lf = in.plan->leaves[todo[wi][1]];
       LeafViews& views = views_of[todo[wi][0]];
-      const std::size_t k = tree_.node(1, lw.leaf_idx).members.size();
-      const std::size_t rel = lw.leaf_idx - job.top->leaf_begin;
-      if (lw.dec != nullptr) {
-        if (lw.dec->reconstruct_into(lw.shares.data(), lw.shares.size(),
-                                     job.nwords, lw.secret,
+      const std::size_t k = tree_.node(1, lf.leaf_idx).members.size();
+      const std::size_t rel = lf.leaf_idx - in.top->leaf_begin;
+      if (lf.dec != nullptr) {
+        std::vector<FpSpan>& spans = span_scratch_[worker];
+        spans.clear();
+        for (std::uint32_t si = lf.share_begin; si < lf.share_end; ++si)
+          spans.push_back(in.span(in.plan->shares[si]));
+        const Fp* secret = in.slot(lf.secret);
+        if (lf.dec->reconstruct_into(spans.data(), spans.size(), in.nwords,
+                                     in.slot(lf.secret),
                                      decode_scratch_[worker])) {
           for (std::size_t pos = 0; pos < k; ++pos)
-            for (std::size_t w = 0; w < job.nwords; ++w)
-              views.set(rel, pos, w, lw.secret[w]);
+            for (std::size_t w = 0; w < in.nwords; ++w)
+              views.set(rel, pos, w, secret[w]);
           return;
         }
         ++failures;
       }
       // Failed, or too few surviving shares to try: every member's view
       // is garbage, drawn in (pos, word) order.
-      Rng stream = Rng(job.leaf_salt).fork(lw.leaf_idx);
+      Rng stream = Rng(in.salts.back()).fork(lf.leaf_idx);
       for (std::size_t pos = 0; pos < k; ++pos)
-        for (std::size_t w = 0; w < job.nwords; ++w)
+        for (std::size_t w = 0; w < in.nwords; ++w)
           views.set(rel, pos, w, Fp(stream.next()));
     });
 
-    for (std::size_t ji = 0; ji < count; ++ji)
-      apply_job(plans[ji], views_of[ji]);
+    for (std::size_t ji = 0; ji < count; ++ji) apply(ins[ji], views_of[ji]);
   };
 
   // Chunk so one call never holds more than a bounded window of leaf
@@ -619,19 +636,16 @@ std::vector<ShareFlow::Exposure> ShareFlow::expose(
 MemberViews ShareFlow::send_open(std::size_t level, std::size_t node_idx,
                                  const LeafViews& views) {
   const TreeNode& node = tree_.node(level, node_idx);
+  BA_REQUIRE(views.leaf_begin() <= node.leaf_begin &&
+                 node.leaf_end <= views.leaf_begin() + views.leaf_count(),
+             "views do not cover the node's leaves");
   MemberViews out(node.members.size(), views.nwords());
-  // Structural pass (serial, draw-free): the surviving (leaf, member)
-  // sender set and each sender's lying flag depend only on identities,
-  // not on words — computed once per receiver (the seed re-walked every
-  // leaf member per word and recounted pluralities with an O(k^2) nested
-  // loop).
-  OpenPlan& plan = open_plan_scratch_;
-  plan.clear();
-  build_open_plan(level, node_idx, views.leaf_begin(), plan);
+  const OpenPlan& plan = open_plan(level, node_idx);
   // One salt draw at the call's serial rng_ position seeds every
   // receiver's forked garbage stream; the per-receiver tallies then run
   // draw-free on the pool.
   const std::uint64_t salt = rng_.next();
+  net_.charge_table(plan.charges, views.nwords() * kWordBits);
   open_tally(node, plan, views, salt, out);
   return out;
 }

@@ -13,10 +13,42 @@
 //    ell-links; each node member takes a per-word majority within each
 //    linked leaf node, then across its linked leaf nodes.
 //
-// All traffic is charged to the BitLedger via Network::charge_batch — the
-// per-(sender, round) batched accounting path (share flows are exactly the
-// same-sender fan-out loops it is built for); round costs are advanced by
-// the orchestrator (one network round per tree hop).
+// Exposure plans. sendDown and sendOpen route every exposure over a
+// tree, chain set and holder set that are fixed for the run; only the
+// words change, and the silent/lying masks change only when the
+// adversary corrupts. So an exposure splits in two:
+//
+//  * the plan — everything that does not depend on the words, built once
+//    per (level, node, record layout) and cached in the flow: the
+//    frontier walk, each node's send list (which records are dropped,
+//    which holders lie), the recombination groups with their holder
+//    positions and decoder pointers, the leaf exchanges, the node's
+//    sendOpen sender bins, and one aggregated charge table of
+//    (processor, messages sent, messages received). The plan is index
+//    based: every word run it names is a slot of one arena block of
+//    slots x nwords words per exposure. Records are grouped by parent
+//    chain in the order a std::unordered_map built from the node's key
+//    sequence iterates them; that order fixes the next level's
+//    lie-draw order, and it is computed once, when the plan is built;
+//  * the instantiation — the only work on a cache hit: an exact lookup
+//    by the array's (chain, holder_pos) sequence, one arena block, the
+//    record copies, the lying holders' draws in plan order, the decode
+//    dispatches, one Network::charge_table call per table and the
+//    pooled open tally.
+//
+// A plan is valid while three keys hold: the tree level being exposed
+// (plans of one level only are kept, which bounds the cache to one
+// level), Network::corrupt_count() (corruption only grows, so the masks
+// moved iff it did) and the decoder map's SchemeCache::robust_epoch()
+// (decoder pointers die with an epoch). Any change drops every plan;
+// set_fault_style drops them too. Plans live in the flow, so every run
+// starts cold.
+//
+// All traffic is charged to the BitLedger through the plans' charge
+// tables (Network::charge_table, which equals the same messages'
+// charge_batch calls); round costs are advanced by the orchestrator (one
+// network round per tree hop). Dealing and sendSecretUp charge per
+// message with Network::charge_batch.
 //
 // Crypto goes through a per-flow SchemeCache (crypto/scheme_cache.h): the
 // (k1, t1) leaf scheme and the (d_up, t_up) uplink scheme are built once
@@ -49,12 +81,13 @@
 //    each tree level decodes in one pool dispatch however many groups
 //    fail — damaged words are common under a lying minority, not rare.
 //  * Word storage for one exposure batch lives in a per-flow WordArena
-//    (common/arena.h): decoded groups and transmitted values are
-//    FpSpans, so handing a decoded record to every child of a node — the
-//    dominant replication in the flow — copies pointers, not words. The
-//    arena resets at the top of each batch chunk.
+//    (common/arena.h): each exposure takes one block, and decoded groups
+//    and transmitted values are slots in it, so handing a decoded record
+//    to every child of a node — the dominant replication in the flow —
+//    copies a slot index, not words. The arena resets at the top of each
+//    batch chunk.
 //
-// sendOpen fans out per receiver the same way: the structural pass bins
+// sendOpen fans out per receiver the same way: the node's open plan bins
 // the surviving (leaf, member) senders per receiver (contiguous receiver
 // -> leaves -> senders slices), one salt is drawn from rng_ at the call's
 // serial position, and each receiver's tally runs on the pool drawing its
@@ -66,6 +99,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/arena.h"
@@ -140,7 +175,8 @@ class ShareFlow {
   ShareFlow(const ProtocolParams& params, const TournamentTree& tree,
             Network& net, Rng rng);
 
-  void set_fault_style(FaultStyle s) { style_ = s; }
+  /// Also drops every cached exposure plan (the masks change with it).
+  void set_fault_style(FaultStyle s);
 
   /// Algorithm 2 step 1(a): owner deals 1-shares of its whole array to the
   /// members of its home leaf. A corrupt owner deals arbitrary
@@ -223,60 +259,96 @@ class ShareFlow {
   /// Words of sendDown recombinations that missed the fast-path check
   /// and paid a robust (Gao) decode so far (report extras).
   std::uint64_t damaged_words() const { return damaged_words_; }
+  /// Exposure plans built so far, and exposures served by a cached plan
+  /// (report extras).
+  std::uint64_t plans_built() const { return plans_built_; }
+  std::uint64_t plan_reuses() const { return plan_reuses_; }
 
  private:
-  /// A share record travelling down the tree: word values borrowed from
-  /// the flow's arena (or the source ArrayState), replicated to children
-  /// by span copy.
-  struct DownRec {
-    Chain chain = 0;
-    std::uint32_t holder_pos = 0;
-    FpSpan ys;
-  };
-
   /// One surviving sendOpen sender: where its reported word lives in the
   /// leaf views and whether it lies. Packed to 8 bytes — the tally
   /// re-walks the whole sender list once per word, so entry size is the
-  /// stage's memory-bandwidth knob. Sender identities live in the
-  /// parallel OpenPlan::ids array (touched once, by the charge loop).
+  /// stage's memory-bandwidth knob.
   struct OpenSender {
-    std::uint32_t leaf_rel = 0;    ///< leaf index relative to the views
+    std::uint32_t leaf_rel = 0;    ///< leaf index minus the node's first
     std::uint16_t member_idx = 0;  ///< member position within the leaf
     std::uint8_t lies = 0;
   };
-  /// The sendOpen structure for one node, flattened across receivers in
-  /// tally order: receiver pos owns senders
+  /// The sendOpen plan of one node, flattened across receivers in tally
+  /// order: receiver pos owns senders
   /// [leaf_ends[pos_leaf_ends[pos-1] - 1], leaf_ends[pos_leaf_ends[pos] - 1])
   /// split into leaves by leaf_ends — a contiguous
   /// (receiver -> leaves -> senders) slice per pooled tally item.
   struct OpenPlan {
     std::vector<OpenSender> senders;
-    std::vector<ProcId> ids;                   ///< sender ids, same order
     std::vector<std::uint32_t> leaf_ends;      ///< prefix ends into senders
     std::vector<std::uint32_t> pos_leaf_ends;  ///< per receiver, into leaf_ends
-    void clear() {
-      senders.clear();
-      ids.clear();
-      leaf_ends.clear();
-      pos_leaf_ends.clear();
-    }
+    std::vector<ChargeRow> charges;  ///< one message per sender per receiver
   };
 
-  /// Structural pass of sendOpen (draw-free, charge-free): bin the
-  /// surviving senders of node (level, node_idx) per receiver.
-  void build_open_plan(std::size_t level, std::size_t node_idx,
-                       std::size_t views_leaf_begin, OpenPlan& plan);
+  /// The word-independent structure of one sendDown (see the header
+  /// comment). Slots index one arena block of slots x nwords words;
+  /// slots [0, layout.size()) hold the array's records in order.
+  struct ExposurePlan {
+    /// One recombination: the shares of one parent chain in one node.
+    struct Group {
+      std::uint64_t stream = 0;  ///< (node << 32) | group: failure fork
+      std::uint32_t share_begin = 0, share_end = 0;  ///< into shares
+      std::uint32_t out = 0;  ///< slot of the decoded words
+      const RobustDecoder* dec = nullptr;
+    };
+    /// Ends of one tree level's runs (a level starts where the previous
+    /// one ended).
+    struct Level {
+      std::uint32_t group_end = 0;  ///< into groups
+      std::uint32_t lie_end = 0;    ///< into lies
+    };
+    /// One leaf exchange: the leaf's surviving 1-shares.
+    struct Leaf {
+      std::uint32_t leaf_idx = 0;
+      std::uint32_t share_begin = 0, share_end = 0;  ///< into shares
+      std::uint32_t secret = 0;            ///< slot of the recovered words
+      const RobustDecoder* dec = nullptr;  ///< nullptr: too few survived
+    };
+    /// Lookup key: the array's (chain, holder_pos) sequence.
+    std::vector<std::pair<Chain, std::uint32_t>> layout;
+    std::uint32_t slots = 0;
+    std::vector<Level> levels;  ///< [li] is tree level `level - li`
+    std::vector<Group> groups;  ///< level-major, frontier then map order
+    std::vector<Leaf> leaves;   ///< frontier order
+    std::vector<std::uint32_t> shares;  ///< share slots, per group/leaf
+    /// Lying holders' slots in draw order: levels, then the leaves.
+    std::vector<std::uint32_t> lies;
+    std::vector<ChargeRow> charges;  ///< tree hops and leaf exchanges
+  };
 
-  /// sendOpen: the ledger charges (serial, receiver order), then the
-  /// per-receiver pluralities over the pool, lying senders drawing from
-  /// Rng(salt).fork(pos). Draw-free on rng_; writes are receiver-indexed.
+  /// Cached plans of one node at the cached level.
+  struct NodePlans {
+    std::vector<std::unique_ptr<ExposurePlan>> exposures;
+    std::optional<OpenPlan> open;
+  };
+
+  /// The cached plans of `node_idx` at `level`; drops every plan first
+  /// when a validity key moved (see the header comment).
+  NodePlans& plans_at(std::size_t level, std::size_t node_idx);
+  /// Array a's exposure plan: a cache hit, or a fresh build.
+  const ExposurePlan& exposure_plan(const ArrayState& a);
+  /// The sendOpen plan of node (level, node_idx), built on first use.
+  const OpenPlan& open_plan(std::size_t level, std::size_t node_idx);
+  /// The structural passes (draw-free, charge-free) behind the two.
+  ExposurePlan build_exposure_plan(const ArrayState& a);
+  OpenPlan build_open_plan(std::size_t level, std::size_t node_idx);
+
+  /// sendOpen's per-receiver pluralities over the pool, lying senders
+  /// drawing from Rng(salt).fork(pos). Draw-free on rng_ and charge-free
+  /// (the caller charges plan.charges); writes are receiver-indexed.
   void open_tally(const TreeNode& node, const OpenPlan& plan,
                   const LeafViews& views, std::uint64_t salt,
                   MemberViews& out);
 
   /// The one sendDown implementation behind send_down (open = false) and
-  /// expose_batch (open = true): structural, draw, per-level decode and
-  /// apply passes over chunks of jobs.
+  /// expose_batch (open = true): instantiate every job of a chunk from
+  /// its plan, then the per-level decode and apply passes.
   std::vector<Exposure> expose(const std::vector<ExposeJob>& jobs, bool open);
 
   /// fill_garbage (core/array_state.h) over an arena run.
@@ -309,14 +381,21 @@ class ShareFlow {
   std::vector<std::vector<Fp>> slice_scratch_;
   std::vector<PluralityCounter> leaf_tally_scratch_;
   std::vector<PluralityCounter> node_tally_scratch_;
-  OpenPlan open_plan_scratch_;  ///< serial send_open only (expose_batch
-                                ///< jobs own their plans)
+
+  // Exposure plan cache (see the header comment): plans of one tree
+  // level, valid while the three keys match.
+  std::size_t plan_level_ = SIZE_MAX;
+  std::size_t plan_corrupt_count_ = 0;
+  std::uint64_t plan_robust_epoch_ = 0;
+  std::vector<NodePlans> plans_;  ///< by node index at plan_level_
 
   // Instrumentation for report extras (not part of any fingerprint).
   std::uint64_t open_receivers_ = 0;
   std::uint64_t open_tallies_ = 0;
   std::uint64_t decode_failures_ = 0;
   std::uint64_t damaged_words_ = 0;
+  std::uint64_t plans_built_ = 0;
+  std::uint64_t plan_reuses_ = 0;
 };
 
 }  // namespace ba

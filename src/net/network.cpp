@@ -114,6 +114,16 @@ void Network::charge_batch(ProcId from, ProcId to, std::size_t content_bits) {
   ledger_.charge_recv(to, content_bits + kHeaderBits);
 }
 
+void Network::charge_table(const std::vector<ChargeRow>& rows,
+                           std::size_t content_bits) {
+  const std::uint64_t bits = content_bits + kHeaderBits;
+  for (const ChargeRow& r : rows) {
+    BA_REQUIRE(r.proc < n_, "processor id out of range");
+    ledger_.charge_send_batch(r.proc, r.sent, r.sent * bits);
+    ledger_.charge_recv(r.proc, r.received * bits);
+  }
+}
+
 void Network::flush_charge_batch() const {
   if (batch_msgs_ == 0) return;
   ledger_.charge_send_batch(batch_from_, batch_msgs_, batch_bits_);

@@ -41,7 +41,9 @@
 // consecutive same-sender charges into one pending (sender, round) batch
 // drained at advance_round() (or on ledger access). That turns the three
 // random-access ledger touches per message into one receiver touch plus
-// two amortized sender updates. The adversary's view is an
+// two amortized sender updates. Flows whose message pattern is fixed in
+// advance fold it into per-processor rows once and charge the rows with
+// charge_table() on every repetition. The adversary's view is an
 // incrementally-maintained index of visible envelopes, rebuilt lazily only
 // when a mid-round corruption changes which envelopes are visible.
 //
@@ -101,6 +103,14 @@ struct TaggedInbox {
   const Envelope* end() const { return last; }
   std::size_t size() const { return static_cast<std::size_t>(last - first); }
   bool empty() const { return first == last; }
+};
+
+/// One processor's row of an aggregated charge table
+/// (Network::charge_table): messages it sends and receives.
+struct ChargeRow {
+  ProcId proc = 0;
+  std::uint32_t sent = 0;
+  std::uint32_t received = 0;
 };
 
 class Network {
@@ -167,6 +177,16 @@ class Network {
   /// ledger once per receiver instead of three times per message. Totals
   /// are identical to charge_bulk call for call.
   void charge_batch(ProcId from, ProcId to, std::size_t content_bits);
+
+  /// Aggregated variant for flows whose message pattern is fixed in
+  /// advance: row r stands for r.sent charge_batch calls from r.proc and
+  /// r.received calls to r.proc, every message carrying `content_bits`.
+  /// The three ledger columns end up exactly as after those calls, in any
+  /// order relative to a pending charge_batch sender batch (the ledger
+  /// only digests per-processor totals). Each row's processor must be in
+  /// range.
+  void charge_table(const std::vector<ChargeRow>& rows,
+                    std::size_t content_bits);
 
   /// Deliver all pending traffic and begin the next round.
   void advance_round();

@@ -284,6 +284,10 @@ class EverywhereProtocol final : public Protocol {
         static_cast<double>(res.ae.share_decode_failures));
     r.extras.emplace_back("share_damaged_words",
                           static_cast<double>(res.ae.share_damaged_words));
+    r.extras.emplace_back("share_plans_built",
+                          static_cast<double>(res.ae.share_plans_built));
+    r.extras.emplace_back("share_plan_reuses",
+                          static_cast<double>(res.ae.share_plan_reuses));
     fill_ledger_totals(r, net);
 
     auto detail = std::make_shared<RunDetail>();
@@ -356,6 +360,10 @@ class AlmostEverywhereProtocol final : public Protocol {
         static_cast<double>(res.share_decode_failures));
     r.extras.emplace_back("share_damaged_words",
                           static_cast<double>(res.share_damaged_words));
+    r.extras.emplace_back("share_plans_built",
+                          static_cast<double>(res.share_plans_built));
+    r.extras.emplace_back("share_plan_reuses",
+                          static_cast<double>(res.share_plan_reuses));
     fill_ledger_totals(r, net);
 
     detail->corrupt_mask = net.corrupt_mask();

@@ -143,12 +143,16 @@ LaunchOutcome launch_local(const LaunchConfig& cfg) {
   out.job_line = sim::format_job_line(sim::SweepJob{tcp_spec, cfg.seed_offset});
   out.nodes.resize(cfg.nodes);
 
-  // Ephemeral-ish port block when the caller didn't pin one: derived from
-  // the pid so concurrent launches on one host don't collide.
+  // Port block when the caller didn't pin one: derived from the pid so
+  // concurrent launches on one host don't collide, and kept below the
+  // default Linux ephemeral range (32768-60999). Inside that range the
+  // kernel may hand a node's port to a connecting socket — the fleet's
+  // own connections, or earlier instances' ones still in TIME_WAIT —
+  // and the node's bind fails with EADDRINUSE.
   std::uint16_t port_base = cfg.port_base;
   if (port_base == 0)
     port_base = static_cast<std::uint16_t>(
-        20000 + (static_cast<std::uint32_t>(::getpid()) * 131u) % 20000u);
+        20000 + (static_cast<std::uint32_t>(::getpid()) * 131u) % 12000u);
 
   // Argv strings are built before fork: the child may only run
   // async-signal-safe code between fork and exec.

@@ -258,6 +258,36 @@ TEST(Network, ChargeBatchMatchesChargeBulk) {
             b.ledger().total_bits_sent(std::vector<bool>(4, false), false));
 }
 
+TEST(Network, ChargeTableMatchesChargeBatch) {
+  // One charge_table call must equal the charge_batch calls it stands
+  // for, on all three ledger columns, also when it lands between another
+  // sender's pending batch and that batch's drain.
+  const std::size_t n = 5;
+  const std::size_t bits = 61;
+  Network a(n, 1), b(n, 1);
+  // Messages 0->1 x2, 0->3, 2->1, 4->0 x3: rows are per-processor totals.
+  const std::vector<std::pair<ProcId, ProcId>> msgs = {
+      {0, 1}, {0, 1}, {0, 3}, {2, 1}, {4, 0}, {4, 0}, {4, 0}};
+  const std::vector<ChargeRow> rows = {
+      {0, 3, 3}, {1, 0, 3}, {2, 1, 0}, {3, 0, 1}, {4, 3, 0}};
+  a.charge_batch(3, 2, 9);  // pending batch of another sender
+  b.charge_batch(3, 2, 9);
+  for (const auto& [from, to] : msgs) a.charge_batch(from, to, bits);
+  b.charge_table(rows, bits);
+  a.charge_batch(3, 4, 9);
+  b.charge_batch(3, 4, 9);
+  for (ProcId p = 0; p < n; ++p) {
+    EXPECT_EQ(a.ledger().bits_sent(p), b.ledger().bits_sent(p)) << p;
+    EXPECT_EQ(a.ledger().msgs_sent(p), b.ledger().msgs_sent(p)) << p;
+    EXPECT_EQ(a.ledger().bits_received(p), b.ledger().bits_received(p)) << p;
+  }
+  EXPECT_EQ(b.ledger().msgs_sent(3), 2u);
+  EXPECT_EQ(b.ledger().msgs_sent(0), 3u);
+  // The range check of charge_batch survives aggregation.
+  EXPECT_THROW(b.charge_table({{static_cast<ProcId>(n), 1, 0}}, bits),
+               std::logic_error);
+}
+
 TEST(Network, LedgerChargesSenderAndReceiver) {
   Network net(3, 1);
   Payload p = make_value_payload(7, 5, 10);  // 10 content bits

@@ -89,6 +89,45 @@ TEST(ParallelParity, Quickstart) {
                 0xc0344b1e666f6c7aULL);
 }
 
+TEST(ParallelParity, QuickstartCrash) {
+  // Crash faults run the share flows in the silent style: dropped
+  // records, groups below threshold and short leaf exchanges.
+  expect_parity("quickstart_crash",
+                registry_scenario(ScenarioRegistry::get("quickstart")
+                                      .with_n(64)
+                                      .with_adversary(
+                                          sim::AdversaryKind::kCrash)),
+                0x1ee89616d1822218ULL);
+}
+
+TEST(ParallelParity, QuickstartAdaptiveTakeover) {
+  // Mid-run corruptions change the lying masks between exposures, so
+  // every cached exposure plan built before a takeover must be rebuilt.
+  expect_parity("quickstart_takeover",
+                registry_scenario(ScenarioRegistry::get("quickstart")
+                                      .with_n(64)
+                                      .with_adversary(
+                                          sim::AdversaryKind::
+                                              kAdaptiveTakeover)),
+                0x81c53e03b8835a82ULL);
+}
+
+TEST(ParallelParity, QuickstartIsHistoryIndependent) {
+  // Runs in one process share nothing: a run after other seeds and
+  // other worker counts reproduces the pin of a fresh process. Caches
+  // that outlived a run (exposure plans, decoders) would break this.
+  const ScenarioSpec spec = ScenarioRegistry::get("quickstart").with_n(64);
+  const std::uint64_t first = sim::run_scenario(spec.with_workers(1), 0)
+                                  .fingerprint;
+  const std::uint64_t other = sim::run_scenario(spec.with_workers(4), 1)
+                                  .fingerprint;
+  const std::uint64_t again = sim::run_scenario(spec.with_workers(2), 0)
+                                  .fingerprint;
+  EXPECT_EQ(first, 0xc0344b1e666f6c7aULL);
+  EXPECT_EQ(again, 0xc0344b1e666f6c7aULL);
+  EXPECT_NE(other, first);
+}
+
 TEST(ParallelParity, RandomnessBeacon) {
   // examples/randomness_beacon.cpp at test scale: the released §3.5
   // sequence views are per-processor words — any divergent view flips

@@ -293,6 +293,98 @@ TEST(ShareFlow, NonForwardingHoldersShrinkButDontBreak) {
   EXPECT_EQ(correct, members.size());
 }
 
+// -------------------------------------------------------- exposure plans --
+
+TEST(ShareFlow, ExposurePlansAreReusedUntilAKeyMoves) {
+  Fixture f(64, 4, 3);
+  auto a = f.make_array(5, 4);
+  auto b = f.make_array(6, 4);
+  auto c = f.make_array(40, 4);
+  for (ArrayState* x : {&a, &b, &c})
+    f.flow.send_secret_up(*x, 0, [](std::size_t) { return true; });
+  ASSERT_EQ(a.node_idx, b.node_idx);
+  ASSERT_NE(a.node_idx, c.node_idx);
+  EXPECT_EQ(f.flow.plans_built(), 0u);
+  f.flow.send_down(a, 0, 1);
+  EXPECT_EQ(f.flow.plans_built(), 1u);
+  EXPECT_EQ(f.flow.plan_reuses(), 0u);
+  // Another word range and the open ride the same plan.
+  const auto exps = f.flow.expose_batch({{&a, 1, 3}});
+  EXPECT_EQ(f.flow.plans_built(), 1u);
+  EXPECT_EQ(f.flow.plan_reuses(), 1u);
+  for (std::size_t pos = 0; pos < exps[0].opened.nwords(); ++pos)
+    EXPECT_EQ(exps[0].opened.at(0, pos).value(), a.truth[1 + pos]);
+  // Uplink positions depend on the holder position alone, so a sibling
+  // array fully forwarded into the same node has the same layout; an
+  // array at another node does not.
+  f.flow.send_down(b, 0, 1);
+  EXPECT_EQ(f.flow.plans_built(), 1u);
+  EXPECT_EQ(f.flow.plan_reuses(), 2u);
+  f.flow.send_down(c, 0, 1);
+  EXPECT_EQ(f.flow.plans_built(), 2u);
+  // A corruption moves the masks: the cached plans are dropped.
+  f.net.corrupt(f.tree.node(2, a.node_idx).members[0]);
+  f.flow.send_down(a, 0, 1);
+  EXPECT_EQ(f.flow.plans_built(), 3u);
+  f.flow.send_down(a, 0, 1);
+  EXPECT_EQ(f.flow.plan_reuses(), 3u);
+  // So does a new fault style.
+  f.flow.set_fault_style(FaultStyle::silent);
+  f.flow.send_down(a, 0, 1);
+  EXPECT_EQ(f.flow.plans_built(), 4u);
+}
+
+TEST(ShareFlow, CachedPlanEqualsFreshPlan) {
+  // Two identical flows expose the same array twice; one drops its plans
+  // in between (set_fault_style to the same style), so its second
+  // exposure runs on a freshly built plan. Views, opened words and
+  // ledgers must agree exactly — also when a holder of the array is
+  // corrupted between the two exposures, where the other flow must
+  // notice the corruption by itself and rebuild. A silent holder sends
+  // nothing, so a stale plan would show in the ledger.
+  auto run = [](FaultStyle style, bool drop, bool corrupt_between) {
+    Fixture f(64, 4, 11);
+    f.flow.set_fault_style(style);
+    for (ProcId p : {ProcId{3}, ProcId{17}, ProcId{30}, ProcId{41}})
+      f.net.corrupt(p);
+    auto a = f.make_array(9, 4);
+    f.flow.send_secret_up(a, 0, [](std::size_t) { return true; });
+    f.flow.send_secret_up(a, 0, [](std::size_t) { return true; });
+    const auto& top = f.tree.node(3, a.node_idx).members;
+    f.flow.expose_batch({{&a, 0, 2}});
+    if (corrupt_between)
+      for (ProcId p : top)
+        if (!f.net.is_corrupt(p)) {
+          f.net.corrupt(p);
+          break;
+        }
+    if (drop) f.flow.set_fault_style(style);
+    const auto exps = f.flow.expose_batch({{&a, 1, 4}});
+    std::vector<std::uint64_t> seen;
+    const LeafViews& lv = exps[0].views;
+    for (std::size_t leaf = 0; leaf < lv.leaf_count(); ++leaf)
+      for (std::size_t pos = 0; pos < lv.k1(); ++pos)
+        for (std::size_t w = 0; w < lv.nwords(); ++w)
+          seen.push_back(lv.at(leaf, pos, w).value());
+    for (std::size_t pos = 0; pos < top.size(); ++pos)
+      for (std::size_t w = 0; w < exps[0].opened.nwords(); ++w)
+        seen.push_back(exps[0].opened.at(pos, w).value());
+    for (ProcId p = 0; p < 64; ++p) {
+      seen.push_back(f.net.ledger().bits_sent(p));
+      seen.push_back(f.net.ledger().msgs_sent(p));
+      seen.push_back(f.net.ledger().bits_received(p));
+    }
+    EXPECT_EQ(f.flow.plans_built(), drop || corrupt_between ? 2u : 1u);
+    return seen;
+  };
+  for (FaultStyle style : {FaultStyle::lying, FaultStyle::silent}) {
+    EXPECT_EQ(run(style, false, false), run(style, true, false));
+    EXPECT_EQ(run(style, false, true), run(style, true, true));
+  }
+  EXPECT_NE(run(FaultStyle::silent, false, false),
+            run(FaultStyle::silent, false, true));
+}
+
 TEST(ShareFlow, ChargesBitsToLedger) {
   Fixture f;
   auto a = f.make_array(0, 2);
