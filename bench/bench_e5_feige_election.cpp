@@ -8,9 +8,11 @@
 // (stuff-the-lightest-bin, spread), reporting the measured good-winner
 // fraction against the |S|/r - 1/log n reference.
 #include <cmath>
+#include <iostream>
 
 #include "adversary/strategies.h"
-#include "bench_util.h"
+#include "common/rng.h"
+#include "common/table.h"
 #include "election/feige.h"
 
 namespace ba {
@@ -42,8 +44,7 @@ double good_winner_fraction(std::size_t r, std::size_t w, double good_frac,
 
 int main() {
   using namespace ba;
-  const bool full = bench::full_mode();
-  const std::size_t trials = full ? 4000 : 800;
+  const std::size_t trials = 800;
 
   Table t(
       "E5 / Lemma 4 — Feige election: good-winner fraction with |S| = 2r/3 "
@@ -59,9 +60,9 @@ int main() {
            static_cast<std::int64_t>(ep.num_bins()),
            good_winner_fraction(r, w, 2.0 / 3.0, true, trials, 7 + r),
            good_winner_fraction(r, w, 2.0 / 3.0, false, trials, 9 + r),
-           ref, ref - 1.0 / bench::log2d(static_cast<double>(r))});
+           ref, ref - 1.0 / std::log2(static_cast<double>(r))});
   }
-  bench::print(t);
+  t.print(std::cout);
 
   // Lemma 4's failure exponent is 2|S| / (3 numBins) — the expected
   // *bin load* of honest choices. The paper's regime has load Θ(log³ n);
@@ -98,6 +99,6 @@ int main() {
             std::pow(2.0, -2.0 * static_cast<double>(good2) /
                                (3.0 * static_cast<double>(nbins)))});
   }
-  bench::print(t2);
+  t2.print(std::cout);
   return 0;
 }

@@ -9,15 +9,17 @@
 // recombination; (c) the Berlekamp–Welch extension: decode success vs
 // number of corrupted shares (the margin that makes sendDown concrete).
 #include <cmath>
+#include <functional>
+#include <iostream>
 
-#include "bench_util.h"
+#include "common/rng.h"
+#include "common/table.h"
 #include "crypto/berlekamp_welch.h"
 #include "crypto/iterated.h"
 
 int main() {
   using namespace ba;
-  const bool full = bench::full_mode();
-  const std::size_t trials = full ? 40000 : 8000;
+  const std::size_t trials = 8000;
 
   {
     Table t(
@@ -57,7 +59,7 @@ int main() {
       t.row({static_cast<std::int64_t>(n), static_cast<std::int64_t>(tt),
              static_cast<std::int64_t>(iters), chi2 / 2.0});
     }
-    bench::print(t);
+    t.print(std::cout);
   }
   {
     Table t(
@@ -70,7 +72,7 @@ int main() {
           {12, 3, 2},
           {12, 3, 3},
           {9, 3, 3}}) {
-      const std::size_t reps = full ? 400 : 100;
+      const std::size_t reps = 100;
       std::size_t failures = 0;
       for (std::size_t rep = 0; rep < reps; ++rep) {
         std::vector<Fp> secret(4);
@@ -95,7 +97,7 @@ int main() {
              static_cast<std::int64_t>(reps),
              static_cast<std::int64_t>(failures)});
     }
-    bench::print(t);
+    t.print(std::cout);
   }
   {
     Table t(
@@ -104,7 +106,7 @@ int main() {
     t.header({"corrupted", "success_rate", "within_budget"});
     Rng rng(11);
     ShamirScheme scheme(12, 3);
-    const std::size_t reps = full ? 2000 : 400;
+    const std::size_t reps = 400;
     for (std::size_t bad = 0; bad <= 6; ++bad) {
       std::size_t ok = 0;
       for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -119,7 +121,7 @@ int main() {
              static_cast<double>(ok) / static_cast<double>(reps),
              std::string(bad <= 4 ? "yes" : "no")});
     }
-    bench::print(t);
+    t.print(std::cout);
   }
   return 0;
 }

@@ -11,6 +11,7 @@
 // detail block (the full AeResult).
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "core/global_coin.h"
 #include "sim/protocol.h"
@@ -32,8 +33,20 @@ int main(int argc, char** argv) {
               quality.good_words);
   std::printf("min agreement:   %.1f%% of honest nodes share each view\n",
               100 * quality.min_good_agreement);
-  std::printf("bit balance:     %.2f (0.5 = unbiased)\n\n",
+  std::printf("bit balance:     %.2f (0.5 = unbiased)\n",
               quality.good_bit_bias);
+  // Serial correlation: consecutive usable words repeat their low bit
+  // about half the time when the words are independent.
+  std::vector<std::uint64_t> bits;
+  for (std::size_t i = 0; i < result.seq_views.size(); ++i)
+    if (result.seq_word_good[i]) bits.push_back(result.seq_truth[i] & 1);
+  std::size_t repeats = 0;
+  for (std::size_t i = 1; i < bits.size(); ++i)
+    repeats += bits[i] == bits[i - 1] ? 1 : 0;
+  std::printf("serial match:    %.2f (0.5 = uncorrelated)\n\n",
+              bits.size() > 1 ? static_cast<double>(repeats) /
+                                    static_cast<double>(bits.size() - 1)
+                              : 0.5);
 
   std::printf("first beacon outputs (plurality view, usable words):\n");
   std::size_t shown = 0;

@@ -66,60 +66,7 @@ void Table::print(std::ostream& os) const {
       os << std::string(total, '-') << '\n';
     }
   }
-}
-
-void Table::print_csv(std::ostream& os) const {
-  // RFC 4180: cells containing the separator, quotes, or line breaks are
-  // quoted, with embedded quotes doubled — captions and string cells
-  // routinely contain commas, which used to shift every later column.
-  auto emit_cell = [&os](const std::string& cell) {
-    if (cell.find_first_of(",\"\r\n") == std::string::npos) {
-      os << cell;
-      return;
-    }
-    os << '"';
-    for (char c : cell) {
-      if (c == '"') os << '"';
-      os << c;
-    }
-    os << '"';
-  };
-  auto emit = [&os, &emit_cell](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) os << ',';
-      emit_cell(row[i]);
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& r : rows_) {
-    std::vector<std::string> row;
-    row.reserve(r.size());
-    for (const auto& c : r) row.push_back(render(c));
-    emit(row);
-  }
-}
-
-double fit_log_log_exponent(const std::vector<double>& xs,
-                            const std::vector<double>& ys) {
-  BA_REQUIRE(xs.size() == ys.size(), "paired samples required");
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  std::size_t m = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (xs[i] <= 0 || ys[i] <= 0) continue;
-    const double lx = std::log(xs[i]);
-    const double ly = std::log(ys[i]);
-    sx += lx;
-    sy += ly;
-    sxx += lx * lx;
-    sxy += lx * ly;
-    ++m;
-  }
-  BA_REQUIRE(m >= 2, "need at least two positive points to fit");
-  const double dm = static_cast<double>(m);
-  const double denom = dm * sxx - sx * sx;
-  BA_REQUIRE(std::fabs(denom) > 1e-12, "degenerate x values");
-  return (dm * sxy - sx * sy) / denom;
+  os << '\n';
 }
 
 }  // namespace ba

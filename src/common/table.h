@@ -1,9 +1,8 @@
-// Aligned-text and CSV table output shared by the bench harnesses.
+// Aligned-text table output shared by the experiment tables.
 //
-// Every bench binary in bench/ prints one (or a few) tables in the same
-// format: a caption naming the paper claim, a header row, then data rows.
-// Keeping formatting here means every experiment reads the same way in
-// EXPERIMENTS.md.
+// Every E-series table (the `ba_sweep --grid e<k>` grids and the
+// bench_e5 / bench_e8 binaries) prints in the same format: a caption
+// naming the paper claim, a header row, then data rows.
 #pragma once
 
 #include <iosfwd>
@@ -23,14 +22,9 @@ class Table {
   Table& header(std::vector<std::string> cols);
   Table& row(std::vector<Cell> cells);
 
-  /// Aligned plain-text rendering with the caption on top.
+  /// Aligned plain-text rendering with the caption on top and a blank
+  /// line after, so consecutive tables stay apart.
   void print(std::ostream& os) const;
-
-  /// CSV rendering (no caption; header first).
-  void print_csv(std::ostream& os) const;
-
-  std::size_t num_rows() const { return rows_.size(); }
-  const std::string& caption() const { return caption_; }
 
  private:
   static std::string render(const Cell& c);
@@ -38,11 +32,5 @@ class Table {
   std::vector<std::string> header_;
   std::vector<std::vector<Cell>> rows_;
 };
-
-/// Least-squares slope of log(y) vs log(x): the fitted exponent b in
-/// y ≈ a·x^b. Used by benches to report scaling shape. Ignores pairs with
-/// non-positive coordinates; requires at least two usable points.
-double fit_log_log_exponent(const std::vector<double>& xs,
-                            const std::vector<double>& ys);
 
 }  // namespace ba

@@ -339,6 +339,25 @@ class AlmostEverywhereProtocol final : public Protocol {
       d.mix(res.rounds);
       d.mix_double(res.agreement_fraction);
       for (auto bit : res.decision) d.mix(bit);
+      // Per-level tournament stats (Lemma 6), then the mean election
+      // agreement over levels.
+      double agree = 0.0;
+      for (const AeLevelStats& lvl : res.levels) {
+        const std::string p = "level" + std::to_string(lvl.level) + "_";
+        r.extras.emplace_back(p + "elections",
+                              static_cast<double>(lvl.elections));
+        r.extras.emplace_back(p + "winners",
+                              static_cast<double>(lvl.winners_total));
+        r.extras.emplace_back(p + "good_winners",
+                              static_cast<double>(lvl.winners_good));
+        r.extras.emplace_back(p + "election_agreement",
+                              lvl.mean_bin_agreement);
+        agree += lvl.mean_bin_agreement;
+      }
+      r.extras.emplace_back(
+          "election_agreement",
+          res.levels.empty() ? 1.0
+                             : agree / static_cast<double>(res.levels.size()));
     }
     mix_run_ledger(d, net);
 
@@ -439,6 +458,13 @@ class AebaProtocol final : public Protocol {
                           res.min_informed_fraction);
     r.extras.emplace_back("mean_informed_fraction",
                           res.mean_informed_fraction);
+    // Unanimous inputs: was the input kept by >= 95% of good processors?
+    if (s.inputs == InputPattern::kUnanimous)
+      r.extras.emplace_back(
+          "input_preserved",
+          r.decided_bit == s.input_value && r.agreement_fraction >= 0.95
+              ? 1.0
+              : 0.0);
     fill_ledger_totals(r, net);
 
     auto detail = std::make_shared<RunDetail>();
@@ -577,6 +603,9 @@ class A2EProtocol final : public Protocol {
     r.extras.emplace_back("wrong_count",
                           static_cast<double>(res.wrong_count));
     r.extras.emplace_back(
+        "wrong_fraction",
+        good > 0 ? static_cast<double>(res.wrong_count) / good : 0.0);
+    r.extras.emplace_back(
         "first_loop_success",
         !res.loops.empty() && res.loops.front().loop_success ? 1.0 : 0.0);
     std::size_t overloaded = 0;
@@ -678,6 +707,12 @@ class ProcessorElectionProtocol final : public Protocol {
                           static_cast<double>(res.committee.size()));
     r.extras.emplace_back("committee_corrupt",
                           static_cast<double>(res.committee_corrupt));
+    r.extras.emplace_back(
+        "committee_corrupt_fraction",
+        res.committee.empty()
+            ? 0.0
+            : static_cast<double>(res.committee_corrupt) /
+                  static_cast<double>(res.committee.size()));
     fill_ledger_totals(r, net);
 
     auto detail = std::make_shared<RunDetail>();

@@ -132,33 +132,12 @@ const char* to_string(TransportKind k) {
 
 BA_SIM_WITH(with_name, std::string, name)
 BA_SIM_WITH(with_n, std::size_t, n)
-BA_SIM_WITH(with_budget_div, std::size_t, budget_div)
 BA_SIM_WITH(with_workers, std::size_t, workers)
 BA_SIM_WITH(with_adversary, AdversaryKind, adversary)
 BA_SIM_WITH(with_corrupt_fraction, double, corrupt_fraction)
-BA_SIM_WITH(with_adversary_seed, std::uint64_t, adversary_seed)
-BA_SIM_WITH(with_takeover_share_holders, bool, takeover_share_holders)
-BA_SIM_WITH(with_flood_per_pair, std::size_t, flood_per_pair)
-BA_SIM_WITH(with_inputs, InputPattern, inputs)
-BA_SIM_WITH(with_input_value, std::uint8_t, input_value)
 BA_SIM_WITH(with_input_fraction, double, input_fraction)
-BA_SIM_WITH(with_input_seed, std::uint64_t, input_seed)
-BA_SIM_WITH(with_protocol_seed, std::uint64_t, protocol_seed)
-BA_SIM_WITH(with_coin_words, std::size_t, coin_words)
-BA_SIM_WITH(with_release_sequence, bool, release_sequence)
-BA_SIM_WITH(with_committee_size, std::size_t, committee_size)
-BA_SIM_WITH(with_tree_q, std::size_t, q)
-BA_SIM_WITH(with_winners, std::size_t, w)
-BA_SIM_WITH(with_d_up, std::size_t, d_up)
-BA_SIM_WITH(with_g_intra, std::size_t, g_intra)
-BA_SIM_WITH(with_lock_rule_off, bool, lock_rule_off)
 BA_SIM_WITH(with_aeba_rounds, std::size_t, aeba_rounds)
 BA_SIM_WITH(with_aeba_instances, std::size_t, aeba_instances)
-BA_SIM_WITH(with_aeba_degree, std::size_t, aeba_degree)
-BA_SIM_WITH(with_bad_coin_fraction, double, bad_coin_fraction)
-BA_SIM_WITH(with_max_rounds, std::size_t, max_rounds)
-BA_SIM_WITH(with_a2e_repeats, std::size_t, a2e_repeats)
-BA_SIM_WITH(with_truth_message, std::uint64_t, truth_message)
 BA_SIM_WITH(with_scheduler, SchedulerKind, scheduler)
 BA_SIM_WITH(with_delta_max, std::size_t, delta_max)
 BA_SIM_WITH(with_rush_depth, std::size_t, rush_depth)
@@ -414,9 +393,10 @@ void register_examples(std::vector<ScenarioSpec>& out) {
   }
 }
 
-/// The E-series experiment configurations (bench/*.cpp). Benches sweep a
-/// dimension by overriding it with the fluent builder and shift all seeds
-/// per trial via run_scenario's seed_offset — the historical `base + s`.
+/// The E-series experiment configurations (the `ba_sweep --grid e<k>`
+/// tables, sim/sweep.cpp). Grid rows sweep a dimension by overriding it
+/// and shift all seeds per trial via run_scenario's seed_offset — the
+/// historical `base + s`.
 void register_experiments(std::vector<ScenarioSpec>& out) {
   {
     ScenarioSpec s;

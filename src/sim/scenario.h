@@ -1,7 +1,7 @@
 // The scenario layer: one declarative description of a protocol run.
 //
-// Every entry point in this repo — examples, benches, parity and
-// adversary-matrix tests, the `ba_run` CLI — drives a protocol through the
+// Every entry point in this repo — examples, experiment grids, parity
+// and adversary-matrix tests, the `ba_run` CLI — drives a protocol through the
 // same `ScenarioSpec -> RunReport` pipeline (sim/protocol.h). A spec names
 // everything a run needs: network size and corruption budget, adversary
 // strategy and its seed, input pattern, protocol kind and its knobs, and
@@ -157,35 +157,16 @@ struct ScenarioSpec {
   TransportKind transport = TransportKind::kLoopback;
 
   // ---- fluent builder (value-returning: spec.with_n(64).with_... ) ----
+  // Setters exist for the fields code sets in C++; apply() sets any
+  // field by key.
   ScenarioSpec with_name(std::string v) const;
   ScenarioSpec with_n(std::size_t v) const;
-  ScenarioSpec with_budget_div(std::size_t v) const;
   ScenarioSpec with_workers(std::size_t v) const;
   ScenarioSpec with_adversary(AdversaryKind v) const;
   ScenarioSpec with_corrupt_fraction(double v) const;
-  ScenarioSpec with_adversary_seed(std::uint64_t v) const;
-  ScenarioSpec with_takeover_share_holders(bool v) const;
-  ScenarioSpec with_flood_per_pair(std::size_t v) const;
-  ScenarioSpec with_inputs(InputPattern v) const;
-  ScenarioSpec with_input_value(std::uint8_t v) const;
   ScenarioSpec with_input_fraction(double v) const;
-  ScenarioSpec with_input_seed(std::uint64_t v) const;
-  ScenarioSpec with_protocol_seed(std::uint64_t v) const;
-  ScenarioSpec with_coin_words(std::size_t v) const;
-  ScenarioSpec with_release_sequence(bool v) const;
-  ScenarioSpec with_committee_size(std::size_t v) const;
-  ScenarioSpec with_tree_q(std::size_t v) const;
-  ScenarioSpec with_winners(std::size_t v) const;
-  ScenarioSpec with_d_up(std::size_t v) const;
-  ScenarioSpec with_g_intra(std::size_t v) const;
-  ScenarioSpec with_lock_rule_off(bool v) const;
   ScenarioSpec with_aeba_rounds(std::size_t v) const;
   ScenarioSpec with_aeba_instances(std::size_t v) const;
-  ScenarioSpec with_aeba_degree(std::size_t v) const;
-  ScenarioSpec with_bad_coin_fraction(double v) const;
-  ScenarioSpec with_max_rounds(std::size_t v) const;
-  ScenarioSpec with_a2e_repeats(std::size_t v) const;
-  ScenarioSpec with_truth_message(std::uint64_t v) const;
   ScenarioSpec with_scheduler(SchedulerKind v) const;
   ScenarioSpec with_delta_max(std::size_t v) const;
   ScenarioSpec with_rush_depth(std::size_t v) const;

@@ -4,10 +4,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/table.h"
 #include "sim/protocol.h"
 
 namespace ba::sim {
@@ -152,6 +155,476 @@ std::vector<GridAxis> default_grid() {
   g.push_back({"everywhere_delay", {}, {}, {}, 6});
   g.push_back({"everywhere_delay_break", {}, {}, {}, 6});
   return g;
+}
+
+// -------------------------------------------------------- named grids --
+
+namespace {
+
+using Overrides = std::vector<std::pair<std::string, std::string>>;
+
+/// One row per value of `key`, every other knob as in `scenario` plus
+/// `fixed`.
+std::vector<GridAxis> rows_over(const std::string& scenario,
+                                const std::string& key,
+                                const std::vector<std::string>& values,
+                                std::size_t seeds,
+                                const Overrides& fixed = {}) {
+  std::vector<GridAxis> rows;
+  for (const std::string& v : values) {
+    Overrides o = fixed;
+    o.emplace_back(key, v);
+    rows.push_back({scenario, std::move(o), {}, {}, seeds});
+  }
+  return rows;
+}
+
+// Each E-series grid regenerates one claim of King–Saia (arXiv
+// 1002.4561) at the sizes and seed counts its table was always run at.
+// Paper bounds are stated in the captions, not recomputed as columns.
+
+NamedGrid grid_e1() {
+  const std::vector<std::size_t> ns = {64, 256, 512, 1024};
+  return {"e1", "Theorem 1: everywhere BA, polylog rounds, O~(sqrt n) bits",
+          {},
+          {{"E1 / Theorem 1 — everywhere BA: agreement w.h.p., polylog "
+            "rounds, O~(n^1/2) bits per processor (10% malicious — the tree "
+            "phase's supported regime at laptop-scale share parameters, "
+            "src/core/params.cpp)",
+            {{"e1_everywhere", {}, ns, {}, 2}},
+            {{"n", "n"}, {"agree_rate", "all_good_agree"},
+             {"validity", "validity"}, {"rounds", "rounds"},
+             {"max_bits/proc", "max_bits_good"}},
+            {"rounds", "max_bits/proc"},
+            "E1 — fitted scaling exponents (y ~ n^b); paper: rounds ~0 "
+            "(polylog, Theorem 1), total bits/proc O~(n^{4/delta}) from the "
+            "tournament (Theorem 2), whose constants dominate at small n"},
+           {"E1b / Theorem 4 — the A2E phase alone: Algorithm 3 on a fresh "
+            "ledger (input and truth bit 1; bit 0 costs the same bits)",
+            {{"e1_a2e_phase", {{"input_value", "1"}, {"truth_message", "1"}},
+              ns, {}, 2}},
+            {{"n", "n"}, {"a2e_bits/proc", "max_bits_good"}},
+            {"a2e_bits/proc"},
+            "E1b — fitted exponent (y ~ n^b); paper: 0.5 (Theorem 4: "
+            "O~(sqrt n))"}}};
+}
+
+NamedGrid grid_e2() {
+  return {"e2", "Theorem 2: almost-everywhere BA via the tournament",
+          {},
+          {{"E2 / Theorem 2 — almost-everywhere BA via the tournament (10% "
+            "malicious): all but a 1/log n fraction of good processors "
+            "agree, in O(log^{4+delta} n / log log n) rounds",
+            {{"e2_almost_everywhere", {}, {64, 256, 512}, {}, 3}},
+            {{"n", "n"}, {"agree_frac", "agreement_fraction"},
+             {"validity", "validity"}, {"rounds", "rounds"},
+             {"max_bits/proc", "max_bits_good"},
+             {"mean_election_agree", "election_agreement"}},
+            {"rounds", "max_bits/proc"},
+            "E2 — fitted scaling exponents (y ~ n^b); paper: rounds ~0 "
+            "(polylog), bits/proc O~(n^{4/delta}), sublinear for delta > 4"}}};
+}
+
+NamedGrid grid_e3() {
+  const std::vector<std::string> corrupt = {"0.0",  "0.05", "0.10", "0.15",
+                                            "0.20", "0.25", "0.30"};
+  const std::vector<std::string> bad = {"0.0", "0.2", "0.3333333333333333",
+                                        "0.5", "0.7", "0.9"};
+  const GridColumn agree{"agreement", "agreement_fraction"};
+  const GridColumn valid{"validity", "input_preserved"};
+  const GridColumn c{"corrupt", "corrupt_fraction"};
+  const GridColumn b{"bad_coin_frac", "bad_coin_fraction"};
+  const std::string all_but =
+      "; Theorem 5: all but C2 n / log n good processors commit to the "
+      "same vote";
+  return {
+      "e3", "Theorems 3 and 5: AEBA with unreliable global coins", {},
+      {{"E3a / Theorem 5 — AEBA agreement vs corruption fraction, split "
+        "inputs (n=400, random 2 log n-regular graph, 1/3 of coins "
+        "adversarial)" + all_but,
+        rows_over("e3_aeba", "corrupt_fraction", corrupt, 4),
+        {c, agree, {"min_informed", "min_informed_fraction"}}},
+       {"E3a validity — unanimous input preserved (decided bit = input, "
+        ">= 95% agreeing) vs corruption fraction",
+        rows_over("e3_aeba_unanimous", "corrupt_fraction", corrupt, 4),
+        {c, valid}},
+       {"E3b / Theorem 3 — AEBA agreement vs fraction of adversarial coin "
+        "rounds, split inputs (20% corruption; the theorem needs only t "
+        "honest rounds)",
+        rows_over("e3_aeba", "bad_coin_fraction", bad, 4), {b, agree}},
+       {"E3b validity — unanimous input preserved vs fraction of "
+        "adversarial coin rounds",
+        rows_over("e3_aeba_unanimous", "bad_coin_fraction", bad, 4),
+        {b, valid}},
+       {"E3c / Theorem 5 — AEBA agreement vs n (20% corruption, 1/3 bad "
+        "coins)" + all_but,
+        {{"e3_aeba", {}, {128, 256, 512, 1024}, {}, 4}},
+        {{"n", "n"}, agree}}}};
+}
+
+NamedGrid grid_e4() {
+  return {
+      "e4", "Theorem 4, Lemmas 7-9: almost-everywhere to everywhere (A2E)",
+      {},
+      {{"E4a / Lemmas 7-8 — A2E vs knowledgeable fraction, n=512 (20% "
+        "corrupt responders answer wrongly): loop success and wrong "
+        "decisions; Lemma 7: a loop succeeds w.p. >= 1 - 4/(eps log n) - "
+        "1/n^c",
+        rows_over("e4_a2e", "input_fraction",
+                  {"0.55", "0.65", "0.75", "0.85", "0.95"}, 3),
+        {{"knowledgeable", "input_fraction"},
+         {"first_loop_success", "first_loop_success"},
+         {"final_agree_frac", "agreement_fraction"},
+         {"wrong_frac", "wrong_fraction"}}},
+       {"E4b / Lemma 9 — knowledgeable processors overloaded per loop "
+        "under request flooding, n=512 (bound: at most (eps/4) n, w.p. "
+        ">= 1 - 4/(eps log n))",
+        rows_over("e4_flooding", "flood_per_pair", {"0", "64", "256", "1024"},
+                  3),
+        {{"flood_per_pair", "flood_per_pair"},
+         {"max_overloaded", "max_overloaded", Reduce::kMax}}},
+       {"E4c / Theorem 4 — A2E per-processor bits ~ O~(sqrt n)",
+        {{"e4_cost", {}, {256, 1024, 4096}, {}, 1}},
+        {{"n", "n"}, {"max_bits/proc", "max_bits_good"}},
+        {"max_bits/proc"},
+        "E4c — fitted exponent (y ~ n^b); paper: 0.5 + o(1) (Theorem 4)"}}};
+}
+
+NamedGrid grid_e6() {
+  NamedGrid g{"e6", "Lemma 6, Figure 1: good winning arrays per level", {},
+              {}};
+  // Levels 2 and 3 are every election level of the n = 512 tree.
+  for (const std::string level : {"2", "3"}) {
+    const std::string p = "level" + level + "_";
+    g.tables.push_back(
+        {"E6 / Lemma 6 — winning arrays at level " + level +
+             ", n=512, summed over 3 seeds; paper: at least a 2/3 - "
+             "7l/log n fraction of winning arrays are good on every level l",
+         rows_over("e6_survival", "corrupt_fraction",
+                   {"0.0", "0.05", "0.10", "0.15"}, 3),
+         {{"corrupt", "corrupt_fraction"},
+          {"elections", p + "elections", Reduce::kSum},
+          {"winners", p + "winners", Reduce::kSum},
+          {"good_winners", p + "good_winners", Reduce::kSum},
+          {"good_frac", p + "good_winners", Reduce::kSum, p + "winners"},
+          {"election_agreement", p + "election_agreement"}}});
+  }
+  return g;
+}
+
+NamedGrid grid_e7() {
+  return {
+      "e7", "Lemma 11: almost all good processors are informed each round",
+      {},
+      {{"E7a / Lemma 11 — informed fraction vs graph degree k log2 n (k = "
+        "0.5, 1, 2, 3, 4), n=512, 20% malicious; paper: all but C2 n / "
+        "log n good processors informed",
+        rows_over("e7_informed", "aeba_degree", {"4", "9", "18", "27", "36"},
+                  3),
+        {{"degree", "aeba_degree"},
+         {"mean_informed", "mean_informed_fraction"},
+         {"min_informed", "min_informed_fraction", Reduce::kMin}}},
+       {"E7b / Lemma 11 — mean informed fraction vs n (degree 2 log2 n, 20% "
+        "malicious): the deficit tracks C2/log n",
+        {{"e7_informed", {}, {128, 512, 2048}, {}, 3}},
+        {{"n", "n"}, {"mean_informed", "mean_informed_fraction"}}}}};
+}
+
+NamedGrid grid_e9() {
+  const std::vector<std::size_t> ns = {64, 256, 512, 1024};
+  return {"e9", "§1: quadratic all-to-all baselines vs o(n^2) total bits",
+          {},
+          {{"E9 — total bits, same simulator: quadratic baselines vs "
+            "King-Saia (10% malicious; Ben-Or vs 10% crash, its classic "
+            "t<n/5 regime)",
+            {{"e9_rabin", {}, ns, {}, 1},
+             {"e9_benor", {}, ns, {}, 1},
+             {"e9_kingsaia", {}, ns, {}, 1}},
+            {{"scenario", "name"}, {"n", "n"},
+             {"total_bits", "total_bits_good"},
+             {"max_bits/proc", "max_bits_good"}},
+            {"total_bits"},
+            "E9 — fitted total-bit exponents (total ~ n^b); paper: 2.0 for "
+            "the all-to-all baselines (the O(n^2) barrier), 1.5 for "
+            "King-Saia (n x O~(sqrt n)), whose laptop constants are large"}}};
+}
+
+NamedGrid grid_e10() {
+  const std::string tail =
+      ", n=256 — the same adaptive winner takeover against electing "
+      "processors (KSSV'06-style baseline) and electing secret-shared "
+      "arrays (this paper)";
+  const std::vector<GridColumn> cols = {{"scenario", "name"},
+                                        {"agree_frac", "agreement_fraction"},
+                                        {"validity_rate", "validity"}};
+  std::vector<GridColumn> proc_cols = cols;
+  proc_cols.push_back({"committee_corrupt_frac", "committee_corrupt_fraction"});
+  return {"e10", "§1.3: adaptive takeover breaks processor election only",
+          {},
+          {{"E10a / §1.3 — processor election" + tail,
+            {{"e10_proc_static", {}, {}, {}, 4},
+             {"e10_proc_adaptive", {}, {}, {}, 4}},
+            proc_cols},
+           {"E10b / §1.3 — array election" + tail,
+            {{"e10_array_static", {}, {}, {}, 4},
+             {"e10_array_adaptive", {}, {}, {}, 4}},
+            cols}}};
+}
+
+NamedGrid grid_e11() {
+  return {"e11", "§3.5: the global coin subsequence",
+          {},
+          {{"E11 / §3.5 — global coin subsequence quality (10% malicious); "
+            "paper: a 2/3 + eps - 5/log log n fraction of the words are "
+            "random and known to a 1 - 1/log n fraction of good processors",
+            {{"e11_coins", {}, {256, 512}, {}, 3}},
+            {{"n", "n"}, {"seq_len", "seq_length", Reduce::kMax},
+             {"good_frac", "seq_good_words", Reduce::kMean, "seq_length"},
+             {"min_agreement", "seq_min_agreement"},
+             {"bit_bias", "seq_bit_bias"}}}}};
+}
+
+NamedGrid grid_e12() {
+  const GridColumn agree{"agree", "agreement_fraction"};
+  const GridColumn valid{"valid", "validity"};
+  const GridColumn bits{"max_bits/proc", "max_bits_good"};
+  const GridColumn rounds{"rounds", "rounds"};
+  auto table = [](std::string caption, const std::string& key,
+                  const std::vector<std::string>& values,
+                  std::vector<GridColumn> cols) {
+    cols.insert(cols.begin(), GridColumn{key, key});
+    return GridTable{std::move(caption),
+                     rows_over("e12_ablation", key, values, 2), cols};
+  };
+  return {
+      "e12", "design ablations: q, w, d_up, vote degree, lock rule, corruption",
+      {},
+      {table("E12a — branching factor q (tree depth vs election width), "
+             "n=512",
+             "q", {"4", "8", "16"}, {agree, valid, bits, rounds}),
+       table("E12b — winners per election w (candidate pool size)", "w",
+             {"1", "2", "3"}, {agree, valid, bits, rounds}),
+       table("E12c — uplink degree d_up: share blowup (cost) vs "
+             "Berlekamp-Welch margin (robustness). t = d/4, corrects "
+             "(d - d/4 - 1)/2",
+             "d_up", {"6", "9", "12", "15"}, {agree, valid, bits}),
+       table("E12d — intra-node vote-graph out-degree (Lemma 11's k)",
+             "g_intra", {"4", "8", "12", "16"}, {agree, valid, bits}),
+       table("E12e — Rabin decide/lock rule: on (default, 0.85/0.75) vs "
+             "paper-literal commit-at-end (lock_rule_off)",
+             "lock_rule_off", {"false", "true"}, {agree, valid}),
+       table("E12f — corruption tolerance at laptop-scale parameters (the "
+             "binomial tail of corrupt holders per dealing, "
+             "src/core/params.cpp)",
+             "corrupt_fraction",
+             {"0.05", "0.10", "0.15", "0.20", "0.25", "0.30"},
+             {agree, valid})}};
+}
+
+NamedGrid grid_e13() {
+  const GridColumn committee_good{"committee_good_frac",
+                                  "committee_good_fraction"};
+  const GridColumn population_good{"population_good_frac",
+                                   "population_good_fraction"};
+  return {
+      "e13", "§1: O~(sqrt n) universe reduction to a representative committee",
+      {},
+      {{"E13a / §1 — universe reduction: committee good-fraction vs "
+        "population (representative sampling), n=256",
+        rows_over("e13_universe", "corrupt_fraction", {"0.0", "0.05", "0.10"},
+                  3),
+        {{"corrupt", "corrupt_fraction"}, {"committee", "committee_size"},
+         committee_good, population_good,
+         {"view_agreement", "agreement_fraction"}}},
+       {"E13b — committee size sweep (10% malicious): sampling stays "
+        "representative as the committee grows",
+        rows_over("e13_universe", "committee_size", {"4", "8", "16", "32"}, 3,
+                  {{"adversary_seed", "300"},
+                   {"protocol_seed", "400"},
+                   {"coin_words", "8"}}),
+        {{"committee_size", "committee_size"}, committee_good,
+         population_good}}}};
+}
+
+/// The row's label for a spec key: its override as written, else the
+/// spec's to_kv value.
+std::optional<std::string> label_value(const GridAxis& row,
+                                       const ScenarioSpec& spec,
+                                       const std::string& key) {
+  for (auto it = row.overrides.rbegin(); it != row.overrides.rend(); ++it)
+    if (it->first == key) return it->second;
+  for (const auto& [k, v] : spec.to_kv())
+    if (k == key) return v;
+  return std::nullopt;
+}
+
+/// A label prints as an integer or a double when it parses as one.
+Cell label_cell(const std::string& v) {
+  char* end = nullptr;
+  const long long i = std::strtoll(v.c_str(), &end, 10);
+  if (!v.empty() && *end == '\0') return static_cast<std::int64_t>(i);
+  const double d = std::strtod(v.c_str(), &end);
+  if (!v.empty() && *end == '\0') return d;
+  return v;
+}
+
+Cell number_cell(const GridColumn& c, double v) {
+  if (c.reduce != Reduce::kMean && c.per.empty() && v == std::floor(v) &&
+      std::fabs(v) < 1e15)
+    return static_cast<std::int64_t>(v);
+  return v;
+}
+
+double reduce(Reduce how, const std::vector<double>& v) {
+  if (how == Reduce::kMin) return *std::min_element(v.begin(), v.end());
+  if (how == Reduce::kMax) return *std::max_element(v.begin(), v.end());
+  double sum = 0.0;
+  for (double x : v) sum += x;
+  return how == Reduce::kSum ? sum : sum / static_cast<double>(v.size());
+}
+
+/// A deterministic numeric RunReport field or an extras key; nullopt for
+/// unknown names and for tri-state fields at -1.
+std::optional<double> report_value(const RunReport& r,
+                                   const std::string& field) {
+  auto tri = [](int v) -> std::optional<double> {
+    if (v < 0) return std::nullopt;
+    return static_cast<double>(v);
+  };
+  if (field == "corrupt_count") return static_cast<double>(r.corrupt_count);
+  if (field == "decided_bit") return tri(r.decided_bit);
+  if (field == "validity") return tri(r.validity);
+  if (field == "all_good_agree") return tri(r.all_good_agree);
+  if (field == "agreement_fraction") return r.agreement_fraction;
+  if (field == "rounds") return static_cast<double>(r.rounds);
+  if (field == "max_bits_good") return static_cast<double>(r.max_bits_good);
+  if (field == "total_bits_good")
+    return static_cast<double>(r.total_bits_good);
+  if (field == "total_msgs_good")
+    return static_cast<double>(r.total_msgs_good);
+  for (const auto& [key, value] : r.extras)
+    if (key == field) return value;
+  return std::nullopt;
+}
+
+}  // namespace
+
+const std::vector<NamedGrid>& named_grids() {
+  static const std::vector<NamedGrid> grids = {
+      {"default",
+       "the BENCH_protocol.json ledger: the everywhere-BA n-curve and every "
+       "protocol family",
+       default_grid(),
+       {}},
+      grid_e1(), grid_e2(), grid_e3(), grid_e4(), grid_e6(), grid_e7(),
+      grid_e9(), grid_e10(), grid_e11(), grid_e12(), grid_e13()};
+  return grids;
+}
+
+const NamedGrid* find_grid(const std::string& name) {
+  for (const NamedGrid& g : named_grids())
+    if (g.name == name) return &g;
+  return nullptr;
+}
+
+std::vector<SweepJob> grid_jobs(const NamedGrid& grid) {
+  std::vector<GridAxis> axes = grid.axes;
+  for (const GridTable& t : grid.tables) {
+    BA_REQUIRE(!t.rows.empty() && !t.columns.empty(),
+               "grid " + grid.name + ": table without rows or columns: " +
+                   t.caption);
+    for (const std::string& fit : t.fits) {
+      bool found = false;
+      for (const GridColumn& c : t.columns) found = found || c.header == fit;
+      BA_REQUIRE(found, "grid " + grid.name + ": fit names no column: " + fit);
+    }
+    axes.insert(axes.end(), t.rows.begin(), t.rows.end());
+  }
+  std::vector<SweepJob> jobs;
+  std::set<std::string> seen;
+  for (SweepJob& job : expand_grid(axes))
+    if (seen.insert(format_job_line(job)).second)
+      jobs.push_back(std::move(job));
+  return jobs;
+}
+
+void print_grid_tables(std::ostream& os, const NamedGrid& grid,
+                       const std::vector<RunReport>& reports) {
+  const std::vector<SweepJob> jobs = grid_jobs(grid);
+  BA_REQUIRE(jobs.size() == reports.size(),
+             "grid " + grid.name + ": one report per job required");
+  std::map<std::string, const RunReport*> by_line;
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    by_line[format_job_line(jobs[i])] = &reports[i];
+
+  for (const GridTable& t : grid.tables) {
+    Table table(t.caption);
+    std::vector<std::string> header;
+    for (const GridColumn& c : t.columns) header.push_back(c.header);
+    table.header(header);
+    // Per printed line: its scenario, then log n and the log of every
+    // fitted cell.
+    std::vector<std::pair<std::string, std::vector<double>>> points;
+    for (const GridAxis& row : t.rows) {
+      const std::vector<SweepJob> row_jobs = expand_grid({row});
+      for (std::size_t first = 0; first < row_jobs.size();
+           first += row.seeds) {
+        const SweepJob& job = row_jobs[first];
+        auto reduced = [&](const GridColumn& c, const std::string& field) {
+          std::vector<double> v;
+          for (std::size_t s = first; s < first + row.seeds; ++s) {
+            const RunReport& r = *by_line.at(format_job_line(row_jobs[s]));
+            const std::optional<double> x = report_value(r, field);
+            BA_REQUIRE(x.has_value(), "grid " + grid.name + ": column " +
+                                          c.header + " reads no field '" +
+                                          field + "' of " + r.scenario);
+            v.push_back(*x);
+          }
+          return reduce(c.reduce, v);
+        };
+        std::vector<Cell> cells;
+        cells.reserve(t.columns.size());
+        std::vector<double> fitted = {
+            std::log(static_cast<double>(job.spec.n))};
+        for (const GridColumn& c : t.columns) {
+          if (const auto label = label_value(row, job.spec, c.field)) {
+            cells.push_back(label_cell(*label));
+            continue;
+          }
+          double v = reduced(c, c.field);
+          if (!c.per.empty()) v /= reduced(c, c.per);
+          cells.push_back(number_cell(c, v));
+          if (std::count(t.fits.begin(), t.fits.end(), c.header))
+            fitted.push_back(std::log(v));
+        }
+        table.row(std::move(cells));
+        points.emplace_back(job.spec.name, std::move(fitted));
+      }
+    }
+    table.print(os);
+    if (t.fits.empty()) continue;
+
+    // Fitted columns in column order, one fit per scenario and column.
+    Table fit(t.fit_caption);
+    fit.header({"scenario", "series", "measured_b"});
+    std::set<std::string> done;
+    for (const auto& [scenario, unused] : points) {
+      if (!done.insert(scenario).second) continue;
+      std::size_t f = 0;
+      for (const GridColumn& c : t.columns) {
+        if (!std::count(t.fits.begin(), t.fits.end(), c.header)) continue;
+        std::vector<double> x, y;
+        for (const auto& [s, p] : points)
+          if (s == scenario) {
+            x.push_back(p[0]);
+            y.push_back(p[f + 1]);
+          }
+        fit.row({scenario, c.header, least_squares_slope(x, y)});
+        ++f;
+      }
+    }
+    fit.print(os);
+  }
 }
 
 // ----------------------------------------------------- NDJSON reading --
@@ -349,20 +822,6 @@ struct FitInput {
   std::vector<double> x, y;
 };
 
-double slope_of(const std::vector<double>& x, const std::vector<double>& y) {
-  const double n = static_cast<double>(x.size());
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sx += x[i];
-    sy += y[i];
-    sxx += x[i] * x[i];
-    sxy += x[i] * y[i];
-  }
-  const double var = sxx - sx * sx / n;
-  BA_REQUIRE(var > 0, "exponent fit needs at least two distinct n");
-  return (sxy - sx * sy / n) / var;
-}
-
 double r2_of(const std::vector<double>& x, const std::vector<double>& y) {
   const double n = static_cast<double>(x.size());
   double sx = 0, sy = 0, sxx = 0, syy = 0, sxy = 0;
@@ -380,6 +839,22 @@ double r2_of(const std::vector<double>& x, const std::vector<double>& y) {
 }
 
 }  // namespace
+
+double least_squares_slope(const std::vector<double>& x,
+                           const std::vector<double>& y) {
+  BA_REQUIRE(x.size() == y.size(), "paired samples required");
+  const double n = static_cast<double>(x.size());
+  double sx = 0, sy = 0, sxx = 0, sxy = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    sx += x[i];
+    sy += y[i];
+    sxx += x[i] * x[i];
+    sxy += x[i] * y[i];
+  }
+  const double var = sxx - sx * sx / n;
+  BA_REQUIRE(var > 0, "exponent fit needs at least two distinct n");
+  return (sxy - sx * sy / n) / var;
+}
 
 ProtocolLedger aggregate_reports(const std::vector<RunReport>& reports) {
   ProtocolLedger ledger;
@@ -487,8 +962,8 @@ ProtocolLedger aggregate_reports(const std::vector<RunReport>& reports) {
       // log(bits / log2(n)^3): Õ(√n) with the Õ taken literally.
       log3.y.push_back(y - 3.0 * std::log(x / std::log(2.0)));
     }
-    fit.exponent = slope_of(raw.x, raw.y);
-    fit.log3_exponent = slope_of(log3.x, log3.y);
+    fit.exponent = least_squares_slope(raw.x, raw.y);
+    fit.log3_exponent = least_squares_slope(log3.x, log3.y);
     fit.r2 = r2_of(raw.x, raw.y);
     ledger.fit = std::move(fit);
   }

@@ -16,6 +16,11 @@
 //    axes expanded into the deterministic job list behind the committed
 //    BENCH_protocol.json (the "default" grid: 200+ jobs, everywhere-BA
 //    n-curve 16..256 plus every protocol family and scheduler mode).
+//  * named_grids / print_grid_tables — `ba_sweep --grid NAME`: the
+//    default ledger grid plus the E-series table grids e1…e13, each a
+//    list of declarative tables (rows = axes, columns = report fields
+//    reduced over seeds, optional log-log fits) regenerating one of
+//    King–Saia's theorems or lemmas.
 //  * parse_report_json — a strict reader for RunReport::write_json's
 //    NDJSON schema. Parse → re-emit is byte-identical (the golden-file
 //    round-trip test pins it), which is what lets the aggregator consume
@@ -90,6 +95,70 @@ std::vector<SweepJob> expand_grid(const std::vector<GridAxis>& axes);
 /// everywhere-BA n-curve (16..256, the exponent-fit family) plus every
 /// protocol family and scheduler mode at laptop scale, 200+ jobs.
 std::vector<GridAxis> default_grid();
+
+// -------------------------------------------------------- named grids --
+
+/// How a table column folds one row's per-seed values into its cell.
+enum class Reduce { kMean, kMin, kMax, kSum };
+
+/// One printed column. `field` is, in lookup order, a spec key (the
+/// row's label: its override as written, else the to_kv value), a
+/// deterministic numeric RunReport field or an extras key, reduced over
+/// the row's seeds; with `per` set the cell is reduce(field) /
+/// reduce(per). Mean and ratio cells print as doubles, integral
+/// min/max/sum cells as integers.
+struct GridColumn {
+  std::string header;
+  std::string field;
+  Reduce reduce = Reduce::kMean;
+  std::string per = {};
+};
+
+/// One printed table. Each row axis prints one line per n value. `fits`
+/// names columns fitted as y ~ n^b per scenario over the rows' n (least
+/// squares in log-log space), printed in column order as a second table
+/// captioned `fit_caption`.
+struct GridTable {
+  std::string caption;
+  std::vector<GridAxis> rows;
+  std::vector<GridColumn> columns;
+  std::vector<std::string> fits = {};
+  std::string fit_caption = {};
+};
+
+/// A grid `ba_sweep --grid NAME` runs: bare axes aggregated into
+/// BENCH_protocol.json ("default"), or tables whose rows are the axes
+/// (the E-series e1…e13, one per paper claim).
+struct NamedGrid {
+  std::string name;
+  std::string claim;  ///< the paper claim the grid regenerates
+  std::vector<GridAxis> axes;
+  std::vector<GridTable> tables;
+};
+
+/// Every named grid: "default", then e1…e13.
+const std::vector<NamedGrid>& named_grids();
+
+/// nullptr when unknown.
+const NamedGrid* find_grid(const std::string& name);
+
+/// The grid's job list: its axes, then every table row, expanded in
+/// order with repeated job lines dropped (tables sharing a row run it
+/// once). Throws BA_REQUIRE on an unknown scenario or override key, a
+/// table without rows or columns, or a fit naming no column.
+std::vector<SweepJob> grid_jobs(const NamedGrid& grid);
+
+/// Print a table grid's tables (ba::Table) from the reports of
+/// grid_jobs(grid), in job order. Throws BA_REQUIRE when a column
+/// resolves to nothing for some row, such as a missing extra or a
+/// tri-state field at -1 (not meaningful for the protocol kind).
+void print_grid_tables(std::ostream& os, const NamedGrid& grid,
+                       const std::vector<RunReport>& reports);
+
+/// Least-squares slope of y on x; needs two distinct x. Exponent fits
+/// pass log-log points.
+double least_squares_slope(const std::vector<double>& x,
+                           const std::vector<double>& y);
 
 // ----------------------------------------------------- NDJSON reading --
 

@@ -187,7 +187,7 @@ TEST_P(A2EKnowledge, SafetyHoldsAtEveryKnowledgeLevel) {
   // Wrong deciders stay a small minority; at the theorem's boundary
   // (1/2 + eps with eps = 0.1) the paper's a = 32c/eps^2 constant is far
   // above our laptop-scale request budget, so the tail is wider there
-  // (EXPERIMENTS.md E4) — the bound reflects that.
+  // (`ba_sweep --grid e4`, table E4a) — the bound reflects that.
   const auto allowance = static_cast<std::size_t>(
       know >= 0.75 ? good / 20 : good / 8);
   for (const auto& loop : res.loops)

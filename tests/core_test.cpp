@@ -7,7 +7,6 @@
 #include "adversary/strategies.h"
 #include "core/everywhere.h"
 #include "core/global_coin.h"
-#include "metrics/experiment.h"
 
 namespace ba {
 namespace {
@@ -294,25 +293,6 @@ TEST(Everywhere, SplitInputsAgree) {
   PassiveStaticAdversary adv({});
   auto res = proto.run(net, adv, random_inputs(n, 25));
   EXPECT_TRUE(res.all_good_agree);
-}
-
-// ------------------------------------------------------------ baselines --
-
-TEST(Summary, BasicStats) {
-  auto s = summarize({1.0, 2.0, 3.0, 4.0});
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_NEAR(s.stddev, 1.29099, 1e-4);
-  EXPECT_EQ(s.count, 4u);
-}
-
-TEST(Sweep, RunsAllSeeds) {
-  auto s = sweep(5, 100, [](std::uint64_t seed) {
-    return static_cast<double>(seed - 99);
-  });
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
 }
 
 }  // namespace

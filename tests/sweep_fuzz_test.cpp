@@ -8,14 +8,23 @@
 //    schema deviations throw;
 //  * grid expansion — the default grid is deterministic and ≥ 200 jobs
 //    (the committed BENCH_protocol.json's job cloud);
+//  * named grids — every grid expands (known scenarios and override
+//    keys, no empty tables, fits naming real columns), every table grid
+//    prints from one seed per row, malformed grids throw, and
+//    `ba_sweep --grid nope` exits 2 naming the known grids;
 //  * aggregation — rates/medians over a synthetic report set, and the
 //    exponent fit recovers a planted √n · log³ curve;
 //  * the fuzzer itself — a bounded smoke sweep (the CI job runs 1000+)
 //    with every invariant holding.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -169,6 +178,120 @@ TEST(Grid, ExpandAppliesOverridesAndRelabels) {
   EXPECT_EQ(jobs.back().spec.n, 32u);
   EXPECT_EQ(jobs[0].seed_offset, 0u);
   EXPECT_EQ(jobs[2].seed_offset, 2u);
+}
+
+TEST(NamedGrids, GridJobsKeepTheLedgerAxesAndDropRepeats) {
+  const sim::NamedGrid* grid = sim::find_grid("default");
+  ASSERT_NE(grid, nullptr);
+  const auto jobs = sim::grid_jobs(*grid);
+  const auto axes = sim::expand_grid(sim::default_grid());
+  ASSERT_EQ(jobs.size(), axes.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    EXPECT_EQ(sim::format_job_line(jobs[i]), sim::format_job_line(axes[i]));
+  EXPECT_EQ(sim::find_grid("nope"), nullptr);
+  // Tables sharing a row run it once: e6 prints levels 2 and 3 of the
+  // same 4 rows x 3 seeds.
+  EXPECT_EQ(sim::grid_jobs(*sim::find_grid("e6")).size(), 12u);
+}
+
+/// `grid` cut to one seed at each row's smallest n, fits dropped (one n
+/// cannot be fitted): enough to resolve every column.
+sim::NamedGrid smoke_copy(sim::NamedGrid grid) {
+  for (sim::GridTable& t : grid.tables) {
+    t.fits.clear();
+    for (sim::GridAxis& row : t.rows) {
+      if (!row.n_values.empty())
+        row.n_values = {*std::min_element(row.n_values.begin(),
+                                          row.n_values.end())};
+      row.seeds = 1;
+    }
+  }
+  return grid;
+}
+
+TEST(NamedGrids, EveryTableGridPrintsFromOneSeedPerRow) {
+  // Rows of one scenario at one n share a run: sibling rows differ only
+  // in knob values, which never change the fields a run reports.
+  std::map<std::string, RunReport> runs;
+  for (const sim::NamedGrid& grid : sim::named_grids()) {
+    EXPECT_FALSE(sim::grid_jobs(grid).empty()) << grid.name;
+    if (grid.name == "default") continue;
+    EXPECT_FALSE(grid.tables.empty()) << grid.name;
+    const sim::NamedGrid smoke = smoke_copy(grid);
+    std::vector<RunReport> reports;
+    for (const SweepJob& job : sim::grid_jobs(smoke)) {
+      const std::string key = job.spec.name + "@" + std::to_string(job.spec.n);
+      auto it = runs.find(key);
+      if (it == runs.end())
+        it = runs.emplace(key, sim::run_scenario(job.spec, 0)).first;
+      reports.push_back(it->second);
+    }
+    std::ostringstream os;
+    EXPECT_NO_THROW(sim::print_grid_tables(os, smoke, reports)) << grid.name;
+    EXPECT_NE(os.str().find("== E"), std::string::npos) << grid.name;
+  }
+}
+
+TEST(NamedGrids, MalformedGridsFailLoudly) {
+  const sim::GridTable good{
+      "t", {{"e9_benor_small", {}, {}, {}, 1}}, {{"n", "n"}, {"r", "rounds"}}};
+  auto grid_of = [](const sim::GridTable& t) {
+    return sim::NamedGrid{"bad", "", {}, {t}};
+  };
+  auto prints = [&](const sim::GridTable& t) {
+    const sim::NamedGrid g = grid_of(t);
+    std::vector<RunReport> reports;
+    for (const SweepJob& job : sim::grid_jobs(g))
+      reports.push_back(sim::run_scenario(job.spec, job.seed_offset));
+    std::ostringstream os;
+    sim::print_grid_tables(os, g, reports);
+  };
+  EXPECT_NO_THROW(prints(good));
+  // Each mutation breaks one rule grid_jobs checks.
+  const std::vector<std::function<void(sim::GridTable&)>> expand_errors = {
+      [](sim::GridTable& t) { t.rows[0].scenario = "no_such_scenario"; },
+      [](sim::GridTable& t) { t.rows[0].overrides = {{"no_key", "1"}}; },
+      [](sim::GridTable& t) { t.rows.clear(); },
+      [](sim::GridTable& t) { t.columns.clear(); },
+      [](sim::GridTable& t) { t.fits = {"no_such_column"}; }};
+  for (const auto& mutate : expand_errors) {
+    sim::GridTable t = good;
+    mutate(t);
+    EXPECT_THROW(sim::grid_jobs(grid_of(t)), std::logic_error);
+  }
+  // Columns that resolve to nothing fail when printed.
+  sim::GridTable t = good;
+  t.columns.push_back({"x", "no_such_extra"});
+  EXPECT_THROW(prints(t), std::logic_error) << "unknown field";
+  t = good;
+  t.rows[0].scenario = "e4_cost";
+  t.columns.push_back({"validity", "validity"});
+  EXPECT_THROW(prints(t), std::logic_error) << "a2e reports no validity";
+}
+
+TEST(NamedGrids, UnknownGridExitsTwoListingTheKnownOnes) {
+  std::FILE* p = ::popen(BA_SWEEP_BIN " --grid nope 2>&1", "r");
+  ASSERT_NE(p, nullptr);
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, p) != nullptr) out += buf;
+  const int status = ::pclose(p);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  for (const sim::NamedGrid& grid : sim::named_grids())
+    EXPECT_NE(out.find(" " + grid.name), std::string::npos) << out;
+}
+
+TEST(LeastSquaresSlope, RecoversALogLogExponent) {
+  std::vector<double> xs, ys;
+  for (double x : {16.0, 64.0, 256.0, 1024.0}) {
+    xs.push_back(std::log(x));
+    ys.push_back(std::log(3.0 * std::pow(x, 1.5)));
+  }
+  EXPECT_NEAR(sim::least_squares_slope(xs, ys), 1.5, 1e-9);
+  EXPECT_THROW(sim::least_squares_slope({1.0, 1.0}, {2.0, 3.0}),
+               std::logic_error)
+      << "needs two distinct x";
 }
 
 RunReport synthetic_report(const std::string& scenario, std::size_t n,

@@ -3,6 +3,7 @@
 //
 //   ba_sweep --grid default --jobs 2
 //            --out runs.ndjson --ledger BENCH_protocol.json
+//   ba_sweep --grid e4 --jobs 4              # an E-series table grid
 //   ba_sweep --print-jobs --grid default     # job lines, no runs
 //   ba_sweep --fuzz 1000 [--seed S | --seed-from-ci] [--ndjson path]
 //   ba_sweep --replay 'seed_offset=0 name=... protocol=...'
@@ -14,7 +15,9 @@
 // shard NDJSON streams back into job order, and aggregates them into the
 // BENCH_protocol.json ledger — including the least-squares fitted
 // exponent of max-bits vs n for the everywhere-BA family, gated at
-// kLog3ExponentCeiling (the Õ(√n) story).
+// kLog3ExponentCeiling (the Õ(√n) story). A table grid (e1…e13, one per
+// paper claim) prints its tables to stdout instead, and writes the
+// ledger only when --ledger is given.
 //
 // Fuzz mode generates `count` random valid specs, drives each through
 // every cross-cutting invariant (sim/sweep.h check_job), and prints any
@@ -46,9 +49,9 @@ using ba::sim::SweepJob;
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s --grid default [--jobs N] [--out runs.ndjson]\n"
+      "usage: %s --grid NAME [--jobs N] [--out runs.ndjson]\n"
       "          [--ledger BENCH_protocol.json] [--shard-timeout SECONDS]\n"
-      "       %s --print-jobs [--grid default]\n"
+      "       %s --print-jobs [--grid NAME]\n"
       "       %s --fuzz COUNT [--seed S | --seed-from-ci] [--ndjson path]\n"
       "       %s --replay 'seed_offset=K key=value ...'\n",
       argv0, argv0, argv0, argv0);
@@ -102,13 +105,15 @@ pid_t spawn_shard(const std::string& ba_run, const std::string& prefix,
 int run_grid(const std::string& grid_name, std::size_t jobs_procs,
              const std::string& out_path, const std::string& ledger_path,
              bool print_jobs, long shard_timeout_s) {
-  if (grid_name != "default") {
-    std::fprintf(stderr, "unknown grid: %s (only 'default' is defined)\n",
+  const ba::sim::NamedGrid* grid = ba::sim::find_grid(grid_name);
+  if (grid == nullptr) {
+    std::fprintf(stderr, "unknown grid: %s; known grids:\n",
                  grid_name.c_str());
+    for (const ba::sim::NamedGrid& g : ba::sim::named_grids())
+      std::fprintf(stderr, "  %-8s %s\n", g.name.c_str(), g.claim.c_str());
     return 2;
   }
-  const std::vector<SweepJob> jobs =
-      ba::sim::expand_grid(ba::sim::default_grid());
+  const std::vector<SweepJob> jobs = ba::sim::grid_jobs(*grid);
   if (print_jobs) {
     for (const SweepJob& job : jobs)
       std::cout << ba::sim::format_job_line(job) << '\n';
@@ -238,6 +243,10 @@ int run_grid(const std::string& grid_name, std::size_t jobs_procs,
   reports.reserve(lines.size());
   for (const std::string& line : lines)
     reports.push_back(ba::sim::parse_report_json(line));
+  if (!grid->tables.empty()) {
+    ba::sim::print_grid_tables(std::cout, *grid, reports);
+    if (ledger_path.empty()) return 0;
+  }
   ba::sim::ProtocolLedger ledger = ba::sim::aggregate_reports(reports);
   ledger.grid = grid_name;
   if (!ledger_path.empty()) {
