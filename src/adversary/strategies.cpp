@@ -51,15 +51,14 @@ void rush_anti_majority(AebaMachine& machine, Network& net) {
     const bool maj = 2 * ones >= good;
     if (!maj) anti[i / 64] |= std::uint64_t{1} << (i % 64);
   }
+  const Payload vote =
+      AebaMachine::make_vote_payload(machine.context(), anti, inst);
   for (std::size_t pos = 0; pos < m; ++pos) {
     const ProcId self = machine.members()[pos];
     if (!net.is_corrupt(self)) continue;
     // Receivers only tally votes from their graph neighbors, so sending
     // anywhere else is wasted flooding — target the real edges.
-    for (auto nb : machine.graph().neighbors(pos)) {
-      net.send(self, machine.members()[nb],
-               AebaMachine::make_vote_payload(machine.context(), anti, inst));
-    }
+    net.multicast(self, machine.neighbor_ids(pos), vote);
   }
 }
 

@@ -7,9 +7,20 @@
 
 namespace ba {
 
+namespace {
+
+/// Coin-cache key: (round, instance) packed without overlap.
+std::uint64_t coin_key(std::uint64_t round, std::size_t instance) {
+  BA_REQUIRE(round <= 0xFFFFFFFFu && instance <= 0xFFFFFFFFu,
+             "coin round/instance out of the cache key range");
+  return (round << 32) | instance;
+}
+
+}  // namespace
+
 bool SharedRandomCoins::coin(std::size_t, std::size_t instance,
                              std::uint64_t round) {
-  const std::uint64_t key = round * 0x10000ULL + instance;
+  const std::uint64_t key = coin_key(round, instance);
   auto it = cache_.find(key);
   if (it == cache_.end()) it = cache_.emplace(key, rng_.flip()).first;
   return it->second;
@@ -19,7 +30,7 @@ bool UnreliableCoins::coin(std::size_t member_pos, std::size_t instance,
                            std::uint64_t round) {
   const bool bad = round < bad_.size() && bad_[round];
   if (!bad) {
-    const std::uint64_t key = round * 0x10000ULL + instance;
+    const std::uint64_t key = coin_key(round, instance);
     auto it = cache_.find(key);
     if (it == cache_.end()) it = cache_.emplace(key, rng_.flip()).first;
     return it->second;
@@ -60,6 +71,12 @@ AebaMachine::AebaMachine(std::uint64_t context, std::vector<ProcId> members,
   for (std::size_t i = 0; i < members_.size(); ++i) {
     BA_REQUIRE(member_pos_[members_[i]] < 0, "members must be distinct");
     member_pos_[members_[i]] = static_cast<std::int32_t>(i);
+  }
+  neighbor_ids_.resize(members_.size());
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    neighbor_ids_[i].reserve(graph_->neighbors(i).size());
+    for (auto nb : graph_->neighbors(i))
+      neighbor_ids_[i].push_back(members_[nb]);
   }
   votes_.assign(members_.size() * words_per_member(), 0);
   locked_.assign(members_.size() * words_per_member(), 0);
@@ -111,9 +128,8 @@ void AebaMachine::send_votes(Network& net) const {
     const ProcId self = members_[pos];
     if (net.is_corrupt(self)) continue;  // adversary moves in on_rush
     for (std::size_t w = 0; w < wpm; ++w) packed[w] = votes_[pos * wpm + w];
-    for (auto nb : graph_->neighbors(pos))
-      net.send(self, members_[nb], make_vote_payload(context_, packed,
-                                                     instances_));
+    net.multicast(self, neighbor_ids_[pos],
+                  make_vote_payload(context_, packed, instances_));
   }
 }
 

@@ -139,7 +139,10 @@ class AebaMachine {
   std::size_t num_instances() const { return instances_; }
   std::uint64_t context() const { return context_; }
   const std::vector<ProcId>& members() const { return members_; }
-  const RegularGraph& graph() const { return *graph_; }
+  /// The ProcIds of member `pos`'s graph neighbours, in graph order.
+  const std::vector<ProcId>& neighbor_ids(std::size_t pos) const {
+    return neighbor_ids_[pos];
+  }
   const AebaParams& params() const { return params_; }
 
   void set_input(std::size_t member_pos, std::size_t instance, bool vote);
@@ -203,6 +206,7 @@ class AebaMachine {
   std::uint64_t context_;
   std::vector<ProcId> members_;
   std::vector<std::int32_t> member_pos_;  // ProcId -> position, -1 if absent
+  std::vector<std::vector<ProcId>> neighbor_ids_;  // [pos] vote receivers
   const RegularGraph* graph_;
   AebaParams params_;
   std::size_t instances_;

@@ -20,11 +20,17 @@ namespace {
 /// rounds with full ones, so releasing them would just churn the
 /// allocator. Only a genuine spike (an all-to-all baseline round, a
 /// flooding adversary) trips the release, and only once traffic falls.
-void release_if_oversized(std::vector<Envelope>& v, std::size_t target) {
+template <typename T>
+void release_if_oversized(std::vector<T>& v, std::size_t target) {
   constexpr std::size_t kFloorCap = 1024;
   if (v.capacity() > kFloorCap && v.capacity() > 4 * target)
     v.shrink_to_fit();
 }
+
+/// Send-log size (envelopes) below which the staging fill runs inline,
+/// keeping pool dispatch off small logs (a few baseline sends, a mid-round
+/// adversary read).
+constexpr std::size_t kParallelStageMin = 2048;
 
 }  // namespace
 
@@ -43,7 +49,7 @@ Network::Network(std::size_t n, std::size_t max_corrupt)
 Network::~Network() = default;
 
 void Network::set_scheduler(const SchedulerConfig& cfg) {
-  BA_REQUIRE(round_ == 0 && pending_log_.empty(),
+  BA_REQUIRE(round_ == 0 && nothing_pending(),
              "scheduler must be installed before any traffic is staged");
   if (cfg.mode == SchedulerMode::kLockstep) {
     scheduler_.reset();
@@ -53,14 +59,14 @@ void Network::set_scheduler(const SchedulerConfig& cfg) {
 }
 
 void Network::set_transport(Transport* t) {
-  BA_REQUIRE(round_ == 0 && pending_log_.empty(),
+  BA_REQUIRE(round_ == 0 && nothing_pending(),
              "transport must be attached before any traffic is staged");
   transport_ = t;
   if (transport_) transport_->on_attach(n_);
 }
 
 void Network::set_transcript(TranscriptCapture* t) {
-  BA_REQUIRE(round_ == 0 && pending_log_.empty(),
+  BA_REQUIRE(round_ == 0 && nothing_pending(),
              "transcript capture must be attached before any traffic");
   transcript_ = t;
   if (transcript_) transcript_->reset(n_);
@@ -73,30 +79,69 @@ void Network::corrupt(ProcId p) {
              "adaptive corruption budget exhausted");
   corrupt_[p] = true;
   ++corrupt_count_;
-  // Envelopes already in flight that touch p just became visible; rebuild
-  // the visibility index lazily on the next adversary read.
-  if (!pending_log_.empty()) visible_dirty_ = true;
 }
 
-void Network::send(ProcId from, ProcId to, Payload payload) {
-  BA_REQUIRE(from < n_ && to < n_, "processor id out of range");
-  ledger_.charge_send(from, payload.bits());
-  auto& bucket = staging_[to];
-  Envelope& e = bucket.emplace_back();
-  e.from = from;
-  e.to = to;
-  e.round = round_;
-  e.payload = std::move(payload);
-  const PendingRef ref{to, static_cast<std::uint32_t>(bucket.size() - 1),
-                       round_};
-  pending_log_.push_back(ref);
-  if (corrupt_count_ != 0 && !visible_dirty_ &&
-      (corrupt_[from] || corrupt_[to]))
-    visible_.push_back(ref);
+void Network::multicast(ProcId from, const ProcId* receivers,
+                        std::size_t count, Payload payload) {
+  BA_REQUIRE(from < n_, "processor id out of range");
+  for (std::size_t i = 0; i < count; ++i)
+    BA_REQUIRE(receivers[i] < n_, "processor id out of range");
+  if (count == 0) return;
+  ledger_.charge_send_batch(from, count, count * payload.bits());
+  log_receivers_.insert(log_receivers_.end(), receivers, receivers + count);
+  SendEntry& s = send_log_.emplace_back();
+  s.payload = std::move(payload);
+  s.from = from;
+  s.recv_end = static_cast<std::uint32_t>(log_receivers_.size());
+}
+
+void Network::stage_pending() const {
+  if (send_log_.empty()) return;
+  const std::size_t base = pending_log_.size();
+  const std::size_t total = log_receivers_.size();
+  pending_log_.resize(base + total);
+  // Receiver-range fan-out: range `part` stages exactly the envelopes
+  // addressed into it, walking the log in send order, so each bucket is
+  // appended to in the order serial sends would have used.
+  const std::size_t parts =
+      total >= kParallelStageMin ? Pool::num_threads() : 1;
+  Pool::for_each(parts, [this, base, parts](std::size_t part, std::size_t) {
+    const auto lo = static_cast<ProcId>(n_ * part / parts);
+    const auto width = static_cast<ProcId>(n_ * (part + 1) / parts) - lo;
+    std::uint32_t k = 0;
+    for (SendEntry& s : send_log_) {
+      // A one-receiver entry has exactly one reader: move its payload.
+      const bool single = s.recv_end - k == 1;
+      for (; k < s.recv_end; ++k) {
+        const ProcId to = log_receivers_[k];
+        if (to - lo >= width) continue;
+        auto& bucket = staging_[to];
+        Envelope& e = bucket.emplace_back();
+        e.from = s.from;
+        e.to = to;
+        e.round = round_;
+        if (single)
+          e.payload = std::move(s.payload);
+        else
+          e.payload = s.payload;
+        pending_log_[base + k] = PendingRef{
+            to, static_cast<std::uint32_t>(bucket.size() - 1), round_};
+      }
+    }
+  });
   // The backend sees every staged envelope at the serialization point —
   // global send order, driver-side — so a socket backend can encode into
-  // the receiver-owner's buffer immediately.
-  if (transport_) transport_->on_send(e);
+  // the receiver-owner's buffer before the round barrier.
+  if (transport_)
+    for (std::size_t i = base; i < base + total; ++i) {
+      const PendingRef r = pending_log_[i];
+      transport_->on_send(staging_[r.to][r.index]);
+    }
+  const std::size_t entries = send_log_.size();
+  send_log_.clear();
+  log_receivers_.clear();
+  release_if_oversized(send_log_, entries);
+  release_if_oversized(log_receivers_, total);
 }
 
 void Network::charge_bulk(ProcId from, ProcId to, std::size_t content_bits) {
@@ -273,6 +318,7 @@ void Network::deliver_bucket(ProcId p, DeliveryScratch& s) {
 }
 
 void Network::advance_round() {
+  stage_pending();
   flush_charge_batch();
   // Transport round barrier: a socket backend flushes and reconciles the
   // round's wire traffic against the staged buckets here — before the
@@ -298,8 +344,6 @@ void Network::advance_round() {
       },
       /*min_grain=*/64);
   pending_log_.clear();
-  visible_.clear();
-  visible_dirty_ = false;
   ++round_;
 }
 
@@ -315,24 +359,23 @@ TaggedInbox Network::inbox(ProcId p, std::uint32_t tag) const {
 }
 
 std::vector<PendingRef> Network::pending_visible_to_adversary() const {
+  stage_pending();
   // Rushing scheduler: private channels collapse — the adversary's view
   // is the whole send log (already in global send order), honest traffic
   // included, one round before its earliest possible delivery. Envelopes
   // in scheduler custody (delayed past their send round) are never
   // offered: refs die at advance_round() by the round-stamp contract.
   if (scheduler_ && scheduler_->rushes()) return pending_log_;
-  if (visible_dirty_) {
-    // Replay the send log so the rebuilt view keeps global send order —
-    // identical to what incremental maintenance would have produced had
-    // the corruption happened before the round's first send.
-    visible_.clear();
-    for (const PendingRef& r : pending_log_) {
-      const Envelope& e = staging_[r.to][r.index];
-      if (corrupt_[e.from] || corrupt_[r.to]) visible_.push_back(r);
-    }
-    visible_dirty_ = false;
+  // Private channels: filter the log by the current corruption mask. A
+  // mid-round corruption thereby reveals traffic already in flight, and
+  // the view keeps global send order.
+  std::vector<PendingRef> visible;
+  if (corrupt_count_ == 0) return visible;
+  for (const PendingRef& r : pending_log_) {
+    const Envelope& e = staging_[r.to][r.index];
+    if (corrupt_[e.from] || corrupt_[r.to]) visible.push_back(r);
   }
-  return visible_;
+  return visible;
 }
 
 std::vector<ProcId> Network::good_procs() const {

@@ -35,22 +35,37 @@
 // counting scratch, span tables) is reused across rounds; steady-state
 // rounds allocate nothing.
 //
-// Ledger charging: send() charges per message (it must — the envelope
-// materializes), but the accounting-only bulk flows (share movement,
+// Staging is deferred: send() and multicast() only validate, charge the
+// sender's ledger row once per call, and append one (sender, payload,
+// receiver span) entry to a per-round send log, so a vote fanned out to a
+// k-regular neighbourhood costs one log entry, not k envelope builds. The
+// first read of staged traffic (advance_round(), the adversary's view,
+// pending_envelope()) fills the per-receiver buckets from the log in one
+// pass and only then replays Transport::on_send driver-side, in global
+// send order. Every bucket ends up holding exactly what per-message sends
+// would have staged, in the same order.
+//
+// Ledger charging: the accounting-only bulk flows (share movement,
 // sendOpen, query floods) go through charge_batch(), which accumulates
 // consecutive same-sender charges into one pending (sender, round) batch
 // drained at advance_round() (or on ledger access). That turns the three
 // random-access ledger touches per message into one receiver touch plus
 // two amortized sender updates. Flows whose message pattern is fixed in
 // advance fold it into per-processor rows once and charge the rows with
-// charge_table() on every repetition. The adversary's view is an
-// incrementally-maintained index of visible envelopes, rebuilt lazily only
-// when a mid-round corruption changes which envelopes are visible.
+// charge_table() on every repetition. The adversary's view is computed on
+// read: the staged send log filtered by the current corruption mask.
 //
 // Threading model (the parallel round engine, common/pool.h): sends,
-// corruptions, and adversary reads are driver-side and single-threaded —
-// only advance_round() fans out, over receivers, after the charge batch
-// is flushed. What each worker touches:
+// corruptions, and adversary reads are driver-side and single-threaded.
+// Two passes fan out, both over receivers:
+//   1. The staging fill. Each worker owns a contiguous receiver range and
+//      walks the whole send log in order, appending its receivers'
+//      envelopes to their buckets and writing each envelope's PendingRef
+//      at its global send position (disjoint slots). The log is read-only
+//      during the pass; a multicast's payload copies share spilled word
+//      buffers through the atomic refcount.
+//   2. Delivery, in advance_round() after the charge batch is flushed.
+//      What each worker touches:
 //   * shared read-only during delivery: the corruption mask and the
 //     network shape (n);
 //   * per-receiver (disjoint across workers): staging_[p], inboxes_[p],
@@ -60,14 +75,17 @@
 //   * per-worker: the counting-sort scratch (DeliveryScratch), one slot
 //     per pool worker, reused across rounds and (re)initialized per
 //     bucket so worker assignment is unobservable.
-// Determinism contract: a receiver's delivered inbox is a pure function
-// of its staging bucket, so BA_THREADS=1 and BA_THREADS=N produce
-// byte-identical inboxes, span tables, and ledgers at every round
+// Determinism contract: a receiver's staging bucket is a pure function of
+// the send log (its range owner visits the log in order, whatever the
+// range split), and its delivered inbox is a pure function of that
+// bucket, so BA_THREADS=1 and BA_THREADS=N produce byte-identical
+// buckets, pending refs, inboxes, span tables, and ledgers at every round
 // (asserted by tests/parallel_parity_test.cpp).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/message.h"
@@ -131,10 +149,11 @@ class Network {
   const DelayScheduler* scheduler() const { return scheduler_.get(); }
 
   /// Attach a transport backend (transport/transport.h): one on_send
-  /// callback per staged envelope and one sync_round barrier per
-  /// advance_round, invoked before any delivery. Must run before traffic
-  /// is staged; the network does not own the backend. No backend attached
-  /// means the historical in-process behavior, bit for bit.
+  /// callback per staged envelope, replayed in global send order when the
+  /// send log is staged, and one sync_round barrier per advance_round,
+  /// invoked before any delivery. Must run before traffic is staged; the
+  /// network does not own the backend. No backend attached means the
+  /// historical in-process behavior, bit for bit.
   void set_transport(Transport* t);
   Transport* transport() const { return transport_; }
 
@@ -159,8 +178,23 @@ class Network {
   /// adversary at a (1/3 - eps) fraction.
   void corrupt(ProcId p);
 
-  /// Queue a message for delivery at the start of the next round.
-  void send(ProcId from, ProcId to, Payload payload);
+  /// Queue a message for delivery at the start of the next round: a
+  /// one-receiver multicast().
+  void send(ProcId from, ProcId to, Payload payload) {
+    multicast(from, &to, 1, std::move(payload));
+  }
+
+  /// Queue one copy of `payload` to each of `receivers[0, count)` (in
+  /// that order; duplicates send duplicate copies). Every receiver is
+  /// validated before anything is charged or logged; the sender's ledger
+  /// row is charged once for all `count` messages. Staging, visibility
+  /// and the transport are exactly as after `count` send() calls.
+  void multicast(ProcId from, const ProcId* receivers, std::size_t count,
+                 Payload payload);
+  void multicast(ProcId from, const std::vector<ProcId>& receivers,
+                 Payload payload) {
+    multicast(from, receivers.data(), receivers.size(), std::move(payload));
+  }
 
   /// Accounting-only send for bulk data flows whose receiver-side effect
   /// the protocol driver computes directly (share movement, sendOpen,
@@ -212,6 +246,7 @@ class Network {
   /// whose index happens to be in range for the next round's staging
   /// must trip the contract check, not alias a different envelope.
   const Envelope& pending_envelope(PendingRef r) const {
+    stage_pending();
     BA_REQUIRE(r.round == round_ && r.to < n_ &&
                    r.index < staging_[r.to].size(),
                "stale or out-of-range pending reference");
@@ -252,7 +287,23 @@ class Network {
     std::vector<Envelope> tag_scratch;
   };
 
+  /// One send()/multicast() call awaiting staging: `payload` goes to
+  /// log_receivers_[previous entry's recv_end, recv_end).
+  struct SendEntry {
+    Payload payload;
+    ProcId from = 0;
+    std::uint32_t recv_end = 0;
+  };
+
   void flush_charge_batch() const;
+  /// Fill the staging buckets (and pending_log_) from the send log, then
+  /// replay Transport::on_send in global send order and clear the log.
+  /// Const for the same reason ledger() is: const reads must see staged
+  /// traffic.
+  void stage_pending() const;
+  bool nothing_pending() const {
+    return pending_log_.empty() && send_log_.empty();
+  }
   /// Deliver receiver p's staged bucket into its inbox + span table and
   /// charge its receipts. Touches only p-indexed state plus `s`.
   void deliver_bucket(ProcId p, DeliveryScratch& s);
@@ -262,18 +313,20 @@ class Network {
   std::size_t corrupt_count_ = 0;
   std::uint64_t round_ = 0;
   std::vector<bool> corrupt_;
-  std::vector<std::vector<Envelope>> staging_;  ///< per-receiver pending
+  // Per-receiver pending buckets, filled lazily from the send log (hence
+  // mutable, like the ledger's charge batch).
+  mutable std::vector<std::vector<Envelope>> staging_;
   std::vector<std::vector<Envelope>> inboxes_;
   std::vector<std::vector<TagSpan>> inbox_spans_;  ///< per-receiver tag index
   std::vector<DeliveryScratch> delivery_scratch_;  ///< [pool worker]
-  // All pending envelopes in global send order (storage reused across
-  // rounds); keeps the adversary's view deterministic when it has to be
-  // rebuilt after a mid-round corruption.
-  std::vector<PendingRef> pending_log_;
-  // Incremental index of envelopes with a corrupted endpoint; `dirty`
-  // when corrupt() may have made previously-hidden traffic visible.
-  mutable std::vector<PendingRef> visible_;
-  mutable bool visible_dirty_ = false;
+  // All staged envelopes in global send order (storage reused across
+  // rounds): the adversary's view and the scheduler's delay draws walk it.
+  mutable std::vector<PendingRef> pending_log_;
+  // Sends not yet staged, in call order, and their receivers back to back
+  // (a receiver's index here is its envelope's send position past the
+  // pending_log_ prefix).
+  mutable std::vector<SendEntry> send_log_;
+  mutable std::vector<ProcId> log_receivers_;
   // Pending per-(sender, round) charge batch (drained lazily, hence
   // mutable: const ledger reads must see drained totals).
   mutable ProcId batch_from_ = 0;

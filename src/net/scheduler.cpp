@@ -33,8 +33,9 @@ DelayScheduler::DelayScheduler(const SchedulerConfig& cfg, std::size_t n)
 }
 
 void DelayScheduler::draw_delays(const std::vector<PendingRef>& log) {
-  // Every send appends to its staging bucket and to the log together, so
-  // the log visits each receiver's bucket indices in order 0, 1, 2, … —
+  // The staging fill appends each envelope to its bucket and writes its
+  // ref at its send position, so the log visits each receiver's bucket
+  // indices in order 0, 1, 2, … —
   // a push_back per ref rebuilds the bucket-aligned mark array while the
   // draws stay in global send order (the one serial pass; the delivery
   // fan-out below is draw-free).

@@ -55,8 +55,9 @@ struct TransportStats {
 };
 
 /// Backend interface driven by Network: one callback per staged envelope
-/// (in global send order — the serialization point every backend shares)
-/// and one round barrier per advance_round(), invoked before delivery.
+/// (in global send order — the serialization point every backend shares,
+/// replayed when the send log is staged) and one round barrier per
+/// advance_round(), invoked before delivery.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -67,8 +68,11 @@ class Transport {
   /// once, before any traffic; backends validate their peer table here.
   virtual void on_attach(std::size_t n) = 0;
 
-  /// One staged envelope, immediately after Network::send placed it in
-  /// the receiver's bucket. Runs driver-side (single-threaded).
+  /// One staged envelope. Network defers staging: send() and multicast()
+  /// only log, and the first read of staged traffic (at the latest
+  /// advance_round(), before sync_round) fills the receivers' buckets and
+  /// then calls on_send once per envelope, in global send order, for the
+  /// whole batch. Runs driver-side (single-threaded), never inside send().
   virtual void on_send(const Envelope& e) = 0;
 
   /// Round barrier at Network::advance_round, before any delivery or

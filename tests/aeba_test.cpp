@@ -227,6 +227,40 @@ TEST(SharedRandomCoins, ConsistentAcrossMembersAndRounds) {
   }
 }
 
+/// Coins of 64 fresh (round, instance) keys after `coin` has been asked
+/// for instance 0x10000 of round 0 and then instance 0 of round 1.
+template <typename Coins>
+std::vector<bool> fresh_coins_after_high_instance(Coins& coins) {
+  coins.coin(0, 0x10000, 0);
+  coins.coin(0, 0, 1);
+  std::vector<bool> out;
+  for (std::size_t i = 0; i < 64; ++i) out.push_back(coins.coin(0, i, 7));
+  return out;
+}
+
+/// Draws 3..66 of Rng(seed): what the fresh keys read iff the two
+/// earlier queries drew two distinct coins.
+std::vector<bool> flips_after_two(std::uint64_t seed) {
+  Rng replica(seed);
+  replica.flip();
+  replica.flip();
+  std::vector<bool> out;
+  for (std::size_t i = 0; i < 64; ++i) out.push_back(replica.flip());
+  return out;
+}
+
+TEST(SharedRandomCoins, CacheKeyDoesNotAliasAcrossRounds) {
+  // Regression: the cache key was round * 0x10000 + instance, so instance
+  // 0x10000 of round 0 and instance 0 of round 1 shared one coin.
+  SharedRandomCoins coins(Rng(31));
+  EXPECT_EQ(fresh_coins_after_high_instance(coins), flips_after_two(31));
+}
+
+TEST(UnreliableCoins, CacheKeyDoesNotAliasAcrossRounds) {
+  UnreliableCoins coins(Rng(32), std::vector<bool>(8, false));
+  EXPECT_EQ(fresh_coins_after_high_instance(coins), flips_after_two(32));
+}
+
 // Parameterized sweep: corruption fraction grid for the convergence
 // property (the E3 experiment's unit-level counterpart).
 class AebaCorruption : public ::testing::TestWithParam<double> {};

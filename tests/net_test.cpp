@@ -169,8 +169,8 @@ TEST(Network, MidRoundCorruptionRevealsPendingTraffic) {
   auto visible = net.pending_visible_to_adversary();
   ASSERT_EQ(visible.size(), 1u);
   EXPECT_EQ(net.pending_envelope(visible[0]).payload.words[0], 5u);
-  // Incremental additions after the rebuild keep working, and the view
-  // stays in global send order even though a rebuild happened in between.
+  // Sends after the corruption join the view, which stays in global send
+  // order across the two reads.
   net.send(2, 1, make_value_payload(7, 6, 4));
   auto after = net.pending_visible_to_adversary();
   ASSERT_EQ(after.size(), 2u);
@@ -315,6 +315,71 @@ TEST(Network, RejectsBadIds) {
   EXPECT_THROW(net.send(0, 5, Payload{}), std::logic_error);
   EXPECT_THROW(net.send(5, 0, Payload{}), std::logic_error);
   EXPECT_THROW(net.corrupt(9), std::logic_error);
+}
+
+TEST(Network, MulticastEqualsPerReceiverSends) {
+  // One multicast to k receivers (a duplicate and the sender itself
+  // included) must leave ledger rows, inboxes, and the adversary's refs
+  // exactly as k send() calls do, interleaved with other traffic.
+  const std::vector<ProcId> to{4, 1, 6, 1, 0, 3};
+  Network a(7, 2), b(7, 2);
+  for (Network* net : {&a, &b}) {
+    net->corrupt(6);
+    net->send(2, 1, make_value_payload(7, 1, 8));
+  }
+  a.multicast(0, to, make_words_payload(9, {5, 6, 7}));
+  for (ProcId r : to) b.send(0, r, make_words_payload(9, {5, 6, 7}));
+  for (Network* net : {&a, &b}) {
+    net->send(6, 1, make_value_payload(7, 2, 8));
+    net->corrupt(4);
+  }
+  const auto va = a.pending_visible_to_adversary();
+  const auto vb = b.pending_visible_to_adversary();
+  ASSERT_EQ(va.size(), 3u);  // 0 -> 4, 0 -> 6, 6 -> 1
+  ASSERT_EQ(va.size(), vb.size());
+  for (std::size_t i = 0; i < va.size(); ++i) {
+    EXPECT_EQ(va[i].to, vb[i].to) << i;
+    EXPECT_EQ(va[i].index, vb[i].index) << i;
+    EXPECT_EQ(a.pending_envelope(va[i]).from, b.pending_envelope(vb[i]).from);
+  }
+  a.advance_round();
+  b.advance_round();
+  for (ProcId p = 0; p < 7; ++p) {
+    EXPECT_EQ(a.ledger().bits_sent(p), b.ledger().bits_sent(p)) << p;
+    EXPECT_EQ(a.ledger().msgs_sent(p), b.ledger().msgs_sent(p)) << p;
+    EXPECT_EQ(a.ledger().bits_received(p), b.ledger().bits_received(p)) << p;
+    ASSERT_EQ(a.inbox(p).size(), b.inbox(p).size()) << p;
+    for (std::size_t i = 0; i < a.inbox(p).size(); ++i) {
+      const Envelope& x = a.inbox(p)[i];
+      const Envelope& y = b.inbox(p)[i];
+      EXPECT_EQ(x.from, y.from);
+      EXPECT_EQ(x.to, y.to);
+      EXPECT_EQ(x.round, y.round);
+      EXPECT_EQ(x.payload.tag, y.payload.tag);
+      EXPECT_EQ(x.payload.words, y.payload.words);
+      EXPECT_EQ(x.payload.content_bits, y.payload.content_bits);
+    }
+  }
+  EXPECT_EQ(a.ledger().msgs_sent(0), to.size());
+  EXPECT_EQ(a.inbox(1).size(), 4u);  // 0 twice, 2, 6
+}
+
+TEST(Network, MulticastRejectsBadReceiverBeforeAnyEffect) {
+  Network net(4, 1);
+  net.corrupt(3);
+  const std::vector<ProcId> to{1, 3, 9};
+  EXPECT_THROW(net.multicast(0, to, make_value_payload(7, 1, 8)),
+               std::logic_error);
+  EXPECT_THROW(net.multicast(5, {1}, make_value_payload(7, 1, 8)),
+               std::logic_error);
+  EXPECT_EQ(net.ledger().msgs_sent(0), 0u);
+  EXPECT_EQ(net.ledger().bits_sent(0), 0u);
+  EXPECT_TRUE(net.pending_visible_to_adversary().empty());
+  net.advance_round();
+  for (ProcId p = 0; p < 4; ++p) {
+    EXPECT_TRUE(net.inbox(p).empty()) << p;
+    EXPECT_EQ(net.ledger().bits_received(p), 0u) << p;
+  }
 }
 
 TEST(Network, RejectsFullCorruption) {

@@ -23,9 +23,9 @@
 // Scenarios mirror the examples (quickstart, randomness_beacon) and one
 // E-series configuration per protocol family: AEBA with unreliable coins
 // (E3), Ben-Or (E9), almost-everywhere-to-everywhere (E4), and universe
-// reduction (E13). Two harness-level scenarios (the ShareFlow secret-
-// sharing storm and mixed-tag delivery) exercise layers below the
-// protocol adapters and stay hand-rolled.
+// reduction (E13). Three harness-level scenarios (the ShareFlow secret-
+// sharing storm, mixed-tag delivery, and multicast staging) exercise
+// layers below the protocol adapters and stay hand-rolled.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -37,6 +37,7 @@
 #include "net/network.h"
 #include "sim/protocol.h"
 #include "sim/scenario.h"
+#include "transport/transport.h"
 #include "tree/tournament_tree.h"
 
 namespace ba {
@@ -532,6 +533,100 @@ TEST(ParallelParity, NetworkDeliveryMixedTags) {
     return d.h;
   };
   expect_parity("network_mixed_tags", scenario, 0x3be79e5fc38f109dULL);
+}
+
+/// Transport that digests every on_send callback and round barrier, in
+/// the order the network makes them.
+class RecordingTransport final : public Transport {
+ public:
+  RunDigest d;
+
+  const char* backend_name() const override { return "recording"; }
+  void on_attach(std::size_t n) override { d.mix(n); }
+  void on_send(const Envelope& e) override {
+    d.mix(e.from);
+    d.mix(e.to);
+    d.mix(e.round);
+    d.mix(e.payload.tag);
+    for (std::uint64_t w : e.payload.words) d.mix(w);
+  }
+  void sync_round(std::uint64_t round,
+                  std::vector<std::vector<Envelope>>&) override {
+    d.mix(0xBA77u);
+    d.mix(round);
+  }
+  const TransportStats& stats() const override { return stats_; }
+
+ private:
+  TransportStats stats_;
+};
+
+TEST(ParallelParity, NetworkStagingMulticastMatchesPerMessageSends) {
+  // The deferred staging fill in isolation: each round mixes send() and
+  // multicast() (duplicate receivers, receiver lists spanning every
+  // worker's range, enough traffic to fan the fill out), reads the
+  // adversary's view between sends, and corrupts mid-round. Everything
+  // observable — visible refs and their envelopes, the on_send sequence,
+  // inboxes, ledger — must match at any worker count, and match the same
+  // traffic sent message by message.
+  auto scenario = [](bool per_message) {
+    const std::size_t n = 512;
+    Network net(n, n / 3);
+    RecordingTransport transport;
+    net.set_transport(&transport);
+    Rng rng(91);
+    RunDigest d;
+    auto read_view = [&] {
+      for (const PendingRef& r : net.pending_visible_to_adversary()) {
+        d.mix(r.to);
+        d.mix(r.index);
+        const Envelope& e = net.pending_envelope(r);
+        d.mix(e.from);
+        d.mix(e.payload.words[0]);
+      }
+      d.mix(0x5EEu);
+    };
+    for (int round = 0; round < 4; ++round) {
+      for (int phase = 0; phase < 2; ++phase) {
+        for (int i = 0; i < 48; ++i) {
+          const auto from = static_cast<ProcId>(rng.below(n));
+          std::vector<ProcId> to(40 + rng.below(40));
+          for (ProcId& r : to) r = static_cast<ProcId>(rng.below(n));
+          to.push_back(to.front());  // duplicate receiver
+          const Payload p = make_words_payload(
+              200 + static_cast<std::uint32_t>(rng.below(3)),
+              {rng.next(), rng.next(), rng.next()});
+          if (per_message) {
+            for (ProcId r : to) net.send(from, r, p);
+          } else {
+            net.multicast(from, to, p);
+          }
+          net.send(static_cast<ProcId>(rng.below(n)),
+                   static_cast<ProcId>(rng.below(n)),
+                   make_value_payload(201, rng.next(), 61));
+        }
+        read_view();
+        if (net.corruption_budget_left() > 0)
+          net.corrupt(static_cast<ProcId>(rng.below(n)));
+      }
+      read_view();
+      net.advance_round();
+      for (ProcId p = 0; p < n; ++p)
+        for (const auto& env : net.inbox(p)) {
+          d.mix(env.from);
+          d.mix(env.payload.tag);
+          d.mix(env.payload.words[0]);
+        }
+    }
+    mix_ledger(d, net);
+    d.mix(transport.d.h);
+    return d.h;
+  };
+  Pool::set_threads(1);
+  const std::uint64_t per_message = scenario(true);
+  Pool::set_threads(0);
+  expect_parity("network_staging_multicast", [&] { return scenario(false); },
+                per_message);
 }
 
 }  // namespace
