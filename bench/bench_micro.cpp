@@ -292,9 +292,11 @@ Comparison compare_shamir_deal() {
   }
   {
     Rng r(8);
+    std::vector<Fp> coeffs;
     std::vector<VectorShare> out;
     c.current_ns = time_ns_per_op([&] {
-      scheme.deal_into(secret, r, out);
+      scheme.draw_coeffs(secret.size(), r, coeffs);
+      scheme.deal_from_coeffs(secret, coeffs, out);
       benchmark::DoNotOptimize(out);
     });
   }

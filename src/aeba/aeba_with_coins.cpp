@@ -65,6 +65,10 @@ AebaMachine::AebaMachine(std::uint64_t context, std::vector<ProcId> members,
   BA_REQUIRE(graph_->size() == members_.size(),
              "graph must have one vertex per member");
   BA_REQUIRE(instances_ >= 1, "need at least one instance");
+  // The coin caches key instances by 32 bits (coin_key), and the packed
+  // vote rows would wrap to zero words near SIZE_MAX.
+  BA_REQUIRE(instances_ <= (std::size_t{1} << 32),
+             "at most 2^32 instances per machine");
   ProcId max_id = 0;
   for (ProcId m : members_) max_id = std::max(max_id, m);
   member_pos_.assign(max_id + 1, -1);

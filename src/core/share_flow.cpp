@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <unordered_map>
+#include <map>
 
 #include "common/plurality.h"
 #include "common/pool.h"
@@ -70,17 +70,22 @@ void ShareFlow::ensure_worker_scratch() {
 void ShareFlow::set_fault_style(FaultStyle s) {
   style_ = s;
   plan_level_ = SIZE_MAX;
+  drop_plans();
+}
+
+void ShareFlow::drop_plans() {
   plans_.clear();
+  ++plan_generation_;
+  // No plan is left to hold a decoder pointer.
+  cache_.trim_decoders();
 }
 
 ShareFlow::NodePlans& ShareFlow::plans_at(std::size_t level,
                                           std::size_t node_idx) {
-  if (plan_level_ != level || plan_corrupt_count_ != net_.corrupt_count() ||
-      plan_robust_epoch_ != cache_.robust_epoch()) {
+  if (plan_level_ != level || plan_corrupt_count_ != net_.corrupt_count()) {
     plan_level_ = level;
     plan_corrupt_count_ = net_.corrupt_count();
-    plan_robust_epoch_ = cache_.robust_epoch();
-    plans_.clear();
+    drop_plans();
     plans_.resize(tree_.nodes_at(level));
   }
   return plans_[node_idx];
@@ -151,11 +156,10 @@ ShareFlow::ExposurePlan ShareFlow::build_exposure_plan(const ArrayState& a) {
           plan.lies.push_back(sent[ri]);
         }
       }
-      // Group by parent chain. The map's iteration order fixes the
-      // decoded-record order and with it the next level's lie-draw
-      // order; built with the identical key sequence, it iterates
-      // identically every run, so the plan records it once.
-      std::unordered_map<Chain, std::vector<std::uint32_t>> group_map;
+      // Group by parent chain, in ascending chain order. That order fixes
+      // the decoded-record order and with it the next level's lie-draw
+      // order, so it must not depend on the standard library.
+      std::map<Chain, std::vector<std::uint32_t>> group_map;
       for (std::size_t ri = 0; ri < recs.size(); ++ri)
         if (sent[ri] != kDropped)
           group_map[chain_parent(recs[ri].chain, m)].push_back(
@@ -180,7 +184,7 @@ ShareFlow::ExposurePlan ShareFlow::build_exposure_plan(const ArrayState& a) {
           xs.push_back(Fp(chain_elem(recs[ri].chain, m - 1)));
         }
         g.share_end = static_cast<std::uint32_t>(plan.shares.size());
-        g.dec = &cache_.prewarm_points(xs, t);
+        g.dec = &cache_.robust(xs, t);
         g.out = plan.slots++;
         decoded.push_back({pc, rpos, g.out});
         plan.groups.push_back(g);
@@ -220,7 +224,7 @@ ShareFlow::ExposurePlan ShareFlow::build_exposure_plan(const ArrayState& a) {
     }
     lf.share_end = static_cast<std::uint32_t>(plan.shares.size());
     if (lf.share_end - lf.share_begin >= t1 + 1) {
-      lf.dec = &cache_.prewarm_points(xs, t1);
+      lf.dec = &cache_.robust(xs, t1);
       lf.secret = plan.slots++;
     }
     plan.leaves.push_back(lf);
@@ -327,7 +331,7 @@ std::vector<std::vector<ShareRec>> ShareFlow::deal_to_leaf_batch(
     recs.resize(k1);
     const bool lies = lying(job.owner);
     if (!lies) {
-      const CachedScheme& scheme = cache_.prewarm(k1, t1);
+      const CachedScheme& scheme = cache_.scheme(k1, t1);
       scheme_of[ji] = &scheme;
       scheme.draw_coeffs(job.words->size(), rng_, coeffs_of[ji]);
     }
@@ -366,7 +370,7 @@ void ShareFlow::send_secret_up(
   const std::size_t drop = new_offset - a.word_offset;
   ensure_worker_scratch();
 
-  const CachedScheme& scheme = cache_.prewarm(d, t);
+  const CachedScheme& scheme = cache_.scheme(d, t);
   struct UpItem {
     std::uint32_t rec_idx;
     std::uint32_t base;  ///< index of its first output record in `next`
@@ -540,12 +544,14 @@ std::vector<ShareFlow::Exposure> ShareFlow::expose(
     std::vector<Instance> ins(count);
     std::vector<LeafViews> views_of;
     views_of.reserve(count);
-    SchemeCache::RobustPin pin(cache_);
-    const std::uint64_t epoch = cache_.robust_epoch();
-    for (std::size_t ji = 0; ji < count; ++ji)
+    // The first instantiation may drop stale plans; after it, the chunk
+    // holds plan and decoder pointers, so no drop may happen until its
+    // last decode.
+    std::uint64_t generation = 0;
+    for (std::size_t ji = 0; ji < count; ++ji) {
       instantiate(jobs[jb + ji], ins[ji], views_of);
-    BA_ENSURE(cache_.robust_epoch() == epoch,
-              "decoder map reset mid-chunk despite the pin");
+      if (ji == 0) generation = plan_generation_;
+    }
 
     std::vector<std::array<std::uint32_t, 2>> todo;
     for (std::size_t li = 0; li + 1 < level; ++li) {
@@ -606,6 +612,8 @@ std::vector<ShareFlow::Exposure> ShareFlow::expose(
         for (std::size_t w = 0; w < in.nwords; ++w)
           views.set(rel, pos, w, Fp(stream.next()));
     });
+    BA_ENSURE(plan_generation_ == generation,
+              "exposure plans dropped while a chunk held them");
 
     for (std::size_t ji = 0; ji < count; ++ji) apply(ins[ji], views_of[ji]);
   };

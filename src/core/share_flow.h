@@ -27,8 +27,7 @@
 //    (processor, messages sent, messages received). The plan is index
 //    based: every word run it names is a slot of one arena block of
 //    slots x nwords words per exposure. Records are grouped by parent
-//    chain in the order a std::unordered_map built from the node's key
-//    sequence iterates them; that order fixes the next level's
+//    chain in ascending chain order; that order fixes the next level's
 //    lie-draw order, and it is computed once, when the plan is built;
 //  * the instantiation — the only work on a cache hit: an exact lookup
 //    by the array's (chain, holder_pos) sequence, one arena block, the
@@ -36,13 +35,18 @@
 //    dispatches, one Network::charge_table call per table and the
 //    pooled open tally.
 //
-// A plan is valid while three keys hold: the tree level being exposed
+// A plan is valid while two keys hold: the tree level being exposed
 // (plans of one level only are kept, which bounds the cache to one
-// level), Network::corrupt_count() (corruption only grows, so the masks
-// moved iff it did) and the decoder map's SchemeCache::robust_epoch()
-// (decoder pointers die with an epoch). Any change drops every plan;
-// set_fault_style drops them too. Plans live in the flow, so every run
-// starts cold.
+// level) and Network::corrupt_count() (corruption only grows, so the
+// masks moved iff it did). Any change drops every plan; set_fault_style
+// drops them too. Plans live in the flow, so every run starts cold.
+//
+// The plans are also the only lifetime rule for the decoders they point
+// to: the flow resolves every decoder serially while it builds a plan,
+// and trims the cache's decoder map (SchemeCache::trim_decoders) right
+// after it drops its plans, so no decoder pointer outlives a plan. A
+// plan generation counter asserts that no drop happens while an
+// exposure chunk holds plan pointers.
 //
 // All traffic is charged to the BitLedger through the plans' charge
 // tables (Network::charge_table, which equals the same messages'
@@ -60,9 +64,9 @@
 // centralised in fill_garbage (core/array_state.h).
 //
 // Parallelism (the round engine, common/pool.h). The flows are fanned
-// across the pool under the cache's two-phase protocol and a hard
-// draw-order contract that keeps every run byte-identical at any worker
-// count:
+// across the pool under a hard draw-order contract that keeps every run
+// byte-identical at any worker count; workers share the cache's schemes
+// and decoders by const reference, resolved by the serial driver pass:
 //
 //  * Randomness never depends on scheduling: each batch splits into a
 //    serial driver pass that consumes rng_ in a fixed order (dealing
@@ -235,8 +239,8 @@ class ShareFlow {
   /// Batched sendDown + sendOpen for a whole level of exposures (every
   /// job at the same tree level). Byte-identical to calling send_down +
   /// send_open job by job — same Rng draw order, same ledger totals,
-  /// same views — but the batch shares one arena epoch and one decoder
-  /// pin per chunk, and recombinations across all jobs fan out in one
+  /// same views — but the batch shares one arena epoch per chunk, and
+  /// recombinations across all jobs fan out in one
   /// pool dispatch per tree level plus one for the leaf exchanges. Each
   /// job draws, in order: per level its lying holders' garbage and then
   /// the level's failure salt, its lying 1-shares and then the leaf
@@ -314,7 +318,7 @@ class ShareFlow {
     std::vector<std::pair<Chain, std::uint32_t>> layout;
     std::uint32_t slots = 0;
     std::vector<Level> levels;  ///< [li] is tree level `level - li`
-    std::vector<Group> groups;  ///< level-major, frontier then map order
+    std::vector<Group> groups;  ///< level-major, frontier then chain order
     std::vector<Leaf> leaves;   ///< frontier order
     std::vector<std::uint32_t> shares;  ///< share slots, per group/leaf
     /// Lying holders' slots in draw order: levels, then the leaves.
@@ -331,6 +335,8 @@ class ShareFlow {
   /// The cached plans of `node_idx` at `level`; drops every plan first
   /// when a validity key moved (see the header comment).
   NodePlans& plans_at(std::size_t level, std::size_t node_idx);
+  /// Drop every plan, then trim the decoders they pointed to.
+  void drop_plans();
   /// Array a's exposure plan: a cache hit, or a fresh build.
   const ExposurePlan& exposure_plan(const ArrayState& a);
   /// The sendOpen plan of node (level, node_idx), built on first use.
@@ -383,10 +389,10 @@ class ShareFlow {
   std::vector<PluralityCounter> node_tally_scratch_;
 
   // Exposure plan cache (see the header comment): plans of one tree
-  // level, valid while the three keys match.
+  // level, valid while the two keys match.
   std::size_t plan_level_ = SIZE_MAX;
   std::size_t plan_corrupt_count_ = 0;
-  std::uint64_t plan_robust_epoch_ = 0;
+  std::uint64_t plan_generation_ = 0;  ///< bumped by every drop_plans()
   std::vector<NodePlans> plans_;  ///< by node index at plan_level_
 
   // Instrumentation for report extras (not part of any fingerprint).

@@ -139,155 +139,6 @@ std::optional<std::vector<Fp>> berlekamp_welch(const std::vector<Fp>& xs,
   return p;
 }
 
-// ------------------------------------------- BatchedBerlekampWelch --
-
-BatchedBerlekampWelch::BatchedBerlekampWelch(std::vector<Fp> xs,
-                                             std::size_t degree,
-                                             std::size_t max_errors)
-    : m_(xs.size()),
-      degree_(degree),
-      max_errors_(max_errors),
-      qn_(degree + max_errors + 1),
-      xs_(std::move(xs)) {
-  BA_REQUIRE(m_ >= degree_ + 1 + 2 * max_errors_,
-             "not enough points for this error budget");
-  for (std::size_t i = 0; i < m_; ++i)
-    for (std::size_t j = i + 1; j < m_; ++j)
-      BA_REQUIRE(xs_[i] != xs_[j],
-                 "batched Berlekamp-Welch requires distinct points");
-  // Powers x_i^0 .. x_i^max_errors: per word, column j of the replay
-  // block is -y_i * x_i^j and the rhs is y_i * x_i^max_errors.
-  xpow_.resize(m_ * (max_errors_ + 1));
-  for (std::size_t i = 0; i < m_; ++i) {
-    Fp pw(1);
-    for (std::size_t j = 0; j <= max_errors_; ++j) {
-      xpow_[i * (max_errors_ + 1) + j] = pw;
-      pw *= xs_[i];
-    }
-  }
-  // Fraction-free elimination of the m x qn Vandermonde block, recording
-  // each step's pivot and row multipliers so the per-word columns can
-  // replay the identical row operations. No row swaps: the step-r pivot
-  // is (up to the accumulated nonzero row scalings) the determinant of
-  // the leading (r+1) x (r+1) Vandermonde minor, nonzero for distinct
-  // points.
-  std::vector<std::vector<Fp>> a(m_, std::vector<Fp>(qn_, Fp(0)));
-  for (std::size_t i = 0; i < m_; ++i) {
-    Fp pw(1);
-    for (std::size_t j = 0; j < qn_; ++j) {
-      a[i][j] = pw;
-      pw *= xs_[i];
-    }
-  }
-  factors_.resize(qn_);
-  pivots_.resize(qn_);
-  for (std::size_t r = 0; r < qn_; ++r) {
-    const Fp piv = a[r][r];
-    BA_ENSURE(!piv.is_zero(), "Vandermonde leading minor vanished");
-    pivots_[r] = piv;
-    auto& fr = factors_[r];
-    fr.resize(m_ - r - 1);
-    for (std::size_t s = r + 1; s < m_; ++s) {
-      const Fp f = a[s][r];
-      fr[s - r - 1] = f;
-      for (std::size_t c = r; c < qn_; ++c)
-        a[s][c] = a[s][c] * piv - f * a[r][c];
-    }
-  }
-  upper_.assign(qn_ * qn_, Fp(0));
-  for (std::size_t r = 0; r < qn_; ++r)
-    for (std::size_t c = r; c < qn_; ++c) upper_[r * qn_ + c] = a[r][c];
-  pivot_inv_ = pivots_;
-  batch_inverse(pivot_inv_);
-}
-
-std::optional<std::vector<Fp>> BatchedBerlekampWelch::decode(
-    const std::vector<Fp>& ys) const {
-  return decode(ys, scratch_);
-}
-
-std::optional<std::vector<Fp>> BatchedBerlekampWelch::decode(
-    const std::vector<Fp>& ys, Scratch& scratch) const {
-  BA_REQUIRE(ys.size() == m_, "point vectors must pair up");
-  const std::size_t en = max_errors_;
-  const std::size_t width = en + 1;  // E columns plus the rhs
-  // Row i: [ -y_i x^0, ..., -y_i x^{en-1} | y_i x^en ].
-  scratch.cols.resize(m_ * width);
-  for (std::size_t i = 0; i < m_; ++i) {
-    const Fp* pw = &xpow_[i * width];
-    Fp* row = &scratch.cols[i * width];
-    for (std::size_t j = 0; j < en; ++j) row[j] = Fp(0) - ys[i] * pw[j];
-    row[en] = ys[i] * pw[en];
-  }
-  // Replay the recorded V-block eliminations over the y-columns.
-  for (std::size_t r = 0; r < qn_; ++r) {
-    const Fp piv = pivots_[r];
-    const Fp* rrow = &scratch.cols[r * width];
-    const auto& fr = factors_[r];
-    for (std::size_t s = r + 1; s < m_; ++s) {
-      const Fp f = fr[s - r - 1];
-      Fp* srow = &scratch.cols[s * width];
-      for (std::size_t c = 0; c < width; ++c)
-        srow[c] = srow[c] * piv - f * rrow[c];
-    }
-  }
-  // Tail system: rows qn .. m-1 constrain only the E coefficients. The
-  // per-word tail construction is inherent to solve_linear's by-value
-  // (argument-consuming) interface; the tail is (m - qn) x en — small
-  // next to the replay block above.
-  scratch.e.assign(en, Fp(0));
-  if (en == 0) {
-    for (std::size_t s = qn_; s < m_; ++s)
-      if (!scratch.cols[s * width + en].is_zero()) return std::nullopt;
-  } else {
-    std::vector<std::vector<Fp>> tail(m_ - qn_, std::vector<Fp>(en));
-    std::vector<Fp> rhs(m_ - qn_);
-    for (std::size_t s = qn_; s < m_; ++s) {
-      const Fp* row = &scratch.cols[s * width];
-      for (std::size_t j = 0; j < en; ++j) tail[s - qn_][j] = row[j];
-      rhs[s - qn_] = row[en];
-    }
-    auto e_sol = solve_linear(std::move(tail), std::move(rhs));
-    if (!e_sol) return std::nullopt;
-    scratch.e = std::move(*e_sol);
-  }
-  // Back-substitute the Q coefficients through the eliminated V block.
-  scratch.q.assign(qn_, Fp(0));
-  for (std::size_t r = qn_; r-- > 0;) {
-    const Fp* row = &scratch.cols[r * width];
-    Fp acc = row[en];
-    for (std::size_t j = 0; j < en; ++j) acc -= row[j] * scratch.e[j];
-    for (std::size_t c = r + 1; c < qn_; ++c)
-      acc -= upper_[r * qn_ + c] * scratch.q[c];
-    scratch.q[r] = acc * pivot_inv_[r];
-  }
-  // Q / E with E made monic, then the usual verification — identical to
-  // berlekamp_welch()'s tail.
-  scratch.e.push_back(Fp(1));  // monic x^max_errors term
-  auto p = poly_divide_exact(scratch.q, scratch.e);
-  if (!p) return std::nullopt;
-  if (p->size() > degree_ + 1) {
-    for (std::size_t j = degree_ + 1; j < p->size(); ++j)
-      if (!(*p)[j].is_zero()) return std::nullopt;
-    p->resize(degree_ + 1);
-  }
-  std::size_t errors = 0;
-  for (std::size_t i = 0; i < m_; ++i)
-    if (poly_eval(*p, xs_[i]) != ys[i]) ++errors;
-  if (errors > max_errors_) return std::nullopt;
-  return p;
-}
-
-std::vector<std::optional<std::vector<Fp>>>
-BatchedBerlekampWelch::decode_words(
-    const std::vector<std::vector<Fp>>& words) const {
-  std::vector<std::optional<std::vector<Fp>>> out;
-  out.reserve(words.size());
-  Scratch scratch;
-  for (const auto& ys : words) out.push_back(decode(ys, scratch));
-  return out;
-}
-
 std::optional<std::vector<Fp>> robust_reconstruct(
     const std::vector<VectorShare>& shares, std::size_t privacy_threshold) {
   BA_REQUIRE(!shares.empty(), "no shares");

@@ -8,12 +8,6 @@ std::vector<VectorShare> redeal(const VectorShare& parent, std::size_t n,
   return scheme.deal(parent.ys, rng);
 }
 
-std::vector<VectorShare> redeal(const VectorShare& parent, std::size_t n,
-                                std::size_t t, Rng& rng,
-                                SchemeCache& cache) {
-  return cache.scheme(n, t).deal(parent.ys, rng);
-}
-
 VectorShare recombine(const std::vector<VectorShare>& shares,
                       std::uint32_t parent_x, std::size_t t) {
   BA_REQUIRE(parent_x != 0, "parent evaluation point must be non-zero");

@@ -16,7 +16,6 @@
 
 #include <vector>
 
-#include "crypto/scheme_cache.h"
 #include "crypto/shamir.h"
 
 namespace ba {
@@ -26,12 +25,6 @@ namespace ba {
 /// is positional metadata the caller keeps; it is not re-shared.
 std::vector<VectorShare> redeal(const VectorShare& parent, std::size_t n,
                                 std::size_t t, Rng& rng);
-
-/// Cached variant for iteration loops: dealing goes through the cache's
-/// precomputed (n, t) Vandermonde matrix. Byte-identical to the plain
-/// redeal for the same Rng state.
-std::vector<VectorShare> redeal(const VectorShare& parent, std::size_t n,
-                                std::size_t t, Rng& rng, SchemeCache& cache);
 
 /// Recombine >= t+1 i-shares (all dealt from one (i-1)-share by `redeal`)
 /// into that (i-1)-share, whose evaluation point was `parent_x`.

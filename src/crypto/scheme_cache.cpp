@@ -30,14 +30,11 @@ CachedScheme::CachedScheme(std::size_t num_shares,
 
 std::vector<VectorShare> CachedScheme::deal(const std::vector<Fp>& secret,
                                             Rng& rng) const {
+  std::vector<Fp> coeffs;
+  draw_coeffs(secret.size(), rng, coeffs);
   std::vector<VectorShare> shares;
-  deal_into(secret, rng, shares);
+  deal_from_coeffs(secret, coeffs, shares);
   return shares;
-}
-
-void CachedScheme::deal_into(const std::vector<Fp>& secret, Rng& rng,
-                             std::vector<VectorShare>& out) const {
-  deal_into(secret, rng, out, scratch_);
 }
 
 std::uint64_t CachedScheme::precompute_fingerprint() const {
@@ -46,13 +43,6 @@ std::uint64_t CachedScheme::precompute_fingerprint() const {
   d.mix(t_);
   for (const Fp& v : vand_) d.mix(v.value());
   return d.h;
-}
-
-void CachedScheme::deal_into(const std::vector<Fp>& secret, Rng& rng,
-                             std::vector<VectorShare>& out,
-                             DealScratch& scratch) const {
-  draw_coeffs(secret.size(), rng, scratch.coeffs);
-  deal_from_coeffs(secret, scratch.coeffs, out);
 }
 
 void CachedScheme::draw_coeffs(std::size_t words, Rng& rng,
@@ -172,20 +162,15 @@ std::optional<Fp> RobustDecoder::decode_word(Scratch& scratch) const {
 
 std::optional<std::vector<Fp>> RobustDecoder::reconstruct(
     const std::vector<VectorShare>& shares) const {
-  return reconstruct(shares, scratch_);
-}
-
-std::optional<std::vector<Fp>> RobustDecoder::reconstruct(
-    const std::vector<VectorShare>& shares, Scratch& scratch) const {
   const std::size_t m = xs_.size();
   BA_REQUIRE(shares.size() == m, "share count must match the point set");
   const std::size_t words = shares.empty() ? 0 : shares.front().ys.size();
-  scratch.spans.resize(m);
+  std::vector<FpSpan> spans(m);
   for (std::size_t i = 0; i < m; ++i)
-    scratch.spans[i] = FpSpan{shares[i].ys.data(), shares[i].ys.size()};
+    spans[i] = FpSpan{shares[i].ys.data(), shares[i].ys.size()};
   std::vector<Fp> secret(words);
-  if (!reconstruct_into(scratch.spans.data(), m, words, secret.data(),
-                        scratch))
+  Scratch scratch;
+  if (!reconstruct_into(spans.data(), m, words, secret.data(), scratch))
     return std::nullopt;
   return secret;
 }
@@ -225,10 +210,6 @@ bool RobustDecoder::reconstruct_into(const FpSpan* shares, std::size_t count,
 }
 
 // -------------------------------------------------------- SchemeCache --
-//
-// The mutating scheme()/robust() conveniences are find + insert-on-miss
-// over the same const finders the phase-2 workers use — one key/match
-// definition, so the two paths cannot drift.
 
 namespace {
 
@@ -238,13 +219,12 @@ std::uint64_t scheme_key(std::size_t num_shares,
          static_cast<std::uint64_t>(privacy_threshold);
 }
 
-/// Bucket hash over (t, xs) — the one definition behind lookup and
-/// insert.
-std::uint64_t robust_key_hash(const Fp* xs, std::size_t count,
+/// Bucket hash over (t, xs).
+std::uint64_t robust_key_hash(const std::vector<Fp>& xs,
                               std::size_t privacy_threshold) {
   Fnv1a d;
   d.mix(privacy_threshold);
-  for (std::size_t i = 0; i < count; ++i) d.mix(xs[i].value());
+  for (const Fp& x : xs) d.mix(x.value());
   return d.h;
 }
 
@@ -252,63 +232,27 @@ std::uint64_t robust_key_hash(const Fp* xs, std::size_t count,
 
 const CachedScheme& SchemeCache::scheme(std::size_t num_shares,
                                         std::size_t privacy_threshold) {
-  if (const CachedScheme* hit = find_scheme(num_shares, privacy_threshold))
-    return *hit;
-  return *schemes_
-              .emplace(scheme_key(num_shares, privacy_threshold),
-                       std::make_unique<CachedScheme>(num_shares,
-                                                      privacy_threshold))
-              .first->second;
+  auto& slot = schemes_[scheme_key(num_shares, privacy_threshold)];
+  if (!slot)
+    slot = std::make_unique<CachedScheme>(num_shares, privacy_threshold);
+  return *slot;
 }
 
 const RobustDecoder& SchemeCache::robust(const std::vector<Fp>& xs,
                                          std::size_t privacy_threshold) {
-  if (const RobustDecoder* hit = find_robust(xs, privacy_threshold))
-    return *hit;
-  // Epoch reset (rebuilt on demand) — deferred to unpin_robust() while a
-  // pre-warm batch holds references into the map.
-  if (decoder_count_ >= kMaxDecoders && !robust_pinned_) {
-    decoders_.clear();
-    decoder_count_ = 0;
-    ++robust_epoch_;
-  }
-  auto& bucket =
-      decoders_[robust_key_hash(xs.data(), xs.size(), privacy_threshold)];
-  bucket.push_back(
-      std::make_unique<RobustDecoder>(xs, privacy_threshold));
+  auto& bucket = decoders_[robust_key_hash(xs, privacy_threshold)];
+  for (const auto& dec : bucket)
+    if (dec->privacy_threshold() == privacy_threshold && dec->points() == xs)
+      return *dec;
+  bucket.push_back(std::make_unique<RobustDecoder>(xs, privacy_threshold));
   ++decoder_count_;
   return *bucket.back();
 }
 
-void SchemeCache::unpin_robust() {
-  robust_pinned_ = false;
-  if (decoder_count_ > kMaxDecoders) {  // the batch overflowed the bound
-    decoders_.clear();
-    decoder_count_ = 0;
-    ++robust_epoch_;
-  }
-}
-
-const CachedScheme* SchemeCache::find_scheme(
-    std::size_t num_shares, std::size_t privacy_threshold) const {
-  auto it = schemes_.find(scheme_key(num_shares, privacy_threshold));
-  return it == schemes_.end() ? nullptr : it->second.get();
-}
-
-const RobustDecoder* SchemeCache::find_robust(
-    const Fp* xs, std::size_t count, std::size_t privacy_threshold) const {
-  auto it = decoders_.find(robust_key_hash(xs, count, privacy_threshold));
-  if (it == decoders_.end()) return nullptr;
-  for (const auto& dec : it->second) {
-    if (dec->privacy_threshold() != privacy_threshold ||
-        dec->points().size() != count)
-      continue;
-    bool match = true;
-    for (std::size_t i = 0; match && i < count; ++i)
-      match = dec->points()[i] == xs[i];
-    if (match) return dec.get();
-  }
-  return nullptr;
+void SchemeCache::trim_decoders() {
+  if (decoder_count_ <= kMaxDecoders) return;
+  decoders_.clear();
+  decoder_count_ = 0;
 }
 
 }  // namespace ba

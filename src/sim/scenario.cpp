@@ -1,6 +1,7 @@
 #include "sim/scenario.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -77,11 +78,7 @@ int enum_value(const EnumName (&table)[N], const std::string& name) {
 }
 
 std::uint64_t parse_u64(const std::string& v) {
-  char* end = nullptr;
-  const std::uint64_t out = std::strtoull(v.c_str(), &end, 10);
-  BA_REQUIRE(end != v.c_str() && *end == '\0',
-             "integer spec values must be unsigned decimal numbers");
-  return out;
+  return parse_unsigned(v, "integer spec value");
 }
 
 std::size_t parse_size(const std::string& v) {
@@ -103,6 +100,20 @@ bool parse_bool(const std::string& v) {
 }
 
 }  // namespace
+
+std::uint64_t parse_unsigned(const std::string& v, const std::string& what) {
+  // strtoull alone would accept a sign (wrapping "-5" to 2^64 - 5) and
+  // leading whitespace, and saturate out-of-range values silently.
+  const bool digits = !v.empty() && std::all_of(v.begin(), v.end(), [](char c) {
+    return c >= '0' && c <= '9';
+  });
+  BA_REQUIRE(digits,
+             what + ": expected an unsigned decimal integer, got '" + v + "'");
+  errno = 0;
+  const std::uint64_t out = std::strtoull(v.c_str(), nullptr, 10);
+  BA_REQUIRE(errno != ERANGE, what + ": " + v + " exceeds 2^64 - 1");
+  return out;
+}
 
 const char* to_string(ProtocolKind k) {
   return enum_name(kProtocolNames, static_cast<int>(k));
@@ -216,8 +227,11 @@ void ScenarioSpec::apply(const std::string& key, const std::string& value) {
   else if (key == "flood_per_pair") flood_per_pair = parse_size(value);
   else if (key == "inputs")
     inputs = static_cast<InputPattern>(enum_value(kInputNames, value));
-  else if (key == "input_value")
-    input_value = static_cast<std::uint8_t>(parse_u64(value));
+  else if (key == "input_value") {
+    const std::uint64_t bit = parse_u64(value);
+    BA_REQUIRE(bit <= 1, "input_value must be 0 or 1");
+    input_value = static_cast<std::uint8_t>(bit);
+  }
   else if (key == "input_fraction") input_fraction = parse_double(value);
   else if (key == "input_seed") input_seed = parse_u64(value);
   else if (key == "protocol_seed") protocol_seed = parse_u64(value);

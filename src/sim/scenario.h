@@ -192,6 +192,12 @@ struct ScenarioSpec {
   }
 };
 
+/// Strict unsigned decimal parse shared by the spec and job-line
+/// grammars: every character a digit (no sign, no whitespace, not
+/// empty), and the value must fit in 64 bits. Throws BA_REQUIRE naming
+/// `what` otherwise.
+std::uint64_t parse_unsigned(const std::string& v, const std::string& what);
+
 /// Named scenario configurations: the 5 examples plus the E-series
 /// experiment configs, exactly as the historical binaries wired them.
 class ScenarioRegistry {

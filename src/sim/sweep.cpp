@@ -88,10 +88,7 @@ SweepJob parse_job_line(const std::string& line) {
       if (key == "seed_offset") {
         BA_REQUIRE(!saw_offset, "job line: duplicate seed_offset");
         saw_offset = true;
-        char* endp = nullptr;
-        job.seed_offset = std::strtoull(value.c_str(), &endp, 10);
-        BA_REQUIRE(endp != value.c_str() && *endp == '\0',
-                   "job line: seed_offset must be an unsigned integer");
+        job.seed_offset = parse_unsigned(value, "job line: seed_offset");
       } else {
         kv.emplace_back(std::move(key), std::move(value));
       }

@@ -210,6 +210,19 @@ TEST(Aeba, GraphSizeMustMatchMembers) {
                std::logic_error);
 }
 
+TEST(Aeba, RejectsInstanceCountsBeyondTheCoinKeyRange) {
+  // Near SIZE_MAX the packed vote rows used to wrap to zero words per
+  // member and the run wrote out of bounds.
+  Rng gr(30);
+  auto graph = RegularGraph::random(4, 2, gr);
+  EXPECT_THROW(
+      AebaMachine(1, iota_members(4), &graph, AebaParams{}, SIZE_MAX - 10),
+      std::logic_error);
+  EXPECT_THROW(AebaMachine(1, iota_members(4), &graph, AebaParams{},
+                           (std::size_t{1} << 32) + 1),
+               std::logic_error);
+}
+
 TEST(AebaParams, ThresholdFormula) {
   AebaParams p;
   p.eps = 0.1;

@@ -79,6 +79,23 @@ TEST(ScenarioSpec, ApplyRejectsUnknownKeysAndBadBooleans) {
   EXPECT_EQ(spec.adversary, sim::AdversaryKind::kCrash);
 }
 
+TEST(ScenarioSpec, ApplyRejectsSignedPaddedAndOutOfRangeIntegers) {
+  // strtoull alone accepts a sign (wrapping "-5" to 2^64 - 5) and leading
+  // whitespace, and saturates out-of-range values; integer keys must not.
+  ScenarioSpec spec = ScenarioRegistry::get("e3_aeba");
+  for (const char* bad : {"-5", "+5", " 5", "5 ", "", "18446744073709551616"})
+    EXPECT_THROW(spec.apply("aeba_instances", bad), std::logic_error)
+        << "'" << bad << "'";
+  EXPECT_THROW(spec.apply("n", "-1"), std::logic_error);
+  spec.apply("adversary_seed", "18446744073709551615");  // 2^64 - 1 fits
+  EXPECT_EQ(spec.adversary_seed, UINT64_MAX);
+  // input_value is one bit: 2 (or 256, which used to narrow to 0) fails.
+  EXPECT_THROW(spec.apply("input_value", "2"), std::logic_error);
+  EXPECT_THROW(spec.apply("input_value", "256"), std::logic_error);
+  spec.apply("input_value", "0");
+  EXPECT_EQ(spec.input_value, 0);
+}
+
 TEST(ScenarioSpec, FromKvRejectsDuplicateKeys) {
   // A duplicated key must not last-win: a sweep/fuzz artifact line has to
   // reconstruct exactly one spec or refuse loudly.

@@ -11,7 +11,6 @@
 #include "common/pool.h"
 #include "crypto/berlekamp_welch.h"
 #include "crypto/gao.h"
-#include "crypto/iterated.h"
 #include "crypto/scheme_cache.h"
 #include "crypto/shamir.h"
 
@@ -74,15 +73,29 @@ TEST(SchemeCache, DealingByteIdenticalToHornerAcrossGrid) {
   }
 }
 
-TEST(SchemeCache, DealIntoReusesStorage) {
+TEST(SchemeCache, DealFromCoeffsReusesStorageAndMatchesDeal) {
+  // The split the share flows use: draw_coeffs then deal_from_coeffs into
+  // a reused share vector deals exactly like deal(), and a second dealing
+  // of the same shape does not reallocate.
   SchemeCache cache;
   const CachedScheme& scheme = cache.scheme(9, 3);
   Rng rng(7);
+  const auto secret = random_secret(rng, 8);
+  Rng a(8), b(8);
+  std::vector<Fp> coeffs;
   std::vector<VectorShare> out;
-  scheme.deal_into(random_secret(rng, 8), rng, out);
+  scheme.draw_coeffs(secret.size(), a, coeffs);
+  scheme.deal_from_coeffs(secret, coeffs, out);
+  const auto dealt = scheme.deal(secret, b);
   ASSERT_EQ(out.size(), 9u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].x, dealt[i].x);
+    EXPECT_EQ(out[i].ys, dealt[i].ys);
+  }
+  EXPECT_EQ(a.next(), b.next());
   const Fp* storage = out[0].ys.data();
-  scheme.deal_into(random_secret(rng, 8), rng, out);  // same shape: no realloc
+  scheme.draw_coeffs(secret.size(), a, coeffs);
+  scheme.deal_from_coeffs(secret, coeffs, out);  // same shape: no realloc
   EXPECT_EQ(out[0].ys.data(), storage);
   EXPECT_EQ(out[0].ys.size(), 8u);
 }
@@ -92,7 +105,7 @@ TEST(SchemeCache, ReturnsStableReferences) {
   const CachedScheme* first = &cache.scheme(8, 2);
   for (std::size_t n = 2; n < 40; ++n) cache.scheme(n, n / 4 + 1);
   EXPECT_EQ(&cache.scheme(8, 2), first);
-  // Decoder references are stable below the eviction bound.
+  // Decoder references are stable while no trim clears the map.
   std::vector<Fp> xs{Fp(1), Fp(2), Fp(3), Fp(4), Fp(5)};
   const RobustDecoder* dec = &cache.robust(xs, 1);
   for (std::size_t i = 0; i < 30; ++i) {
@@ -100,39 +113,6 @@ TEST(SchemeCache, ReturnsStableReferences) {
     cache.robust(other, 1);
   }
   EXPECT_EQ(&cache.robust(xs, 1), dec);
-}
-
-TEST(SchemeCache, DecoderMapEvictionStillDecodes) {
-  // Push past kMaxDecoders distinct point sets: the map resets and keeps
-  // working (entries rebuild on demand).
-  SchemeCache cache;
-  Rng rng(55);
-  ShamirScheme scheme(5, 1);
-  auto secret = random_secret(rng, 2);
-  auto shares = scheme.deal(secret, rng);
-  std::vector<Fp> xs(5);
-  for (std::size_t i = 0; i < 5; ++i) xs[i] = Fp(shares[i].x);
-  for (std::size_t i = 0; i < SchemeCache::kMaxDecoders + 8; ++i) {
-    std::vector<Fp> other{Fp(2 + i), Fp(500000 + i), Fp(1000000 + i)};
-    cache.robust(other, 1);
-  }
-  auto rec = cache.robust(xs, 1).reconstruct(shares);
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(*rec, secret);
-}
-
-TEST(SchemeCache, CachedRedealMatchesPlainRedeal) {
-  SchemeCache cache;
-  Rng rng(11);
-  VectorShare parent;
-  parent.x = 3;
-  parent.ys = random_secret(rng, 6);
-  Rng a(5), b(5);
-  auto plain = redeal(parent, 7, 3, a);
-  auto cached = redeal(parent, 7, 3, b, cache);
-  ASSERT_EQ(plain.size(), cached.size());
-  for (std::size_t i = 0; i < plain.size(); ++i)
-    EXPECT_EQ(plain[i].ys, cached[i].ys);
 }
 
 // ---------------------------------------------------------------- Gao --
@@ -360,68 +340,6 @@ TEST(Gao, AgreesWithBerlekampWelchAtProtocolShapeForEveryErrorWeight) {
     }
 }
 
-// ------------------------------------------------- BatchedBerlekampWelch --
-
-TEST(BatchedBerlekampWelch, MatchesPlainBerlekampWelchPerWord) {
-  // Same accept/reject and the same polynomial as the per-word solver,
-  // across error weights from clean to beyond the budget.
-  Rng rng(24);
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t degree = 1 + rng.below(5);
-    const std::size_t budget = 1 + rng.below(4);
-    const std::size_t m = degree + 1 + 2 * budget + rng.below(3);
-    std::vector<Fp> xs(m);
-    for (std::size_t i = 0; i < m; ++i) xs[i] = Fp(i * 11 + 3);
-    const std::size_t max_errors = (m - degree - 1) / 2;
-    BatchedBerlekampWelch batched(xs, degree, max_errors);
-    for (int word = 0; word < 8; ++word) {
-      std::vector<Fp> coeffs(degree + 1);
-      for (auto& c : coeffs) c = Fp(rng.next());
-      std::vector<Fp> ys(m);
-      for (std::size_t i = 0; i < m; ++i) ys[i] = poly_eval(coeffs, xs[i]);
-      const std::size_t errors = rng.below(max_errors + 2);
-      for (auto b : rng.sample_without_replacement(m, errors))
-        ys[b] = Fp(rng.next());
-      auto via_plain = berlekamp_welch(xs, ys, degree, max_errors);
-      auto via_batched = batched.decode(ys);
-      ASSERT_EQ(via_plain.has_value(), via_batched.has_value())
-          << "trial " << trial << " word " << word << " errors " << errors;
-      if (!via_plain) continue;
-      for (std::size_t c = 0; c <= degree; ++c) {
-        const Fp p = c < via_plain->size() ? (*via_plain)[c] : Fp(0);
-        const Fp b = c < via_batched->size() ? (*via_batched)[c] : Fp(0);
-        EXPECT_EQ(p.value(), b.value()) << "trial " << trial;
-      }
-    }
-  }
-}
-
-TEST(BatchedBerlekampWelch, ZeroCodewordAndDamagedWordsMatchGao) {
-  // The regression shapes the Gao tests pin down, cross-checked through
-  // the shared factorization: an all-zero message under errors decodes to
-  // zero, and beyond-budget damage rejects.
-  std::vector<Fp> xs{Fp(1), Fp(2), Fp(3), Fp(4), Fp(5)};
-  for (std::size_t degree : {0u, 1u}) {
-    const std::size_t max_errors = (5 - degree - 1) / 2;
-    BatchedBerlekampWelch batched(xs, degree, max_errors);
-    std::vector<Fp> ys{Fp(0), Fp(7), Fp(0), Fp(0), Fp(0)};
-    auto via_batched = batched.decode(ys);
-    auto via_gao = gao_decode(xs, ys, degree, max_errors);
-    ASSERT_TRUE(via_batched.has_value()) << "degree " << degree;
-    ASSERT_TRUE(via_gao.has_value());
-    EXPECT_EQ((*via_batched)[0], Fp(0));
-  }
-  BatchedBerlekampWelch b0(xs, 0, 2);
-  std::vector<Fp> noisy{Fp(0), Fp(7), Fp(8), Fp(9), Fp(0)};
-  EXPECT_FALSE(b0.decode(noisy).has_value());
-  EXPECT_FALSE(gao_decode(xs, noisy, 0, 2).has_value());
-}
-
-TEST(BatchedBerlekampWelch, RejectsDuplicatePoints) {
-  std::vector<Fp> xs{Fp(1), Fp(1), Fp(2), Fp(3), Fp(4)};
-  EXPECT_THROW(BatchedBerlekampWelch(xs, 0, 1), std::logic_error);
-}
-
 // -------------------------------------------------------- RobustDecoder --
 
 TEST(RobustDecoder, MatchesRobustReconstructUnderCorruption) {
@@ -448,9 +366,9 @@ TEST(RobustDecoder, MatchesRobustReconstructUnderCorruption) {
 
 TEST(RobustDecoder, PrecomputeImmutableAfterConstruction) {
   // The const/scratch split's contract: no call path — clean fast-path
-  // words, damaged words (which build the Gao context), scratch-explicit
-  // or convenience overloads — may mutate the shared precompute. A worker
-  // would otherwise read a torn dealing matrix or check row.
+  // words, damaged words (which build the Gao context), span or vector
+  // entry points — may mutate the shared precompute. A worker would
+  // otherwise read a torn dealing matrix or check row.
   Rng rng(33);
   SchemeCache cache;
   ShamirScheme scheme(11, 3);
@@ -473,35 +391,44 @@ TEST(RobustDecoder, PrecomputeImmutableAfterConstruction) {
   EXPECT_NE(fp1, fp0);
   ASSERT_TRUE(dec.reconstruct(damaged).has_value());
   EXPECT_EQ(dec.precompute_fingerprint(), fp1);
+  std::vector<FpSpan> spans;
+  for (const auto& sh : damaged) spans.push_back(FpSpan{sh.ys.data(), 4});
   RobustDecoder::Scratch scratch;
-  ASSERT_TRUE(dec.reconstruct(damaged, scratch).has_value());
+  std::vector<Fp> out_words(4);
+  ASSERT_TRUE(dec.reconstruct_into(spans.data(), spans.size(), 4,
+                                   out_words.data(), scratch));
   EXPECT_EQ(dec.precompute_fingerprint(), fp1);
 
   const CachedScheme& cs = cache.scheme(11, 3);
   const std::uint64_t sfp0 = cs.precompute_fingerprint();
   Rng deal_rng(5);
+  (void)cs.deal(secret, deal_rng);
+  std::vector<Fp> coeffs;
   std::vector<VectorShare> out;
-  cs.deal_into(secret, deal_rng, out);
-  CachedScheme::DealScratch deal_scratch;
-  cs.deal_into(secret, deal_rng, out, deal_scratch);
+  cs.draw_coeffs(secret.size(), deal_rng, coeffs);
+  cs.deal_from_coeffs(secret, coeffs, out);
   EXPECT_EQ(cs.precompute_fingerprint(), sfp0);
 }
 
-TEST(RobustDecoder, ScratchExplicitReconstructMatchesConvenience) {
+TEST(RobustDecoder, SpanReconstructMatchesVectorReconstruct) {
   Rng rng(34);
   ShamirScheme scheme(9, 2);
   auto secret = random_secret(rng, 6);
   auto shares = scheme.deal(secret, rng);
   for (auto& y : shares[4].ys) y = Fp(rng.next());
   std::vector<Fp> xs(9);
-  for (std::size_t i = 0; i < 9; ++i) xs[i] = Fp(shares[i].x);
+  std::vector<FpSpan> spans(9);
+  for (std::size_t i = 0; i < 9; ++i) {
+    xs[i] = Fp(shares[i].x);
+    spans[i] = FpSpan{shares[i].ys.data(), 6};
+  }
   RobustDecoder dec(xs, 2);
   RobustDecoder::Scratch scratch;
   auto a = dec.reconstruct(shares);
-  auto b = dec.reconstruct(shares, scratch);
+  std::vector<Fp> b(6);
   ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(*a, *b);
+  ASSERT_TRUE(dec.reconstruct_into(spans.data(), 9, 6, b.data(), scratch));
+  EXPECT_EQ(*a, b);
   EXPECT_EQ(*a, secret);
 }
 
@@ -623,49 +550,43 @@ TEST(RobustDecoder, GaoPrecomputeUnchangedByWorkerBatch) {
   EXPECT_EQ(damaged, kWords);  // every word has at least one bad share
 }
 
-// ------------------------------------------- two-phase prewarm protocol --
+// ------------------------------------------ shared references, trimming --
 
-TEST(SchemeCache, PrewarmMakesLookupsConstUnderWorkerStorm) {
-  // Phase 1 (driver): pre-warm every shape and point set a round needs.
-  // Phase 2 (workers): find_scheme / find_robust are const lookups — a
-  // multi-worker deal/reconstruct storm must leave every precompute
-  // fingerprint unchanged, hit on every lookup, and produce exactly the
-  // serial results (per-item forked Rng streams, per-worker scratch).
+TEST(SchemeCache, SharedReferencesConstUnderWorkerStorm) {
+  // The driver resolves every entry with scheme() / robust(); workers then
+  // share the const references. A multi-worker deal/reconstruct storm
+  // through the allocating entry points must produce exactly the serial
+  // results (per-item forked Rng streams) and leave every precompute
+  // fingerprint unchanged — with TSan, it also checks that the const API
+  // writes no shared state.
   SchemeCache cache;
   const std::size_t kShares = 12, kT = 3, kWords = 6;
-  const CachedScheme& scheme = cache.prewarm(kShares, kT);
+  const CachedScheme& scheme = cache.scheme(kShares, kT);
   std::vector<Fp> xs(kShares);
   for (std::size_t i = 0; i < kShares; ++i) xs[i] = Fp(i + 1);
   // A second survivor pattern: shares 0..8 only (a dropped tail).
   std::vector<Fp> xs_partial(xs.begin(), xs.begin() + 9);
-  SchemeCache::RobustPin pin(cache);
-  const RobustDecoder& dec_full = cache.prewarm_points(xs, kT);
-  const RobustDecoder& dec_partial = cache.prewarm_points(xs_partial, kT);
+  const RobustDecoder& dec_full = cache.robust(xs, kT);
+  const RobustDecoder& dec_partial = cache.robust(xs_partial, kT);
   const std::uint64_t scheme_fp = scheme.precompute_fingerprint();
-  const std::uint64_t prewarm_full_fp = dec_full.precompute_fingerprint();
-  const std::uint64_t epoch = cache.robust_epoch();
+  const std::uint64_t fresh_full_fp = dec_full.precompute_fingerprint();
 
   // One storm item: fork an Rng, deal, damage two shares, reconstruct
   // through both decoders, digest everything.
-  const auto run_item = [&](std::size_t item, const CachedScheme& s,
-                            const RobustDecoder& full,
-                            const RobustDecoder& partial,
-                            CachedScheme::DealScratch& ds,
-                            RobustDecoder::Scratch& rs) {
+  const auto run_item = [&](std::size_t item) {
     Rng rng = Rng(4242).fork(item);
     std::vector<Fp> secret(kWords);
     for (auto& w : secret) w = Fp(rng.next());
-    std::vector<VectorShare> shares;
-    s.deal_into(secret, rng, shares, ds);
+    std::vector<VectorShare> shares = scheme.deal(secret, rng);
     for (auto& y : shares[1].ys) y = Fp(rng.next());
     for (auto& y : shares[7].ys) y = Fp(rng.next());
     Fnv1a digest;
-    auto v = full.reconstruct(shares, rs);
+    auto v = dec_full.reconstruct(shares);
     digest.mix(v.has_value() ? 1 : 0);
     if (v)
       for (const Fp& w : *v) digest.mix(w.value());
     shares.resize(9);
-    auto p = partial.reconstruct(shares, rs);
+    auto p = dec_partial.reconstruct(shares);
     digest.mix(p.has_value() ? 1 : 0);
     if (p)
       for (const Fp& w : *p) digest.mix(w.value());
@@ -674,86 +595,77 @@ TEST(SchemeCache, PrewarmMakesLookupsConstUnderWorkerStorm) {
 
   const std::size_t kItems = 256;
   std::vector<std::uint64_t> serial(kItems);
-  {
-    CachedScheme::DealScratch ds;
-    RobustDecoder::Scratch rs;
-    for (std::size_t i = 0; i < kItems; ++i)
-      serial[i] = run_item(i, scheme, dec_full, dec_partial, ds, rs);
-  }
+  for (std::size_t i = 0; i < kItems; ++i) serial[i] = run_item(i);
   // The serial pass built both Gao contexts (every item is damaged), so
   // the digests now cover them.
   const std::uint64_t full_fp = dec_full.precompute_fingerprint();
   const std::uint64_t partial_fp = dec_partial.precompute_fingerprint();
-  EXPECT_NE(full_fp, prewarm_full_fp);
+  EXPECT_NE(full_fp, fresh_full_fp);
 
   Pool::set_threads(8);
   std::vector<std::uint64_t> stormed(kItems, 0);
-  std::vector<std::uint8_t> lookup_hit(kItems, 0);
-  std::vector<CachedScheme::DealScratch> deal_scratch(Pool::num_threads());
-  std::vector<RobustDecoder::Scratch> rec_scratch(Pool::num_threads());
-  Pool::for_each(kItems, [&](std::size_t i, std::size_t worker) {
-    const CachedScheme* s = cache.find_scheme(kShares, kT);
-    const RobustDecoder* full = cache.find_robust(xs, kT);
-    const RobustDecoder* partial = cache.find_robust(xs_partial, kT);
-    if (s == nullptr || full == nullptr || partial == nullptr) return;
-    lookup_hit[i] = 1;
-    stormed[i] = run_item(i, *s, *full, *partial, deal_scratch[worker],
-                          rec_scratch[worker]);
+  Pool::for_each(kItems, [&](std::size_t i, std::size_t) {
+    stormed[i] = run_item(i);
   });
   Pool::set_threads(0);
 
-  for (std::size_t i = 0; i < kItems; ++i) {
-    ASSERT_TRUE(lookup_hit[i]) << "phase-2 lookup missed for item " << i;
-    EXPECT_EQ(stormed[i], serial[i]) << "item " << i;
-  }
-  // The storm was const: fingerprints, identities and epoch unchanged.
+  EXPECT_EQ(stormed, serial);
   EXPECT_EQ(scheme.precompute_fingerprint(), scheme_fp);
   EXPECT_EQ(dec_full.precompute_fingerprint(), full_fp);
   EXPECT_EQ(dec_partial.precompute_fingerprint(), partial_fp);
-  EXPECT_EQ(cache.robust_epoch(), epoch);
-  EXPECT_EQ(cache.find_scheme(kShares, kT), &scheme);
-  EXPECT_EQ(cache.find_robust(xs, kT), &dec_full);
-  EXPECT_EQ(cache.find_robust(xs_partial, kT), &dec_partial);
-  // Misses return null rather than inserting.
-  EXPECT_EQ(cache.find_scheme(99, 3), nullptr);
-  std::vector<Fp> unseen{Fp(3), Fp(1), Fp(4), Fp(1)};
-  EXPECT_EQ(cache.find_robust(unseen, 1), nullptr);
+  // The storm inserted nothing: the driver's lookups still hit.
+  EXPECT_EQ(&cache.scheme(kShares, kT), &scheme);
+  EXPECT_EQ(&cache.robust(xs, kT), &dec_full);
+  EXPECT_EQ(&cache.robust(xs_partial, kT), &dec_partial);
 }
 
-TEST(SchemeCache, RobustPinDefersEpochResetUntilUnpin) {
-  // While a pre-warm batch is pinned, inserting past kMaxDecoders must
-  // not reset the map (references collected during the batch stay
-  // valid); the overflow is settled when the pin drops.
+TEST(SchemeCache, TrimDecodersBoundsTheMapOnlyWhenAsked) {
+  // Decoder references survive any number of inserts until
+  // trim_decoders(); a trim at or below kMaxDecoders keeps the map; a
+  // trim above it clears the map, and lookups rebuild and decode.
   SchemeCache cache;
-  std::vector<Fp> first{Fp(1), Fp(2), Fp(3)};
-  std::vector<const RobustDecoder*> held;
-  const std::uint64_t epoch0 = cache.robust_epoch();
-  {
-    SchemeCache::RobustPin pin(cache);
-    held.push_back(&cache.prewarm_points(first, 1));
-    for (std::size_t i = 0; i <= SchemeCache::kMaxDecoders; ++i) {
-      // Distinct point sets, enough to overflow the bounded map.
-      std::vector<Fp> xs{Fp(i + 10), Fp(i + 11), Fp(i + 12)};
-      held.push_back(&cache.prewarm_points(xs, 1));
-    }
-    // No reset happened mid-batch: the epoch is stable and the very
-    // first reference still resolves.
-    EXPECT_EQ(cache.robust_epoch(), epoch0);
-    EXPECT_EQ(cache.find_robust(first, 1), held.front());
-  }
-  // The pin dropped with the map over its bound: one deferred reset.
-  EXPECT_NE(cache.robust_epoch(), epoch0);
-  EXPECT_EQ(cache.find_robust(first, 1), nullptr);
-  // A batch that stays within the bound keeps the cache warm across
-  // pins — no preemptive wipe.
-  const RobustDecoder& again = cache.prewarm_points(first, 1);
-  const std::uint64_t epoch1 = cache.robust_epoch();
-  {
-    SchemeCache::RobustPin pin(cache);
-    EXPECT_EQ(&cache.prewarm_points(first, 1), &again);
-  }
-  EXPECT_EQ(cache.robust_epoch(), epoch1);
-  EXPECT_EQ(cache.find_robust(first, 1), &again);
+  Rng rng(55);
+  ShamirScheme scheme(5, 1);
+  const auto secret = random_secret(rng, 2);
+  auto shares = scheme.deal(secret, rng);
+  for (auto& y : shares[3].ys) y = Fp(rng.next());  // one damaged share
+  std::vector<Fp> xs(5);
+  for (std::size_t i = 0; i < 5; ++i) xs[i] = Fp(shares[i].x);
+
+  const RobustDecoder& first = cache.robust(xs, 1);
+  // A fresh decoder's digest, before a damaged word builds its Gao
+  // context; a rebuilt decoder must show it again.
+  const std::uint64_t fresh_fp = first.precompute_fingerprint();
+  ASSERT_EQ(first.reconstruct(shares), std::optional(secret));
+  const std::uint64_t warm_fp = first.precompute_fingerprint();
+  ASSERT_NE(warm_fp, fresh_fp);
+
+  const auto other = [](std::size_t i) {
+    return std::vector<Fp>{Fp(2 + i), Fp(500000 + i), Fp(1000000 + i)};
+  };
+  // Fill the map to exactly kMaxDecoders: a trim is a no-op.
+  for (std::size_t i = 1; i < SchemeCache::kMaxDecoders; ++i)
+    cache.robust(other(i), 1);
+  cache.trim_decoders();
+  EXPECT_EQ(&cache.robust(xs, 1), &first);
+  EXPECT_EQ(first.precompute_fingerprint(), warm_fp);
+
+  // Past the bound without a trim: the held reference stays valid.
+  for (std::size_t i = 0; i < 8; ++i)
+    cache.robust(other(SchemeCache::kMaxDecoders + i), 1);
+  EXPECT_EQ(&cache.robust(xs, 1), &first);
+  EXPECT_EQ(first.reconstruct(shares), std::optional(secret));
+  EXPECT_EQ(first.precompute_fingerprint(), warm_fp);
+
+  // The trim clears the map: the lookup rebuilds a fresh decoder (no Gao
+  // context yet), which decodes the same damaged shares.
+  cache.trim_decoders();
+  const RobustDecoder& rebuilt = cache.robust(xs, 1);
+  EXPECT_EQ(rebuilt.precompute_fingerprint(), fresh_fp);
+  EXPECT_EQ(rebuilt.reconstruct(shares), std::optional(secret));
+  // A map back under the bound trims to a no-op again.
+  cache.trim_decoders();
+  EXPECT_EQ(&cache.robust(xs, 1), &rebuilt);
 }
 
 }  // namespace

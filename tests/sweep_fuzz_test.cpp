@@ -98,6 +98,13 @@ TEST(JobLine, RejectsMalformedArtifacts) {
       << "token without =";
   EXPECT_THROW(sim::parse_job_line("seed_offset=x n=16"), std::logic_error)
       << "non-numeric seed_offset";
+  const std::string spec_part = line.substr(line.find(' '));
+  for (const char* bad : {"-1", "+1", "18446744073709551616"})
+    EXPECT_THROW(sim::parse_job_line("seed_offset=" + std::string(bad) +
+                                     spec_part),
+                 std::logic_error)
+        << "seed_offset=" << bad;
+  EXPECT_EQ(sim::parse_job_line("seed_offset=7" + spec_part).seed_offset, 7u);
   EXPECT_THROW(sim::parse_job_line(line + " note=bad%G0escape"),
                std::logic_error)
       << "bad percent escape";
