@@ -147,7 +147,7 @@ void FloodingA2EAdversary::flood_requests(const Network& net,
 }
 
 std::optional<std::uint64_t> FloodingA2EAdversary::respond(
-    ProcId, ProcId, std::uint32_t, std::uint64_t, std::uint64_t m_hint) {
+    ProcId, ProcId, std::uint32_t, std::uint64_t, std::uint64_t m_hint) const {
   // Always answer, always wrongly: try to push confused processors to a
   // bogus decision.
   return m_hint ^ 1;

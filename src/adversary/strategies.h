@@ -103,7 +103,7 @@ class FloodingA2EAdversary : public Adversary, public A2EAttacker {
                       std::vector<FloodRequest>& out) override;
   std::optional<std::uint64_t> respond(ProcId q, ProcId p,
                                        std::uint32_t label, std::uint64_t k,
-                                       std::uint64_t m_hint) override;
+                                       std::uint64_t m_hint) const override;
   const char* name() const override { return "a2e-flooding"; }
 
  private:

@@ -11,30 +11,12 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
   // xoshiro's all-zero state is absorbing; splitmix64 makes it
   // astronomically unlikely, but guard anyway.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::below(std::uint64_t bound) {
@@ -45,6 +27,17 @@ std::uint64_t Rng::below(std::uint64_t bound) {
     const std::uint64_t r = next();
     if (r >= threshold) return r % bound;
   }
+}
+
+Rng::Bounded::Bounded(std::uint64_t bound)
+    : bound_(bound),
+      threshold_(0),
+      reciprocal_(0) {
+  BA_REQUIRE(bound > 0, "Bounded needs a positive bound");
+  threshold_ = (~bound + 1) % bound;  // as in below()
+  // ceil(2^128 / bound); wraps to 0 for bound == 1, where every remainder
+  // is 0 anyway.
+  reciprocal_ = ~static_cast<unsigned __int128>(0) / bound + 1;
 }
 
 std::uint64_t Rng::between(std::uint64_t lo, std::uint64_t hi) {

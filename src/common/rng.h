@@ -43,10 +43,53 @@ class Rng {
   static constexpr result_type max() { return ~result_type{0}; }
   result_type operator()() { return next(); }
 
-  std::uint64_t next();
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). Requires bound > 0.
   std::uint64_t below(std::uint64_t bound);
+
+  /// below(bound) for one fixed bound, with its rejection threshold and a
+  /// Lemire fastmod reciprocal computed once: the same words as below()
+  /// draw for draw, leaving the generator in the same state, but with no
+  /// division per draw. For hot loops that draw many values in one range.
+  class Bounded {
+   public:
+    explicit Bounded(std::uint64_t bound);
+    std::uint64_t operator()(Rng& rng) const {
+      for (;;) {
+        const std::uint64_t r = rng.next();
+        if (r >= threshold_) return mod(r);
+      }
+    }
+
+   private:
+    /// r % bound_ as the high word of the 192-bit product
+    /// (reciprocal_ * r mod 2^128) * bound_ (Lemire, Kaser & Kurz,
+    /// "Faster remainder by direct computation", 2019).
+    std::uint64_t mod(std::uint64_t r) const {
+      using u128 = unsigned __int128;
+      const u128 low = reciprocal_ * r;
+      const auto low_lo = static_cast<std::uint64_t>(low);
+      const auto low_hi = static_cast<std::uint64_t>(low >> 64);
+      const u128 bottom = (static_cast<u128>(low_lo) * bound_) >> 64;
+      const u128 top = static_cast<u128>(low_hi) * bound_;
+      return static_cast<std::uint64_t>((bottom + top) >> 64);
+    }
+
+    std::uint64_t bound_;
+    std::uint64_t threshold_;
+    unsigned __int128 reciprocal_;  ///< ceil(2^128 / bound_) mod 2^128
+  };
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::uint64_t between(std::uint64_t lo, std::uint64_t hi);
@@ -80,6 +123,10 @@ class Rng {
   }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

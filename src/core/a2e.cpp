@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <limits>
+#include <utility>
+
+#include "common/pool.h"
 
 namespace ba {
 
@@ -12,7 +15,26 @@ std::size_t log2_ceil(std::size_t n) {
   while ((std::size_t{1} << b) < n) ++b;
   return b;
 }
+
+/// match/answer entry of a processor that answers no request this loop.
+constexpr std::uint32_t kNoLabel = std::numeric_limits<std::uint32_t>::max();
+/// answer entry of a corrupt processor whose replies the attacker picks.
+constexpr std::uint32_t kAskAttacker = kNoLabel - 1;
 }  // namespace
+
+std::optional<std::uint64_t> a2e_decision(std::uint64_t* msgs,
+                                          std::size_t count,
+                                          std::size_t threshold) {
+  std::sort(msgs, msgs + count);
+  std::optional<std::uint64_t> decided;
+  for (std::size_t b = 0, e = 0; b < count; b = e) {
+    while (e < count && msgs[e] == msgs[b]) ++e;
+    if (e - b < threshold) continue;
+    if (decided) return std::nullopt;  // a second message reaches it too
+    decided = msgs[b];
+  }
+  return decided;
+}
 
 A2EParams A2EParams::laptop_scale(std::size_t n) {
   A2EParams p;
@@ -46,6 +68,7 @@ AlmostToEverywhere::AlmostToEverywhere(const A2EParams& params,
                                        std::uint64_t seed)
     : params_(params), rng_(seed) {
   BA_REQUIRE(params_.sqrt_n >= 1, "need at least one label");
+  BA_REQUIRE(params_.sqrt_n < kAskAttacker, "label ids must fit 32 bits");
   BA_REQUIRE(params_.requests_per_label >= 1, "need at least one request");
   BA_REQUIRE(params_.repeats >= 1, "need at least one loop");
 }
@@ -63,119 +86,194 @@ A2EResult AlmostToEverywhere::run(
   const std::size_t rpl = params_.requests_per_label;
   const std::size_t label_bits = std::max<std::size_t>(1, log2_ceil(labels));
   const std::size_t threshold = params_.decision_threshold();
+  const Rng::Bounded pick_target(n);
+  const std::vector<ProcId> good = net.good_procs();
 
   A2EResult result;
   result.message = message;
   result.decided.assign(n, false);
 
-  struct Incoming {
-    ProcId from;
-    std::uint32_t label;
+  // Everything below is O(n) and reused across loops: no per-request state.
+  // A request is a draw from rng_; the serial request pass records only
+  // each sender's generator state before its first draw, and the response
+  // pass replays the sender's draws from there.
+  std::vector<std::uint32_t> match(n);  // good q's view of k, else kNoLabel
+  std::vector<std::uint64_t> corrupt_view(n);  // corrupt q's view of k
+  std::vector<std::uint32_t> k_load(n);  // requests labelled match[q]
+  std::vector<std::uint32_t> answer(n);  // the label q answers this loop
+  std::vector<ChargeRow> rows(n);
+  std::vector<Rng> starts;
+  starts.reserve(good.size());
+  std::vector<A2EAttacker::FloodRequest> flood;
+  std::vector<std::pair<std::uint64_t, std::size_t>> flood_order;
+  // Accepted flood requests a good receiver counts toward its k load; each
+  // is answered unless the receiver ends up overloaded.
+  std::vector<std::pair<ProcId, ProcId>> hits;
+  // Response pass outputs, one slot per good sender, applied after it.
+  std::vector<std::uint32_t> responses_received(good.size());
+  std::vector<std::optional<std::uint64_t>> decision(good.size());
+  struct Scratch {
+    std::vector<std::uint64_t> msgs;   // [label][slot] response messages
+    std::vector<std::uint32_t> count;  // responses per label
+    std::vector<std::uint32_t> corrupt_sent;  // partial, summed after
   };
-  struct Response {
-    std::uint32_t label;
-    std::uint64_t msg;
-  };
+  std::vector<Scratch> scratch(Pool::num_threads());
+  for (Scratch& sc : scratch) {
+    sc.msgs.resize(labels * rpl);
+    sc.count.resize(labels);
+    if (attacker != nullptr) sc.corrupt_sent.resize(n);
+  }
+  // Ship a worker at least ~8k draws per chunk; tiny runs stay inline.
+  const std::size_t grain =
+      std::max<std::size_t>(1, 8192 / std::max<std::size_t>(1, labels * rpl));
 
   for (std::size_t loop = 0; loop < params_.repeats; ++loop) {
     A2ELoopStats stats;
     stats.loop = loop;
 
-    // ---- Phase 1: requests (one network round).
-    std::vector<std::vector<Incoming>> incoming(n);
-    // targets[p] is row-major [label][slot]; needed to validate responses.
-    std::vector<std::vector<std::uint32_t>> targets(n);
-    for (ProcId p = 0; p < n; ++p) {
-      if (net.is_corrupt(p)) continue;
-      auto& tgt = targets[p];
-      tgt.resize(labels * rpl);
-      for (std::size_t i = 0; i < labels; ++i) {
-        for (std::size_t s = 0; s < rpl; ++s) {
-          const auto q = static_cast<std::uint32_t>(rng_.below(n));
-          tgt[i * rpl + s] = q;
-          net.charge_batch(p, q, label_bits);
-          incoming[q].push_back({p, static_cast<std::uint32_t>(i)});
-        }
-      }
-    }
-    if (attacker != nullptr) {
-      std::vector<A2EAttacker::FloodRequest> flood;
-      attacker->flood_requests(net, loop, params_, flood);
-      // Receiver-side flooding guard: a sender exceeding per_sender_cap
-      // requests toward one receiver is evidently corrupt — all its
-      // requests to that receiver are dropped (Section 4.1).
-      std::unordered_map<std::uint64_t, std::size_t> pair_count;
-      for (const auto& f : flood) {
-        BA_REQUIRE(net.is_corrupt(f.from), "only corrupt procs flood");
-        net.charge_batch(f.from, f.to, label_bits);
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(f.from) << 32) | f.to;
-        if (++pair_count[key] > params_.per_sender_cap) continue;
-        incoming[f.to].push_back(
-            {f.from, static_cast<std::uint32_t>(f.label % labels)});
-      }
-    }
-    net.advance_round();
-
-    // ---- Phase 2: the loop's global label (from the coin subsequence).
-    // ---- Phase 3: responses (one network round).
-    std::vector<std::vector<Response>> responses(n);
+    // ---- Phase 2, fixed up front: each processor's view of the loop's
+    // global label (from the coin subsequence). The view is a function of
+    // (loop, q) only, and the adversary learns k after its flood either
+    // way, so the request pass can count each receiver's k load directly.
     for (ProcId q = 0; q < n; ++q) {
-      if (net.is_corrupt(q)) {
-        if (attacker == nullptr) continue;
-        const std::uint64_t k_known = label_view(loop, q) % labels;
-        for (const auto& in : incoming[q]) {
-          if (net.is_corrupt(in.from)) continue;
-          auto r = attacker->respond(q, in.from, in.label, k_known, truth_m);
-          if (!r) continue;
-          net.charge_batch(q, in.from, kWordBits + label_bits);
-          responses[in.from].push_back({in.label, *r});
-        }
-        continue;
-      }
-      const std::uint32_t kq =
-          static_cast<std::uint32_t>(label_view(loop, q) % labels);
-      std::size_t k_load = 0;
-      for (const auto& in : incoming[q])
-        if (in.label == kq) ++k_load;
-      if (k_load > params_.overload_cap) {
-        if (result.message[q] == truth_m) ++stats.overloaded_knowledgeable;
-        continue;
-      }
-      for (const auto& in : incoming[q]) {
-        if (in.label != kq) continue;
-        net.charge_batch(q, in.from, kWordBits + label_bits);
-        responses[in.from].push_back({in.label, result.message[q]});
+      if (!net.is_corrupt(q)) {
+        match[q] = static_cast<std::uint32_t>(label_view(loop, q) % labels);
+      } else {
+        match[q] = kNoLabel;
+        if (attacker != nullptr) corrupt_view[q] = label_view(loop, q) % labels;
       }
     }
-    net.advance_round();
 
-    // ---- Phase 4: decisions (local).
-    std::vector<std::size_t> label_count(labels);
-    for (ProcId p = 0; p < n; ++p) {
-      if (net.is_corrupt(p) || result.decided[p]) continue;
-      std::fill(label_count.begin(), label_count.end(), 0);
-      for (const auto& r : responses[p]) ++label_count[r.label % labels];
-      std::uint32_t imax = 0;
-      for (std::uint32_t i = 1; i < labels; ++i)
-        if (label_count[i] > label_count[imax]) imax = i;
-      if (label_count[imax] == 0) continue;
-      std::unordered_map<std::uint64_t, std::size_t> msg_count;
-      for (const auto& r : responses[p])
-        if (r.label % labels == imax) ++msg_count[r.msg];
-      for (const auto& [m, c] : msg_count) {
-        if (c >= threshold) {
-          result.decided[p] = true;
-          result.message[p] = m;
-          break;
+    // ---- Phase 1: requests (one network round).
+    std::fill(k_load.begin(), k_load.end(), 0);
+    for (ProcId q = 0; q < n; ++q) rows[q] = {q, 0, 0};
+    starts.clear();
+    for (ProcId p : good) {
+      starts.push_back(rng_);
+      rows[p].sent = static_cast<std::uint32_t>(labels * rpl);
+      for (std::uint32_t i = 0; i < labels; ++i) {
+        for (std::size_t s = 0; s < rpl; ++s) {
+          const auto q = pick_target(rng_);
+          ++rows[q].received;
+          k_load[q] += match[q] == i;
         }
       }
+    }
+    hits.clear();
+    if (attacker != nullptr) {
+      flood.clear();
+      attacker->flood_requests(net, loop, params_, flood);
+      // Receiver-side flooding guard: a sender's requests to one receiver
+      // beyond per_sender_cap are dropped as evidently corrupt (Section
+      // 4.1). Every request is still charged. Sorting by (pair, position)
+      // puts each pair's requests together in send order.
+      flood_order.clear();
+      for (std::size_t j = 0; j < flood.size(); ++j) {
+        const auto& f = flood[j];
+        BA_REQUIRE(f.from < n && f.to < n,
+                   "flood request names a processor out of range");
+        BA_REQUIRE(net.is_corrupt(f.from), "only corrupt procs flood");
+        ++rows[f.from].sent;
+        ++rows[f.to].received;
+        // Only a good receiver's load can change; corrupt ones ignore
+        // requests from corrupt senders.
+        if (match[f.to] == kNoLabel) continue;
+        flood_order.emplace_back(
+            (static_cast<std::uint64_t>(f.from) << 32) | f.to, j);
+      }
+      std::sort(flood_order.begin(), flood_order.end());
+      for (std::size_t b = 0, e = 0; b < flood_order.size(); b = e) {
+        for (; e < flood_order.size() &&
+               flood_order[e].first == flood_order[b].first;
+             ++e) {
+          if (e - b >= params_.per_sender_cap) continue;
+          const auto& f = flood[flood_order[e].second];
+          if (f.label % labels != match[f.to]) continue;
+          ++k_load[f.to];
+          hits.emplace_back(f.from, f.to);
+        }
+      }
+    }
+    net.charge_table(rows, label_bits);
+    net.advance_round();
+
+    // ---- Phase 3: responses (one network round). A good q answers every
+    // request labelled with its view of k unless overloaded; the attacker
+    // answers for corrupt q.
+    for (ProcId q = 0; q < n; ++q) {
+      rows[q] = {q, 0, 0};
+      if (net.is_corrupt(q)) {
+        answer[q] = attacker != nullptr ? kAskAttacker : kNoLabel;
+      } else if (k_load[q] > params_.overload_cap) {
+        answer[q] = kNoLabel;
+        if (result.message[q] == truth_m) ++stats.overloaded_knowledgeable;
+      } else {
+        answer[q] = match[q];
+        rows[q].sent = k_load[q];
+      }
+    }
+    for (const auto& [from, to] : hits)
+      if (answer[to] != kNoLabel) ++rows[from].received;
+    for (Scratch& sc : scratch)
+      std::fill(sc.corrupt_sent.begin(), sc.corrupt_sent.end(), 0);
+    // Fan out over good senders: each item replays its sender's requests,
+    // gathers the responses they draw and makes the sender's decision into
+    // its own slots. Responses read result.message, which is not written
+    // until every item is done.
+    Pool::for_each(
+        good.size(),
+        [&](std::size_t g, std::size_t worker) {
+          Scratch& sc = scratch[worker];
+          const ProcId p = good[g];
+          Rng draws = starts[g];
+          std::uint32_t received = 0;
+          for (std::uint32_t i = 0; i < labels; ++i) {
+            std::uint64_t* out = sc.msgs.data() + i * rpl;
+            std::uint32_t c = 0;
+            for (std::size_t s = 0; s < rpl; ++s) {
+              const auto q = pick_target(draws);
+              if (answer[q] == i) {
+                out[c++] = result.message[q];
+              } else if (answer[q] == kAskAttacker) {
+                const auto r =
+                    attacker->respond(static_cast<ProcId>(q), p, i,
+                                      corrupt_view[q], truth_m);
+                if (!r) continue;
+                out[c++] = *r;
+                ++sc.corrupt_sent[q];
+              }
+            }
+            sc.count[i] = c;
+            received += c;
+          }
+          responses_received[g] = received;
+          decision[g].reset();
+          if (result.decided[p]) return;
+          // ---- Phase 4: decide on the busiest label (local).
+          std::uint32_t imax = 0;
+          for (std::uint32_t i = 1; i < labels; ++i)
+            if (sc.count[i] > sc.count[imax]) imax = i;
+          decision[g] = a2e_decision(sc.msgs.data() + imax * rpl,
+                                     sc.count[imax], threshold);
+        },
+        grain);
+    for (std::size_t g = 0; g < good.size(); ++g)
+      rows[good[g]].received = responses_received[g];
+    for (const Scratch& sc : scratch)
+      for (std::size_t q = 0; q < sc.corrupt_sent.size(); ++q)
+        rows[q].sent += sc.corrupt_sent[q];
+    net.charge_table(rows, kWordBits + label_bits);
+    net.advance_round();
+
+    for (std::size_t g = 0; g < good.size(); ++g) {
+      if (!decision[g]) continue;
+      result.decided[good[g]] = true;
+      result.message[good[g]] = *decision[g];
     }
 
     bool success = true;
     std::size_t decided_total = 0, decided_wrong = 0;
-    for (ProcId p = 0; p < n; ++p) {
-      if (net.is_corrupt(p)) continue;
+    for (ProcId p : good) {
       if (result.decided[p]) {
         ++decided_total;
         if (result.message[p] != truth_m) ++decided_wrong;
@@ -190,8 +288,7 @@ A2EResult AlmostToEverywhere::run(
 
   result.agree_count = 0;
   result.wrong_count = 0;
-  for (ProcId p = 0; p < n; ++p) {
-    if (net.is_corrupt(p)) continue;
+  for (ProcId p : good) {
     if (result.message[p] == truth_m)
       ++result.agree_count;
     else

@@ -14,8 +14,8 @@
 //     from one sender mark that sender "evidently corrupt" and are
 //     ignored — this is what defuses request flooding.
 //  4. p picks i_max, the label with the most (validated) responses; if at
-//     least decision_threshold() of them carry the same message m, p
-//     decides m.
+//     least decision_threshold() of them carry the same message m, and no
+//     other message reaches that count, p decides m (a2e_decision).
 //
 // Repeating X = O(log n) independent loops brings every good processor to
 // the knowledgeable message w.h.p. (Lemma 10). Each processor sends
@@ -75,10 +75,16 @@ class A2EAttacker {
   /// Response of corrupt processor q to the request (p, label), after k is
   /// revealed. nullopt = stay silent. `m_hint` is the knowledgeable
   /// message (the adversary has long since learned it).
+  ///
+  /// Contract: a pure function of its arguments. The engine calls it once
+  /// per good request that lands on a corrupt q, in no fixed order and
+  /// from any pool worker at once (the response pass fans out over
+  /// senders), so an implementation may read only its own immutable state
+  /// and must not draw randomness or count calls.
   virtual std::optional<std::uint64_t> respond(ProcId q, ProcId p,
                                                std::uint32_t label,
                                                std::uint64_t k,
-                                               std::uint64_t m_hint) {
+                                               std::uint64_t m_hint) const {
     (void)q;
     (void)p;
     (void)label;
@@ -106,6 +112,16 @@ struct A2EResult {
   std::vector<A2ELoopStats> loops;
   std::uint64_t rounds = 0;
 };
+
+/// Step 4's decision over the messages of the busiest label's responses:
+/// the message that at least `threshold` of them carry, provided it is the
+/// only one. When two messages both reach the threshold (possible when it
+/// is at most half the responses) the processor stays undecided and tries
+/// again next loop, so the outcome never depends on tally order. Sorts
+/// msgs[0, count) in place.
+std::optional<std::uint64_t> a2e_decision(std::uint64_t* msgs,
+                                          std::size_t count,
+                                          std::size_t threshold);
 
 class AlmostToEverywhere {
  public:

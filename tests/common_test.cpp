@@ -37,6 +37,36 @@ TEST(Rng, BelowRejectsZeroBound) {
   EXPECT_THROW(r.below(0), std::logic_error);
 }
 
+TEST(Rng, BoundedDrawsTheSameWordsAsBelow) {
+  // Bounds at the edges of the fastmod reciprocal and of the rejection
+  // zone: 2^63 + 1 rejects almost half of all words, 2^64 - 1 only one.
+  const std::uint64_t bounds[] = {1,
+                                  2,
+                                  3,
+                                  46,
+                                  2048,
+                                  (1ULL << 32) - 1,
+                                  (1ULL << 32) + 1,
+                                  1ULL << 63,
+                                  (1ULL << 63) + 1,
+                                  ~0ULL};
+  for (std::uint64_t bound : bounds) {
+    SCOPED_TRACE(bound);
+    Rng fast(bound ^ 0x5EED), slow(bound ^ 0x5EED);
+    const Rng::Bounded pick(bound);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 100000; ++i)
+      if (pick(fast) != slow.below(bound)) ++mismatches;
+    EXPECT_EQ(mismatches, 0u);
+    // Same rejections, so the generators end in the same state.
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(fast.next(), slow.next());
+  }
+}
+
+TEST(Rng, BoundedRejectsZeroBound) {
+  EXPECT_THROW(Rng::Bounded(0), std::logic_error);
+}
+
 TEST(Rng, BetweenInclusive) {
   Rng r(9);
   std::set<std::uint64_t> seen;
