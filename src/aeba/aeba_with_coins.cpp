@@ -184,13 +184,12 @@ void AebaMachine::count_received(const Network& net, std::size_t pos,
 
 void AebaMachine::tally_majority(const Network& net) {
   std::vector<std::uint64_t> next = votes_;
-  // Per-worker tally scratch; each member refills it before reading.
-  std::vector<std::vector<std::uint32_t>> count_scratch(Pool::num_threads());
+  count_scratch_.fit();
   Pool::for_each(
       members_.size(),
       [&](std::size_t pos, std::size_t worker) {
         if (net.is_corrupt(members_[pos])) return;
-        auto& count_ones = count_scratch[worker];
+        auto& count_ones = count_scratch_[worker];
         count_ones.resize(instances_);
         std::size_t received = 0;
         count_received(net, pos, count_ones, received);
@@ -225,11 +224,10 @@ void AebaMachine::tally_votes(const Network& net, CoinSource& coins,
   // Integral accumulators, so parallel and serial tallies agree exactly.
   std::atomic<std::size_t> informed{0}, informed_denom{0};
 
-  // Per-worker tally scratch; each member refills it before reading.
-  std::vector<std::vector<std::uint32_t>> count_scratch(Pool::num_threads());
+  count_scratch_.fit();
   const auto tally_member = [&](std::size_t pos, std::size_t worker) {
     if (net.is_corrupt(members_[pos])) return;
-    auto& count_ones = count_scratch[worker];
+    auto& count_ones = count_scratch_[worker];
     count_ones.resize(instances_);
     std::size_t received = 0;
     count_received(net, pos, count_ones, received);

@@ -32,6 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/pool.h"
 #include "graph/regular_graph.h"
 #include "net/adversary.h"
 #include "net/network.h"
@@ -213,6 +214,9 @@ class AebaMachine {
   std::vector<std::uint64_t> votes_;   // member-major packed bits
   std::vector<std::uint64_t> locked_;  // members committed by the decide rule
   double informed_fraction_ = 1.0;
+  // Per-worker vote counts of the tallies; each member refills its
+  // worker's slot before reading it.
+  PerWorker<std::vector<std::uint32_t>> count_scratch_;
 };
 
 /// Optional adversary capability: strategies that rush AEBA votes

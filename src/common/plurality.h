@@ -30,29 +30,44 @@ class PluralityCounter {
 
   void add(std::uint64_t value) { values_.push_back(value); }
 
+  /// A plurality with its margin: the winning value, its count, and the
+  /// largest count of any other value (0 when there is none).
+  struct Leader {
+    std::uint64_t value = 0;
+    std::size_t count = 0;
+    std::size_t runner_up = 0;
+  };
+
   /// The most frequent value; ties go to the value first added. Returns 0
   /// on an empty counter (the seed's convention for empty tallies).
   /// add()s after winner() start a fresh query via clear().
-  std::uint64_t winner() {
-    if (values_.empty()) return 0;
+  std::uint64_t winner() { return leader().value; }
+
+  /// winner() with its count and the runner-up count. count > runner_up
+  /// iff the winner is unique, i.e. no tie-break was needed. {0, 0, 0}
+  /// on an empty counter.
+  Leader leader() {
+    Leader top;
     if (values_.size() <= kScanCutoff) {
       // Quadratic scan over the bare words: predictable compares on a
       // contiguous array, nothing moves. Same winner as the sort path by
       // construction — scanning in add order with a strictly-greater
       // test makes the earliest first occurrence win ties.
-      std::uint64_t best = 0;
-      std::size_t best_count = 0;
       for (std::size_t i = 0; i < values_.size(); ++i) {
         const std::uint64_t v = values_[i];
         std::size_t count = 0;
         for (std::size_t j = 0; j < values_.size(); ++j)
           count += values_[j] == v ? 1 : 0;
-        if (count > best_count) {
-          best_count = count;
-          best = v;
+        if (count > top.count) {
+          // A new leader is a different value: the old one is runner-up.
+          top.runner_up = std::max(top.runner_up, top.count);
+          top.count = count;
+          top.value = v;
+        } else if (v != top.value && count > top.runner_up) {
+          top.runner_up = count;
         }
       }
-      return best;
+      return top;
     }
     // Large query: tag each value with its add index, sort, scan runs.
     items_.clear();
@@ -60,23 +75,23 @@ class PluralityCounter {
     for (std::size_t i = 0; i < values_.size(); ++i)
       items_.emplace_back(values_[i], static_cast<std::uint32_t>(i));
     std::sort(items_.begin(), items_.end());
-    std::uint64_t best = items_[0].first;
-    std::size_t best_count = 0;
     std::uint32_t best_first = 0;
     std::size_t run = 0;
-    for (std::size_t i = 0; i <= items_.size(); ++i) {
+    for (std::size_t i = 1; i <= items_.size(); ++i) {
       if (i < items_.size() && items_[i].first == items_[run].first) continue;
       const std::size_t count = i - run;
-      const std::uint32_t first = items_[run].second;  // min index: sorted
-      if (count > best_count ||
-          (count == best_count && first < best_first)) {
-        best_count = count;
+      const std::uint32_t first = items_[run].second;
+      if (count > top.count || (count == top.count && first < best_first)) {
+        top.runner_up = std::max(top.runner_up, top.count);
+        top.count = count;
+        top.value = items_[run].first;
         best_first = first;
-        best = items_[run].first;
+      } else {
+        top.runner_up = std::max(top.runner_up, count);
       }
       run = i;
     }
-    return best;
+    return top;
   }
 
  private:

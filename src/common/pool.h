@@ -24,6 +24,10 @@
 // the same bodies inline on the caller and produces identical bytes —
 // tests/parallel_parity_test.cpp holds the protocols to exactly that.
 //
+// Per-worker scratch lives in a PerWorker<T> (below): one slot per
+// worker, each on its own cache line, so two workers never write to one
+// line through their scratch.
+//
 // Nesting: a body that itself calls Pool::for_each runs the nested loop
 // inline on its own worker (no thread explosion, no deadlock); the nested
 // body sees the enclosing worker's id, so per-worker scratch stays
@@ -37,6 +41,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "common/check.h"
 
@@ -108,6 +113,50 @@ class Pool {
     if (grain < min_grain) grain = min_grain;
     pool_detail::parallel_run(count, grain, body);
   }
+};
+
+/// Per-worker scratch: one T per pool worker, indexed by the worker id a
+/// Pool body receives. Each slot is alignas(64), so it starts on a cache
+/// line of its own and no other slot's bytes reach into its lines.
+/// Scratch is written on every item (a tally's push_back moves its
+/// vector's end pointer, a decoder bumps its counters), and two workers
+/// whose slots shared a line would invalidate each other's copy of it on
+/// every such write (false sharing) — a plain std::vector<T> of 24- or
+/// 48-byte T packs two or three workers into one line.
+///
+/// fit() resizes to Pool::num_threads(), so the slot count follows
+/// Pool::set_threads; call it before each fan-out that indexes the slots,
+/// from the thread that owns the object (the driver, or the one pool item
+/// an object belongs to — a nested loop inside that item runs inline on
+/// the item's worker). Slots that survive a fit() keep their contents.
+template <typename T>
+class PerWorker {
+ public:
+  static constexpr std::size_t kCacheLine = 64;
+
+  PerWorker() { fit(); }
+
+  PerWorker& fit() {
+    const std::size_t workers = Pool::num_threads();
+    if (slots_.size() != workers) slots_.resize(workers);
+    return *this;
+  }
+
+  std::size_t size() const { return slots_.size(); }
+  T& operator[](std::size_t worker) { return slots_[worker].value; }
+
+  /// f(slot) over every slot in worker order (serial: setup and
+  /// index-ordered reductions of per-worker partials).
+  template <typename F>
+  void each(F&& f) {
+    for (Slot& s : slots_) f(s.value);
+  }
+
+ private:
+  struct alignas(kCacheLine) Slot {
+    T value{};
+  };
+  std::vector<Slot> slots_;
 };
 
 }  // namespace ba

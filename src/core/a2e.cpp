@@ -117,12 +117,12 @@ A2EResult AlmostToEverywhere::run(
     std::vector<std::uint32_t> count;  // responses per label
     std::vector<std::uint32_t> corrupt_sent;  // partial, summed after
   };
-  std::vector<Scratch> scratch(Pool::num_threads());
-  for (Scratch& sc : scratch) {
+  PerWorker<Scratch> scratch;
+  scratch.each([&](Scratch& sc) {
     sc.msgs.resize(labels * rpl);
     sc.count.resize(labels);
     if (attacker != nullptr) sc.corrupt_sent.resize(n);
-  }
+  });
   // Ship a worker at least ~8k draws per chunk; tiny runs stay inline.
   const std::size_t grain =
       std::max<std::size_t>(1, 8192 / std::max<std::size_t>(1, labels * rpl));
@@ -214,8 +214,9 @@ A2EResult AlmostToEverywhere::run(
     }
     for (const auto& [from, to] : hits)
       if (answer[to] != kNoLabel) ++rows[from].received;
-    for (Scratch& sc : scratch)
+    scratch.each([](Scratch& sc) {
       std::fill(sc.corrupt_sent.begin(), sc.corrupt_sent.end(), 0);
+    });
     // Fan out over good senders: each item replays its sender's requests,
     // gathers the responses they draw and makes the sender's decision into
     // its own slots. Responses read result.message, which is not written
@@ -259,9 +260,10 @@ A2EResult AlmostToEverywhere::run(
         grain);
     for (std::size_t g = 0; g < good.size(); ++g)
       rows[good[g]].received = responses_received[g];
-    for (const Scratch& sc : scratch)
+    scratch.each([&](const Scratch& sc) {
       for (std::size_t q = 0; q < sc.corrupt_sent.size(); ++q)
         rows[q].sent += sc.corrupt_sent[q];
+    });
     net.charge_table(rows, kWordBits + label_bits);
     net.advance_round();
 

@@ -491,6 +491,7 @@ AeResult AlmostEverywhereBA::run(Network& net, Adversary& adversary,
   result.rounds = net.round();
   result.open_tally_receivers = flow.open_receivers();
   result.open_tally_dispatches = flow.open_tallies();
+  result.open_fast_leaf_tallies = flow.open_fast_leaf_tallies();
   result.share_decode_failures = flow.decode_failures();
   result.share_damaged_words = flow.damaged_words();
   result.share_plans_built = flow.plans_built();

@@ -96,6 +96,7 @@ struct AeResult {
   // extras only, never fingerprinted).
   std::uint64_t open_tally_receivers = 0;   ///< receivers tallied in total
   std::uint64_t open_tally_dispatches = 0;  ///< pooled tally dispatches
+  std::uint64_t open_fast_leaf_tallies = 0;  ///< settled leaf tallies taken
   std::uint64_t share_decode_failures = 0;  ///< failed sendDown decodes
   std::uint64_t share_damaged_words = 0;    ///< Gao-decoded sendDown words
   std::uint64_t share_plans_built = 0;      ///< exposure plans built

@@ -12,6 +12,10 @@ namespace ba {
 
 namespace {
 
+/// ShareFlow::settled_ entry of a (leaf, word) the receivers tally
+/// themselves; no field value (< Fp::kP) collides with it.
+constexpr std::uint64_t kUnsettled = UINT64_MAX;
+
 /// Holder member position of a share with the given chain (length `len`)
 /// inside its level-`len` node: walk the positional uplink samplers.
 std::uint32_t chain_pos(const TournamentTree& tree, Chain c,
@@ -54,18 +58,6 @@ class ChargeTally {
 ShareFlow::ShareFlow(const ProtocolParams& params, const TournamentTree& tree,
                      Network& net, Rng rng)
     : params_(params), tree_(tree), net_(net), rng_(rng) {}
-
-void ShareFlow::ensure_worker_scratch() {
-  const std::size_t w = Pool::num_threads();
-  if (decode_scratch_.size() < w) {
-    decode_scratch_.resize(w);
-    span_scratch_.resize(w);
-    deal_out_scratch_.resize(w);
-    slice_scratch_.resize(w);
-    leaf_tally_scratch_.resize(w);
-    node_tally_scratch_.resize(w);
-  }
-}
 
 void ShareFlow::set_fault_style(FaultStyle s) {
   style_ = s;
@@ -238,27 +230,41 @@ ShareFlow::OpenPlan ShareFlow::build_open_plan(std::size_t level,
   const TreeNode& node = tree_.node(level, node_idx);
   OpenPlan plan;
   ChargeTally charges(net_.size());
+  const std::size_t leaves = node.leaf_end - node.leaf_begin;
+  plan.senders.reserve(leaves * params_.tree.k1);
+  plan.leaf_ends.reserve(leaves);
+  plan.liars.reserve(leaves);
+  for (std::size_t rel = 0; rel < leaves; ++rel) {
+    const TreeNode& leaf = tree_.node(1, node.leaf_begin + rel);
+    std::uint32_t liars = 0;
+    for (std::size_t i = 0; i < leaf.members.size(); ++i) {
+      const ProcId sender = leaf.members[i];
+      if (silent(sender)) continue;
+      const bool lies = lying(sender);
+      plan.senders.push_back({static_cast<std::uint16_t>(i),
+                              static_cast<std::uint8_t>(lies)});
+      liars += lies ? 1 : 0;
+    }
+    plan.leaf_ends.push_back(static_cast<std::uint32_t>(plan.senders.size()));
+    plan.liars.push_back(liars);
+  }
   std::size_t links = 0;
-  for (const auto& leaves : node.ell) links += leaves.size();
-  plan.senders.reserve(links * params_.tree.k1);
-  plan.leaf_ends.reserve(links);
-  plan.pos_leaf_ends.reserve(node.members.size());
+  for (const auto& linked : node.ell) links += linked.size();
+  plan.links.reserve(links);
+  plan.pos_link_ends.reserve(node.members.size());
   for (std::size_t pos = 0; pos < node.members.size(); ++pos) {
     for (std::uint32_t leaf_abs : node.ell[pos]) {
-      const TreeNode& leaf = tree_.node(1, leaf_abs);
+      BA_REQUIRE(leaf_abs >= node.leaf_begin && leaf_abs < node.leaf_end,
+                 "ell-link outside the node's subtree");
       const auto rel = static_cast<std::uint32_t>(leaf_abs - node.leaf_begin);
-      for (std::size_t i = 0; i < leaf.members.size(); ++i) {
-        const ProcId sender = leaf.members[i];
-        if (silent(sender)) continue;
-        plan.senders.push_back({rel, static_cast<std::uint16_t>(i),
-                                static_cast<std::uint8_t>(lying(sender))});
-        charges.add(sender, node.members[pos]);
-      }
-      plan.leaf_ends.push_back(
-          static_cast<std::uint32_t>(plan.senders.size()));
+      plan.links.push_back(rel);
+      const TreeNode& leaf = tree_.node(1, leaf_abs);
+      for (std::uint32_t si = plan.senders_begin(rel);
+           si < plan.leaf_ends[rel]; ++si)
+        charges.add(leaf.members[plan.senders[si].member_idx],
+                    node.members[pos]);
     }
-    plan.pos_leaf_ends.push_back(
-        static_cast<std::uint32_t>(plan.leaf_ends.size()));
+    plan.pos_link_ends.push_back(static_cast<std::uint32_t>(plan.links.size()));
   }
   plan.charges = charges.take();
   return plan;
@@ -267,38 +273,83 @@ ShareFlow::OpenPlan ShareFlow::build_open_plan(std::size_t level,
 void ShareFlow::open_tally(const TreeNode& node, const OpenPlan& plan,
                            const LeafViews& views, std::uint64_t salt,
                            MemberViews& out) {
-  ensure_worker_scratch();
+  scratch_.fit();
   const std::size_t nwords = views.nwords();
   const std::size_t rel0 = node.leaf_begin - views.leaf_begin();
-  const Rng salted(salt);
   open_receivers_ += node.members.size();
   open_tallies_ += 1;
+
+  // Pass 1, per (leaf, word). Every receiver linked to a leaf tallies the
+  // same honest values plus its own draws for the leaf's L liars, and
+  // garbage adds at most L to any one value. So when the honest plurality
+  // (count c1) leads the runner-up (count c2) by c1 > c2 + L, it wins
+  // every receiver's tally strictly, whatever the draws, and the
+  // first-occurrence tie-break never applies. Anything else — a margin
+  // of exactly L, an honest tie, a leaf without honest senders — stays
+  // kUnsettled and takes the full tally below. A chunk of fewer than
+  // ~256 leaf-words runs faster inline than dispatched.
+  const std::size_t settle_grain =
+      std::max<std::size_t>(1, 256 / std::max<std::size_t>(1, nwords));
+  settled_.assign(plan.liars.size() * nwords, kUnsettled);
+  Pool::for_each(
+      plan.liars.size(),
+      [&](std::size_t rel, std::size_t worker) {
+        PluralityCounter& honest = scratch_[worker].leaf_tally;
+        for (std::size_t w = 0; w < nwords; ++w) {
+          honest.clear();
+          for (std::uint32_t si = plan.senders_begin(rel);
+               si < plan.leaf_ends[rel]; ++si) {
+            const OpenSender& s = plan.senders[si];
+            if (!s.lies)
+              honest.add(views.at(rel0 + rel, s.member_idx, w).value());
+          }
+          const PluralityCounter::Leader top = honest.leader();
+          if (top.count > top.runner_up + plan.liars[rel])
+            settled_[rel * nwords + w] = top.value;
+        }
+      },
+      /*min_grain=*/settle_grain);
+
+  // Pass 2, per receiver: a plurality of its leaves' winners per word.
+  const Rng salted(salt);
   Pool::for_each(node.members.size(), [&](std::size_t pos,
                                           std::size_t worker) {
     // Per-receiver garbage stream: a function of (salt, pos) alone, so
     // lying-sender draws are identical at any worker count and never
-    // touch rng_. Draw order within the stream is (word, leaf, sender).
+    // touch rng_. Draw order within the stream is (word, leaf, sender); a
+    // settled leaf skips its L draws, so later draws keep their place.
     Rng garbage_stream = salted.fork(pos);
-    PluralityCounter& leaf_tally = leaf_tally_scratch_[worker];
-    PluralityCounter& node_tally = node_tally_scratch_[worker];
-    const std::uint32_t lb = pos == 0 ? 0 : plan.pos_leaf_ends[pos - 1];
-    const std::uint32_t le = plan.pos_leaf_ends[pos];
-    const std::size_t s_begin = lb == 0 ? 0 : plan.leaf_ends[lb - 1];
+    WorkerScratch& sc = scratch_[worker];
+    const std::uint32_t lb = pos == 0 ? 0 : plan.pos_link_ends[pos - 1];
+    const std::uint32_t le = plan.pos_link_ends[pos];
     for (std::size_t w = 0; w < nwords; ++w) {
-      node_tally.clear();
-      std::size_t si = s_begin;
-      for (std::size_t l = lb; l < le; ++l) {
-        leaf_tally.clear();
-        for (; si < plan.leaf_ends[l]; ++si) {
-          const OpenSender& s = plan.senders[si];
-          leaf_tally.add(
-              s.lies ? garbage_stream.next()
-                     : views.at(rel0 + s.leaf_rel, s.member_idx, w).value());
+      sc.node_tally.clear();
+      for (std::uint32_t l = lb; l < le; ++l) {
+        const std::uint32_t rel = plan.links[l];
+        const std::uint64_t settled = settled_[rel * nwords + w];
+        if (settled != kUnsettled) {
+          for (std::uint32_t i = 0; i < plan.liars[rel]; ++i)
+            garbage_stream.next();
+          sc.node_tally.add(settled);
+          ++sc.fast_tallies;
+          continue;
         }
-        node_tally.add(leaf_tally.winner());
+        sc.leaf_tally.clear();
+        for (std::uint32_t si = plan.senders_begin(rel);
+             si < plan.leaf_ends[rel]; ++si) {
+          const OpenSender& s = plan.senders[si];
+          sc.leaf_tally.add(
+              s.lies ? garbage_stream.next()
+                     : views.at(rel0 + rel, s.member_idx, w).value());
+        }
+        sc.node_tally.add(sc.leaf_tally.winner());
       }
-      out.set(pos, w, Fp(node_tally.winner()));
+      out.set(pos, w, Fp(sc.node_tally.winner()));
     }
+  });
+  scratch_.each([this](WorkerScratch& sc) {
+    open_fast_tallies_ += sc.fast_tallies;
+    sc.fast_tallies = 0;
   });
 }
 
@@ -314,7 +365,7 @@ std::vector<ShareRec> ShareFlow::deal_to_leaf(ProcId owner,
 
 std::vector<std::vector<ShareRec>> ShareFlow::deal_to_leaf_batch(
     const std::vector<DealJob>& jobs) {
-  ensure_worker_scratch();
+  scratch_.fit();
   const std::size_t nj = jobs.size();
   std::vector<std::vector<ShareRec>> out(nj);
   std::vector<const CachedScheme*> scheme_of(nj, nullptr);
@@ -347,7 +398,7 @@ std::vector<std::vector<ShareRec>> ShareFlow::deal_to_leaf_batch(
   // writing job-indexed records.
   Pool::for_each(nj, [&](std::size_t ji, std::size_t worker) {
     if (scheme_of[ji] == nullptr) return;
-    std::vector<VectorShare>& dealt = deal_out_scratch_[worker];
+    std::vector<VectorShare>& dealt = scratch_[worker].dealt;
     scheme_of[ji]->deal_from_coeffs(*jobs[ji].words, coeffs_of[ji], dealt);
     std::vector<ShareRec>& recs = out[ji];
     for (std::size_t pos = 0; pos < recs.size(); ++pos)
@@ -368,7 +419,7 @@ void ShareFlow::send_secret_up(
   const std::size_t d = up.degree();
   const std::size_t t = params_.privacy_threshold(d);
   const std::size_t drop = new_offset - a.word_offset;
-  ensure_worker_scratch();
+  scratch_.fit();
 
   const CachedScheme& scheme = cache_.scheme(d, t);
   struct UpItem {
@@ -418,9 +469,9 @@ void ShareFlow::send_secret_up(
   Pool::for_each(honest.size(), [&](std::size_t hi, std::size_t worker) {
     const UpItem& item = honest[hi];
     const ShareRec& rec = a.recs[item.rec_idx];
-    std::vector<Fp>& slice = slice_scratch_[worker];
+    std::vector<Fp>& slice = scratch_[worker].slice;
     slice.assign(rec.ys.begin() + drop, rec.ys.end());
-    std::vector<VectorShare>& dealt = deal_out_scratch_[worker];
+    std::vector<VectorShare>& dealt = scratch_[worker].dealt;
     scheme.deal_from_coeffs(slice, coeffs_of[hi], dealt);
     for (std::size_t i = 0; i < d; ++i)
       next[item.base + i].ys = std::move(dealt[i].ys);
@@ -455,7 +506,7 @@ std::vector<ShareFlow::Exposure> ShareFlow::expose(
     BA_REQUIRE(job.w0 >= job.a->word_offset && job.w1 > job.w0,
                "bad word range");
   }
-  ensure_worker_scratch();
+  scratch_.fit();
 
   // One exposure in flight: its plans, its arena block and its salts.
   struct Instance {
@@ -565,12 +616,12 @@ std::vector<ShareFlow::Exposure> ShareFlow::expose(
       Pool::for_each(todo.size(), [&](std::size_t wi, std::size_t worker) {
         const Instance& in = ins[todo[wi][0]];
         const ExposurePlan::Group& g = in.plan->groups[todo[wi][1]];
-        std::vector<FpSpan>& spans = span_scratch_[worker];
-        spans.clear();
+        WorkerScratch& sc = scratch_[worker];
+        sc.spans.clear();
         for (std::uint32_t si = g.share_begin; si < g.share_end; ++si)
-          spans.push_back(in.span(in.plan->shares[si]));
-        if (g.dec->reconstruct_into(spans.data(), spans.size(), in.nwords,
-                                    in.slot(g.out), decode_scratch_[worker]))
+          sc.spans.push_back(in.span(in.plan->shares[si]));
+        if (g.dec->reconstruct_into(sc.spans.data(), sc.spans.size(),
+                                    in.nwords, in.slot(g.out), sc.decode))
           return;
         ++failures;
         Rng stream = Rng(in.salts[li]).fork(g.stream);
@@ -590,14 +641,14 @@ std::vector<ShareFlow::Exposure> ShareFlow::expose(
       const std::size_t k = tree_.node(1, lf.leaf_idx).members.size();
       const std::size_t rel = lf.leaf_idx - in.top->leaf_begin;
       if (lf.dec != nullptr) {
-        std::vector<FpSpan>& spans = span_scratch_[worker];
-        spans.clear();
+        WorkerScratch& sc = scratch_[worker];
+        sc.spans.clear();
         for (std::uint32_t si = lf.share_begin; si < lf.share_end; ++si)
-          spans.push_back(in.span(in.plan->shares[si]));
+          sc.spans.push_back(in.span(in.plan->shares[si]));
         const Fp* secret = in.slot(lf.secret);
-        if (lf.dec->reconstruct_into(spans.data(), spans.size(), in.nwords,
-                                     in.slot(lf.secret),
-                                     decode_scratch_[worker])) {
+        if (lf.dec->reconstruct_into(sc.spans.data(), sc.spans.size(),
+                                     in.nwords, in.slot(lf.secret),
+                                     sc.decode)) {
           for (std::size_t pos = 0; pos < k; ++pos)
             for (std::size_t w = 0; w < in.nwords; ++w)
               views.set(rel, pos, w, secret[w]);
@@ -634,10 +685,10 @@ std::vector<ShareFlow::Exposure> ShareFlow::expose(
     jb = je;
   }
   decode_failures_ += failures;
-  for (RobustDecoder::Scratch& s : decode_scratch_) {
-    damaged_words_ += s.damaged_words;
-    s.damaged_words = 0;
-  }
+  scratch_.each([this](WorkerScratch& sc) {
+    damaged_words_ += sc.decode.damaged_words;
+    sc.decode.damaged_words = 0;
+  });
   return out;
 }
 

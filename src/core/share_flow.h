@@ -23,7 +23,7 @@
 //    frontier walk, each node's send list (which records are dropped,
 //    which holders lie), the recombination groups with their holder
 //    positions and decoder pointers, the leaf exchanges, the node's
-//    sendOpen sender bins, and one aggregated charge table of
+//    sendOpen sender lists, and one aggregated charge table of
 //    (processor, messages sent, messages received). The plan is index
 //    based: every word run it names is a slot of one arena block of
 //    slots x nwords words per exposure. Records are grouped by parent
@@ -91,11 +91,15 @@
 //    copies a slot index, not words. The arena resets at the top of each
 //    batch chunk.
 //
-// sendOpen fans out per receiver the same way: the node's open plan bins
-// the surviving (leaf, member) senders per receiver (contiguous receiver
-// -> leaves -> senders slices), one salt is drawn from rng_ at the call's
-// serial position, and each receiver's tally runs on the pool drawing its
-// lying-sender garbage from Rng(salt).fork(pos). Moving any rng_ draw or
+// sendOpen fans out per receiver the same way: the node's open plan
+// lists each leaf's surviving senders once and each receiver's linked
+// leaves, one salt is drawn from rng_ at the call's serial position, and
+// each receiver's tally runs on the pool drawing its lying-sender garbage
+// from Rng(salt).fork(pos). Every receiver linked to a leaf sees the same
+// honest values from it, so a pooled pass per open first settles each
+// (leaf, word) whose honest plurality no garbage can overturn; a receiver
+// takes a settled winner and skips its garbage stream past that leaf's
+// liars, so every later draw keeps its position. Moving any rng_ draw or
 // salt changes fixed-seed outcomes and re-pins the parity fingerprints
 // and golden reports (procedure in docs/ARCHITECTURE.md). Ledger charges
 // are order-independent totals and move freely between phases.
@@ -109,6 +113,7 @@
 
 #include "common/arena.h"
 #include "common/plurality.h"
+#include "common/pool.h"
 #include "core/array_state.h"
 #include "core/params.h"
 #include "crypto/berlekamp_welch.h"
@@ -257,6 +262,9 @@ class ShareFlow {
   std::uint64_t open_receivers() const { return open_receivers_; }
   /// Pooled sendOpen tally dispatches so far (report extras).
   std::uint64_t open_tallies() const { return open_tallies_; }
+  /// Leaf tallies (receiver, linked leaf, word) that took a settled
+  /// winner instead of re-tallying so far (report extras).
+  std::uint64_t open_fast_leaf_tallies() const { return open_fast_tallies_; }
   /// sendDown recombinations (tree groups and leaf exchanges) whose
   /// robust decode failed so far (report extras).
   std::uint64_t decode_failures() const { return decode_failures_; }
@@ -269,25 +277,30 @@ class ShareFlow {
   std::uint64_t plan_reuses() const { return plan_reuses_; }
 
  private:
-  /// One surviving sendOpen sender: where its reported word lives in the
-  /// leaf views and whether it lies. Packed to 8 bytes — the tally
-  /// re-walks the whole sender list once per word, so entry size is the
-  /// stage's memory-bandwidth knob.
+  /// One surviving sendOpen sender of a leaf: its member position and
+  /// whether it lies.
   struct OpenSender {
-    std::uint32_t leaf_rel = 0;    ///< leaf index minus the node's first
-    std::uint16_t member_idx = 0;  ///< member position within the leaf
+    std::uint16_t member_idx = 0;
     std::uint8_t lies = 0;
   };
-  /// The sendOpen plan of one node, flattened across receivers in tally
-  /// order: receiver pos owns senders
-  /// [leaf_ends[pos_leaf_ends[pos-1] - 1], leaf_ends[pos_leaf_ends[pos] - 1])
-  /// split into leaves by leaf_ends — a contiguous
-  /// (receiver -> leaves -> senders) slice per pooled tally item.
+  /// The sendOpen plan of one node. Every receiver linked to a leaf gets
+  /// the same senders from it (all its non-silent members), so senders
+  /// are stored once per leaf of the node: leaf rel (index minus the
+  /// node's first leaf) owns senders[leaf_ends[rel-1], leaf_ends[rel]) in
+  /// member order, liars[rel] of them lying. Receiver pos is linked to
+  /// links[pos_link_ends[pos-1], pos_link_ends[pos]) (leaf rels, in
+  /// ell-link order: the tally order).
   struct OpenPlan {
     std::vector<OpenSender> senders;
-    std::vector<std::uint32_t> leaf_ends;      ///< prefix ends into senders
-    std::vector<std::uint32_t> pos_leaf_ends;  ///< per receiver, into leaf_ends
+    std::vector<std::uint32_t> leaf_ends;  ///< per leaf, into senders
+    std::vector<std::uint32_t> liars;      ///< per leaf: its L
+    std::vector<std::uint32_t> links;
+    std::vector<std::uint32_t> pos_link_ends;  ///< per receiver, into links
     std::vector<ChargeRow> charges;  ///< one message per sender per receiver
+
+    std::uint32_t senders_begin(std::size_t rel) const {
+      return rel == 0 ? 0 : leaf_ends[rel - 1];
+    }
   };
 
   /// The word-independent structure of one sendDown (see the header
@@ -347,7 +360,10 @@ class ShareFlow {
 
   /// sendOpen's per-receiver pluralities over the pool, lying senders
   /// drawing from Rng(salt).fork(pos). Draw-free on rng_ and charge-free
-  /// (the caller charges plan.charges); writes are receiver-indexed.
+  /// (the caller charges plan.charges); writes are receiver-indexed. A
+  /// first pooled pass settles the (leaf, word) tallies no garbage can
+  /// sway (see open_tally in share_flow.cpp); receivers take those
+  /// winners without re-tallying.
   void open_tally(const TreeNode& node, const OpenPlan& plan,
                   const LeafViews& views, std::uint64_t salt,
                   MemberViews& out);
@@ -368,9 +384,6 @@ class ShareFlow {
     return style_ == FaultStyle::silent && net_.is_corrupt(p);
   }
 
-  /// (Re)size the per-worker scratch slots to the pool's current width.
-  void ensure_worker_scratch();
-
   const ProtocolParams& params_;
   const TournamentTree& tree_;
   Network& net_;
@@ -380,13 +393,21 @@ class ShareFlow {
   WordArena arena_;    ///< word storage for one exposure batch chunk
 
   // Per-worker scratch (common/pool.h contract: reinitialized by every
-  // item that uses a slot).
-  std::vector<RobustDecoder::Scratch> decode_scratch_;
-  std::vector<std::vector<FpSpan>> span_scratch_;
-  std::vector<std::vector<VectorShare>> deal_out_scratch_;
-  std::vector<std::vector<Fp>> slice_scratch_;
-  std::vector<PluralityCounter> leaf_tally_scratch_;
-  std::vector<PluralityCounter> node_tally_scratch_;
+  // item that uses it; decode.damaged_words and fast_tallies are
+  // partials summed after each fan-out).
+  struct WorkerScratch {
+    RobustDecoder::Scratch decode;
+    std::vector<FpSpan> spans;
+    std::vector<VectorShare> dealt;
+    std::vector<Fp> slice;
+    PluralityCounter leaf_tally;
+    PluralityCounter node_tally;
+    std::uint64_t fast_tallies = 0;
+  };
+  PerWorker<WorkerScratch> scratch_;
+  /// open_tally's settled leaf winners, [leaf rel * nwords + w]
+  /// (kUnsettled where the receivers tally themselves).
+  std::vector<std::uint64_t> settled_;
 
   // Exposure plan cache (see the header comment): plans of one tree
   // level, valid while the two keys match.
@@ -398,6 +419,7 @@ class ShareFlow {
   // Instrumentation for report extras (not part of any fingerprint).
   std::uint64_t open_receivers_ = 0;
   std::uint64_t open_tallies_ = 0;
+  std::uint64_t open_fast_tallies_ = 0;
   std::uint64_t decode_failures_ = 0;
   std::uint64_t damaged_words_ = 0;
   std::uint64_t plans_built_ = 0;

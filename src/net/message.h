@@ -169,7 +169,9 @@ class WordVec {
 
   void assign(const std::uint64_t* src, std::size_t n) {
     if (n > cap_) grow(n);
-    std::memcpy(heap_ ? heap_ : inline_, src, n * sizeof(std::uint64_t));
+    // An empty source may be a null pointer, which memcpy must not get.
+    if (n != 0)
+      std::memcpy(heap_ ? heap_ : inline_, src, n * sizeof(std::uint64_t));
     size_ = static_cast<std::uint32_t>(n);
   }
   /// Copy-construct from o into a released/fresh state: inline contents

@@ -144,12 +144,6 @@ void Network::stage_pending() const {
   release_if_oversized(log_receivers_, total);
 }
 
-void Network::charge_bulk(ProcId from, ProcId to, std::size_t content_bits) {
-  BA_REQUIRE(from < n_ && to < n_, "processor id out of range");
-  ledger_.charge_send(from, content_bits + kHeaderBits);
-  ledger_.charge_recv(to, content_bits + kHeaderBits);
-}
-
 void Network::charge_batch(ProcId from, ProcId to, std::size_t content_bits) {
   BA_REQUIRE(from < n_ && to < n_, "processor id out of range");
   if (batch_msgs_ != 0 && from != batch_from_) flush_charge_batch();
@@ -332,8 +326,7 @@ void Network::advance_round() {
   // runs before the fan-out so the per-receiver merges are draw-free
   // (the same discipline as the share flows' pre-drawn randomness).
   if (scheduler_) scheduler_->draw_delays(pending_log_);
-  if (delivery_scratch_.size() < Pool::num_threads())
-    delivery_scratch_.resize(Pool::num_threads());
+  delivery_scratch_.fit();
   // Per-receiver buckets are independent after staging: fan delivery out
   // across the pool (see the threading-model note in network.h). The
   // grain keeps empty-bucket receivers from dominating dispatch cost.

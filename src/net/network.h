@@ -72,9 +72,10 @@
 //     inbox_spans_[p], and the receiver row bits_recv_[p] of the ledger —
 //     receiver p's entire delivery, including its recv charges, runs on
 //     exactly one worker;
-//   * per-worker: the counting-sort scratch (DeliveryScratch), one slot
-//     per pool worker, reused across rounds and (re)initialized per
-//     bucket so worker assignment is unobservable.
+//   * per-worker: the counting-sort scratch (DeliveryScratch), one
+//     PerWorker slot (its own cache line) per pool worker, reused across
+//     rounds and (re)initialized per bucket so worker assignment is
+//     unobservable.
 // Determinism contract: a receiver's staging bucket is a pure function of
 // the send log (its range owner visits the log in order, whatever the
 // range split), and its delivered inbox is a pure function of that
@@ -88,6 +89,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/pool.h"
 #include "net/message.h"
 #include "net/stats.h"
 
@@ -199,17 +201,12 @@ class Network {
   /// Accounting-only send for bulk data flows whose receiver-side effect
   /// the protocol driver computes directly (share movement, sendOpen,
   /// query floods): charges the ledger exactly like send() — content bits
-  /// plus the per-message header — but materialises no envelope. Keeps
-  /// multi-million-message flows at O(1) memory without losing a bit of
-  /// the paper's cost measure. Charges immediately; prefer charge_batch()
-  /// in loops.
-  void charge_bulk(ProcId from, ProcId to, std::size_t content_bits);
-
-  /// Batched variant of charge_bulk for the Õ(√n)-message flows: the
-  /// sender-side charge is accumulated per (sender, round) and drained at
-  /// advance_round() (or on ledger access), so a fan-out loop touches the
-  /// ledger once per receiver instead of three times per message. Totals
-  /// are identical to charge_bulk call for call.
+  /// plus the per-message header — but materialises no envelope, which
+  /// keeps multi-million-message flows at O(1) memory without losing a
+  /// bit of the paper's cost measure. The sender-side charge is
+  /// accumulated per (sender, round) and drained at advance_round() (or
+  /// on ledger access), so a fan-out loop touches the ledger once per
+  /// receiver instead of three times per message.
   void charge_batch(ProcId from, ProcId to, std::size_t content_bits);
 
   /// Aggregated variant for flows whose message pattern is fixed in
@@ -277,7 +274,7 @@ class Network {
     std::uint32_t end = 0;
   };
 
-  /// Counting-sort scratch: one instance per pool worker, reused across
+  /// Counting-sort scratch: one PerWorker slot per pool worker, reused across
   /// rounds. Every field is (re)initialized by each bucket that uses it,
   /// so which worker delivers which receiver is unobservable.
   struct DeliveryScratch {
@@ -318,7 +315,7 @@ class Network {
   mutable std::vector<std::vector<Envelope>> staging_;
   std::vector<std::vector<Envelope>> inboxes_;
   std::vector<std::vector<TagSpan>> inbox_spans_;  ///< per-receiver tag index
-  std::vector<DeliveryScratch> delivery_scratch_;  ///< [pool worker]
+  PerWorker<DeliveryScratch> delivery_scratch_;
   // All staged envelopes in global send order (storage reused across
   // rounds): the adversary's view and the scheduler's delay draws walk it.
   mutable std::vector<PendingRef> pending_log_;

@@ -277,6 +277,9 @@ class EverywhereProtocol final : public Protocol {
                           static_cast<double>(res.ae.open_tally_receivers));
     r.extras.emplace_back("open_tally_dispatches",
                           static_cast<double>(res.ae.open_tally_dispatches));
+    r.extras.emplace_back(
+        "open_fast_leaf_tallies",
+        static_cast<double>(res.ae.open_fast_leaf_tallies));
     r.extras.emplace_back("open_tally_workers",
                           static_cast<double>(Pool::num_threads()));
     r.extras.emplace_back(
@@ -372,6 +375,9 @@ class AlmostEverywhereProtocol final : public Protocol {
                           static_cast<double>(res.open_tally_receivers));
     r.extras.emplace_back("open_tally_dispatches",
                           static_cast<double>(res.open_tally_dispatches));
+    r.extras.emplace_back(
+        "open_fast_leaf_tallies",
+        static_cast<double>(res.open_fast_leaf_tallies));
     r.extras.emplace_back("open_tally_workers",
                           static_cast<double>(Pool::num_threads()));
     r.extras.emplace_back(

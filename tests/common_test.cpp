@@ -7,6 +7,7 @@
 
 #include "common/arena.h"
 #include "common/field.h"
+#include "common/pool.h"
 #include "common/rng.h"
 #include "common/table.h"
 
@@ -541,6 +542,60 @@ TEST(Table, RowWidthMustMatchHeader) {
   Table t("demo");
   t.header({"a", "b"});
   EXPECT_THROW(t.row({std::int64_t{1}}), std::logic_error);
+}
+
+// ----------------------------------------------------------- PerWorker --
+
+TEST(PerWorker, EverySlotOwnsItsCacheLines) {
+  // A 48-byte scratch (a PluralityCounter's size) would put two workers
+  // on one line in a plain vector.
+  struct Scratch {
+    std::vector<std::uint64_t> a, b;
+  };
+  Pool::set_threads(8);
+  PerWorker<Scratch> slots;
+  ASSERT_EQ(slots.size(), 8u);
+  for (std::size_t w = 0; w < slots.size(); ++w) {
+    const auto addr = reinterpret_cast<std::uintptr_t>(&slots[w]);
+    EXPECT_EQ(addr % 64, 0u) << "slot " << w;
+    if (w > 0) {
+      const auto prev = reinterpret_cast<std::uintptr_t>(&slots[w - 1]);
+      EXPECT_GE(addr - prev, 64u) << "slot " << w;
+    }
+  }
+  Pool::set_threads(0);
+}
+
+TEST(PerWorker, FitFollowsTheWorkerCount) {
+  Pool::set_threads(1);
+  PerWorker<std::vector<int>> slots;
+  EXPECT_EQ(slots.size(), 1u);
+  slots[0].push_back(7);
+  Pool::set_threads(8);
+  EXPECT_EQ(slots.fit().size(), 8u);
+  EXPECT_EQ(slots[0], std::vector<int>{7});  // surviving slots keep state
+  Pool::set_threads(2);
+  EXPECT_EQ(slots.fit().size(), 2u);
+  std::size_t seen = 0;
+  slots.each([&](std::vector<int>& v) { seen += v.size(); });
+  EXPECT_EQ(seen, 1u);
+  Pool::set_threads(0);
+}
+
+TEST(PerWorker, BodiesIndexTheirOwnSlot) {
+  // Per-worker partials summed after the loop equal the serial total at
+  // any worker count.
+  for (std::size_t workers : {1, 2, 4}) {
+    Pool::set_threads(workers);
+    PerWorker<std::uint64_t> partial;
+    Pool::for_each(1000, [&](std::size_t i, std::size_t worker) {
+      partial[worker] += i;
+    });
+    std::uint64_t total = 0;
+    partial.each([&](std::uint64_t v) { total += v; });
+    EXPECT_EQ(total, 999u * 1000u / 2) << workers << " workers";
+  }
+  Pool::set_threads(0);
 }
 
 }  // namespace

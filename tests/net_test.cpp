@@ -8,6 +8,15 @@
 namespace ba {
 namespace {
 
+/// The oracle for Network::charge_batch: one message's ledger charge made
+/// at once, content bits plus the header on both ends, as send() charges
+/// it.
+void charge_bulk(Network& net, ProcId from, ProcId to,
+                 std::size_t content_bits) {
+  net.ledger().charge_send(from, content_bits + kHeaderBits);
+  net.ledger().charge_recv(to, content_bits + kHeaderBits);
+}
+
 TEST(Network, DeliversNextRound) {
   Network net(4, 1);
   net.send(0, 1, make_value_payload(7, 42, 8));
@@ -240,10 +249,10 @@ TEST(Network, ChargeBatchMatchesChargeBulk) {
   Network a(4, 1), b(4, 1);
   for (int rep = 0; rep < 3; ++rep) {
     for (ProcId to = 1; to < 4; ++to) {
-      a.charge_bulk(0, to, 61);
+      charge_bulk(a, 0, to, 61);
       b.charge_batch(0, to, 61);
     }
-    a.charge_bulk(2, 1, 7);  // sender switch flushes the batch
+    charge_bulk(a, 2, 1, 7);  // sender switch flushes the batch
     b.charge_batch(2, 1, 7);
   }
   // Ledger access drains the pending batch even before advance_round.
@@ -305,7 +314,7 @@ TEST(Network, ChargeBulkMatchesSend) {
   Payload p = make_value_payload(7, 5, 10);
   a.send(0, 1, p);
   a.advance_round();
-  b.charge_bulk(0, 1, 10);
+  charge_bulk(b, 0, 1, 10);
   EXPECT_EQ(a.ledger().bits_sent(0), b.ledger().bits_sent(0));
   EXPECT_EQ(a.ledger().bits_received(1), b.ledger().bits_received(1));
 }

@@ -2,6 +2,10 @@
 // sendDown, sendOpen, and the chain encoding behind them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+
 #include "common/plurality.h"
 #include "core/share_flow.h"
 
@@ -42,6 +46,37 @@ TEST(Plurality, SortBasedMatchesNaiveRecount) {
 TEST(Plurality, EmptyTallyIsZero) {
   PluralityCounter counter;
   EXPECT_EQ(counter.winner(), 0u);
+}
+
+TEST(Plurality, LeaderMatchesNaiveCounts) {
+  // Small queries take the scan path, large ones the sort path.
+  Rng rng(321);
+  PluralityCounter counter;
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t k = trial % 2 == 0 ? rng.below(20) : 49 + rng.below(40);
+    std::vector<std::uint64_t> values(k);
+    for (auto& v : values) v = rng.below(5);
+    counter.clear();
+    for (auto v : values) counter.add(v);
+    const PluralityCounter::Leader top = counter.leader();
+    std::map<std::uint64_t, std::size_t> counts;
+    for (auto v : values) ++counts[v];
+    std::size_t runner_up = 0;
+    for (const auto& [v, c] : counts)
+      if (v != top.value) runner_up = std::max(runner_up, c);
+    EXPECT_EQ(top.value, naive_plurality(values)) << "trial " << trial;
+    EXPECT_EQ(top.count, k == 0 ? 0 : counts[top.value]) << "trial " << trial;
+    EXPECT_EQ(top.runner_up, runner_up) << "trial " << trial;
+  }
+}
+
+TEST(Plurality, LeaderOfATieHasNoMargin) {
+  PluralityCounter counter;
+  for (std::uint64_t v : {7u, 3u, 3u, 7u, 9u}) counter.add(v);
+  const PluralityCounter::Leader top = counter.leader();
+  EXPECT_EQ(top.value, 7u);
+  EXPECT_EQ(top.count, 2u);
+  EXPECT_EQ(top.runner_up, 2u);
 }
 
 TEST(Plurality, TieGoesToFirstOccurrence) {
@@ -395,6 +430,218 @@ TEST(ShareFlow, ChargesBitsToLedger) {
   const auto after = f.net.ledger().total_bits_sent(
       std::vector<bool>(64, false), false);
   EXPECT_GT(after, before);
+}
+
+// ------------------------------------------------------- sendOpen tally --
+
+/// sendOpen by definition, with no shortcut: every receiver tallies, per
+/// word, each linked leaf's members — a corrupt one draws from
+/// Rng(salt).fork(pos) in (word, leaf, member) order — and then the leaf
+/// winners. What the settled-leaf path must reproduce.
+MemberViews reference_open(const TournamentTree& tree, const Network& net,
+                           const TreeNode& node, const LeafViews& views,
+                           std::uint64_t salt) {
+  MemberViews out(node.members.size(), views.nwords());
+  PluralityCounter leaf_tally, node_tally;
+  for (std::size_t pos = 0; pos < node.members.size(); ++pos) {
+    Rng garbage = Rng(salt).fork(pos);
+    for (std::size_t w = 0; w < views.nwords(); ++w) {
+      node_tally.clear();
+      for (std::uint32_t leaf_abs : node.ell[pos]) {
+        const TreeNode& leaf = tree.node(1, leaf_abs);
+        leaf_tally.clear();
+        for (std::size_t i = 0; i < leaf.members.size(); ++i)
+          leaf_tally.add(
+              net.is_corrupt(leaf.members[i])
+                  ? garbage.next()
+                  : views.at(leaf_abs - views.leaf_begin(), i, w).value());
+        node_tally.add(leaf_tally.winner());
+      }
+      out.set(pos, w, Fp(node_tally.winner()));
+    }
+  }
+  return out;
+}
+
+/// One sendOpen at node (2, 0) of a fresh lying-style flow over
+/// hand-set leaf views. `corrupt(rel, i)` picks the leaf members to
+/// corrupt; `fill(rel, h, L, w)` then returns the reports of word w by
+/// leaf rel's h honest members, in member order, given its L liars
+/// (counted after all corruption: a processor may sit in several
+/// leaves).
+struct OpenRun {
+  Fixture f;
+  const TreeNode* node = nullptr;
+  std::size_t nwords = 0;
+  std::optional<LeafViews> views;
+  std::optional<MemberViews> opened, expected;
+
+  template <typename Corrupt, typename Fill>
+  OpenRun(std::size_t words, Corrupt corrupt, Fill fill) : nwords(words) {
+    node = &f.tree.node(2, 0);
+    const std::size_t leaves = node->leaf_end - node->leaf_begin;
+    const std::size_t k1 = f.tree.node(1, node->leaf_begin).members.size();
+    for (std::size_t rel = 0; rel < leaves; ++rel) {
+      const TreeNode& leaf = f.tree.node(1, node->leaf_begin + rel);
+      for (std::size_t i = 0; i < leaf.members.size(); ++i)
+        if (corrupt(rel, i) && !f.net.is_corrupt(leaf.members[i]) &&
+            f.net.corruption_budget_left() > 0)
+          f.net.corrupt(leaf.members[i]);
+    }
+    views.emplace(node->leaf_begin, leaves, k1, nwords);
+    for (std::size_t rel = 0; rel < leaves; ++rel) {
+      std::vector<std::size_t> honest;
+      for (std::size_t i = 0; i < k1; ++i)
+        if (!f.net.is_corrupt(leaf_member(rel, i))) honest.push_back(i);
+      for (std::size_t w = 0; w < nwords; ++w) {
+        const std::vector<std::uint64_t> v =
+            fill(rel, honest.size(), k1 - honest.size(), w);
+        EXPECT_EQ(v.size(), honest.size());
+        for (std::size_t h = 0; h < honest.size(); ++h)
+          views->set(rel, honest[h], w, Fp(v[h]));
+      }
+    }
+    // The open is the flow's first draw: its salt.
+    const std::uint64_t salt = f.rng.fork(2).next();
+    opened.emplace(f.flow.send_open(2, 0, *views));
+    expected.emplace(reference_open(f.tree, f.net, *node, *views, salt));
+  }
+
+  ProcId leaf_member(std::size_t rel, std::size_t i) const {
+    return f.tree.node(1, node->leaf_begin + rel).members[i];
+  }
+  std::size_t liars(std::size_t rel) const {
+    std::size_t count = 0;
+    for (ProcId p : f.tree.node(1, node->leaf_begin + rel).members)
+      count += f.net.is_corrupt(p) ? 1 : 0;
+    return count;
+  }
+  /// Receiver links to leaf `rel`, over all receivers.
+  std::size_t links_to(std::size_t rel) const {
+    std::size_t count = 0;
+    for (const auto& linked : node->ell)
+      count += static_cast<std::size_t>(
+          std::count(linked.begin(), linked.end(), node->leaf_begin + rel));
+    return count;
+  }
+  std::uint64_t settled() const { return f.flow.open_fast_leaf_tallies(); }
+
+  void expect_reference() const {
+    for (std::size_t pos = 0; pos < node->members.size(); ++pos)
+      for (std::size_t w = 0; w < nwords; ++w)
+        ASSERT_EQ(opened->at(pos, w).value(), expected->at(pos, w).value())
+            << "receiver " << pos << " word " << w;
+  }
+};
+
+TEST(SendOpenTally, MarginOfExactlyTheLiarCountTakesTheFullTally) {
+  // Member 0 of every leaf lies. Each leaf's honest plurality leads its
+  // runner-up by exactly L (c1 = c2 + L): the L draws could tie the
+  // winner, so not one leaf tally may be settled.
+  OpenRun run(
+      3, [](std::size_t, std::size_t i) { return i == 0; },
+      [](std::size_t rel, std::size_t h, std::size_t liars, std::size_t w) {
+        EXPECT_GE(h, liars + 2) << "leaf " << rel;
+        const std::size_t c2 = (h - liars) / 2;
+        const std::size_t c1 = c2 + liars;
+        // Runner-up reports first, then the plurality, then at most one
+        // single (c2 >= 1, so it stays below the runner-up).
+        std::vector<std::uint64_t> v(c2, 200 + w);
+        v.insert(v.end(), c1, 100 + w);
+        if (v.size() < h) v.push_back(300 + w);
+        return v;
+      });
+  for (std::size_t rel = 0; rel < run.views->leaf_count(); ++rel)
+    ASSERT_GE(run.liars(rel), 1u);
+  EXPECT_EQ(run.settled(), 0u);
+  run.expect_reference();
+}
+
+TEST(SendOpenTally, HonestTieTakesTheFullTally) {
+  // No liars; every leaf's honest reports tie two values (c1 = c2), so
+  // the first-occurrence tie-break decides and no leaf is settled.
+  OpenRun run(
+      2, [](std::size_t, std::size_t) { return false; },
+      [](std::size_t, std::size_t h, std::size_t, std::size_t w) {
+        std::vector<std::uint64_t> v(h);
+        for (std::size_t i = 0; i < h; ++i) v[i] = (i % 2 == 0 ? 7 : 5) + w;
+        if (h % 2 == 1) v.back() = 9;  // keeps the two counts equal
+        return v;
+      });
+  EXPECT_EQ(run.settled(), 0u);
+  run.expect_reference();
+  // The tie went to the first report, 7 + w, in every leaf.
+  for (std::size_t pos = 0; pos < run.node->members.size(); ++pos)
+    for (std::size_t w = 0; w < 2; ++w)
+      EXPECT_EQ(run.opened->at(pos, w).value(), 7 + w);
+}
+
+TEST(SendOpenTally, LeafWithoutHonestSendersTakesTheFullTally) {
+  // Leaf 0 is all liars; every other leaf reports one value. Only links
+  // to a unanimous leaf whose honest count beats its liars are settled.
+  OpenRun run(
+      2, [](std::size_t rel, std::size_t) { return rel == 0; },
+      [](std::size_t, std::size_t h, std::size_t, std::size_t w) {
+        return std::vector<std::uint64_t>(h, 40 + w);
+      });
+  ASSERT_EQ(run.liars(0), run.views->k1());
+  ASSERT_GT(run.links_to(0), 0u);
+  std::uint64_t want = 0;
+  for (std::size_t rel = 0; rel < run.views->leaf_count(); ++rel)
+    if (run.views->k1() > 2 * run.liars(rel))
+      want += run.links_to(rel) * run.nwords;
+  EXPECT_GT(want, 0u);
+  EXPECT_EQ(run.settled(), want);
+  run.expect_reference();
+}
+
+TEST(SendOpenTally, SettledLeafKeepsTheGarbageStreamPosition) {
+  // Member 0 of every leaf lies. Word 0 is unanimous among the honest
+  // members, so every leaf is settled and its receivers skip their L
+  // draws. In word 1 the honest reports are pairwise distinct: each leaf
+  // tally is a tie of singletons that goes to the liar (member 0, first),
+  // so every opened word 1 is a garbage draw — taken at the position the
+  // full tally of word 0 would have left the stream in.
+  OpenRun run(
+      2, [](std::size_t, std::size_t i) { return i == 0; },
+      [](std::size_t rel, std::size_t h, std::size_t, std::size_t w) {
+        std::vector<std::uint64_t> v(h, 60);
+        if (w == 1)
+          for (std::size_t i = 0; i < h; ++i) v[i] = 1000 + 100 * rel + i;
+        return v;
+      });
+  std::uint64_t links = 0;
+  for (std::size_t rel = 0; rel < run.views->leaf_count(); ++rel) {
+    ASSERT_GE(run.views->k1() - run.liars(rel), run.liars(rel) + 1);
+    links += run.links_to(rel);
+  }
+  EXPECT_EQ(run.settled(), links);  // all of word 0, none of word 1
+  run.expect_reference();
+  // Word 1 is a garbage draw, above every honest report (a uniform field
+  // element lands this low with probability below 2^-40).
+  const std::uint64_t honest_max =
+      1000 + 100 * run.views->leaf_count() + run.views->k1();
+  for (std::size_t pos = 0; pos < run.node->members.size(); ++pos) {
+    EXPECT_EQ(run.opened->at(pos, 0).value(), 60u);
+    EXPECT_GT(run.opened->at(pos, 1).value(), honest_max);
+  }
+}
+
+TEST(SendOpenTally, MatchesTheFullTallyOnRandomLeaves) {
+  // Random liars and reports from a three-value alphabet, so settled,
+  // tied and liar-swayed leaves all occur.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng pick(seed);
+    OpenRun run(
+        4, [&](std::size_t, std::size_t) { return pick.below(5) == 0; },
+        [&](std::size_t, std::size_t h, std::size_t, std::size_t) {
+          std::vector<std::uint64_t> v(h);
+          for (auto& x : v) x = pick.below(3);
+          return v;
+        });
+    run.expect_reference();
+  }
 }
 
 TEST(ShareFlow, ExposureRoundsFormula) {
