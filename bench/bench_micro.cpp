@@ -389,6 +389,59 @@ Comparison compare_damaged_word_decode_m12() {
   return c;
 }
 
+Comparison compare_damaged_word_decode_m12_one_error() {
+  // The commonest damaged word at the sendDown shape: 12 shares at t = 3
+  // (budget 4), one lying share. Share 2 lies, inside block 0 of the
+  // decoder's information sets, so block 0 fails and block 1 decodes the
+  // word. Legacy: a warm GaoContext::decode of the same word, the path
+  // every damaged word took before the information-set pass. Current:
+  // the cached decoder with a warm scratch, as ShareFlow calls it.
+  constexpr std::size_t kShares = 12, kThreshold = 3, kLiar = 2;
+  Rng rng(3003);
+  ShamirScheme scheme(kShares, kThreshold);
+  const std::vector<Fp> secret{Fp(rng.next())};
+  auto shares = scheme.deal(secret, rng);
+  shares[kLiar].ys[0] = Fp(rng.next());
+  std::vector<Fp> xs(kShares), ys(kShares);
+  std::vector<FpSpan> spans(kShares);
+  for (std::size_t i = 0; i < kShares; ++i) {
+    xs[i] = Fp(shares[i].x);
+    ys[i] = shares[i].ys[0];
+    spans[i] = FpSpan{shares[i].ys.data(), 1};
+  }
+  const GaoContext gao(xs);
+  GaoContext::Scratch gao_scratch;
+  const RobustDecoder dec(xs, kThreshold);
+  RobustDecoder::Scratch scratch;
+  Fp out;
+  // Sanity: both decoders recover the dealt secret, and the current one
+  // never reaches Gao.
+  BA_REQUIRE(gao.decode(ys.data(), kThreshold, dec.max_errors(),
+                        gao_scratch) &&
+                 gao_scratch.msg[0] == secret[0],
+             "Gao decode failed");
+  BA_REQUIRE(dec.reconstruct_into(spans.data(), kShares, 1, &out,
+                                  scratch) &&
+                 out == secret[0] && scratch.gao_words == 0,
+             "information-set decode failed");
+  Comparison c;
+  c.name = "damaged_word_decode_m12_one_error";
+  c.params = "shares=12 threshold=3 words=1 lying_share=2";
+  c.legacy_ns = time_ns_per_op([&] {
+    const bool ok =
+        gao.decode(ys.data(), kThreshold, dec.max_errors(), gao_scratch);
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(gao_scratch.msg[0]);
+  });
+  c.current_ns = time_ns_per_op([&] {
+    const bool ok =
+        dec.reconstruct_into(spans.data(), kShares, 1, &out, scratch);
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(out);
+  });
+  return c;
+}
+
 Comparison compare_tagged_inbox_scan() {
   // Acceptance target: >= 2x on per-tag tally loops at n = 4096. Four
   // protocol tags multiplexed over one round (the tournament's steady
@@ -1028,6 +1081,7 @@ int write_comparison_json() {
   comps.push_back(compare_shamir_deal());
   comps.push_back(compare_damaged_word_decode());
   comps.push_back(compare_damaged_word_decode_m12());
+  comps.push_back(compare_damaged_word_decode_m12_one_error());
   comps.push_back(compare_network_round());
   comps.push_back(compare_payload_churn());
   comps.push_back(compare_tagged_inbox_scan());

@@ -5,7 +5,7 @@
 // matmul (crypto/scheme_cache.cpp), dot_mod_p for barycentric rows
 // (common/field.cpp) and Gao's basis interpolation, fnma_mod_p for Gao's
 // pseudo-division and exact division, horner_step_mod_p for its
-// verification (crypto/gao.cpp). Each kernel has three backends:
+// verification (crypto/gao.cpp). Each kernel has two backends:
 //
 //   * scalar   — unsigned __int128 accumulation with one Mersenne fold
 //                per 60-term chunk (the proven deferred-reduction scheme
@@ -17,9 +17,7 @@
 //                per-lane sums (ll, lh+hl, hh) that stay below 2^64 for
 //                four consecutive terms — the deferred reduction: no
 //                carries, no compares inside the block, one fold per
-//                16 terms using 2^61 = 1 and 2^62 = 2 (mod p);
-//   * NEON     — the same 31-bit-split block scheme on two 64-bit lanes
-//                (vmull_u32 is the only widening multiply).
+//                16 terms using 2^61 = 1 and 2^62 = 2 (mod p).
 //
 // Contract: every kernel returns the exact canonical value in [0, p) —
 // the same bytes the naive per-term Fp operator chain produces. Backends
@@ -27,8 +25,9 @@
 // dispatched backend against simd::scalar:: on every build.
 //
 // Dispatch is compile-time: the BA_SIMD CMake option defines BA_SIMD=1
-// and (on x86_64) compiles with -mavx2; __AVX2__ / __ARM_NEON then pick
-// the backend below. BA_SIMD=OFF builds are pure scalar.
+// and (on x86_64) compiles with -mavx2; __AVX2__ then picks the AVX2
+// backend. Every other build (BA_SIMD=OFF, aarch64, any non-AVX2 target)
+// takes the scalar dispatch at the bottom of this file.
 #pragma once
 
 #include <cstddef>
@@ -39,9 +38,6 @@
 #if defined(BA_SIMD) && defined(__AVX2__)
 #define BA_SIMD_AVX2 1
 #include <immintrin.h>
-#elif defined(BA_SIMD) && defined(__ARM_NEON) && defined(__aarch64__)
-#define BA_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace ba {
@@ -51,8 +47,6 @@ namespace simd {
 inline const char* backend() {
 #if defined(BA_SIMD_AVX2)
   return "avx2";
-#elif defined(BA_SIMD_NEON)
-  return "neon";
 #else
   return "scalar";
 #endif
@@ -324,170 +318,6 @@ inline void horner_step_mod_p(Fp* acc, const Fp* x, Fp c, std::size_t n) {
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256i prod =
-        detail::mul_mod_p(detail::loadu(acc + i), detail::loadu(x + i));
-    detail::storeu(acc + i, detail::add_mod_p(prod, vc));
-  }
-  scalar::horner_step_mod_p(acc + i, x + i, c, n - i);
-}
-
-#elif defined(BA_SIMD_NEON)
-
-namespace detail {
-
-// The AVX2 block scheme on two 64-bit lanes: identical 31-bit split and
-// identical bounds (see the AVX2 notes above).
-inline constexpr std::size_t kBlockIters = 4;
-
-inline uint64x2_t mp() { return vdupq_n_u64(Fp::kP); }
-
-/// Widening 32x32 multiply of the low-32 limbs of two 64-bit lane pairs.
-inline uint64x2_t mul32(uint64x2_t a, uint64x2_t b) {
-  return vmull_u32(vmovn_u64(a), vmovn_u64(b));
-}
-
-inline uint64x2_t fold_block(uint64x2_t sll, uint64x2_t smid,
-                             uint64x2_t shh) {
-  const uint64x2_t P = mp();
-  uint64x2_t t = vaddq_u64(vandq_u64(sll, P), vshrq_n_u64(sll, 61));
-  const uint64x2_t m30 = vdupq_n_u64((1ULL << 30) - 1);
-  t = vaddq_u64(t, vshrq_n_u64(smid, 30));
-  t = vaddq_u64(t, vshlq_n_u64(vandq_u64(smid, m30), 31));
-  const uint64x2_t u = vshlq_n_u64(shh, 1);
-  t = vaddq_u64(t, vandq_u64(u, P));
-  t = vaddq_u64(t, vshrq_n_u64(u, 61));
-  return t;
-}
-
-inline uint64x2_t partial_reduce(uint64x2_t v) {
-  return vaddq_u64(vandq_u64(v, mp()), vshrq_n_u64(v, 61));
-}
-
-inline uint64x2_t cond_sub_p(uint64x2_t v) {
-  const uint64x2_t P = mp();
-  const uint64x2_t ge = vcgeq_u64(v, P);
-  return vsubq_u64(v, vandq_u64(ge, P));
-}
-
-inline uint64x2_t mul_mod_p(uint64x2_t a, uint64x2_t b) {
-  const uint64x2_t M = vdupq_n_u64((1ULL << 31) - 1);
-  const uint64x2_t a0 = vandq_u64(a, M), a1 = vshrq_n_u64(a, 31);
-  const uint64x2_t b0 = vandq_u64(b, M), b1 = vshrq_n_u64(b, 31);
-  const uint64x2_t ll = mul32(a0, b0);
-  const uint64x2_t lh = mul32(a0, b1);
-  const uint64x2_t hl = mul32(a1, b0);
-  const uint64x2_t hh = mul32(a1, b1);
-  uint64x2_t t = fold_block(ll, vaddq_u64(lh, hl), hh);
-  return cond_sub_p(partial_reduce(t));
-}
-
-inline uint64x2_t sub_mod_p(uint64x2_t a, uint64x2_t b) {
-  return cond_sub_p(vsubq_u64(vaddq_u64(a, mp()), b));
-}
-
-inline uint64x2_t add_mod_p(uint64x2_t a, uint64x2_t b) {
-  return cond_sub_p(vaddq_u64(a, b));
-}
-
-inline uint64x2_t loadu(const Fp* p) {
-  return vld1q_u64(reinterpret_cast<const std::uint64_t*>(p));
-}
-inline void storeu(Fp* p, uint64x2_t v) {
-  vst1q_u64(reinterpret_cast<std::uint64_t*>(p), v);
-}
-
-}  // namespace detail
-
-inline std::uint64_t dot_mod_p(const Fp* a, const Fp* b, std::size_t n,
-                               std::uint64_t init) {
-  if (n < 4) return scalar::dot_mod_p(a, b, n, init);
-  const uint64x2_t M = vdupq_n_u64((1ULL << 31) - 1);
-  uint64x2_t run = vdupq_n_u64(0);
-  std::size_t i = 0;
-  while (i + 2 <= n) {
-    uint64x2_t sll = vdupq_n_u64(0);
-    uint64x2_t smid = vdupq_n_u64(0);
-    uint64x2_t shh = vdupq_n_u64(0);
-    for (std::size_t it = 0; it < detail::kBlockIters && i + 2 <= n;
-         ++it, i += 2) {
-      const uint64x2_t va = detail::loadu(a + i), vb = detail::loadu(b + i);
-      const uint64x2_t a0 = vandq_u64(va, M), a1 = vshrq_n_u64(va, 31);
-      const uint64x2_t b0 = vandq_u64(vb, M), b1 = vshrq_n_u64(vb, 31);
-      sll = vaddq_u64(sll, detail::mul32(a0, b0));
-      smid = vaddq_u64(smid, vaddq_u64(detail::mul32(a0, b1),
-                                       detail::mul32(a1, b0)));
-      shh = vaddq_u64(shh, detail::mul32(a1, b1));
-    }
-    run = detail::partial_reduce(
-        vaddq_u64(run, detail::fold_block(sll, smid, shh)));
-  }
-  unsigned __int128 acc = static_cast<unsigned __int128>(
-                              vgetq_lane_u64(run, 0)) +
-                          vgetq_lane_u64(run, 1) + init;
-  for (; i < n; ++i)
-    acc += static_cast<unsigned __int128>(a[i].value()) * b[i].value();
-  return scalar::fold128(acc);
-}
-
-inline void dot4_mod_p(const Fp* a, const Fp* b0, const Fp* b1, const Fp* b2,
-                       const Fp* b3, std::size_t n, const std::uint64_t* init,
-                       std::uint64_t* out) {
-  if (n < 4) return scalar::dot4_mod_p(a, b0, b1, b2, b3, n, init, out);
-  // Fused four-row kernel (see the AVX2 variant): one shared load + split
-  // of the a column per iteration, per-row block accumulators with the
-  // single-dot bounds.
-  const Fp* bs[4] = {b0, b1, b2, b3};
-  const uint64x2_t M = vdupq_n_u64((1ULL << 31) - 1);
-  uint64x2_t run[4] = {vdupq_n_u64(0), vdupq_n_u64(0), vdupq_n_u64(0),
-                       vdupq_n_u64(0)};
-  std::size_t i = 0;
-  while (i + 2 <= n) {
-    uint64x2_t sll[4], smid[4], shh[4];
-    for (int k = 0; k < 4; ++k)
-      sll[k] = smid[k] = shh[k] = vdupq_n_u64(0);
-    for (std::size_t it = 0; it < detail::kBlockIters && i + 2 <= n;
-         ++it, i += 2) {
-      const uint64x2_t va = detail::loadu(a + i);
-      const uint64x2_t a0 = vandq_u64(va, M), a1 = vshrq_n_u64(va, 31);
-      for (int k = 0; k < 4; ++k) {
-        const uint64x2_t vb = detail::loadu(bs[k] + i);
-        const uint64x2_t bk0 = vandq_u64(vb, M), bk1 = vshrq_n_u64(vb, 31);
-        sll[k] = vaddq_u64(sll[k], detail::mul32(a0, bk0));
-        smid[k] = vaddq_u64(smid[k], vaddq_u64(detail::mul32(a0, bk1),
-                                               detail::mul32(a1, bk0)));
-        shh[k] = vaddq_u64(shh[k], detail::mul32(a1, bk1));
-      }
-    }
-    for (int k = 0; k < 4; ++k)
-      run[k] = detail::partial_reduce(
-          vaddq_u64(run[k], detail::fold_block(sll[k], smid[k], shh[k])));
-  }
-  for (int k = 0; k < 4; ++k) {
-    unsigned __int128 acc = static_cast<unsigned __int128>(
-                                vgetq_lane_u64(run[k], 0)) +
-                            vgetq_lane_u64(run[k], 1) + init[k];
-    for (std::size_t j = i; j < n; ++j)
-      acc += static_cast<unsigned __int128>(a[j].value()) * bs[k][j].value();
-    out[k] = scalar::fold128(acc);
-  }
-}
-
-inline void fnma_mod_p(Fp* out, const Fp* in, Fp c, std::size_t n) {
-  if (n < 2) return scalar::fnma_mod_p(out, in, c, n);
-  const uint64x2_t vc = vdupq_n_u64(c.value());
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t prod = detail::mul_mod_p(vc, detail::loadu(in + i));
-    detail::storeu(out + i, detail::sub_mod_p(detail::loadu(out + i), prod));
-  }
-  scalar::fnma_mod_p(out + i, in + i, c, n - i);
-}
-
-inline void horner_step_mod_p(Fp* acc, const Fp* x, Fp c, std::size_t n) {
-  if (n < 2) return scalar::horner_step_mod_p(acc, x, c, n);
-  const uint64x2_t vc = vdupq_n_u64(c.value());
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t prod =
         detail::mul_mod_p(detail::loadu(acc + i), detail::loadu(x + i));
     detail::storeu(acc + i, detail::add_mod_p(prod, vc));
   }

@@ -494,6 +494,7 @@ AeResult AlmostEverywhereBA::run(Network& net, Adversary& adversary,
   result.open_fast_leaf_tallies = flow.open_fast_leaf_tallies();
   result.share_decode_failures = flow.decode_failures();
   result.share_damaged_words = flow.damaged_words();
+  result.share_gao_words = flow.gao_words();
   result.share_plans_built = flow.plans_built();
   result.share_plan_reuses = flow.plan_reuses();
   return result;

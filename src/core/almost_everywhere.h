@@ -98,7 +98,8 @@ struct AeResult {
   std::uint64_t open_tally_dispatches = 0;  ///< pooled tally dispatches
   std::uint64_t open_fast_leaf_tallies = 0;  ///< settled leaf tallies taken
   std::uint64_t share_decode_failures = 0;  ///< failed sendDown decodes
-  std::uint64_t share_damaged_words = 0;    ///< Gao-decoded sendDown words
+  std::uint64_t share_damaged_words = 0;    ///< sendDown words with errors
+  std::uint64_t share_gao_words = 0;        ///< of them, Gao-decoded
   std::uint64_t share_plans_built = 0;      ///< exposure plans built
   std::uint64_t share_plan_reuses = 0;      ///< exposures on a cached plan
 };

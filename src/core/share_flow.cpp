@@ -687,7 +687,9 @@ std::vector<ShareFlow::Exposure> ShareFlow::expose(
   decode_failures_ += failures;
   scratch_.each([this](WorkerScratch& sc) {
     damaged_words_ += sc.decode.damaged_words;
+    gao_words_ += sc.decode.gao_words;
     sc.decode.damaged_words = 0;
+    sc.decode.gao_words = 0;
   });
   return out;
 }

@@ -57,11 +57,11 @@
 // Crypto goes through a per-flow SchemeCache (crypto/scheme_cache.h): the
 // (k1, t1) leaf scheme and the (d_up, t_up) uplink scheme are built once
 // and deal via their precomputed Vandermonde matrices, and sendDown's
-// recombinations reuse a RobustDecoder per (point set, threshold) — the
-// barycentric fast-path precompute survives across dealing groups, levels
-// and exposure batches instead of being rebuilt per call. Damaged words
-// decode via Gao's O(m^2) extended-Euclid decoder. Corruption draws are
-// centralised in fill_garbage (core/array_state.h).
+// recombinations reuse a RobustDecoder per (point set, threshold) — its
+// information-set precompute survives across dealing groups, levels and
+// exposure batches instead of being rebuilt per call. Words that no
+// information set decodes go to Gao's O(m^2) extended-Euclid decoder.
+// Corruption draws are centralised in fill_garbage (core/array_state.h).
 //
 // Parallelism (the round engine, common/pool.h). The flows are fanned
 // across the pool under a hard draw-order contract that keeps every run
@@ -268,9 +268,11 @@ class ShareFlow {
   /// sendDown recombinations (tree groups and leaf exchanges) whose
   /// robust decode failed so far (report extras).
   std::uint64_t decode_failures() const { return decode_failures_; }
-  /// Words of sendDown recombinations that missed the fast-path check
-  /// and paid a robust (Gao) decode so far (report extras).
+  /// Words of sendDown recombinations that missed the zero-error check
+  /// so far, and those of them that no information set decoded, which
+  /// paid a Gao decode (report extras).
   std::uint64_t damaged_words() const { return damaged_words_; }
+  std::uint64_t gao_words() const { return gao_words_; }
   /// Exposure plans built so far, and exposures served by a cached plan
   /// (report extras).
   std::uint64_t plans_built() const { return plans_built_; }
@@ -393,7 +395,7 @@ class ShareFlow {
   WordArena arena_;    ///< word storage for one exposure batch chunk
 
   // Per-worker scratch (common/pool.h contract: reinitialized by every
-  // item that uses it; decode.damaged_words and fast_tallies are
+  // item that uses it; the decode.*_words counts and fast_tallies are
   // partials summed after each fan-out).
   struct WorkerScratch {
     RobustDecoder::Scratch decode;
@@ -422,6 +424,7 @@ class ShareFlow {
   std::uint64_t open_fast_tallies_ = 0;
   std::uint64_t decode_failures_ = 0;
   std::uint64_t damaged_words_ = 0;
+  std::uint64_t gao_words_ = 0;
   std::uint64_t plans_built_ = 0;
   std::uint64_t plan_reuses_ = 0;
 };

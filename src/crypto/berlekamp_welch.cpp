@@ -148,7 +148,8 @@ std::optional<std::vector<Fp>> robust_reconstruct(
   for (std::size_t i = 0; i < m; ++i) xs[i] = Fp(shares[i].x);
   // One-shot decoder; hot paths that see the same point set repeatedly
   // (ShareFlow::send_down) go through SchemeCache::robust instead, which
-  // keeps the decoder — and its fast-path precompute — alive across calls.
+  // keeps the decoder — and its information-set precompute — alive across
+  // calls.
   RobustDecoder decoder(std::move(xs), privacy_threshold);
   return decoder.reconstruct(shares);
 }

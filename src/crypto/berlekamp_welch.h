@@ -41,12 +41,13 @@ std::optional<std::vector<Fp>> berlekamp_welch(const std::vector<Fp>& xs,
 
 /// Robust word-vector reconstruction with the largest error budget the
 /// share count allows — the single entry point over the tiered decoder
-/// (crypto/scheme_cache.h): a clean word costs O(m * (m - t))
-/// multiplications and no inversions against a precomputed barycentric
-/// fast path shared by all words; a damaged word is decoded by Gao's
-/// extended-Euclid algorithm (O(m^2), crypto/gao.h), with Berlekamp–Welch
-/// kept for degenerate (duplicated-point) share sets. Returns nullopt if
-/// any word fails to decode.
+/// (crypto/scheme_cache.h): a word costs O(m * (m - t)) multiplications
+/// and no inversions per information set (a block of t + 1 shares whose
+/// precomputed barycentric rows check the rest) it is tried on; a word
+/// that every set rejects is decoded by Gao's extended-Euclid algorithm
+/// (O(m^2), crypto/gao.h), with Berlekamp–Welch kept for degenerate
+/// (duplicated-point) share sets. Returns nullopt if any word fails to
+/// decode.
 std::optional<std::vector<Fp>> robust_reconstruct(
     const std::vector<VectorShare>& shares, std::size_t privacy_threshold);
 

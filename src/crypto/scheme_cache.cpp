@@ -102,25 +102,40 @@ RobustDecoder::RobustDecoder(std::vector<Fp> xs,
   BA_REQUIRE(m >= t_ + 1, "not enough points for the threshold");
   max_errors_ = (m - t_ - 1) / 2;
   const std::size_t k = t_ + 1;
-  fast_ = true;
-  for (std::size_t i = 0; i < k && fast_; ++i)
+  bool head_distinct = true;
+  for (std::size_t i = 0; i < k && head_distinct; ++i)
     for (std::size_t j = i + 1; j < k; ++j)
       if (xs_[i] == xs_[j]) {
-        fast_ = false;
+        head_distinct = false;
         break;
       }
-  all_distinct_ = fast_;
+  all_distinct_ = head_distinct;
   for (std::size_t i = 0; i < m && all_distinct_; ++i)
     for (std::size_t j = std::max(i + 1, k); j < m; ++j)
       if (xs_[i] == xs_[j]) {
         all_distinct_ = false;
         break;
       }
-  if (fast_) {
-    interp_.emplace(std::vector<Fp>(xs_.begin(), xs_.begin() + k));
-    check_rows_.reserve(m - k);
-    for (std::size_t i = k; i < m; ++i)
-      check_rows_.push_back(interp_->row_at(xs_[i]));
+  if (!head_distinct) return;
+  // Uniqueness within the error budget needs distinct points; with a
+  // repeat, block 0 only accepts an exact match.
+  set_budget_ = all_distinct_ ? max_errors_ : 0;
+  const std::size_t blocks = set_budget_ > 0 ? m / k : 1;
+  sets_.reserve(blocks);
+  for (std::size_t j = 0; j < blocks; ++j) {
+    const std::size_t first = j * k;
+    InfoSet set{first,
+                BarycentricInterpolator(std::vector<Fp>(
+                    xs_.begin() + static_cast<std::ptrdiff_t>(first),
+                    xs_.begin() + static_cast<std::ptrdiff_t>(first + k))),
+                {}};
+    set.rows.reserve((m - k) * k);
+    for (std::size_t i = 0; i < m; ++i) {
+      if (i >= first && i < first + k) continue;
+      const std::vector<Fp> row = set.interp.row_at(xs_[i]);
+      set.rows.insert(set.rows.end(), row.begin(), row.end());
+    }
+    sets_.push_back(std::move(set));
   }
 }
 
@@ -128,31 +143,57 @@ std::uint64_t RobustDecoder::precompute_fingerprint() const {
   Fnv1a d;
   d.mix(t_);
   d.mix(max_errors_);
-  d.mix(fast_ ? 1 : 0);
+  d.mix(set_budget_);
   d.mix(all_distinct_ ? 1 : 0);
   for (const Fp& x : xs_) d.mix(x.value());
-  for (const auto& row : check_rows_)
-    for (const Fp& v : row) d.mix(v.value());
+  for (const InfoSet& set : sets_) {
+    d.mix(set.first);
+    for (const Fp& v : set.rows) d.mix(v.value());
+  }
   if (gao_) d.mix(gao_->precompute_fingerprint());
   return d.h;
 }
 
 const GaoContext& RobustDecoder::gao() const {
-  // First damaged word pays the setup; call_once makes the handoff safe
-  // when workers race here, and the context is immutable afterwards.
+  // The first word to reach Gao pays the setup; call_once makes the
+  // handoff safe when workers race here, and the context is immutable
+  // afterwards.
   std::call_once(gao_once_, [this] { gao_.emplace(xs_); });
   return *gao_;
 }
 
+bool RobustDecoder::decode_on_sets(Scratch& scratch, Fp& value) const {
+  const std::size_t k = t_ + 1;
+  const std::size_t checks = xs_.size() - k;
+  const Fp* ys = scratch.ys.data();
+  if (sets_.empty()) ++scratch.damaged_words;
+  for (const InfoSet& set : sets_) {
+    // Interpolate through the block, count disagreements elsewhere.
+    const Fp* block = ys + set.first;
+    std::size_t misses = 0;
+    for (std::size_t r = 0; r < checks && misses <= set_budget_; ++r)
+      if (Fp(simd::dot_mod_p(&set.rows[r * k], block, k, 0)) !=
+          ys[r < set.first ? r : r + k])
+        ++misses;
+    if (set.first == 0 && misses > 0) ++scratch.damaged_words;
+    if (misses <= set_budget_) {
+      value = Fp(simd::dot_mod_p(set.interp.zero_row().data(), block, k, 0));
+      return true;
+    }
+  }
+  return false;
+}
+
 std::optional<Fp> RobustDecoder::decode_word(Scratch& scratch) const {
   if (all_distinct_) {
-    if (max_errors_ == 0 ||
-        !gao().decode(scratch.ys.data(), t_, max_errors_, scratch.gao))
+    if (max_errors_ == 0) return std::nullopt;
+    ++scratch.gao_words;
+    if (!gao().decode(scratch.ys.data(), t_, max_errors_, scratch.gao))
       return std::nullopt;
     return scratch.gao.msg[0];
   }
   std::optional<std::vector<Fp>> p;
-  if (!fast_)
+  if (sets_.empty())
     p = berlekamp_welch(xs_, scratch.ys, t_, 0);  // degenerate point set
   if (!p && max_errors_ > 0)
     p = berlekamp_welch(xs_, scratch.ys, t_, max_errors_);
@@ -180,28 +221,12 @@ bool RobustDecoder::reconstruct_into(const FpSpan* shares, std::size_t count,
                                      Scratch& scratch) const {
   const std::size_t m = xs_.size();
   BA_REQUIRE(count == m, "share count must match the point set");
-  const std::size_t k = t_ + 1;
   for (std::size_t i = 0; i < m; ++i)
     BA_REQUIRE(shares[i].size() == words, "ragged share vectors");
   scratch.ys.resize(m);
-  scratch.head.resize(k);
   for (std::size_t w = 0; w < words; ++w) {
     for (std::size_t i = 0; i < m; ++i) scratch.ys[i] = shares[i][w];
-    bool clean = fast_;
-    if (fast_) {
-      std::copy(scratch.ys.begin(),
-                scratch.ys.begin() + static_cast<std::ptrdiff_t>(k),
-                scratch.head.begin());
-      for (std::size_t i = 0; clean && i < check_rows_.size(); ++i)
-        clean = BarycentricInterpolator::eval_row(check_rows_[i],
-                                                  scratch.head) ==
-                scratch.ys[k + i];
-    }
-    if (clean) {
-      out[w] = interp_->eval_at_zero(scratch.head);
-      continue;
-    }
-    ++scratch.damaged_words;
+    if (decode_on_sets(scratch, out[w])) continue;
     auto value = decode_word(scratch);
     if (!value) return false;
     out[w] = *value;

@@ -16,13 +16,16 @@
 //    1..t, exactly like ShamirScheme::deal — cached dealing is
 //    byte-identical to the seed path for the same Rng state.
 //
-//  * RobustDecoder, keyed by (point set, t): the no-error fast path
-//    precompute (BarycentricInterpolator through the first t+1 points plus
-//    one verification row per redundant point) and, built on the first
-//    damaged word, a GaoContext (g0 and the Lagrange-basis matrix) whose
-//    inversion-free decode keeps every working polynomial in the caller's
-//    Scratch. robust_reconstruct() in berlekamp_welch.h is the uncached
-//    entry point over the same code.
+//  * RobustDecoder, keyed by (point set, t): one information set per
+//    disjoint block of t+1 shares (a BarycentricInterpolator through the
+//    block plus one check row per other share) and, built on the first
+//    word that no block decodes, a GaoContext (g0 and the Lagrange-basis
+//    matrix) whose inversion-free decode keeps every working polynomial
+//    in the caller's Scratch. A block whose interpolant disagrees with at
+//    most max_errors shares is the unique decoding, so Gao runs only for
+//    words with a corrupted share in every block (see RobustDecoder).
+//    robust_reconstruct() in berlekamp_welch.h is the uncached entry
+//    point over the same code.
 //
 //  * SchemeCache: owns both maps. Entries are allocated once and have
 //    stable addresses; a ShareFlow holds one cache for its lifetime, so
@@ -30,7 +33,7 @@
 //
 // Threading (the parallel round engine, common/pool.h): precompute and
 // per-call scratch are split explicitly. Everything computed at
-// construction — dealing matrices, barycentric rows, Gao point-set
+// construction — dealing matrices, information-set rows, Gao point-set
 // contexts and their basis matrices — is immutable afterwards (asserted
 // via precompute_fingerprint() in the tests), and no const method writes
 // member state: the Gao context is built once under std::call_once and
@@ -105,20 +108,37 @@ class CachedScheme {
   std::vector<Fp> vand_;  ///< row-major n x t: vand_[i*t + j] = (i+1)^{j+1}
 };
 
-/// Robust word-vector decoding over one fixed point set: the shared
-/// no-error fast path plus Gao decoding for damaged words. Point order
+/// Robust word-vector decoding over one fixed point set. Point order
 /// matters (shares must be passed in the same order as `xs`).
+///
+/// Decode order per word, with k = t + 1 and e = max_errors():
+///  1. Information sets: the disjoint k-blocks [j*k, (j+1)*k) of the
+///     shares, block 0 first. A block's interpolant is checked against
+///     the other m - k shares, stopping once more than e disagree; the
+///     first block within e disagreements gives the word's value. Block
+///     0 alone is tried when some point repeats (with a budget of zero)
+///     or when e is zero.
+///  2. Gao (or Berlekamp–Welch on a point set with repeats), only when
+///     every block fails.
+/// With distinct points and m >= t + 1 + 2e, two polynomials of degree
+/// <= t differ in at least m - t >= 2e + 1 points, so at most one lies
+/// within e of the word: every accepted value is exactly the one Gao
+/// returns, and every word no block accepts still ends in Gao. Any word
+/// with fewer corrupted shares than there are blocks (and at most e) has
+/// a clean block and never reaches Gao.
 class RobustDecoder {
  public:
   /// Per-word value scratch; own one per worker for concurrent decoding
   /// against a shared decoder.
   struct Scratch {
     std::vector<Fp> ys;       ///< all m values of the current word
-    std::vector<Fp> head;     ///< first t+1 values
     GaoContext::Scratch gao;  ///< damaged-word working polynomials
-    /// Words that missed the fast-path check and paid a robust decode.
-    /// A running count, not working state: the owner reads and resets it.
+    /// Running counts, not working state: the owner reads and resets
+    /// them. damaged_words: words that missed the zero-error check on
+    /// block 0. gao_words: words that failed every block and paid a Gao
+    /// decode.
     std::uint64_t damaged_words = 0;
+    std::uint64_t gao_words = 0;
   };
 
   /// `xs` are the shares' evaluation points in share order; `t` the privacy
@@ -147,25 +167,40 @@ class RobustDecoder {
   bool reconstruct_into(const FpSpan* shares, std::size_t count,
                         std::size_t words, Fp* out, Scratch& scratch) const;
 
-  /// Order-independent digest of the precompute (points, fast-path rows,
-  /// flags, and the Gao context once the first damaged word has built
-  /// it). Stable from then on; tests assert no call path mutates it. Not
-  /// safe concurrently with a decode that may build the context.
+  /// Order-independent digest of the precompute (points, every block's
+  /// check rows, flags, and the Gao context once the first word that
+  /// reaches Gao has built it). Stable from then on; tests assert no call
+  /// path mutates it. Not safe concurrently with a decode that may build
+  /// the context.
   std::uint64_t precompute_fingerprint() const;
 
  private:
+  /// One information set: the k shares [first, first + k), the
+  /// interpolator through their points, and one check row per other
+  /// share in ascending share order (row r checks share r below the
+  /// block, share r + k above it).
+  struct InfoSet {
+    std::size_t first;
+    BarycentricInterpolator interp;
+    std::vector<Fp> rows;  ///< (m - k) rows of k values, back to back
+  };
+
+  /// Step 1 for scratch.ys: the value from the first block within
+  /// budget, or false. Counts the word in damaged_words when it misses
+  /// block 0's zero-error check (or there is no block).
+  bool decode_on_sets(Scratch& scratch, Fp& value) const;
+  /// Step 2: Gao (Berlekamp–Welch on repeated points) for scratch.ys.
   std::optional<Fp> decode_word(Scratch& scratch) const;
-  const GaoContext& gao() const;  ///< built on first damaged word
+  const GaoContext& gao() const;  ///< built on the first word to reach Gao
 
   std::vector<Fp> xs_;
   std::size_t t_;
   std::size_t max_errors_;
-  bool fast_ = false;          ///< first t+1 points distinct
-  bool all_distinct_ = false;  ///< Gao usable (every point distinct)
-  std::optional<BarycentricInterpolator> interp_;  ///< through first t+1
-  std::vector<std::vector<Fp>> check_rows_;  ///< one per redundant point
-  mutable std::once_flag gao_once_;          ///< one-shot Gao construction
-  mutable std::optional<GaoContext> gao_;    ///< immutable once built
+  std::size_t set_budget_ = 0;  ///< disagreements a block may accept
+  bool all_distinct_ = false;   ///< Gao usable (every point distinct)
+  std::vector<InfoSet> sets_;   ///< empty when the first k points repeat
+  mutable std::once_flag gao_once_;        ///< one-shot Gao construction
+  mutable std::optional<GaoContext> gao_;  ///< immutable once built
 };
 
 /// Owner of cached schemes and decoders (see the header comment for the

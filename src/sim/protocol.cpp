@@ -287,6 +287,8 @@ class EverywhereProtocol final : public Protocol {
         static_cast<double>(res.ae.share_decode_failures));
     r.extras.emplace_back("share_damaged_words",
                           static_cast<double>(res.ae.share_damaged_words));
+    r.extras.emplace_back("share_gao_words",
+                          static_cast<double>(res.ae.share_gao_words));
     r.extras.emplace_back("share_plans_built",
                           static_cast<double>(res.ae.share_plans_built));
     r.extras.emplace_back("share_plan_reuses",
@@ -385,6 +387,8 @@ class AlmostEverywhereProtocol final : public Protocol {
         static_cast<double>(res.share_decode_failures));
     r.extras.emplace_back("share_damaged_words",
                           static_cast<double>(res.share_damaged_words));
+    r.extras.emplace_back("share_gao_words",
+                          static_cast<double>(res.share_gao_words));
     r.extras.emplace_back("share_plans_built",
                           static_cast<double>(res.share_plans_built));
     r.extras.emplace_back("share_plan_reuses",

@@ -8,6 +8,7 @@
 #include "core/share_flow.h"
 #include "crypto/berlekamp_welch.h"
 #include "crypto/gao.h"
+#include "crypto/scheme_cache.h"
 #include "election/feige.h"
 
 namespace ba {
@@ -199,6 +200,108 @@ TEST(BerlekampWelchFuzz, DifferentialAgainstGaoAtScale) {
   EXPECT_GT(damaged, 100u);
   EXPECT_GT(rejected, 100u);
   EXPECT_GT(zero_words, 50u);
+}
+
+TEST(RobustDecoderFuzz, InformationSetsAgreeWithGaoAndBerlekampWelch) {
+  // RobustDecoder accepts a word from the first disjoint (t+1)-block
+  // whose interpolant is within the error budget and calls Gao only when
+  // every block fails. Within the unique-decoding radius that must give
+  // exactly Gao's and Berlekamp–Welch's answer: the same accept/reject,
+  // the same secret, and the same damaged-word count (a word misses the
+  // zero-error check exactly when it is not a codeword). Point sets: the
+  // protocol shape, a ragged last block, tiny and non-consecutive sets.
+  struct Shape {
+    std::size_t m, t;
+    bool scattered;  // random distinct xs instead of 1..m
+  };
+  const Shape shapes[] = {{12, 3, false}, {9, 2, false}, {13, 3, false},
+                          {5, 1, false},  {12, 3, true},  {10, 2, true}};
+  Rng rng(43);
+  std::size_t cases = 0, rejected = 0, gao_reached = 0, accepted_early = 0;
+  for (const Shape& shape : shapes) {
+    const std::size_t m = shape.m, t = shape.t, k = t + 1;
+    const std::size_t blocks = m / k;
+    std::vector<Fp> xs(m);
+    for (std::size_t i = 0; i < m; ++i) xs[i] = Fp(i + 1);
+    if (shape.scattered) {
+      std::vector<std::uint64_t> seen;
+      for (std::size_t i = 0; i < m;) {
+        const std::uint64_t x = rng.next() % Fp::kP;
+        bool fresh = true;
+        for (auto y : seen) fresh = fresh && y != x;
+        if (!fresh) continue;
+        seen.push_back(x);
+        xs[i++] = Fp(x);
+      }
+    }
+    const RobustDecoder dec(xs, t);
+    const GaoContext gao(xs);
+    const std::size_t e = dec.max_errors();
+    RobustDecoder::Scratch scratch;
+    GaoContext::Scratch gs;
+    for (int trial = 0; trial < 2000; ++trial) {
+      std::vector<Fp> coeffs(t + 1);
+      const bool zero_word = trial % 17 == 0;
+      for (auto& c : coeffs) c = zero_word ? Fp(0) : Fp(rng.next());
+      std::vector<Fp> ys(m);
+      for (std::size_t i = 0; i < m; ++i) ys[i] = poly_eval(coeffs, xs[i]);
+      std::vector<std::uint64_t> bad;
+      switch (trial % 4) {
+        case 0:  // 0 .. e + 2 errors anywhere
+        case 1:
+          bad = rng.sample_without_replacement(m, rng.below(e + 3));
+          break;
+        case 2:  // one error in every block
+          for (std::size_t j = 0; j < blocks; ++j)
+            bad.push_back(j * k + rng.below(k));
+          break;
+        default:  // errors only in block 0's check positions
+          for (auto b : rng.sample_without_replacement(
+                   m - k, std::min(m - k, 1 + rng.below(e + 2))))
+            bad.push_back(k + b);
+          break;
+      }
+      for (auto b : bad) ys[b] += Fp(1 + rng.below(Fp::kP - 1));
+
+      const bool codeword = berlekamp_welch(xs, ys, t, 0).has_value();
+      const auto via_bw = berlekamp_welch(xs, ys, t, e);
+      const bool gao_ok = gao.decode(ys.data(), t, e, gs);
+      ASSERT_EQ(gao_ok, via_bw.has_value()) << "m=" << m << " t=" << t;
+
+      std::vector<FpSpan> spans(m);
+      for (std::size_t i = 0; i < m; ++i) spans[i] = FpSpan{&ys[i], 1};
+      const std::uint64_t damaged0 = scratch.damaged_words;
+      const std::uint64_t gao0 = scratch.gao_words;
+      Fp out;
+      const bool ok = dec.reconstruct_into(spans.data(), m, 1, &out, scratch);
+      ASSERT_EQ(ok, gao_ok) << "m=" << m << " t=" << t << " trial " << trial
+                            << " errors " << bad.size();
+      EXPECT_EQ(scratch.damaged_words - damaged0, codeword ? 0u : 1u);
+      if (ok) {
+        EXPECT_EQ(out, gs.msg[0]) << "m=" << m << " trial " << trial;
+        EXPECT_EQ(out, (*via_bw)[0]) << "m=" << m << " trial " << trial;
+      } else {
+        ++rejected;
+      }
+      // Fewer errors than blocks (within the budget) leave a clean block:
+      // no Gao call. One error in every block within the budget defeats
+      // every block: Gao decodes it.
+      const std::uint64_t reached = scratch.gao_words - gao0;
+      gao_reached += reached;
+      if (!codeword && reached == 0) ++accepted_early;
+      if (bad.size() < blocks && bad.size() <= e) {
+        EXPECT_EQ(reached, 0u);
+      }
+      if (trial % 4 == 2 && blocks <= e) {
+        EXPECT_EQ(reached, 1u);
+      }
+      ++cases;
+    }
+  }
+  EXPECT_GE(cases, 10000u);
+  EXPECT_GT(rejected, 100u);
+  EXPECT_GT(gao_reached, 100u);
+  EXPECT_GT(accepted_early, 100u);
 }
 
 TEST(ShareFlowFuzz, RandomParameterGridRoundTrips) {

@@ -451,6 +451,62 @@ TEST(ParallelParity, SendOpenLyingStorm) {
                 0x234732ea2d634e01ULL);
 }
 
+/// What the last run_send_open_liar_led saw: opened words that no honest
+/// member reported (every hand-set honest value is below 2^32, and a
+/// garbage draw lands that low with probability below 2^-28), and leaf
+/// tallies that took a settled winner.
+std::size_t liar_led_opened_words = 0;
+std::uint64_t liar_led_settled_tallies = 0;
+
+std::uint64_t run_send_open_liar_led() {
+  // sendOpen on hand-set leaf views where liars lead some leaves, so the
+  // position of each receiver's garbage stream reaches the opened words.
+  // Per (leaf, word) the honest members report either one value shared
+  // by the whole word (the leaf is settled: its receivers skip their L
+  // draws) or pairwise-distinct fresh values (every leaf tally is a tie
+  // of singletons that goes to the first sender, a garbage draw when that
+  // sender lies). A receiver with at most one settled link then opens the
+  // first winner among singletons, often a draw taken after some
+  // settled leaf's skip. Every node above the leaves opens once; its
+  // opened words and the ledger feed the digest.
+  RunDigest d;
+  Storm s(0);
+  Rng pick(0x0BE7);
+  constexpr std::size_t kWords = 6;
+  std::uint64_t fresh = 1u << 20;
+  liar_led_opened_words = 0;
+  for (std::size_t level = 2; level <= s.tree.num_levels(); ++level)
+    for (std::size_t idx = 0; idx < s.tree.nodes_at(level); ++idx) {
+      const TreeNode& node = s.tree.node(level, idx);
+      const std::size_t leaves = node.leaf_end - node.leaf_begin;
+      LeafViews views(node.leaf_begin, leaves, s.params.tree.k1, kWords);
+      for (std::size_t w = 0; w < kWords; ++w)
+        for (std::size_t rel = 0; rel < leaves; ++rel) {
+          const bool unanimous = pick.below(10) < 3;
+          const TreeNode& leaf = s.tree.node(1, node.leaf_begin + rel);
+          for (std::size_t pos = 0; pos < leaf.members.size(); ++pos)
+            views.set(rel, pos, w, Fp(unanimous ? 100 + w : fresh++));
+        }
+      const MemberViews mv = s.flow.send_open(level, idx, views);
+      mix_views(d, mv, node.members.size());
+      for (std::size_t pos = 0; pos < node.members.size(); ++pos)
+        for (std::size_t w = 0; w < kWords; ++w)
+          liar_led_opened_words += mv.at(pos, w).value() >> 32 != 0 ? 1 : 0;
+    }
+  liar_led_settled_tallies = s.flow.open_fast_leaf_tallies();
+  d.mix(liar_led_settled_tallies);
+  mix_ledger(d, s.net);
+  return d.h;
+}
+
+TEST(ParallelParity, SendOpenLiarLedLeaves) {
+  expect_parity("send_open_liar_led", run_send_open_liar_led,
+                0xe3d3cc51c8d3ec6aULL);
+  // The storm really opens garbage, and settled leaves really skip draws.
+  EXPECT_GT(liar_led_opened_words, 0u);
+  EXPECT_GT(liar_led_settled_tallies, 0u);
+}
+
 TEST(ParallelParity, BatchedExposeEqualsSerialUnderDenseFailures) {
   // expose_batch must equal send_down + send_open job by job, view for
   // view and ledger row for ledger row, even when a large share of the

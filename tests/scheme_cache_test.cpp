@@ -365,10 +365,11 @@ TEST(RobustDecoder, MatchesRobustReconstructUnderCorruption) {
 }
 
 TEST(RobustDecoder, PrecomputeImmutableAfterConstruction) {
-  // The const/scratch split's contract: no call path — clean fast-path
-  // words, damaged words (which build the Gao context), span or vector
-  // entry points — may mutate the shared precompute. A worker would
-  // otherwise read a torn dealing matrix or check row.
+  // The const/scratch split's contract: no call path — clean words,
+  // damaged words (which build the Gao context once every block holds an
+  // error), span or vector entry points — may mutate the shared
+  // precompute. A worker would otherwise read a torn dealing matrix or
+  // check row.
   Rng rng(33);
   SchemeCache cache;
   ShamirScheme scheme(11, 3);
@@ -382,10 +383,11 @@ TEST(RobustDecoder, PrecomputeImmutableAfterConstruction) {
   ASSERT_TRUE(dec.reconstruct(shares).has_value());  // clean path
   EXPECT_EQ(dec.precompute_fingerprint(), fp0);
   auto damaged = shares;
+  // Shares 2 and 6 put an error in both blocks, [0,4) and [4,8).
   for (auto& y : damaged[2].ys) y = Fp(rng.next());
   for (auto& y : damaged[6].ys) y = Fp(rng.next());
   ASSERT_TRUE(dec.reconstruct(damaged).has_value());  // builds Gao context
-  // The first damaged word mixes the Gao precompute in; from then on the
+  // The first word to reach Gao mixes its precompute in; from then on the
   // digest covers it and must stay fixed.
   const std::uint64_t fp1 = dec.precompute_fingerprint();
   EXPECT_NE(fp1, fp0);
@@ -571,15 +573,18 @@ TEST(SchemeCache, SharedReferencesConstUnderWorkerStorm) {
   const std::uint64_t scheme_fp = scheme.precompute_fingerprint();
   const std::uint64_t fresh_full_fp = dec_full.precompute_fingerprint();
 
-  // One storm item: fork an Rng, deal, damage two shares, reconstruct
-  // through both decoders, digest everything.
+  // One storm item: fork an Rng, deal, damage one share in every
+  // information-set block (shares 1, 5, 9 of the blocks [0,4), [4,8),
+  // [8,12); the partial set keeps 1 and 5 of its two blocks), so every
+  // word reaches Gao; reconstruct through both decoders, digest
+  // everything.
   const auto run_item = [&](std::size_t item) {
     Rng rng = Rng(4242).fork(item);
     std::vector<Fp> secret(kWords);
     for (auto& w : secret) w = Fp(rng.next());
     std::vector<VectorShare> shares = scheme.deal(secret, rng);
-    for (auto& y : shares[1].ys) y = Fp(rng.next());
-    for (auto& y : shares[7].ys) y = Fp(rng.next());
+    for (std::size_t bad : {1u, 5u, 9u})
+      for (auto& y : shares[bad].ys) y = Fp(rng.next());
     Fnv1a digest;
     auto v = dec_full.reconstruct(shares);
     digest.mix(v.has_value() ? 1 : 0);
@@ -596,8 +601,8 @@ TEST(SchemeCache, SharedReferencesConstUnderWorkerStorm) {
   const std::size_t kItems = 256;
   std::vector<std::uint64_t> serial(kItems);
   for (std::size_t i = 0; i < kItems; ++i) serial[i] = run_item(i);
-  // The serial pass built both Gao contexts (every item is damaged), so
-  // the digests now cover them.
+  // The serial pass built both Gao contexts (every item has an error in
+  // every block), so the digests now cover them.
   const std::uint64_t full_fp = dec_full.precompute_fingerprint();
   const std::uint64_t partial_fp = dec_partial.precompute_fingerprint();
   EXPECT_NE(full_fp, fresh_full_fp);
@@ -625,15 +630,18 @@ TEST(SchemeCache, TrimDecodersBoundsTheMapOnlyWhenAsked) {
   // trim above it clears the map, and lookups rebuild and decode.
   SchemeCache cache;
   Rng rng(55);
-  ShamirScheme scheme(5, 1);
+  ShamirScheme scheme(12, 3);
   const auto secret = random_secret(rng, 2);
   auto shares = scheme.deal(secret, rng);
-  for (auto& y : shares[3].ys) y = Fp(rng.next());  // one damaged share
-  std::vector<Fp> xs(5);
-  for (std::size_t i = 0; i < 5; ++i) xs[i] = Fp(shares[i].x);
+  // One damaged share in each of the three information-set blocks, so
+  // the words reach Gao.
+  for (std::size_t bad : {1u, 5u, 9u})
+    for (auto& y : shares[bad].ys) y = Fp(rng.next());
+  std::vector<Fp> xs(12);
+  for (std::size_t i = 0; i < 12; ++i) xs[i] = Fp(shares[i].x);
 
-  const RobustDecoder& first = cache.robust(xs, 1);
-  // A fresh decoder's digest, before a damaged word builds its Gao
+  const RobustDecoder& first = cache.robust(xs, 3);
+  // A fresh decoder's digest, before a word that reaches Gao builds its
   // context; a rebuilt decoder must show it again.
   const std::uint64_t fresh_fp = first.precompute_fingerprint();
   ASSERT_EQ(first.reconstruct(shares), std::optional(secret));
@@ -647,25 +655,25 @@ TEST(SchemeCache, TrimDecodersBoundsTheMapOnlyWhenAsked) {
   for (std::size_t i = 1; i < SchemeCache::kMaxDecoders; ++i)
     cache.robust(other(i), 1);
   cache.trim_decoders();
-  EXPECT_EQ(&cache.robust(xs, 1), &first);
+  EXPECT_EQ(&cache.robust(xs, 3), &first);
   EXPECT_EQ(first.precompute_fingerprint(), warm_fp);
 
   // Past the bound without a trim: the held reference stays valid.
   for (std::size_t i = 0; i < 8; ++i)
     cache.robust(other(SchemeCache::kMaxDecoders + i), 1);
-  EXPECT_EQ(&cache.robust(xs, 1), &first);
+  EXPECT_EQ(&cache.robust(xs, 3), &first);
   EXPECT_EQ(first.reconstruct(shares), std::optional(secret));
   EXPECT_EQ(first.precompute_fingerprint(), warm_fp);
 
   // The trim clears the map: the lookup rebuilds a fresh decoder (no Gao
   // context yet), which decodes the same damaged shares.
   cache.trim_decoders();
-  const RobustDecoder& rebuilt = cache.robust(xs, 1);
+  const RobustDecoder& rebuilt = cache.robust(xs, 3);
   EXPECT_EQ(rebuilt.precompute_fingerprint(), fresh_fp);
   EXPECT_EQ(rebuilt.reconstruct(shares), std::optional(secret));
   // A map back under the bound trims to a no-op again.
   cache.trim_decoders();
-  EXPECT_EQ(&cache.robust(xs, 1), &rebuilt);
+  EXPECT_EQ(&cache.robust(xs, 3), &rebuilt);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // common/simd.h.
 //
 // The kernels' contract is byte parity: whichever backend BA_SIMD
-// compiled in (AVX2, NEON, or scalar), every kernel must return the
+// compiled in (AVX2 or scalar), every kernel must return the
 // exact canonical value the naive per-term Fp operator chain produces.
 // Each test sweeps three input shapes:
 //   * clean    — uniform random canonical words;
@@ -105,7 +105,7 @@ TEST(SimdKernels, Dot4ModPChunkBoundarySweep) {
   // The fused dot4 kernel shares one column load across four row
   // accumulators and folds carry-free blocks every kBlockIters vector
   // iterations — every (vector width × block) edge plus the scalar tail
-  // lives somewhere in 1..67 (AVX2 blocks span 16 words, NEON 8, and the
+  // lives somewhere in 1..67 (AVX2 blocks span 16 words, and the
   // small-n dispatch cutoffs sit at 8 and 4). Sweep them all so no
   // boundary hides between the spot sizes in kLens.
   Rng rng(0x51D6);
