@@ -101,15 +101,24 @@ void BM_BatchInverse(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchInverse)->Arg(33)->Arg(256);
 
+/// A message that owns its payload, as per-receiver envelopes were before
+/// delivery by reference; the payload-churn rows time its lifecycle.
+struct OwnedMessage {
+  ProcId from = 0;
+  ProcId to = 0;
+  std::uint64_t round = 0;
+  Payload payload;
+};
+
 void BM_PayloadChurn(benchmark::State& state) {
-  // The per-message cost of a 1-word payload: construct, move through an
-  // envelope vector, destroy. Small-buffer payloads never hit the heap.
+  // The per-message cost of a 1-word payload: construct, move through a
+  // message vector, destroy. Small-buffer payloads never hit the heap.
   constexpr std::size_t kBatch = 1024;
-  std::vector<Envelope> envs;
+  std::vector<OwnedMessage> envs;
   envs.reserve(kBatch);
   for (auto _ : state) {
     for (std::size_t i = 0; i < kBatch; ++i) {
-      Envelope e;
+      OwnedMessage e;
       e.from = static_cast<ProcId>(i);
       e.payload = make_value_payload(1, i, 61);
       envs.push_back(std::move(e));
@@ -214,11 +223,12 @@ bool smoke_mode() {
   return v != nullptr && v[0] == '1';
 }
 
+/// ns per call of `fn` over one sample: calls in geometrically growing
+/// batches until at least `min_seconds` have passed.
 template <typename F>
-double time_ns_per_op(F&& fn) {
+double sample_ns_per_op(F& fn) {
   using clock = std::chrono::steady_clock;
-  const double min_seconds = smoke_mode() ? 0.02 : 0.25;
-  fn();  // warmup
+  const double min_seconds = smoke_mode() ? 0.01 : 0.1;
   std::size_t done = 0;
   std::size_t batch = 1;
   const auto t0 = clock::now();
@@ -231,6 +241,40 @@ double time_ns_per_op(F&& fn) {
     batch = done;  // geometric growth
   }
   return elapsed * 1e9 / static_cast<double>(done);
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t m = v.size() / 2;
+  return v.size() % 2 == 1 ? v[m] : (v[m - 1] + v[m]) / 2;
+}
+
+/// Times both sides of a comparison: the median ns/op of several samples
+/// per side, taken alternately (legacy, current, legacy, ...) so a change
+/// in host load lands on both sides alike and one noisy sample cannot
+/// set the ratio. `enter(legacy_side)` runs untimed before each sample;
+/// the pool-vs-serial rows set the worker count there.
+template <typename L, typename C, typename E>
+void time_pair(Comparison& c, L&& legacy, C&& current, E&& enter) {
+  const std::size_t samples = smoke_mode() ? 3 : 7;
+  enter(true);
+  legacy();  // warmup
+  enter(false);
+  current();
+  std::vector<double> l, r;
+  for (std::size_t i = 0; i < samples; ++i) {
+    enter(true);
+    l.push_back(sample_ns_per_op(legacy));
+    enter(false);
+    r.push_back(sample_ns_per_op(current));
+  }
+  c.legacy_ns = median(std::move(l));
+  c.current_ns = median(std::move(r));
+}
+
+template <typename L, typename C>
+void time_pair(Comparison& c, L&& legacy, C&& current) {
+  time_pair(c, legacy, current, [](bool) {});
 }
 
 Comparison compare_shamir_reconstruct() {
@@ -249,14 +293,16 @@ Comparison compare_shamir_reconstruct() {
   Comparison c;
   c.name = "shamir_vector_reconstruct";
   c.params = "shares=48 threshold=32 m=33 words=64";
-  c.legacy_ns = time_ns_per_op([&] {
-    auto rec = legacy::shamir_reconstruct(shares, scheme.shares_needed());
-    benchmark::DoNotOptimize(rec);
-  });
-  c.current_ns = time_ns_per_op([&] {
-    auto rec = scheme.reconstruct(shares);
-    benchmark::DoNotOptimize(rec);
-  });
+  time_pair(
+      c,
+      [&] {
+        auto rec = legacy::shamir_reconstruct(shares, scheme.shares_needed());
+        benchmark::DoNotOptimize(rec);
+      },
+      [&] {
+        auto rec = scheme.reconstruct(shares);
+        benchmark::DoNotOptimize(rec);
+      });
   return c;
 }
 
@@ -283,23 +329,21 @@ Comparison compare_shamir_deal() {
   Comparison c;
   c.name = "shamir_vector_deal";
   c.params = "shares=48 threshold=12 words=64";
-  {
-    Rng r(8);
-    c.legacy_ns = time_ns_per_op([&] {
-      auto shares = legacy::shamir_deal(secret, kShares, kThreshold, r);
-      benchmark::DoNotOptimize(shares);
-    });
-  }
-  {
-    Rng r(8);
-    std::vector<Fp> coeffs;
-    std::vector<VectorShare> out;
-    c.current_ns = time_ns_per_op([&] {
-      scheme.draw_coeffs(secret.size(), r, coeffs);
-      scheme.deal_from_coeffs(secret, coeffs, out);
-      benchmark::DoNotOptimize(out);
-    });
-  }
+  Rng legacy_rng(8), current_rng(8);
+  std::vector<Fp> coeffs;
+  std::vector<VectorShare> out;
+  time_pair(
+      c,
+      [&] {
+        auto shares =
+            legacy::shamir_deal(secret, kShares, kThreshold, legacy_rng);
+        benchmark::DoNotOptimize(shares);
+      },
+      [&] {
+        scheme.draw_coeffs(secret.size(), current_rng, coeffs);
+        scheme.deal_from_coeffs(secret, coeffs, out);
+        benchmark::DoNotOptimize(out);
+      });
   return c;
 }
 
@@ -331,14 +375,16 @@ Comparison compare_damaged_word_decode() {
   Comparison c;
   c.name = "damaged_word_decode";
   c.params = "shares=48 threshold=12 words=64 corrupt_shares=5";
-  c.legacy_ns = time_ns_per_op([&] {
-    auto rec = legacy::robust_reconstruct_damaged(shares, kThreshold);
-    benchmark::DoNotOptimize(rec);
-  });
-  c.current_ns = time_ns_per_op([&] {
-    auto rec = cache.robust(xs, kThreshold).reconstruct(shares);
-    benchmark::DoNotOptimize(rec);
-  });
+  time_pair(
+      c,
+      [&] {
+        auto rec = legacy::robust_reconstruct_damaged(shares, kThreshold);
+        benchmark::DoNotOptimize(rec);
+      },
+      [&] {
+        auto rec = cache.robust(xs, kThreshold).reconstruct(shares);
+        benchmark::DoNotOptimize(rec);
+      });
   return c;
 }
 
@@ -375,17 +421,19 @@ Comparison compare_damaged_word_decode_m12() {
   Comparison c;
   c.name = "damaged_word_decode_m12";
   c.params = "shares=12 threshold=3 words=1 corrupt_shares=4";
-  c.legacy_ns = time_ns_per_op([&] {
-    auto rec = legacy::robust_reconstruct_damaged(shares, kThreshold);
-    benchmark::DoNotOptimize(rec);
-  });
-  c.current_ns = time_ns_per_op([&] {
-    const bool ok = cache.robust(xs, kThreshold)
-                        .reconstruct_into(spans.data(), kShares, 1, &out,
-                                          scratch);
-    benchmark::DoNotOptimize(ok);
-    benchmark::DoNotOptimize(out);
-  });
+  time_pair(
+      c,
+      [&] {
+        auto rec = legacy::robust_reconstruct_damaged(shares, kThreshold);
+        benchmark::DoNotOptimize(rec);
+      },
+      [&] {
+        const bool ok = cache.robust(xs, kThreshold)
+                            .reconstruct_into(spans.data(), kShares, 1, &out,
+                                              scratch);
+        benchmark::DoNotOptimize(ok);
+        benchmark::DoNotOptimize(out);
+      });
   return c;
 }
 
@@ -427,18 +475,20 @@ Comparison compare_damaged_word_decode_m12_one_error() {
   Comparison c;
   c.name = "damaged_word_decode_m12_one_error";
   c.params = "shares=12 threshold=3 words=1 lying_share=2";
-  c.legacy_ns = time_ns_per_op([&] {
-    const bool ok =
-        gao.decode(ys.data(), kThreshold, dec.max_errors(), gao_scratch);
-    benchmark::DoNotOptimize(ok);
-    benchmark::DoNotOptimize(gao_scratch.msg[0]);
-  });
-  c.current_ns = time_ns_per_op([&] {
-    const bool ok =
-        dec.reconstruct_into(spans.data(), kShares, 1, &out, scratch);
-    benchmark::DoNotOptimize(ok);
-    benchmark::DoNotOptimize(out);
-  });
+  time_pair(
+      c,
+      [&] {
+        const bool ok =
+            gao.decode(ys.data(), kThreshold, dec.max_errors(), gao_scratch);
+        benchmark::DoNotOptimize(ok);
+        benchmark::DoNotOptimize(gao_scratch.msg[0]);
+      },
+      [&] {
+        const bool ok =
+            dec.reconstruct_into(spans.data(), kShares, 1, &out, scratch);
+        benchmark::DoNotOptimize(ok);
+        benchmark::DoNotOptimize(out);
+      });
   return c;
 }
 
@@ -483,14 +533,16 @@ Comparison compare_tagged_inbox_scan() {
   Comparison c;
   c.name = "tagged_inbox_scan";
   c.params = "n=4096 fanout=8 tags=4";
-  c.legacy_ns = time_ns_per_op([&] {
-    auto acc = legacy_tally();
-    benchmark::DoNotOptimize(acc);
-  });
-  c.current_ns = time_ns_per_op([&] {
-    auto acc = current_tally();
-    benchmark::DoNotOptimize(acc);
-  });
+  time_pair(
+      c,
+      [&] {
+        auto acc = legacy_tally();
+        benchmark::DoNotOptimize(acc);
+      },
+      [&] {
+        auto acc = current_tally();
+        benchmark::DoNotOptimize(acc);
+      });
   return c;
 }
 
@@ -516,9 +568,10 @@ Comparison compare_network_round() {
   Comparison c;
   c.name = "network_round_delivery";
   c.params = "n=4096 fanout=4 scrambled_senders";
-  c.legacy_ns = time_ns_per_op(
-      [&] { run_round(lnet, legacy::make_value_payload); });
-  c.current_ns = time_ns_per_op([&] { run_round(net, make_value_payload); });
+  time_pair(
+      c,
+      [&] { run_round(lnet, legacy::make_value_payload); },
+      [&] { run_round(net, make_value_payload); });
   return c;
 }
 
@@ -555,8 +608,7 @@ Comparison compare_scheduler_overhead() {
   c.name = "scheduler_overhead";
   c.params = "n=4096 fanout=4 bounded_delay delta_max=0 vs lockstep";
   c.advisory = true;
-  c.legacy_ns = time_ns_per_op([&] { run_round(lockstep); });
-  c.current_ns = time_ns_per_op([&] { run_round(delayed); });
+  time_pair(c, [&] { run_round(lockstep); }, [&] { run_round(delayed); });
   return c;
 }
 
@@ -597,10 +649,9 @@ Comparison compare_parallel_round_engine() {
                 "n=4096 instances=64 workers=%zu host_cores=%u",
                 workers, hw);
   c.params = params;
-  Pool::set_threads(1);
-  c.legacy_ns = time_ns_per_op(round);
-  Pool::set_threads(workers);
-  c.current_ns = time_ns_per_op(round);
+  time_pair(c, round, round, [workers](bool legacy) {
+    Pool::set_threads(legacy ? 1 : workers);
+  });
   Pool::set_threads(0);
   return c;
 }
@@ -631,53 +682,51 @@ Comparison compare_share_fanout_arena() {
   Comparison c;
   c.name = "share_fanout_arena";
   c.params = "groups=64 words=64 children=8";
-  {
-    std::vector<std::pair<std::size_t, std::vector<LegacyRec>>> next;
-    c.legacy_ns = time_ns_per_op([&] {
-      std::vector<LegacyRec> decoded;
-      decoded.reserve(kGroups);
-      for (std::size_t g = 0; g < kGroups; ++g) {
-        LegacyRec rec;
-        rec.chain = g;
-        rec.holder_pos = static_cast<std::uint32_t>(g);
-        rec.ys.resize(kWords);
-        for (std::size_t w = 0; w < kWords; ++w)
-          rec.ys[w] = Fp(values[g * kWords + w]);
-        decoded.push_back(std::move(rec));
-      }
-      next.clear();
-      for (std::size_t child = 0; child < kChildren; ++child)
-        next.emplace_back(child, decoded);  // deep copy per child
-      benchmark::DoNotOptimize(next.data());
-    });
-  }
-  {
-    WordArena arena;
-    std::vector<std::vector<SpanRec>> batches;
-    std::vector<std::pair<std::size_t, std::uint32_t>> next;
-    c.current_ns = time_ns_per_op([&] {
-      arena.reset();
-      batches.clear();
-      std::vector<SpanRec> decoded;
-      decoded.reserve(kGroups);
-      for (std::size_t g = 0; g < kGroups; ++g) {
-        SpanRec rec;
-        rec.chain = g;
-        rec.holder_pos = static_cast<std::uint32_t>(g);
-        Fp* out = arena.alloc(kWords);
-        for (std::size_t w = 0; w < kWords; ++w)
-          out[w] = Fp(values[g * kWords + w]);
-        rec.ys = FpSpan{out, kWords};
-        decoded.push_back(rec);
-      }
-      batches.push_back(std::move(decoded));
-      next.clear();
-      for (std::size_t child = 0; child < kChildren; ++child)
-        next.emplace_back(child, 0u);  // span batch shared by every child
-      benchmark::DoNotOptimize(next.data());
-      benchmark::DoNotOptimize(batches.data());
-    });
-  }
+  std::vector<std::pair<std::size_t, std::vector<LegacyRec>>> legacy_next;
+  WordArena arena;
+  std::vector<std::vector<SpanRec>> batches;
+  std::vector<std::pair<std::size_t, std::uint32_t>> next;
+  time_pair(
+      c,
+      [&] {
+        std::vector<LegacyRec> decoded;
+        decoded.reserve(kGroups);
+        for (std::size_t g = 0; g < kGroups; ++g) {
+          LegacyRec rec;
+          rec.chain = g;
+          rec.holder_pos = static_cast<std::uint32_t>(g);
+          rec.ys.resize(kWords);
+          for (std::size_t w = 0; w < kWords; ++w)
+            rec.ys[w] = Fp(values[g * kWords + w]);
+          decoded.push_back(std::move(rec));
+        }
+        legacy_next.clear();
+        for (std::size_t child = 0; child < kChildren; ++child)
+          legacy_next.emplace_back(child, decoded);  // deep copy per child
+        benchmark::DoNotOptimize(legacy_next.data());
+      },
+      [&] {
+        arena.reset();
+        batches.clear();
+        std::vector<SpanRec> decoded;
+        decoded.reserve(kGroups);
+        for (std::size_t g = 0; g < kGroups; ++g) {
+          SpanRec rec;
+          rec.chain = g;
+          rec.holder_pos = static_cast<std::uint32_t>(g);
+          Fp* out = arena.alloc(kWords);
+          for (std::size_t w = 0; w < kWords; ++w)
+            out[w] = Fp(values[g * kWords + w]);
+          rec.ys = FpSpan{out, kWords};
+          decoded.push_back(rec);
+        }
+        batches.push_back(std::move(decoded));
+        next.clear();
+        for (std::size_t child = 0; child < kChildren; ++child)
+          next.emplace_back(child, 0u);  // span batch shared by every child
+        benchmark::DoNotOptimize(next.data());
+        benchmark::DoNotOptimize(batches.data());
+      });
   return c;
 }
 
@@ -724,10 +773,9 @@ Comparison compare_share_flow_parallel() {
   std::snprintf(params_buf, sizeof(params_buf),
                 "n=4096 words=1 workers=%zu host_cores=%u", workers, hw);
   c.params = params_buf;
-  Pool::set_threads(1);
-  c.legacy_ns = time_ns_per_op(exposure);
-  Pool::set_threads(workers);
-  c.current_ns = time_ns_per_op(exposure);
+  time_pair(c, exposure, exposure, [workers](bool legacy) {
+    Pool::set_threads(legacy ? 1 : workers);
+  });
   Pool::set_threads(0);
   return c;
 }
@@ -828,8 +876,7 @@ Comparison compare_send_open_tally() {
                 node.members.size(),
                 node.ell.empty() ? std::size_t{0} : node.ell[0].size());
   c.params = params_buf;
-  c.legacy_ns = time_ns_per_op(legacy_walk);
-  c.current_ns = time_ns_per_op(current_open);
+  time_pair(c, legacy_walk, current_open);
   return c;
 }
 
@@ -875,10 +922,9 @@ Comparison compare_expose_open_parallel() {
                 "n=4096 jobs=2 words=4 workers=%zu host_cores=%u", workers,
                 hw);
   c.params = params_buf;
-  Pool::set_threads(1);
-  c.legacy_ns = time_ns_per_op(exposure);
-  Pool::set_threads(workers);
-  c.current_ns = time_ns_per_op(exposure);
+  time_pair(c, exposure, exposure, [workers](bool legacy) {
+    Pool::set_threads(legacy ? 1 : workers);
+  });
   Pool::set_threads(0);
   return c;
 }
@@ -922,16 +968,18 @@ Comparison compare_simd_dealing_matmul() {
                 simd::backend());
   c.params = params;
   std::uint64_t out[4];
-  c.legacy_ns = time_ns_per_op([&] {
-    simd::scalar::dot4_mod_p(a.data(), b0.data(), b1.data(), b2.data(),
-                             b3.data(), kWords, init, out);
-    benchmark::DoNotOptimize(out);
-  });
-  c.current_ns = time_ns_per_op([&] {
-    simd::dot4_mod_p(a.data(), b0.data(), b1.data(), b2.data(), b3.data(),
-                     kWords, init, out);
-    benchmark::DoNotOptimize(out);
-  });
+  time_pair(
+      c,
+      [&] {
+        simd::scalar::dot4_mod_p(a.data(), b0.data(), b1.data(), b2.data(),
+                                 b3.data(), kWords, init, out);
+        benchmark::DoNotOptimize(out);
+      },
+      [&] {
+        simd::dot4_mod_p(a.data(), b0.data(), b1.data(), b2.data(), b3.data(),
+                         kWords, init, out);
+        benchmark::DoNotOptimize(out);
+      });
   return c;
 }
 
@@ -950,14 +998,16 @@ Comparison compare_simd_barycentric_dot() {
   std::snprintf(params, sizeof(params), "dot n=256 backend=%s",
                 simd::backend());
   c.params = params;
-  c.legacy_ns = time_ns_per_op([&] {
-    auto r = simd::scalar::dot_mod_p(a.data(), b.data(), kN, 5);
-    benchmark::DoNotOptimize(r);
-  });
-  c.current_ns = time_ns_per_op([&] {
-    auto r = simd::dot_mod_p(a.data(), b.data(), kN, 5);
-    benchmark::DoNotOptimize(r);
-  });
+  time_pair(
+      c,
+      [&] {
+        auto r = simd::scalar::dot_mod_p(a.data(), b.data(), kN, 5);
+        benchmark::DoNotOptimize(r);
+      },
+      [&] {
+        auto r = simd::dot_mod_p(a.data(), b.data(), kN, 5);
+        benchmark::DoNotOptimize(r);
+      });
   return c;
 }
 
@@ -992,20 +1042,22 @@ Comparison compare_simd_gao_euclid() {
                 simd::backend());
   c.params = params;
   std::vector<Fp> buf;
-  c.legacy_ns = time_ns_per_op([&] {
-    run(simd::scalar::fnma_mod_p, simd::scalar::horner_step_mod_p, buf);
-    benchmark::DoNotOptimize(buf.data());
-  });
-  c.current_ns = time_ns_per_op([&] {
-    run([](Fp* o, const Fp* i, Fp c2, std::size_t n) {
-          simd::fnma_mod_p(o, i, c2, n);
-        },
-        [](Fp* a2, const Fp* x, Fp c2, std::size_t n) {
-          simd::horner_step_mod_p(a2, x, c2, n);
-        },
-        buf);
-    benchmark::DoNotOptimize(buf.data());
-  });
+  time_pair(
+      c,
+      [&] {
+        run(simd::scalar::fnma_mod_p, simd::scalar::horner_step_mod_p, buf);
+        benchmark::DoNotOptimize(buf.data());
+      },
+      [&] {
+        run([](Fp* o, const Fp* i, Fp c2, std::size_t n) {
+              simd::fnma_mod_p(o, i, c2, n);
+            },
+            [](Fp* a2, const Fp* x, Fp c2, std::size_t n) {
+              simd::horner_step_mod_p(a2, x, c2, n);
+            },
+            buf);
+        benchmark::DoNotOptimize(buf.data());
+      });
   return c;
 }
 
@@ -1016,34 +1068,32 @@ Comparison compare_payload_churn() {
   Comparison c;
   c.name = "payload_churn";
   c.params = "batch=4096 words=1";
-  {
-    std::vector<legacy::Envelope> envs;
-    envs.reserve(kBatch);
-    c.legacy_ns = time_ns_per_op([&] {
-      for (std::size_t i = 0; i < kBatch; ++i) {
-        legacy::Envelope e;
-        e.from = static_cast<std::uint32_t>(i);
-        e.payload = legacy::make_value_payload(1, i, 61);
-        envs.push_back(std::move(e));
-      }
-      benchmark::DoNotOptimize(envs.data());
-      envs.clear();
-    });
-  }
-  {
-    std::vector<Envelope> envs;
-    envs.reserve(kBatch);
-    c.current_ns = time_ns_per_op([&] {
-      for (std::size_t i = 0; i < kBatch; ++i) {
-        Envelope e;
-        e.from = static_cast<ProcId>(i);
-        e.payload = make_value_payload(1, i, 61);
-        envs.push_back(std::move(e));
-      }
-      benchmark::DoNotOptimize(envs.data());
-      envs.clear();
-    });
-  }
+  std::vector<legacy::Envelope> legacy_envs;
+  legacy_envs.reserve(kBatch);
+  std::vector<OwnedMessage> envs;
+  envs.reserve(kBatch);
+  time_pair(
+      c,
+      [&] {
+        for (std::size_t i = 0; i < kBatch; ++i) {
+          legacy::Envelope e;
+          e.from = static_cast<std::uint32_t>(i);
+          e.payload = legacy::make_value_payload(1, i, 61);
+          legacy_envs.push_back(std::move(e));
+        }
+        benchmark::DoNotOptimize(legacy_envs.data());
+        legacy_envs.clear();
+      },
+      [&] {
+        for (std::size_t i = 0; i < kBatch; ++i) {
+          OwnedMessage e;
+          e.from = static_cast<ProcId>(i);
+          e.payload = make_value_payload(1, i, 61);
+          envs.push_back(std::move(e));
+        }
+        benchmark::DoNotOptimize(envs.data());
+        envs.clear();
+      });
   return c;
 }
 

@@ -138,7 +138,7 @@ void AebaMachine::send_votes(Network& net) const {
 }
 
 void AebaMachine::count_received(const Network& net, std::size_t pos,
-                                 std::vector<std::uint32_t>& count_ones,
+                                 std::uint32_t* count_ones,
                                  std::size_t& received) const {
   const std::size_t wpm = words_per_member();
   const ProcId self = members_[pos];
@@ -148,16 +148,16 @@ void AebaMachine::count_received(const Network& net, std::size_t pos,
   // duplicates from one sender are adjacent: keep the last and commit
   // on sender change.
   const auto& my_neighbors = graph_->neighbors(pos);
-  std::fill(count_ones.begin(), count_ones.end(), 0);
+  std::fill(count_ones, count_ones + instances_, 0);
   received = 0;
-  const Envelope* pending_env = nullptr;
+  const Payload* pending = nullptr;
   ProcId pending_from = 0;
-  auto commit = [&](const Envelope* env) {
-    if (env == nullptr) return;
-    if (env->payload.words.size() < 1 + wpm) return;  // malformed
+  auto commit = [&](const Payload* vote) {
+    if (vote == nullptr) return;
+    if (vote->words.size() < 1 + wpm) return;  // malformed
     ++received;
     for (std::size_t i = 0; i < instances_; ++i) {
-      const std::uint64_t word = env->payload.words[1 + i / 64];
+      const std::uint64_t word = vote->words[1 + i / 64];
       count_ones[i] += (word >> (i % 64)) & 1;
     }
   };
@@ -174,12 +174,11 @@ void AebaMachine::count_received(const Network& net, std::size_t pos,
     if (!std::binary_search(my_neighbors.begin(), my_neighbors.end(),
                             sender_pos))
       continue;
-    if (pending_env != nullptr && env.from != pending_from)
-      commit(pending_env);
+    if (pending != nullptr && env.from != pending_from) commit(pending);
     pending_from = env.from;
-    pending_env = &env;
+    pending = &env.payload;
   }
-  commit(pending_env);
+  commit(pending);
 }
 
 void AebaMachine::tally_majority(const Network& net) {
@@ -192,7 +191,7 @@ void AebaMachine::tally_majority(const Network& net) {
         auto& count_ones = count_scratch_[worker];
         count_ones.resize(instances_);
         std::size_t received = 0;
-        count_received(net, pos, count_ones, received);
+        count_received(net, pos, count_ones.data(), received);
         if (received == 0) return;
         for (std::size_t i = 0; i < instances_; ++i) {
           if (get_bit(locked_, pos, i)) continue;
@@ -224,15 +223,10 @@ void AebaMachine::tally_votes(const Network& net, CoinSource& coins,
   // Integral accumulators, so parallel and serial tallies agree exactly.
   std::atomic<std::size_t> informed{0}, informed_denom{0};
 
-  count_scratch_.fit();
-  const auto tally_member = [&](std::size_t pos, std::size_t worker) {
-    if (net.is_corrupt(members_[pos])) return;
-    auto& count_ones = count_scratch_[worker];
-    count_ones.resize(instances_);
-    std::size_t received = 0;
-    count_received(net, pos, count_ones, received);
+  // The maj/coin rule for one good member, given its neighbour counts.
+  const auto apply = [&](std::size_t pos, const std::uint32_t* count_ones,
+                         std::size_t received) {
     if (received == 0) return;  // keep current vote
-
     for (std::size_t i = 0; i < instances_; ++i) {
       const bool maj = 2 * count_ones[i] >= received;
       const std::size_t maj_count =
@@ -262,13 +256,38 @@ void AebaMachine::tally_votes(const Network& net, CoinSource& coins,
       }
     }
   };
+  const std::size_t m = members_.size();
   if (coins.concurrent_safe()) {
-    Pool::for_each(members_.size(), tally_member, /*min_grain=*/8);
+    count_scratch_.fit();
+    Pool::for_each(
+        m,
+        [&](std::size_t pos, std::size_t worker) {
+          if (net.is_corrupt(members_[pos])) return;
+          auto& count_ones = count_scratch_[worker];
+          count_ones.resize(instances_);
+          std::size_t received = 0;
+          count_received(net, pos, count_ones.data(), received);
+          apply(pos, count_ones.data(), received);
+        },
+        /*min_grain=*/8);
   } else {
     // Order-sensitive coin source (e.g. a lazily drawn shared-Rng cache):
-    // keep the serial draw order.
-    for (std::size_t pos = 0; pos < members_.size(); ++pos)
-      tally_member(pos, 0);
+    // count in parallel, each member into its own slot, then apply the
+    // rule serially in member order, which keeps the coin draw order.
+    // Coins read votes_, which neither pass writes.
+    std::vector<std::uint32_t> counts(m * instances_);
+    std::vector<std::size_t> received(m, 0);
+    Pool::for_each(
+        m,
+        [&](std::size_t pos, std::size_t) {
+          if (net.is_corrupt(members_[pos])) return;
+          count_received(net, pos, counts.data() + pos * instances_,
+                         received[pos]);
+        },
+        /*min_grain=*/8);
+    for (std::size_t pos = 0; pos < m; ++pos)
+      if (!net.is_corrupt(members_[pos]))
+        apply(pos, counts.data() + pos * instances_, received[pos]);
   }
   informed_fraction_ =
       informed_denom == 0

@@ -158,7 +158,8 @@ class AebaMachine {
   /// independent, so the tally fans out across pool workers when the coin
   /// source is concurrent-safe (serial execution is byte-identical: all
   /// cross-member accumulation is integral and per-member state is
-  /// member-indexed).
+  /// member-indexed). Otherwise only the vote counting fans out, and the
+  /// rule runs serially in member order, keeping the coin draw order.
   void tally_votes(const Network& net, CoinSource& coins,
                    std::uint64_t protocol_round);
 
@@ -198,11 +199,10 @@ class AebaMachine {
                std::size_t instance) const;
   void set_bit(std::vector<std::uint64_t>& v, std::size_t member,
                std::size_t instance, bool b);
-  /// Tally this round's neighbor votes for member `pos` into count_ones
-  /// (per instance) and `received` (valid senders).
+  /// Tally this round's neighbor votes for member `pos` into
+  /// count_ones[0, instances) and `received` (valid senders).
   void count_received(const Network& net, std::size_t pos,
-                      std::vector<std::uint32_t>& count_ones,
-                      std::size_t& received) const;
+                      std::uint32_t* count_ones, std::size_t& received) const;
 
   std::uint64_t context_;
   std::vector<ProcId> members_;

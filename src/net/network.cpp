@@ -13,13 +13,13 @@ namespace ba {
 
 namespace {
 
-/// Stream-and-release policy for per-receiver round buffers: release the
-/// heap block when its retained capacity dwarfs the traffic it is being
-/// asked to hold (4x hysteresis), but never bother below a floor — small
-/// buffers are the steady state and exposure schedules interleave empty
-/// rounds with full ones, so releasing them would just churn the
-/// allocator. Only a genuine spike (an all-to-all baseline round, a
-/// flooding adversary) trips the release, and only once traffic falls.
+/// Stream-and-release policy for round buffers: release the heap block
+/// when its retained capacity dwarfs the traffic it is being asked to
+/// hold (4x hysteresis), but never bother below a floor — small buffers
+/// are the steady state and exposure schedules interleave empty rounds
+/// with full ones, so releasing them would just churn the allocator. Only
+/// a genuine spike (an all-to-all baseline round, a flooding adversary)
+/// trips the release, and only once traffic falls.
 template <typename T>
 void release_if_oversized(std::vector<T>& v, std::size_t target) {
   constexpr std::size_t kFloorCap = 1024;
@@ -27,9 +27,8 @@ void release_if_oversized(std::vector<T>& v, std::size_t target) {
     v.shrink_to_fit();
 }
 
-/// Send-log size (envelopes) below which the staging fill runs inline,
-/// keeping pool dispatch off small logs (a few baseline sends, a mid-round
-/// adversary read).
+/// Envelopes per round below which staging runs inline, keeping pool
+/// dispatch off small rounds (a few baseline sends).
 constexpr std::size_t kParallelStageMin = 2048;
 
 }  // namespace
@@ -38,8 +37,8 @@ Network::Network(std::size_t n, std::size_t max_corrupt)
     : n_(n),
       max_corrupt_(max_corrupt),
       corrupt_(n, false),
-      staging_(n),
-      inboxes_(n),
+      stage_off_(n + 1, 0),
+      inbox_off_(n + 1, 0),
       inbox_spans_(n),
       ledger_(n) {
   BA_REQUIRE(n > 0, "network needs at least one processor");
@@ -62,7 +61,11 @@ void Network::set_transport(Transport* t) {
   BA_REQUIRE(round_ == 0 && nothing_pending(),
              "transport must be attached before any traffic is staged");
   transport_ = t;
-  if (transport_) transport_->on_attach(n_);
+  transport_buckets_.clear();
+  if (transport_) {
+    transport_buckets_.resize(n_);
+    transport_->on_attach(n_);
+  }
 }
 
 void Network::set_transcript(TranscriptCapture* t) {
@@ -87,61 +90,86 @@ void Network::multicast(ProcId from, const ProcId* receivers,
   for (std::size_t i = 0; i < count; ++i)
     BA_REQUIRE(receivers[i] < n_, "processor id out of range");
   if (count == 0) return;
+  RoundLog& log = logs_[sending_];
+  BA_REQUIRE(log.entries.size() < kArrivalRef &&
+                 count < 0xFFFFFFFFu - log.receivers.size(),
+             "too many messages in one round");
   ledger_.charge_send_batch(from, count, count * payload.bits());
-  log_receivers_.insert(log_receivers_.end(), receivers, receivers + count);
-  SendEntry& s = send_log_.emplace_back();
+  log.receivers.insert(log.receivers.end(), receivers, receivers + count);
+  SendEntry& s = log.entries.emplace_back();
   s.payload = std::move(payload);
   s.from = from;
-  s.recv_end = static_cast<std::uint32_t>(log_receivers_.size());
+  s.recv_end = static_cast<std::uint32_t>(log.receivers.size());
 }
 
-void Network::stage_pending() const {
-  if (send_log_.empty()) return;
-  const std::size_t base = pending_log_.size();
-  const std::size_t total = log_receivers_.size();
-  pending_log_.resize(base + total);
-  // Receiver-range fan-out: range `part` stages exactly the envelopes
-  // addressed into it, walking the log in send order, so each bucket is
-  // appended to in the order serial sends would have used.
-  const std::size_t parts =
+void Network::stage_round() {
+  const RoundLog& log = logs_[sending_];
+  const std::size_t total = log.receivers.size();
+  stage_refs_.resize(total);
+  // A stable counting sort of the receiver list, split into contiguous
+  // position chunks: chunk c counts its receivers into its own histogram
+  // row, a serial pass turns the rows into write cursors (receiver-major,
+  // chunks in order, so every bucket keeps send order), and each chunk
+  // then places its refs. The chunk split changes no byte of the result.
+  const std::size_t chunks =
       total >= kParallelStageMin ? Pool::num_threads() : 1;
-  Pool::for_each(parts, [this, base, parts](std::size_t part, std::size_t) {
-    const auto lo = static_cast<ProcId>(n_ * part / parts);
-    const auto width = static_cast<ProcId>(n_ * (part + 1) / parts) - lo;
-    std::uint32_t k = 0;
-    for (SendEntry& s : send_log_) {
-      // A one-receiver entry has exactly one reader: move its payload.
-      const bool single = s.recv_end - k == 1;
-      for (; k < s.recv_end; ++k) {
-        const ProcId to = log_receivers_[k];
-        if (to - lo >= width) continue;
-        auto& bucket = staging_[to];
-        Envelope& e = bucket.emplace_back();
-        e.from = s.from;
-        e.to = to;
-        e.round = round_;
-        if (single)
-          e.payload = std::move(s.payload);
-        else
-          e.payload = s.payload;
-        pending_log_[base + k] = PendingRef{
-            to, static_cast<std::uint32_t>(bucket.size() - 1), round_};
-      }
+  stage_cursor_.assign(chunks * n_, 0);
+  const auto bounds = [total, chunks](std::size_t c) {
+    return std::make_pair(total * c / chunks, total * (c + 1) / chunks);
+  };
+  Pool::for_each(chunks, [&](std::size_t c, std::size_t) {
+    std::uint32_t* row = stage_cursor_.data() + c * n_;
+    const auto [lo, hi] = bounds(c);
+    for (std::size_t k = lo; k < hi; ++k) ++row[log.receivers[k]];
+  });
+  std::uint32_t offset = 0;
+  for (std::size_t to = 0; to < n_; ++to) {
+    stage_off_[to] = offset;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      std::uint32_t& slot = stage_cursor_[c * n_ + to];
+      const std::uint32_t count = slot;
+      slot = offset;
+      offset += count;
+    }
+  }
+  stage_off_[n_] = offset;
+  Pool::for_each(chunks, [&](std::size_t c, std::size_t) {
+    std::uint32_t* cursor = stage_cursor_.data() + c * n_;
+    const auto [lo, hi] = bounds(c);
+    if (lo == hi) return;
+    // The entry holding position lo: the first whose span ends past it.
+    auto e = static_cast<std::uint32_t>(
+        std::upper_bound(log.entries.begin(), log.entries.end(), lo,
+                         [](std::size_t pos, const SendEntry& s) {
+                           return pos < s.recv_end;
+                         }) -
+        log.entries.begin());
+    for (std::size_t k = lo; k < hi; ++k) {
+      while (log.entries[e].recv_end <= k) ++e;
+      stage_refs_[cursor[log.receivers[k]]++] = e;
     }
   });
-  // The backend sees every staged envelope at the serialization point —
-  // global send order, driver-side — so a socket backend can encode into
-  // the receiver-owner's buffer before the round barrier.
-  if (transport_)
-    for (std::size_t i = base; i < base + total; ++i) {
-      const PendingRef r = pending_log_[i];
-      transport_->on_send(staging_[r.to][r.index]);
+}
+
+void Network::replay_to_transport() {
+  // The backend sees every envelope at the serialization point — global
+  // send order, driver-side — so a socket backend can encode into the
+  // receiver-owner's buffer before the round barrier, then reconcile its
+  // peers' frames against the per-receiver buckets.
+  const RoundLog& log = logs_[sending_];
+  std::uint32_t k = 0;
+  for (const SendEntry& s : log.entries)
+    for (; k < s.recv_end; ++k) {
+      const Envelope e{s.from, log.receivers[k], round_, s.payload};
+      transport_->on_send(e);
+      transport_buckets_[e.to].push_back(e);
     }
-  const std::size_t entries = send_log_.size();
-  send_log_.clear();
-  log_receivers_.clear();
-  release_if_oversized(send_log_, entries);
-  release_if_oversized(log_receivers_, total);
+  transport_->sync_round(round_, transport_buckets_);
+  for (auto& bucket : transport_buckets_) {
+    const std::size_t held = bucket.size();
+    bucket.clear();
+    release_if_oversized(bucket, held);
+  }
 }
 
 void Network::charge_batch(ProcId from, ProcId to, std::size_t content_bits) {
@@ -170,83 +198,78 @@ void Network::flush_charge_batch() const {
   batch_bits_ = 0;
 }
 
-void Network::deliver_bucket(ProcId p, DeliveryScratch& s) {
-  auto& in = inboxes_[p];
+MessageStore Network::store_for(ProcId p, const RoundLog& log,
+                                std::uint64_t round) const {
+  MessageStore store{log.entries.data(), nullptr, round};
+  if (scheduler_) store.arrivals = scheduler_->arrivals(p).data();
+  return store;
+}
+
+void Network::deliver_bucket(ProcId p, const std::uint32_t* in,
+                             std::size_t count, const MessageStore& store,
+                             DeliveryScratch& s) {
   auto& spans = inbox_spans_[p];
-  in.clear();
   spans.clear();
-  auto& stage = staging_[p];
-  // Partial synchrony: fold p's scheduler state into the staged bucket —
-  // delayed sends leave for the future queue, due arrivals merge in front
-  // — before the empty check, since a quiet round can still have due
-  // traffic landing. Touches only p-indexed scheduler state (the delay
-  // draws already happened in advance_round's serial pre-pass).
-  if (scheduler_) scheduler_->merge_bucket(p, stage, round_);
-  if (stage.empty()) {
-    // Stream-and-release: an idle receiver whose buffers still hold a
-    // past spike's capacity returns it now instead of pinning peak RSS
-    // for the rest of the run (see release_if_oversized's hysteresis).
-    release_if_oversized(in, 0);
-    release_if_oversized(stage, 0);
-    return;
-  }
-  const std::size_t delivered = stage.size();
-  if (s.sender_slot.size() < n_) s.sender_slot.assign(n_, 0);
-  // One pass: charge receipts, count per sender, detect sorted input
-  // and tag uniformity (one compare — almost every bucket carries a
-  // single tag, and that case must stay as cheap as the seed's).
-  s.touched_senders.clear();
-  bool sorted = true;
+  if (count == 0) return;
+  std::uint32_t* out = inbox_refs_.data() + inbox_off_[p];
+  // One pass: sum receipts, find where the sender order descends, and
+  // check tag uniformity (almost every bucket carries a single tag).
+  std::size_t descents = 0, split = 0;
   ProcId prev = 0;
-  const std::uint32_t first_tag = stage.front().payload.tag;
+  const std::uint32_t first_tag = store.payload(in[0]).tag;
   bool uniform_tag = true;
-  for (const Envelope& e : stage) {
-    ledger_.charge_recv(p, e.payload.bits());
-    if (s.sender_slot[e.from]++ == 0) s.touched_senders.push_back(e.from);
-    if (e.from < prev) sorted = false;
-    prev = e.from;
-    uniform_tag &= e.payload.tag == first_tag;
+  std::uint64_t bits = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const ProcId from = store.from(in[i]);
+    const Payload& payload = store.payload(in[i]);
+    bits += payload.bits();
+    if (from < prev) {
+      ++descents;
+      split = i;
+    }
+    prev = from;
+    uniform_tag &= payload.tag == first_tag;
   }
-  if (sorted) {
-    // Already in per-sender order (the common case: drivers iterate
-    // processors in id order) — swap buffers, zero copies.
-    in.swap(stage);
+  ledger_.charge_recv(p, bits);
+  // Stable sort by sender. Drivers send in processor order, so a bucket
+  // is one ascending run, or two when rushed corrupt traffic follows the
+  // good traffic; a merge keeps those linear. Anything else takes a
+  // counting sort over the touched senders.
+  const auto by_sender = [&store](std::uint32_t a, std::uint32_t b) {
+    return store.from(a) < store.from(b);
+  };
+  if (descents == 0) {
+    std::copy(in, in + count, out);
+  } else if (descents == 1) {
+    std::merge(in, in + split, in + split, in + count, out, by_sender);
   } else {
-    // Stable counting sort by sender id: bucket offsets from the touched
-    // senders only, then a single distribution pass. Replaces the seed's
-    // per-inbox comparison stable_sort (and its temp allocations).
+    if (s.sender_slot.size() < n_) s.sender_slot.assign(n_, 0);
+    s.touched_senders.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+      const ProcId from = store.from(in[i]);
+      if (s.sender_slot[from]++ == 0) s.touched_senders.push_back(from);
+    }
     std::sort(s.touched_senders.begin(), s.touched_senders.end());
     std::uint32_t offset = 0;
     for (ProcId sender : s.touched_senders) {
-      const std::uint32_t count = s.sender_slot[sender];
+      const std::uint32_t c = s.sender_slot[sender];
       s.sender_slot[sender] = offset;
-      offset += count;
+      offset += c;
     }
-    in.resize(stage.size());
-    for (Envelope& e : stage) in[s.sender_slot[e.from]++] = std::move(e);
+    for (std::size_t i = 0; i < count; ++i)
+      out[s.sender_slot[store.from(in[i])]++] = in[i];
+    for (ProcId sender : s.touched_senders) s.sender_slot[sender] = 0;
   }
-  for (ProcId sender : s.touched_senders) s.sender_slot[sender] = 0;
-  stage.clear();
-  // Stream-and-release (the huge-n memory diet): capacities are still
-  // reused round over round — a steady workload never reallocates — but
-  // a buffer whose retained capacity dwarfs this round's traffic (a past
-  // all-to-all spike, say) is released rather than carried to the end of
-  // the run. The 4x hysteresis plus the small-buffer floor keep normal
-  // round-to-round jitter from ever triggering a release; the policy
-  // depends only on this receiver's own traffic, so delivery stays a
-  // pure per-receiver function (worker-count independent). The inbox
-  // release runs at the END of delivery, after any mixed-tag swap, so
-  // the policy evaluates the buffer that actually becomes the inbox.
-  release_if_oversized(stage, delivered);
+  const auto size = static_cast<std::uint32_t>(count);
   if (uniform_tag) {
-    spans.push_back({first_tag, 0, static_cast<std::uint32_t>(in.size())});
+    spans.push_back({first_tag, 0, size});
   } else {
     // Mixed-tag bucket (rare): count the distinct tags in a second
     // pass — they are few, so a linear scan with a most-recent check
     // suffices.
     s.touched_tags.clear();
-    for (const Envelope& e : in) {
-      const std::uint32_t tag = e.payload.tag;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint32_t tag = store.payload(out[i]).tag;
       if (s.touched_tags.empty() || s.touched_tags.back().first != tag) {
         auto it = s.touched_tags.begin();
         for (; it != s.touched_tags.end() && it->first != tag; ++it) {
@@ -263,27 +286,25 @@ void Network::deliver_bucket(ProcId p, DeliveryScratch& s) {
     // distribution sweep.
     std::sort(s.touched_tags.begin(), s.touched_tags.end());
     std::uint32_t offset = 0;
-    for (auto& [tag, count] : s.touched_tags) {
-      const std::uint32_t c = count;
-      spans.push_back({tag, offset, offset + c});
-      count = offset;  // becomes this tag's running write cursor
-      offset += c;
+    for (auto& [tag, c] : s.touched_tags) {
+      const std::uint32_t width = c;
+      spans.push_back({tag, offset, offset + width});
+      c = offset;  // becomes this tag's running write cursor
+      offset += width;
     }
-    s.tag_scratch.resize(in.size());
-    for (Envelope& e : in) {
+    s.tag_scratch.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
       std::uint32_t slot = 0;
-      const std::uint32_t tag = e.payload.tag;
+      const std::uint32_t tag = store.payload(out[i]).tag;
       while (s.touched_tags[slot].first != tag) ++slot;
-      s.tag_scratch[s.touched_tags[slot].second++] = std::move(e);
+      s.tag_scratch[s.touched_tags[slot].second++] = out[i];
     }
-    in.swap(s.tag_scratch);
-    // The swap parked the receiver's old inbox block in per-worker
-    // scratch; bound its retention, or one receiver's spike capacity
-    // migrates to whichever receiver this worker delivers next and peak
+    std::copy(s.tag_scratch.begin(), s.tag_scratch.end(), out);
+    // Bound the per-worker scratch by this bucket, or one receiver's
+    // spike capacity stays with whichever worker delivered it and peak
     // RSS becomes a function of the worker schedule.
-    release_if_oversized(s.tag_scratch, delivered);
+    release_if_oversized(s.tag_scratch, count);
   }
-  release_if_oversized(in, in.size());
   if (transcript_) {
     // Per-receiver transcript slot — disjoint across pool workers, the
     // same contract as the inbox itself. Digest the delivered stream in
@@ -291,8 +312,9 @@ void Network::deliver_bucket(ProcId p, DeliveryScratch& s) {
     // runs of the same seed produce identical per-processor digests.
     Fnv1a& d = transcript_->digests[p];
     d.mix(round_);
-    d.mix(in.size());
-    for (const Envelope& e : in) {
+    d.mix(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const Envelope e = store.envelope(p, out[i]);
       d.mix(e.from);
       d.mix(e.round);
       d.mix(e.payload.tag);
@@ -300,75 +322,153 @@ void Network::deliver_bucket(ProcId p, DeliveryScratch& s) {
       d.mix(e.payload.words.size());
       for (std::uint64_t w : e.payload.words) d.mix(w);
     }
-    transcript_->envelopes[p] += in.size();
+    transcript_->envelopes[p] += count;
     if (transcript_->dump && p == transcript_->dump_proc) {
-      for (const Envelope& e : in)
+      for (std::size_t i = 0; i < count; ++i) {
+        const Envelope e = store.envelope(p, out[i]);
         *transcript_->dump << "r=" << round_ << " to=" << p
                            << " from=" << e.from << " tag=" << e.payload.tag
                            << " bits=" << e.payload.content_bits
                            << " words=" << e.payload.words.size() << '\n';
+      }
     }
   }
 }
 
 void Network::advance_round() {
-  stage_pending();
   flush_charge_batch();
-  // Transport round barrier: a socket backend flushes and reconciles the
-  // round's wire traffic against the staged buckets here — before the
-  // scheduler's delay pre-pass and the delivery fan-out, so both operate
-  // on the post-reconciliation (wire-authoritative) staging exactly as
-  // they would on the locally staged envelopes.
-  if (transport_) transport_->sync_round(round_, staging_);
+  stage_round();
+  // Transport round barrier: a socket backend ships and reconciles the
+  // round's wire traffic here — before the scheduler's delay pass and the
+  // delivery fan-out, which read the same log the wire was checked
+  // against.
+  if (transport_) replay_to_transport();
   if (transcript_) transcript_->rounds += 1;
+  const RoundLog& log = logs_[sending_];
+  const std::size_t total = log.receivers.size();
   // Partial synchrony: the one serial pass that consumes scheduler
-  // randomness — a delay draw per staged envelope, in global send order —
-  // runs before the fan-out so the per-receiver merges are draw-free
-  // (the same discipline as the share flows' pre-drawn randomness).
-  if (scheduler_) scheduler_->draw_delays(pending_log_);
+  // randomness — a delay draw per envelope, in global send order — runs
+  // before the fan-outs, so the per-receiver merges are draw-free (the
+  // same discipline as the share flows' pre-drawn randomness).
+  if (scheduler_) {
+    scheduler_->draw_delays(log.receivers, stage_off_);
+    Pool::for_each(
+        n_,
+        [&](std::size_t p, std::size_t) {
+          const std::uint32_t lo = stage_off_[p];
+          scheduler_->merge(static_cast<ProcId>(p), stage_refs_.data() + lo,
+                            stage_off_[p + 1] - lo, lo, log.entries.data(),
+                            round_);
+        },
+        /*min_grain=*/64);
+    for (ProcId p = 0; p < n_; ++p)
+      inbox_off_[p + 1] =
+          inbox_off_[p] +
+          static_cast<std::uint32_t>(scheduler_->merged(p).size());
+  } else {
+    inbox_off_ = stage_off_;
+  }
+  inbox_refs_.resize(inbox_off_[n_]);
   delivery_scratch_.fit();
   // Per-receiver buckets are independent after staging: fan delivery out
   // across the pool (see the threading-model note in network.h). The
   // grain keeps empty-bucket receivers from dominating dispatch cost.
   Pool::for_each(
       n_,
-      [this](std::size_t p, std::size_t worker) {
-        deliver_bucket(static_cast<ProcId>(p), delivery_scratch_[worker]);
+      [&](std::size_t i, std::size_t worker) {
+        const auto p = static_cast<ProcId>(i);
+        const MessageStore store = store_for(p, log, round_);
+        if (scheduler_) {
+          const std::vector<std::uint32_t>& in = scheduler_->merged(p);
+          deliver_bucket(p, in.data(), in.size(), store,
+                         delivery_scratch_[worker]);
+        } else {
+          deliver_bucket(p, stage_refs_.data() + stage_off_[p],
+                         stage_off_[p + 1] - stage_off_[p], store,
+                         delivery_scratch_[worker]);
+        }
       },
       /*min_grain=*/64);
-  pending_log_.clear();
+  // Stream-and-release (the huge-n memory diet): capacities are reused
+  // round over round — a steady workload never reallocates — but a buffer
+  // whose retained capacity dwarfs this round's traffic (a past
+  // all-to-all spike, say) is released rather than carried to the end of
+  // the run. The policy depends only on round totals, so memory stays
+  // worker-count independent.
+  release_if_oversized(stage_refs_, total);
+  release_if_oversized(inbox_refs_, inbox_refs_.size());
+  // The delivered log now backs the inboxes; the one that backed the
+  // previous round's inboxes is dead and collects the next round.
+  // This round's traffic is the estimate for the next one.
+  const std::size_t entries = log.entries.size();
+  sending_ ^= 1;
+  RoundLog& next = logs_[sending_];
+  next.entries.clear();
+  next.receivers.clear();
+  release_if_oversized(next.entries, entries);
+  release_if_oversized(next.receivers, total);
   ++round_;
 }
 
-TaggedInbox Network::inbox(ProcId p, std::uint32_t tag) const {
+InboxView Network::inbox(ProcId p) const {
   BA_REQUIRE(p < n_, "processor id out of range");
-  const auto& spans = inbox_spans_[p];
-  for (const TagSpan& s : spans) {
+  const std::uint32_t* base = inbox_refs_.data();
+  return InboxView(base + inbox_off_[p], base + inbox_off_[p + 1],
+                   store_for(p, logs_[sending_ ^ 1], round_ - 1), p);
+}
+
+InboxView Network::inbox(ProcId p, std::uint32_t tag) const {
+  BA_REQUIRE(p < n_, "processor id out of range");
+  for (const TagSpan& s : inbox_spans_[p]) {
     if (s.tag != tag) continue;
-    const Envelope* base = inboxes_[p].data();
-    return TaggedInbox{base + s.begin, base + s.end};
+    const std::uint32_t* base = inbox_refs_.data() + inbox_off_[p];
+    return InboxView(base + s.begin, base + s.end,
+                     store_for(p, logs_[sending_ ^ 1], round_ - 1), p);
   }
-  return TaggedInbox{};
+  return InboxView{};
 }
 
 std::vector<PendingRef> Network::pending_visible_to_adversary() const {
-  stage_pending();
+  const RoundLog& log = logs_[sending_];
+  std::vector<PendingRef> visible;
   // Rushing scheduler: private channels collapse — the adversary's view
-  // is the whole send log (already in global send order), honest traffic
-  // included, one round before its earliest possible delivery. Envelopes
-  // in scheduler custody (delayed past their send round) are never
-  // offered: refs die at advance_round() by the round-stamp contract.
-  if (scheduler_ && scheduler_->rushes()) return pending_log_;
+  // is the whole send log, honest traffic included, one round before its
+  // earliest possible delivery. Messages in scheduler custody (delayed
+  // past their send round) are never offered: refs die at
+  // advance_round() by the round-stamp contract.
+  const bool everything = scheduler_ && scheduler_->rushes();
   // Private channels: filter the log by the current corruption mask. A
   // mid-round corruption thereby reveals traffic already in flight, and
   // the view keeps global send order.
-  std::vector<PendingRef> visible;
-  if (corrupt_count_ == 0) return visible;
-  for (const PendingRef& r : pending_log_) {
-    const Envelope& e = staging_[r.to][r.index];
-    if (corrupt_[e.from] || corrupt_[r.to]) visible.push_back(r);
-  }
+  if (!everything && corrupt_count_ == 0) return visible;
+  std::uint32_t k = 0;
+  for (const SendEntry& s : log.entries)
+    for (; k < s.recv_end; ++k) {
+      const ProcId to = log.receivers[k];
+      if (everything || corrupt_[s.from] || corrupt_[to])
+        visible.push_back(PendingRef{to, k, round_});
+    }
   return visible;
+}
+
+Envelope Network::pending_envelope(PendingRef r) const {
+  const RoundLog& log = logs_[sending_];
+  BA_REQUIRE(r.round == round_ && r.index < log.receivers.size() &&
+                 log.receivers[r.index] == r.to,
+             "stale or out-of-range pending reference");
+  const auto it = std::upper_bound(
+      log.entries.begin(), log.entries.end(), r.index,
+      [](std::uint32_t pos, const SendEntry& s) { return pos < s.recv_end; });
+  return Envelope{it->from, r.to, round_, it->payload};
+}
+
+std::size_t Network::retained_capacity() const {
+  std::size_t slots = stage_refs_.capacity() + inbox_refs_.capacity();
+  for (const RoundLog& log : logs_)
+    slots += log.entries.capacity() + log.receivers.capacity();
+  delivery_scratch_.each(
+      [&](const DeliveryScratch& s) { slots += s.tag_scratch.capacity(); });
+  return slots;
 }
 
 std::vector<ProcId> Network::good_procs() const {

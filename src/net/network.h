@@ -21,29 +21,35 @@
 //  * Flooding: corrupted processors may send unboundedly; receivers can
 //    bound processing with inbox caps at the protocol layer.
 //
-// Implementation notes (the per-round hot path): pending traffic is staged
-// in per-receiver buckets; delivery is a per-bucket stable counting sort
-// into (tag, sender) lexicographic order — by sender first (reusing the
-// seed-replacing counting sort) and, only when a bucket mixes tags, a
-// second stable counting pass grouping by tag. The sort doubles as index
-// construction: each receiver gets a per-tag span table, so protocols
-// iterate exactly the envelopes of one tag via inbox(p, tag) instead of
-// filtering the whole inbox per tally loop. Within a tag, envelopes are
-// still sorted stably by sender — the subsequence a tag-filtering scan of
-// the old sender-sorted inbox would have produced, so tag-scoped consumers
-// see byte-identical message streams. All round storage (buckets, inboxes,
-// counting scratch, span tables) is reused across rounds; steady-state
-// rounds allocate nothing.
+// The hot path: delivery by reference. A round's messages are stored once,
+// in its send log. send() and multicast() validate, charge the sender's
+// ledger row once per call, and append one SendEntry (sender, payload,
+// receiver span) plus the receiver ids; a vote fanned out to k neighbours
+// is one entry and k 4-byte receiver ids. Each receiver of an entry is one
+// envelope, and its index in the round's receiver list is its global send
+// position. Nothing else ever holds a payload: inboxes, the adversary's
+// view and the transport all read the log through 4-byte refs (an entry
+// index) or Envelope views (net/message.h).
 //
-// Staging is deferred: send() and multicast() only validate, charge the
-// sender's ledger row once per call, and append one (sender, payload,
-// receiver span) entry to a per-round send log, so a vote fanned out to a
-// k-regular neighbourhood costs one log entry, not k envelope builds. The
-// first read of staged traffic (advance_round(), the adversary's view,
-// pending_envelope()) fills the per-receiver buckets from the log in one
-// pass and only then replays Transport::on_send driver-side, in global
-// send order. Every bucket ends up holding exactly what per-message sends
-// would have staged, in the same order.
+// advance_round() delivers the log in two steps:
+//   1. Staging: a counting sort of the receiver list into one flat array of
+//      refs bucketed by receiver (CSR), each bucket in send order.
+//   2. Delivery: each receiver's bucket is stably sorted into (tag, sender)
+//      lexicographic order — by sender first (a counting sort over the
+//      touched senders; already-sorted buckets are copied), then, only
+//      when a bucket mixes tags, a second stable counting pass by tag —
+//      into a second flat ref array, the inboxes, plus a per-receiver tag
+//      span table. inbox(p, tag) yields exactly one tag's envelopes in
+//      sender order; inbox(p) yields all of them. The receiver's ledger
+//      row is charged here.
+// The log is double-buffered: one buffer collects the round being sent,
+// the other backs the inboxes of the round being read. So round r's inbox
+// views stay valid while round r+1 is sent and read by the adversary, and
+// die at the advance_round() that delivers round r+1. Under a delay
+// scheduler, a message delayed past its round is copied into the
+// scheduler's future queue, and due arrivals are served from a per-round
+// arrival store (refs with the kArrivalRef bit set). All round storage is
+// reused across rounds; steady-state rounds allocate nothing.
 //
 // Ledger charging: the accounting-only bulk flows (share movement,
 // sendOpen, query floods) go through charge_batch(), which accumulates
@@ -53,38 +59,36 @@
 // two amortized sender updates. Flows whose message pattern is fixed in
 // advance fold it into per-processor rows once and charge the rows with
 // charge_table() on every repetition. The adversary's view is computed on
-// read: the staged send log filtered by the current corruption mask.
+// read: the send log filtered by the current corruption mask.
 //
 // Threading model (the parallel round engine, common/pool.h): sends,
-// corruptions, and adversary reads are driver-side and single-threaded.
-// Two passes fan out, both over receivers:
-//   1. The staging fill. Each worker owns a contiguous receiver range and
-//      walks the whole send log in order, appending its receivers'
-//      envelopes to their buckets and writing each envelope's PendingRef
-//      at its global send position (disjoint slots). The log is read-only
-//      during the pass; a multicast's payload copies share spilled word
-//      buffers through the atomic refcount.
-//   2. Delivery, in advance_round() after the charge batch is flushed.
-//      What each worker touches:
-//   * shared read-only during delivery: the corruption mask and the
-//     network shape (n);
-//   * per-receiver (disjoint across workers): staging_[p], inboxes_[p],
-//     inbox_spans_[p], and the receiver row bits_recv_[p] of the ledger —
-//     receiver p's entire delivery, including its recv charges, runs on
-//     exactly one worker;
-//   * per-worker: the counting-sort scratch (DeliveryScratch), one
-//     PerWorker slot (its own cache line) per pool worker, reused across
-//     rounds and (re)initialized per bucket so worker assignment is
-//     unobservable.
-// Determinism contract: a receiver's staging bucket is a pure function of
-// the send log (its range owner visits the log in order, whatever the
-// range split), and its delivered inbox is a pure function of that
-// bucket, so BA_THREADS=1 and BA_THREADS=N produce byte-identical
-// buckets, pending refs, inboxes, span tables, and ledgers at every round
-// (asserted by tests/parallel_parity_test.cpp).
+// corruptions, adversary reads, the scheduler's delay draws and the
+// transport replay are driver-side and single-threaded. Three passes fan
+// out, all over receivers:
+//   1. Staging. Each worker owns a contiguous chunk of send positions. It
+//      counts its chunk's receivers into a histogram row of its own, then
+//      (after a serial pass turns the rows into write cursors) writes its
+//      refs into their buckets. The log is read-only during the pass.
+//   2. The scheduler merge (only with a delay scheduler): receiver p's
+//      delayed messages leave for its future queue, its due arrivals join
+//      in front. Touches only p-indexed scheduler state.
+//   3. Delivery. Receiver p's inbox bucket, tag spans and ledger row
+//      bits_recv_[p] are written by exactly one worker. The counting-sort
+//      scratch is per worker (DeliveryScratch, one PerWorker slot on its
+//      own cache line), reinitialized per bucket so worker assignment is
+//      unobservable. Shared read-only: the log, the corruption mask, n.
+// Determinism contract: a receiver's staged bucket is a pure function of
+// the send log (the cursors order each bucket by chunk, and chunks by
+// position, whatever the split), and its inbox is a pure function of
+// that bucket, so
+// BA_THREADS=1 and BA_THREADS=N produce byte-identical inboxes, span
+// tables, adversary views, transport callbacks and ledgers at every round
+// (asserted by tests/parallel_parity_test.cpp and the delivery oracle in
+// tests/net_test.cpp).
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -100,29 +104,124 @@ struct SchedulerConfig;
 class Transport;
 struct TranscriptCapture;
 
-/// Stable handle to a pending (undelivered) envelope. Unlike a raw
-/// pointer, a PendingRef stays valid while the rushing adversary injects
-/// more traffic via send() in the same round: it indexes into the
-/// receiver's staging bucket, which only ever grows within a round. The
-/// handle is round-stamped: it dies loudly at the next advance_round()
-/// instead of silently resolving to whatever the next round staged at
-/// the same index.
+/// Stable handle to a pending (undelivered) envelope: its global send
+/// position in the round's log. It stays valid while the rushing adversary
+/// injects more traffic via send() in the same round, since the log only
+/// grows within a round. The handle is round-stamped: it dies loudly at
+/// the next advance_round() instead of silently resolving to whatever the
+/// next round sent at the same position.
 struct PendingRef {
   ProcId to = 0;
-  std::uint32_t index = 0;
-  std::uint64_t round = 0;  ///< round the envelope was staged in
+  std::uint32_t index = 0;  ///< global send position within its round
+  std::uint64_t round = 0;  ///< round the envelope was sent in
 };
 
-/// Contiguous view of one round's delivered envelopes carrying a single
-/// tag, sorted stably by sender. Iterable like a container.
-struct TaggedInbox {
-  const Envelope* first = nullptr;
-  const Envelope* last = nullptr;
+/// One send()/multicast() call in a round's send log: `payload` goes to
+/// the receivers at global send positions [previous entry's recv_end,
+/// recv_end).
+struct SendEntry {
+  Payload payload;
+  ProcId from = 0;
+  std::uint32_t recv_end = 0;
+};
 
-  const Envelope* begin() const { return first; }
-  const Envelope* end() const { return last; }
-  std::size_t size() const { return static_cast<std::size_t>(last - first); }
-  bool empty() const { return first == last; }
+/// A delayed message delivered in a later round (net/scheduler.h): a copy
+/// that outlives its send round's log.
+struct Arrival {
+  Payload payload;
+  ProcId from = 0;
+  std::uint64_t round = 0;  ///< round in which the message was sent
+};
+
+/// A message ref is a SendEntry index in the delivered round's log, or
+/// kArrivalRef | i for entry i of the receiver's arrival store.
+inline constexpr std::uint32_t kArrivalRef = 0x80000000u;
+
+/// Resolves the message refs of one delivered round.
+struct MessageStore {
+  const SendEntry* entries = nullptr;
+  const Arrival* arrivals = nullptr;  ///< the receiver's; null if none
+  std::uint64_t round = 0;            ///< send round of the log entries
+
+  Envelope envelope(ProcId to, std::uint32_t ref) const {
+    if (ref & kArrivalRef) {
+      const Arrival& a = arrivals[ref & ~kArrivalRef];
+      return Envelope{a.from, to, a.round, a.payload};
+    }
+    const SendEntry& s = entries[ref];
+    return Envelope{s.from, to, round, s.payload};
+  }
+  ProcId from(std::uint32_t ref) const {
+    return ref & kArrivalRef ? arrivals[ref & ~kArrivalRef].from
+                             : entries[ref].from;
+  }
+  const Payload& payload(std::uint32_t ref) const {
+    return ref & kArrivalRef ? arrivals[ref & ~kArrivalRef].payload
+                             : entries[ref].payload;
+  }
+};
+
+/// A contiguous run of one receiver's delivered envelopes — the whole
+/// inbox, or one tag's span of it, in sender order. Iteration yields
+/// Envelope views by value; each view's payload reference stays valid
+/// until the advance_round() that delivers the next round.
+class InboxView {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Envelope;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Envelope;
+
+    iterator() = default;
+    iterator(const std::uint32_t* ref, const MessageStore& store, ProcId to)
+        : ref_(ref), store_(store), to_(to) {}
+    Envelope operator*() const { return store_.envelope(to_, *ref_); }
+    Envelope operator[](difference_type i) const {
+      return store_.envelope(to_, ref_[i]);
+    }
+    iterator& operator++() {
+      ++ref_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator old = *this;
+      ++ref_;
+      return old;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) {
+      return a.ref_ == b.ref_;
+    }
+    friend bool operator!=(const iterator& a, const iterator& b) {
+      return a.ref_ != b.ref_;
+    }
+
+   private:
+    const std::uint32_t* ref_ = nullptr;
+    MessageStore store_;
+    ProcId to_ = 0;
+  };
+
+  InboxView() = default;
+  InboxView(const std::uint32_t* first, const std::uint32_t* last,
+            MessageStore store, ProcId to)
+      : first_(first), last_(last), store_(store), to_(to) {}
+
+  iterator begin() const { return iterator(first_, store_, to_); }
+  iterator end() const { return iterator(last_, store_, to_); }
+  std::size_t size() const { return static_cast<std::size_t>(last_ - first_); }
+  bool empty() const { return first_ == last_; }
+  Envelope operator[](std::size_t i) const {
+    return store_.envelope(to_, first_[i]);
+  }
+
+ private:
+  const std::uint32_t* first_ = nullptr;
+  const std::uint32_t* last_ = nullptr;
+  MessageStore store_;
+  ProcId to_ = 0;
 };
 
 /// One processor's row of an aggregated charge table
@@ -141,7 +240,7 @@ class Network {
 
   /// Install an adversarial delay scheduler (net/scheduler.h) turning the
   /// lockstep rounds into a bounded-delay partial-synchrony model. Must
-  /// run before any traffic is staged (round 0, nothing pending). A
+  /// run before any traffic is sent (round 0, nothing pending). A
   /// kLockstep config is a no-op: no scheduler state is ever allocated,
   /// so the synchronous hot path costs exactly what it always did.
   void set_scheduler(const SchedulerConfig& cfg);
@@ -151,11 +250,11 @@ class Network {
   const DelayScheduler* scheduler() const { return scheduler_.get(); }
 
   /// Attach a transport backend (transport/transport.h): one on_send
-  /// callback per staged envelope, replayed in global send order when the
-  /// send log is staged, and one sync_round barrier per advance_round,
-  /// invoked before any delivery. Must run before traffic is staged; the
-  /// network does not own the backend. No backend attached means the
-  /// historical in-process behavior, bit for bit.
+  /// callback per envelope, in global send order, and one sync_round
+  /// barrier per round, both at advance_round() before any delivery.
+  /// Must run before traffic is sent; the network does not own the
+  /// backend. No backend attached means the in-process behavior, bit for
+  /// bit.
   void set_transport(Transport* t);
   Transport* transport() const { return transport_; }
 
@@ -189,7 +288,7 @@ class Network {
   /// Queue one copy of `payload` to each of `receivers[0, count)` (in
   /// that order; duplicates send duplicate copies). Every receiver is
   /// validated before anything is charged or logged; the sender's ledger
-  /// row is charged once for all `count` messages. Staging, visibility
+  /// row is charged once for all `count` messages. Inboxes, visibility
   /// and the transport are exactly as after `count` send() calls.
   void multicast(ProcId from, const ProcId* receivers, std::size_t count,
                  Payload payload);
@@ -224,11 +323,11 @@ class Network {
 
   /// Messages delivered to p this round (sent during the previous round),
   /// grouped by tag (ascending), sorted stably by sender within each tag.
-  const std::vector<Envelope>& inbox(ProcId p) const { return inboxes_[p]; }
+  InboxView inbox(ProcId p) const;
 
-  /// The span of p's current inbox carrying `tag` (empty span if none).
+  /// The span of p's current inbox carrying `tag` (empty if none).
   /// Replaces whole-inbox filter scans in per-tag tally loops.
-  TaggedInbox inbox(ProcId p, std::uint32_t tag) const;
+  InboxView inbox(ProcId p, std::uint32_t tag) const;
 
   /// Pending (not yet delivered) envelopes with a corrupted endpoint, in
   /// global send order. This is everything the rushing adversary is
@@ -240,15 +339,15 @@ class Network {
 
   /// Resolve a handle from pending_visible_to_adversary(). The round
   /// stamp makes staleness loud: a handle held across advance_round()
-  /// whose index happens to be in range for the next round's staging
-  /// must trip the contract check, not alias a different envelope.
-  const Envelope& pending_envelope(PendingRef r) const {
-    stage_pending();
-    BA_REQUIRE(r.round == round_ && r.to < n_ &&
-                   r.index < staging_[r.to].size(),
-               "stale or out-of-range pending reference");
-    return staging_[r.to][r.index];
-  }
+  /// whose position happens to be in range for the next round's log must
+  /// trip the contract check, not alias a different envelope. The view's
+  /// payload reference is valid until the next send.
+  Envelope pending_envelope(PendingRef r) const;
+
+  /// Message slots the round buffers retain (send logs, receiver lists,
+  /// ref arrays, delivery scratch). Stream-and-release bounds it by a
+  /// small multiple of the recent traffic once a spike has passed.
+  std::size_t retained_capacity() const;
 
   /// The bit ledger, with any pending charge_batch() totals drained at
   /// call time. Do not retain the reference across further charge_batch()
@@ -267,7 +366,7 @@ class Network {
   std::vector<ProcId> good_procs() const;
 
  private:
-  /// One tag's contiguous range within a receiver's inbox.
+  /// One tag's contiguous range within a receiver's inbox bucket.
   struct TagSpan {
     std::uint32_t tag = 0;
     std::uint32_t begin = 0;
@@ -281,49 +380,57 @@ class Network {
     std::vector<std::uint32_t> sender_slot;
     std::vector<ProcId> touched_senders;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> touched_tags;
-    std::vector<Envelope> tag_scratch;
+    std::vector<std::uint32_t> tag_scratch;
   };
 
-  /// One send()/multicast() call awaiting staging: `payload` goes to
-  /// log_receivers_[previous entry's recv_end, recv_end).
-  struct SendEntry {
-    Payload payload;
-    ProcId from = 0;
-    std::uint32_t recv_end = 0;
+  /// One round's message store: the send()/multicast() calls in call
+  /// order and their receivers back to back (a receiver's index here is
+  /// its envelope's global send position).
+  struct RoundLog {
+    std::vector<SendEntry> entries;
+    std::vector<ProcId> receivers;
   };
 
   void flush_charge_batch() const;
-  /// Fill the staging buckets (and pending_log_) from the send log, then
-  /// replay Transport::on_send in global send order and clear the log.
-  /// Const for the same reason ledger() is: const reads must see staged
-  /// traffic.
-  void stage_pending() const;
-  bool nothing_pending() const {
-    return pending_log_.empty() && send_log_.empty();
-  }
-  /// Deliver receiver p's staged bucket into its inbox + span table and
-  /// charge its receipts. Touches only p-indexed state plus `s`.
-  void deliver_bucket(ProcId p, DeliveryScratch& s);
+  bool nothing_pending() const { return logs_[sending_].entries.empty(); }
+  /// Counting-sort the sending log's receiver list into the staged CSR
+  /// (stage_off_, stage_refs_).
+  void stage_round();
+  /// Replay the sending log to the transport: on_send per envelope in
+  /// global send order, then the sync_round barrier.
+  void replay_to_transport();
+  /// Sort receiver p's staged refs `in[0, count)` into its inbox bucket
+  /// and span table and charge its receipts. Touches only p-indexed state
+  /// plus `s`.
+  void deliver_bucket(ProcId p, const std::uint32_t* in, std::size_t count,
+                      const MessageStore& store, DeliveryScratch& s);
+  /// The store that resolves receiver p's refs of the round `log` holds.
+  MessageStore store_for(ProcId p, const RoundLog& log,
+                         std::uint64_t round) const;
 
   std::size_t n_;
   std::size_t max_corrupt_;
   std::size_t corrupt_count_ = 0;
   std::uint64_t round_ = 0;
   std::vector<bool> corrupt_;
-  // Per-receiver pending buckets, filled lazily from the send log (hence
-  // mutable, like the ledger's charge batch).
-  mutable std::vector<std::vector<Envelope>> staging_;
-  std::vector<std::vector<Envelope>> inboxes_;
-  std::vector<std::vector<TagSpan>> inbox_spans_;  ///< per-receiver tag index
+  // Double-buffered send logs: logs_[sending_] collects the current
+  // round, the other backs the inboxes of the round just delivered.
+  RoundLog logs_[2];
+  std::size_t sending_ = 0;
+  // Staged CSR: receiver p's refs, in send order, are
+  // stage_refs_[stage_off_[p], stage_off_[p + 1]).
+  std::vector<std::uint32_t> stage_off_;
+  std::vector<std::uint32_t> stage_refs_;
+  // Staging's per-chunk receiver histograms, then write cursors.
+  std::vector<std::uint32_t> stage_cursor_;
+  // Delivered CSR, sorted per bucket, plus each bucket's tag index.
+  std::vector<std::uint32_t> inbox_off_;
+  std::vector<std::uint32_t> inbox_refs_;
+  std::vector<std::vector<TagSpan>> inbox_spans_;
   PerWorker<DeliveryScratch> delivery_scratch_;
-  // All staged envelopes in global send order (storage reused across
-  // rounds): the adversary's view and the scheduler's delay draws walk it.
-  mutable std::vector<PendingRef> pending_log_;
-  // Sends not yet staged, in call order, and their receivers back to back
-  // (a receiver's index here is its envelope's send position past the
-  // pending_log_ prefix).
-  mutable std::vector<SendEntry> send_log_;
-  mutable std::vector<ProcId> log_receivers_;
+  // Per-receiver views of the round handed to Transport::sync_round;
+  // filled only while a transport is attached.
+  std::vector<std::vector<Envelope>> transport_buckets_;
   // Pending per-(sender, round) charge batch (drained lazily, hence
   // mutable: const ledger reads must see drained totals).
   mutable ProcId batch_from_ = 0;
@@ -334,7 +441,7 @@ class Network {
   // the synchronous delivery path carries zero scheduler overhead.
   std::unique_ptr<DelayScheduler> scheduler_;
   // Transport backend + transcript capture (transport/transport.h); not
-  // owned, null in the historical in-process configuration.
+  // owned, null in the in-process configuration.
   Transport* transport_ = nullptr;
   TranscriptCapture* transcript_ = nullptr;
 };

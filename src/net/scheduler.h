@@ -24,7 +24,7 @@
 //    deeper look-ahead pipelines can extend it without a spec change.
 //
 // Determinism contract (the parity suite extends verbatim): delay draws
-// happen in ONE serial pass over the global send log, in global send
+// happen in ONE serial pass over the round's receiver list, in global send
 // order, before the delivery fan-out — the parallel per-receiver merge is
 // draw-free. Reorder shuffles use a per-(round, receiver) stream forked
 // from Rng(seed) — the same salt/fork discipline as the streaming sendOpen
@@ -39,11 +39,18 @@
 // delay and reorder observably change is which round a message lands in
 // and the relative order of same-(tag, sender) duplicates.
 //
-// Custody rule: once advance_round() moves an envelope into a future
+// Storage: the merge works on 4-byte message refs (net/network.h). A
+// message delayed past its send round is copied out of the round's send
+// log into the receiver's future queue, since the log is recycled two
+// rounds later. When it falls due it moves to the receiver's arrival
+// store, which backs its inbox refs (kArrivalRef | index) until the next
+// round is delivered.
+//
+// Custody rule: once advance_round() moves a message into a future
 // queue, it is no longer pending in its send round — PendingRef handles
 // never reach scheduler custody (they are stale after advance_round(),
 // and pending_envelope round-stamps them loudly), and the rushing
-// adversary reads traffic only while it is staged in its send round.
+// adversary reads traffic only while it is in its send round's log.
 #pragma once
 
 #include <cstdint>
@@ -88,19 +95,34 @@ class DelayScheduler {
     return cfg_.mode == SchedulerMode::kReorderRush && cfg_.rush_depth > 0;
   }
 
-  /// Driver-side serial pre-pass: one delay draw per staged envelope, in
-  /// global send order (`log` is Network's pending log). Must run before
-  /// the delivery fan-out of the round that is about to advance.
-  void draw_delays(const std::vector<PendingRef>& log);
+  /// Driver-side serial pre-pass: one delay draw per envelope, in global
+  /// send order (`receivers` is the round's receiver list, `stage_off`
+  /// the staged CSR offsets from Network). Must run before the delivery
+  /// fan-out of the round that is about to advance.
+  void draw_delays(const std::vector<ProcId>& receivers,
+                   const std::vector<std::uint32_t>& stage_off);
 
   /// Per-receiver merge, run from the delivery fan-out (touches only
-  /// p-indexed scheduler state plus `stage`): peels this round's delayed
-  /// sends out of `stage` into p's future queue, pulls arrivals due at
-  /// round+1 in front of the on-time traffic, and — in kReorderRush —
-  /// shuffles the merged arrival order with the per-(round, p) forked
-  /// stream. Draw-free with respect to the shared delay generator.
-  void merge_bucket(ProcId p, std::vector<Envelope>& stage,
-                    std::uint64_t round);
+  /// p-indexed scheduler state): `staged[0, count)` is p's staged bucket
+  /// of refs into `entries`, at CSR slot `first_slot`. Copies this round's
+  /// delayed messages into p's future queue, moves arrivals due at
+  /// round+1 into p's arrival store, and writes merged(p): the arrival
+  /// refs in front of the on-time refs, shuffled in kReorderRush with
+  /// the per-(round, p) forked stream. Draw-free with respect to the
+  /// shared delay generator.
+  void merge(ProcId p, const std::uint32_t* staged, std::size_t count,
+             std::size_t first_slot, const SendEntry* entries,
+             std::uint64_t round);
+
+  /// p's refs to deliver this round, written by merge().
+  const std::vector<std::uint32_t>& merged(ProcId p) const {
+    return merged_[p];
+  }
+  /// p's arrival store: the messages behind its kArrivalRef refs, valid
+  /// until its next merge().
+  const std::vector<Arrival>& arrivals(ProcId p) const {
+    return arrived_[p];
+  }
 
   /// Envelopes currently held in future queues (serial read; sums the
   /// per-receiver queues).
@@ -108,8 +130,8 @@ class DelayScheduler {
 
  private:
   struct Delayed {
-    std::uint64_t due = 0;  ///< round at whose start the envelope lands
-    Envelope env;
+    std::uint64_t due = 0;  ///< round at whose start the message lands
+    Arrival msg;
   };
 
   SchedulerConfig cfg_;
@@ -117,14 +139,16 @@ class DelayScheduler {
   Rng rng_;           ///< serial delay draws (global send order)
   Rng shuffle_base_;  ///< forked per (round, receiver) for reordering
   SchedulerStats stats_;
-  /// Per-receiver delay marks for the round being advanced, aligned with
-  /// the staging bucket (written serially by draw_delays, consumed and
-  /// cleared by that receiver's merge_bucket).
-  std::vector<std::vector<std::uint32_t>> marks_;
+  /// Delay marks for the round being advanced, aligned with the staged
+  /// CSR slots (written serially by draw_delays, read by the merges).
+  std::vector<std::uint32_t> marks_;
+  std::vector<std::uint32_t> cursor_;  ///< draw_delays' per-receiver slots
   /// Per-receiver future-round queue, insertion-ordered: appends happen
   /// in (send round, global send order), so the due subsequence is
-  /// already in delivery canon when merge_bucket extracts it.
+  /// already in delivery canon when merge extracts it.
   std::vector<std::vector<Delayed>> future_;
+  std::vector<std::vector<Arrival>> arrived_;
+  std::vector<std::vector<std::uint32_t>> merged_;
 };
 
 }  // namespace ba

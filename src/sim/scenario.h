@@ -78,7 +78,7 @@ enum class SchedulerKind {
 /// TCP socket backend (requires a TcpEndpoint installed via ScopedRunEnv
 /// — ba_node does this; a bare run_scenario refuses).
 enum class TransportKind {
-  kLoopback,  ///< Network staging in-process (the historical behavior)
+  kLoopback,  ///< in-process delivery (the historical behavior)
   kTcp,       ///< real OS processes exchanging wire frames (ba_node)
 };
 

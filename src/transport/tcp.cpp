@@ -413,7 +413,7 @@ void TcpEndpoint::sync_round(std::uint64_t round,
       "waiting for round barrier");
 
   // 3. Consume each peer's stream up to its marker, verifying every frame
-  // against the local replay's staging and adopting the wire payloads.
+  // against the local replay's per-receiver buckets.
   std::fill(cursors_.begin(), cursors_.end(), 0);
   for (std::uint32_t k = 0; k < nodes_; ++k) {
     if (k == cfg_.node_id) continue;
@@ -446,7 +446,7 @@ void TcpEndpoint::sync_round(std::uint64_t round,
       if (op == Opcode::kBye)
         throw WireError("node " + std::to_string(k) +
                         " said goodbye mid-round " + std::to_string(round));
-      EnvelopeFrame f =
+      const EnvelopeFrame f =
           decode_envelope(body.data(), body.size(), cfg_.max_frame_bytes);
       mix_envelope_frame(recv_digest, f);
       recv_count += 1;
@@ -467,7 +467,7 @@ void TcpEndpoint::sync_round(std::uint64_t round,
       // wire frames and the replay's staged envelopes are aligned
       // subsequences — a cursor walk finds the predicted envelope or
       // proves divergence.
-      std::vector<Envelope>& bucket = staging[f.to];
+      const std::vector<Envelope>& bucket = staging[f.to];
       std::uint32_t& cur = cursors_[cursor_index(f.to, k)];
       while (cur < bucket.size() && owner_of(bucket[cur].from) != k) ++cur;
       if (cur >= bucket.size())
@@ -479,7 +479,7 @@ void TcpEndpoint::sync_round(std::uint64_t round,
                         std::to_string(f.from) + " to=" +
                         std::to_string(f.to) + " tag=" +
                         std::to_string(f.tag) + ")");
-      Envelope& predicted = bucket[cur];
+      const Envelope& predicted = bucket[cur];
       if (predicted.from != f.from || predicted.payload.tag != f.tag ||
           predicted.payload.content_bits != f.content_bits ||
           predicted.payload.words != f.words)
@@ -491,10 +491,6 @@ void TcpEndpoint::sync_round(std::uint64_t round,
                         " differs from the replay's prediction (from=" +
                         std::to_string(predicted.from) + " tag=" +
                         std::to_string(predicted.payload.tag) + ")");
-      // The bytes that crossed the socket become the payload the
-      // protocol consumes — the wire is authoritative, the replay is the
-      // verified prediction.
-      predicted.payload.words = std::move(f.words);
       cur += 1;
     }
   }

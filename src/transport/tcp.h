@@ -22,18 +22,18 @@
 // queued for the next barrier.
 //
 // Reconciliation is where the oracle contract bites. Each received frame
-// is matched against the local replay's staging bucket for its receiver —
-// per-(receiver, peer) cursors walk the bucket in global send order, the
-// same order the peer's replay emitted the frames — and every field
-// (sender, round, tag, honest bit size, payload words) must equal the
-// replay's prediction; then the wire payload is moved into the staged
-// envelope, making the bytes that crossed the socket the ones the
-// protocol consumes. A frame the replay didn't predict, a predicted
-// message the wire never carried, or any field divergence throws at the
-// exact round it happens. Shutdown exchanges Bye frames carrying each
-// node's decision, run fingerprint (which digests the full per-processor
-// bit ledger), and combined transcript digest; `finish` verifies all
-// nodes agree.
+// is matched against the local replay's bucket for its receiver (the
+// views sync_round receives) — per-(receiver, peer) cursors walk the
+// bucket in global send order, the same order the peer's replay emitted
+// the frames — and every field (sender, round, tag, honest bit size,
+// payload words) must equal the replay's prediction. So the bytes that
+// crossed the socket are, word for word, the ones the protocol consumes
+// from the replay's send log. A frame the replay didn't predict, a
+// predicted message the wire never carried, or any field divergence
+// throws at the exact round it happens. Shutdown exchanges Bye frames
+// carrying each node's decision, run fingerprint (which digests the full
+// per-processor bit ledger), and combined transcript digest; `finish`
+// verifies all nodes agree.
 #pragma once
 
 #include <cstdint>

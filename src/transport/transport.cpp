@@ -40,7 +40,7 @@ void LoopbackTransport::on_attach(std::size_t n) {
 }
 
 void LoopbackTransport::on_send(const Envelope& e) {
-  // Delivery stays in Network staging; meter the frame a fully
+  // Delivery stays in Network; meter the frame a fully
   // distributed run would have exchanged for this envelope (both
   // directions — every envelope has a sender node and a receiver node).
   const std::uint64_t bytes =

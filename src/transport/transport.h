@@ -1,17 +1,17 @@
 // The transport subsystem: how envelopes move between processors.
 //
-// The simulator's `Network` stages traffic in per-receiver buckets and
-// delivers at `advance_round()` — an in-process loopback. A production BA
-// system speaks wire protocols between OS processes. This module abstracts
-// the boundary: `Transport` is the backend interface `Network` drives, with
-// two implementations:
+// The simulator's `Network` keeps each round's messages once, in a send
+// log, and delivers them at `advance_round()` by reference — an in-process
+// loopback. A production BA system speaks wire protocols between OS
+// processes. This module abstracts the boundary: `Transport` is the
+// backend interface `Network` drives, with two implementations:
 //
-//  * `LoopbackTransport` (this header) — the in-process backend. Envelopes
-//    stay in `Network` staging exactly as before (zero behavior change);
-//    the backend only meters what *would* cross a wire, so loopback and
-//    socket runs report comparable frame/byte accounting. A `Network`
-//    without any transport attached behaves identically — the null and
-//    loopback backends differ only in that the latter keeps stats.
+//  * `LoopbackTransport` (this header) — the in-process backend. Delivery
+//    stays entirely inside `Network` (zero behavior change); the backend
+//    only meters what *would* cross a wire, so loopback and socket runs
+//    report comparable frame/byte accounting. A `Network` without any
+//    transport attached behaves identically — the null and loopback
+//    backends differ only in that the latter keeps stats.
 //  * `TcpEndpoint` (transport/tcp.h) — the socket backend. Each `ba_node`
 //    OS process owns a contiguous block of processor ids and runs the
 //    deterministic protocol engine as a full replica; envelopes whose
@@ -24,11 +24,14 @@
 //
 // Determinism / oracle contract: every node replays the same seeded run,
 // so the frames a node receives must be byte-identical to the envelopes
-// its own replay staged for its processors. The socket backend verifies
+// its own replay sent to its processors. The socket backend verifies
 // exactly that at each barrier (sender, round, tag, honest bit size,
-// payload words) and then lets the wire bytes feed the inbox — any
-// divergence between "what the wire carried" and "what the simulator
-// predicts" dies loudly at the round it happens. The in-process simulator
+// payload words) — any divergence between "what the wire carried" and
+// "what the simulator predicts" dies loudly at the round it happens. The
+// wire is authoritative in that sense: a round completes only if the
+// bytes that crossed the socket are the ones the protocol consumes, which
+// the check establishes, so the inbox keeps reading the replay's copy of
+// each payload rather than adopting the wire's. The in-process simulator
 // is thereby the differential oracle for every distributed run; ba_launch
 // additionally diffs per-processor delivered-message transcripts
 // (`TranscriptCapture`) and run fingerprints (which digest the full
@@ -54,10 +57,9 @@ struct TransportStats {
   std::uint64_t rounds_synced = 0;    ///< round barriers completed
 };
 
-/// Backend interface driven by Network: one callback per staged envelope
-/// (in global send order — the serialization point every backend shares,
-/// replayed when the send log is staged) and one round barrier per
-/// advance_round(), invoked before delivery.
+/// Backend interface driven by Network: one callback per envelope (in
+/// global send order — the serialization point every backend shares) and
+/// one round barrier per advance_round(), both before any delivery.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -68,26 +70,28 @@ class Transport {
   /// once, before any traffic; backends validate their peer table here.
   virtual void on_attach(std::size_t n) = 0;
 
-  /// One staged envelope. Network defers staging: send() and multicast()
-  /// only log, and the first read of staged traffic (at the latest
-  /// advance_round(), before sync_round) fills the receivers' buckets and
-  /// then calls on_send once per envelope, in global send order, for the
-  /// whole batch. Runs driver-side (single-threaded), never inside send().
+  /// One envelope of the round being advanced. send() and multicast()
+  /// only log; advance_round() replays the whole round's log here, once
+  /// per (message, receiver) pair, in global send order, and then calls
+  /// sync_round. Runs driver-side (single-threaded), never inside send().
+  /// `e` is a view into the round's send log: copy what must outlive the
+  /// call.
   virtual void on_send(const Envelope& e) = 0;
 
-  /// Round barrier at Network::advance_round, before any delivery or
-  /// scheduler pass: flush everything this endpoint sent in `round`,
-  /// collect every peer's round-`round` traffic, and reconcile it into
-  /// `staging` (the per-receiver buckets; index = receiver id). On return
-  /// the staged buckets for this endpoint's processors hold the
-  /// authoritative (wire) payloads.
+  /// Round barrier at Network::advance_round, after the round's on_send
+  /// calls and before any scheduler pass or delivery: flush everything
+  /// this endpoint sent in `round`, collect every peer's round-`round`
+  /// traffic, and check it against `staging` — the same envelopes, as
+  /// views bucketed by receiver (index = receiver id), each bucket in
+  /// send order. The views stay valid until the call returns; delivery
+  /// then reads the same log, so what was checked is what is delivered.
   virtual void sync_round(std::uint64_t round,
                           std::vector<std::vector<Envelope>>& staging) = 0;
 
   virtual const TransportStats& stats() const = 0;
 };
 
-/// The in-process backend: delivery stays entirely inside Network staging
+/// The in-process backend: delivery stays entirely inside Network
 /// (byte-identical to no transport at all); the backend just meters the
 /// frames a socket run would have exchanged, using the real wire encoding
 /// sizes, so loopback reports are comparable with TCP ones.

@@ -101,7 +101,7 @@ void encode(std::vector<std::uint8_t>& out, const EnvelopeFrame& f);
 void encode(std::vector<std::uint8_t>& out, const RoundDoneFrame& f);
 void encode(std::vector<std::uint8_t>& out, const ByeFrame& f);
 
-/// The envelope frame for a staged Envelope (honest bit size preserved).
+/// The envelope frame for an Envelope (honest bit size preserved).
 EnvelopeFrame make_envelope_frame(const Envelope& e);
 
 /// Total stream bytes (length prefix + body) of an envelope frame

@@ -125,8 +125,11 @@ TEST(A2E, ArbitraryMessagesNotJustBits) {
   AlmostToEverywhere a2e(p, 4);
   auto res = a2e.run(net, adv, beliefs, m, constant_label(1));
   EXPECT_TRUE(res.all_good_agree);
-  for (ProcId q = 0; q < n; ++q)
-    if (!net.is_corrupt(q)) EXPECT_EQ(res.message[q], m);
+  for (ProcId q = 0; q < n; ++q) {
+    if (!net.is_corrupt(q)) {
+      EXPECT_EQ(res.message[q], m);
+    }
+  }
 }
 
 TEST(A2E, TinyOverloadCapForcesSilence) {
@@ -236,8 +239,9 @@ TEST_P(A2EKnowledge, SafetyHoldsAtEveryKnowledgeLevel) {
   AlmostToEverywhere a2e(p, 18);
   auto res = a2e.run(net, adv, beliefs, 1, constant_label(6));
   const double good = static_cast<double>(net.good_procs().size());
-  if (know >= 0.75)
+  if (know >= 0.75) {
     EXPECT_GE(static_cast<double>(res.agree_count) / good, 0.95);
+  }
   // Wrong deciders stay a small minority; at the theorem's boundary
   // (1/2 + eps with eps = 0.1) the paper's a = 32c/eps^2 constant is far
   // above our laptop-scale request budget, so the tail is wider there

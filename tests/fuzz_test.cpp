@@ -38,13 +38,14 @@ TEST(NetworkFuzz, RandomTrafficKeepsInvariants) {
       // ascending, sorted stably by sender within each group.
       for (std::size_t i = 1; i < box.size(); ++i) {
         EXPECT_LE(box[i - 1].payload.tag, box[i].payload.tag);
-        if (box[i - 1].payload.tag == box[i].payload.tag)
+        if (box[i - 1].payload.tag == box[i].payload.tag) {
           EXPECT_LE(box[i - 1].from, box[i].from);
+        }
       }
       // The tag index must agree with a whole-inbox filter scan.
       for (std::size_t i = 0; i < box.size(); ++i) {
         const std::uint32_t tag = box[i].payload.tag;
-        TaggedInbox span = net.inbox(p, tag);
+        InboxView span = net.inbox(p, tag);
         std::size_t matching = 0;
         for (const auto& env : box) matching += env.payload.tag == tag;
         EXPECT_EQ(span.size(), matching);

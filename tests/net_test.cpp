@@ -2,8 +2,14 @@
 // adversary's view, corruption budget, bit accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
+#include "common/pool.h"
 #include "net/adversary.h"
 #include "net/network.h"
+#include "net/scheduler.h"
+#include "transport/transport.h"
 
 namespace ba {
 namespace {
@@ -141,14 +147,12 @@ TEST(Network, StalePendingRefsDieLoudlyAcrossRounds) {
   EXPECT_EQ(net.pending_envelope(fresh[0]).payload.words[0], 99u);
 }
 
-TEST(Network, MixedTagSpikeCapacityIsReleasedAfterTheSwap) {
-  // Regression for the delivery-path release bug: the mixed-tag
-  // redistribution swaps the inbox with per-worker scratch, and the
-  // release policy used to run *before* the swap — so the buffer that
-  // actually became the inbox was never evaluated, the old inbox block
-  // (spike-sized) parked in scratch, and that capacity migrated to
-  // whichever receiver the worker delivered next. Post-fix, a small
-  // mixed-tag round after a spike must come out with a small inbox.
+TEST(Network, MixedTagSpikeCapacityIsReleased) {
+  // Stream-and-release after a spike: the round buffers (send logs, ref
+  // arrays) and the per-worker mixed-tag scratch all grew to the spike,
+  // and a small mixed-tag round after it must leave none of them holding
+  // spike capacity — including the scratch, or the capacity would stay
+  // with whichever worker delivered the spike.
   Network net(2, 1);  // n <= 64: all delivery on one worker, one scratch
   const std::size_t kSpike = 5000;
   for (std::size_t i = 0; i < kSpike; ++i)
@@ -164,8 +168,8 @@ TEST(Network, MixedTagSpikeCapacityIsReleasedAfterTheSwap) {
   EXPECT_EQ(net.inbox(0)[0].payload.words[0], 1u);
   EXPECT_EQ(net.inbox(0)[1].payload.tag, 11u);
   EXPECT_EQ(net.inbox(0)[1].payload.words[0], 2u);
-  EXPECT_LE(net.inbox(0).capacity(), 1024u)
-      << "spike capacity survived the mixed-tag swap";
+  EXPECT_LE(net.retained_capacity(), 1024u)
+      << "spike capacity survived the small round";
 }
 
 TEST(Network, MidRoundCorruptionRevealsPendingTraffic) {
@@ -207,11 +211,11 @@ TEST(Network, TaggedInboxPartitionsByTag) {
   net.advance_round();
   // Inbox is (tag, sender) ordered: tag 7 group first, then tag 9.
   ASSERT_EQ(net.inbox(0).size(), 4u);
-  TaggedInbox sevens = net.inbox(0, 7);
+  InboxView sevens = net.inbox(0, 7);
   ASSERT_EQ(sevens.size(), 2u);
   EXPECT_EQ(sevens.begin()[0].from, 1u);
   EXPECT_EQ(sevens.begin()[1].from, 3u);
-  TaggedInbox nines = net.inbox(0, 9);
+  InboxView nines = net.inbox(0, 9);
   ASSERT_EQ(nines.size(), 2u);
   EXPECT_EQ(nines.begin()[0].from, 1u);
   EXPECT_EQ(nines.begin()[0].payload.words[0], 11u);
@@ -228,7 +232,7 @@ TEST(Network, TaggedInboxKeepsSenderStability) {
   net.send(2, 0, make_value_payload(4, 99, 4));
   net.send(1, 0, make_value_payload(5, 2, 4));
   net.advance_round();
-  TaggedInbox fives = net.inbox(0, 5);
+  InboxView fives = net.inbox(0, 5);
   ASSERT_EQ(fives.size(), 2u);
   EXPECT_EQ(fives.begin()[0].payload.words[0], 1u);
   EXPECT_EQ(fives.begin()[1].payload.words[0], 2u);
@@ -389,6 +393,350 @@ TEST(Network, MulticastRejectsBadReceiverBeforeAnyEffect) {
     EXPECT_TRUE(net.inbox(p).empty()) << p;
     EXPECT_EQ(net.ledger().bits_received(p), 0u) << p;
   }
+}
+
+// ------------------------------------------------- delivery oracle --
+//
+// A from-the-definition model of the network: every message is a plain
+// owned record, each receiver's round is its messages in send order
+// (arrivals due from earlier rounds first, then shuffled per receiver in
+// reorder mode), stably sorted by (tag, sender). The network's delivery
+// by reference must reproduce it exactly — inbox streams, tag spans,
+// ledger rows, adversary views and the transport's on_send sequence — at
+// any worker count.
+
+/// One message as the model and the comparisons see it.
+struct Msg {
+  ProcId from = 0;
+  ProcId to = 0;
+  std::uint64_t round = 0;
+  std::uint32_t tag = 0;
+  std::vector<std::uint64_t> words;
+  std::size_t content_bits = 0;
+
+  static Msg of(const Envelope& e) {
+    return Msg{e.from,
+               e.to,
+               e.round,
+               e.payload.tag,
+               std::vector<std::uint64_t>(e.payload.words.begin(),
+                                          e.payload.words.end()),
+               e.payload.content_bits};
+  }
+  friend bool operator==(const Msg& a, const Msg& b) {
+    return std::tie(a.from, a.to, a.round, a.tag, a.words, a.content_bits) ==
+           std::tie(b.from, b.to, b.round, b.tag, b.words, b.content_bits);
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const Msg& m) {
+  return os << "{from=" << m.from << " to=" << m.to << " round=" << m.round
+            << " tag=" << m.tag << " words=" << m.words.size() << "}";
+}
+
+/// Transport that records every on_send envelope and round barrier.
+class RecordingTransport final : public Transport {
+ public:
+  std::vector<Msg> sent;
+  std::vector<std::uint64_t> barriers;
+  std::size_t bucketed = 0;  ///< envelopes sync_round saw per receiver
+
+  const char* backend_name() const override { return "recording"; }
+  void on_attach(std::size_t) override {}
+  void on_send(const Envelope& e) override { sent.push_back(Msg::of(e)); }
+  void sync_round(std::uint64_t round,
+                  std::vector<std::vector<Envelope>>& staging) override {
+    barriers.push_back(round);
+    for (ProcId p = 0; p < staging.size(); ++p)
+      for (const Envelope& e : staging[p]) {
+        EXPECT_EQ(e.to, p);
+        EXPECT_EQ(e.round, round);
+        ++bucketed;
+      }
+  }
+  const TransportStats& stats() const override { return stats_; }
+
+ private:
+  TransportStats stats_;
+};
+
+class NetworkModel {
+ public:
+  NetworkModel(std::size_t n, const SchedulerConfig& cfg)
+      : n_(n),
+        cfg_(cfg),
+        corrupt_(n, false),
+        future_(n),
+        inbox_(n),
+        sent_bits_(n, 0),
+        sent_msgs_(n, 0),
+        recv_bits_(n, 0),
+        delays_(cfg.seed),
+        shuffle_base_(Rng(cfg.seed).fork(0x5EED)) {}
+
+  void corrupt(ProcId p) { corrupt_[p] = true; }
+
+  void send(ProcId from, ProcId to, const Payload& p) {
+    Msg m{from, to, round_, p.tag,
+          std::vector<std::uint64_t>(p.words.begin(), p.words.end()),
+          p.content_bits};
+    pending_.push_back(m);
+    sent_log_.push_back(m);
+    sent_bits_[from] += p.bits();
+    sent_msgs_[from] += 1;
+  }
+
+  /// (global send position, message) pairs the adversary may read.
+  std::vector<std::pair<std::uint32_t, Msg>> visible() const {
+    const bool rush = cfg_.mode == SchedulerMode::kReorderRush &&
+                      cfg_.rush_depth > 0;
+    std::vector<std::pair<std::uint32_t, Msg>> v;
+    for (std::uint32_t k = 0; k < pending_.size(); ++k) {
+      const Msg& m = pending_[k];
+      if (rush || corrupt_[m.from] || corrupt_[m.to]) v.emplace_back(k, m);
+    }
+    return v;
+  }
+
+  void advance() {
+    const bool delays = cfg_.mode != SchedulerMode::kLockstep;
+    std::vector<std::vector<Msg>> on_time(n_);
+    std::vector<std::vector<std::pair<std::uint64_t, Msg>>> delayed(n_);
+    for (const Msg& m : pending_) {
+      const std::uint64_t d = delays ? delays_.below(cfg_.delta_max + 1) : 0;
+      if (d == 0)
+        on_time[m.to].push_back(m);
+      else
+        delayed[m.to].emplace_back(round_ + 1 + d, m);
+    }
+    for (ProcId p = 0; p < n_; ++p) {
+      // Queue order: earlier rounds first, then this round in send order.
+      for (auto& dm : delayed[p]) future_[p].push_back(std::move(dm));
+      std::vector<Msg> got;
+      std::vector<std::pair<std::uint64_t, Msg>> keep;
+      for (auto& [due, m] : future_[p]) {
+        if (due == round_ + 1)
+          got.push_back(m);
+        else
+          keep.emplace_back(due, m);
+      }
+      future_[p] = std::move(keep);
+      for (Msg& m : on_time[p]) got.push_back(std::move(m));
+      if (cfg_.mode == SchedulerMode::kReorderRush && got.size() > 1) {
+        Rng r = shuffle_base_.fork(round_ * n_ + p);
+        r.shuffle(got);
+      }
+      std::stable_sort(got.begin(), got.end(), [](const Msg& a, const Msg& b) {
+        return std::tie(a.tag, a.from) < std::tie(b.tag, b.from);
+      });
+      for (const Msg& m : got) recv_bits_[p] += m.content_bits + kHeaderBits;
+      inbox_[p] = std::move(got);
+    }
+    pending_.clear();
+    ++round_;
+  }
+
+  const std::vector<Msg>& inbox(ProcId p) const { return inbox_[p]; }
+  const std::vector<Msg>& sent_log() const { return sent_log_; }
+  std::uint64_t bits_sent(ProcId p) const { return sent_bits_[p]; }
+  std::uint64_t msgs_sent(ProcId p) const { return sent_msgs_[p]; }
+  std::uint64_t bits_received(ProcId p) const { return recv_bits_[p]; }
+
+ private:
+  std::size_t n_;
+  SchedulerConfig cfg_;
+  std::uint64_t round_ = 0;
+  std::vector<bool> corrupt_;
+  std::vector<Msg> pending_;
+  std::vector<Msg> sent_log_;
+  std::vector<std::vector<std::pair<std::uint64_t, Msg>>> future_;
+  std::vector<std::vector<Msg>> inbox_;
+  std::vector<std::uint64_t> sent_bits_, sent_msgs_, recv_bits_;
+  Rng delays_;
+  Rng shuffle_base_;
+};
+
+/// Drives one random traffic script through a Network and the model at
+/// the current pool width and compares everything observable after every
+/// round. Large rounds cross the parallel staging threshold; empty rounds
+/// and mid-round corruptions are mixed in.
+void run_delivery_oracle(const SchedulerConfig& cfg, std::uint64_t seed) {
+  constexpr std::size_t n = 300, kRounds = 12;
+  Network net(n, n / 4);
+  net.set_scheduler(cfg);
+  RecordingTransport transport;
+  net.set_transport(&transport);
+  NetworkModel model(n, cfg);
+  Rng rng(seed);
+  std::size_t total_sent = 0;
+  const auto random_payload = [&] {
+    Payload p;
+    p.tag = 3 + 2 * static_cast<std::uint32_t>(rng.below(4));
+    const std::uint64_t words = rng.below(5);  // 3+ words spill to heap
+    for (std::uint64_t w = 0; w < words; ++w) p.words.push_back(rng.next());
+    p.content_bits = rng.below(200);
+    return p;
+  };
+  const auto read_view = [&] {
+    const auto got = net.pending_visible_to_adversary();
+    const auto want = model.visible();
+    EXPECT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      EXPECT_EQ(got[i].index, want[i].first) << "view entry " << i;
+      EXPECT_EQ(got[i].to, want[i].second.to) << "view entry " << i;
+      EXPECT_EQ(Msg::of(net.pending_envelope(got[i])), want[i].second)
+          << "view entry " << i;
+    }
+    return got;
+  };
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    const bool empty = rng.bernoulli(0.2);
+    const std::size_t phases = empty ? 0 : 1 + rng.below(3);
+    for (std::size_t phase = 0; phase < phases; ++phase) {
+      const std::size_t calls = 20 + rng.below(round % 3 == 0 ? 400 : 40);
+      for (std::size_t c = 0; c < calls; ++c) {
+        const auto from = static_cast<ProcId>(rng.below(n));
+        const Payload p = random_payload();
+        if (rng.bernoulli(0.5)) {
+          const auto to = static_cast<ProcId>(rng.below(n));
+          net.send(from, to, p);
+          model.send(from, to, p);
+          ++total_sent;
+          continue;
+        }
+        std::vector<ProcId> to(1 + rng.below(12));
+        for (ProcId& r : to) r = static_cast<ProcId>(rng.below(n));
+        to.push_back(to.front());  // duplicate receiver
+        if (rng.bernoulli(0.3)) to.push_back(from);  // sender included
+        net.multicast(from, to, p);
+        for (ProcId r : to) model.send(from, r, p);
+        total_sent += to.size();
+      }
+      // The rushing adversary reads, then injects from corrupt senders —
+      // echoing payloads it just read and sending fresh ones.
+      const auto view = read_view();
+      for (std::size_t i = 0; i < view.size() && i < 30; i += 3) {
+        const Envelope e = net.pending_envelope(view[i]);
+        if (!net.is_corrupt(e.from)) continue;
+        const Payload echo = e.payload;
+        const auto to = static_cast<ProcId>(rng.below(n));
+        net.send(e.from, to, echo);
+        model.send(e.from, to, echo);
+        ++total_sent;
+      }
+      for (ProcId p = 0; p < n; p += 7) {
+        if (!net.is_corrupt(p)) continue;
+        const Payload fresh = random_payload();
+        const auto to = static_cast<ProcId>(rng.below(n));
+        net.send(p, to, fresh);
+        model.send(p, to, fresh);
+        ++total_sent;
+      }
+      read_view();
+      if (net.corruption_budget_left() > 0 && rng.bernoulli(0.7)) {
+        const auto p = static_cast<ProcId>(rng.below(n));
+        net.corrupt(p);
+        model.corrupt(p);
+      }
+    }
+    read_view();
+    net.advance_round();
+    model.advance();
+    for (ProcId p = 0; p < n; ++p) {
+      const InboxView box = net.inbox(p);
+      const std::vector<Msg>& want = model.inbox(p);
+      ASSERT_EQ(box.size(), want.size()) << "round " << round << " to " << p;
+      for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(Msg::of(box[i]), want[i])
+            << "round " << round << " to " << p << " slot " << i;
+      // Each tag span is exactly that tag's subsequence.
+      for (std::uint32_t tag = 0; tag < 12; ++tag) {
+        std::vector<Msg> sub;
+        for (const Msg& m : want)
+          if (m.tag == tag) sub.push_back(m);
+        std::vector<Msg> span;
+        for (const Envelope& e : net.inbox(p, tag)) span.push_back(Msg::of(e));
+        EXPECT_EQ(span, sub) << "round " << round << " to " << p
+                             << " tag " << tag;
+      }
+      EXPECT_EQ(net.ledger().bits_sent(p), model.bits_sent(p)) << p;
+      EXPECT_EQ(net.ledger().msgs_sent(p), model.msgs_sent(p)) << p;
+      EXPECT_EQ(net.ledger().bits_received(p), model.bits_received(p)) << p;
+    }
+  }
+  EXPECT_EQ(transport.sent, model.sent_log());
+  EXPECT_EQ(transport.bucketed, total_sent);
+  ASSERT_EQ(transport.barriers.size(), kRounds);
+  for (std::size_t r = 0; r < kRounds; ++r) EXPECT_EQ(transport.barriers[r], r);
+}
+
+void run_delivery_oracle_at_widths(const SchedulerConfig& cfg) {
+  for (std::size_t workers : {1, 2, 8}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    Pool::set_threads(workers);
+    run_delivery_oracle(cfg, 1234);
+    run_delivery_oracle(cfg, 99);
+  }
+  Pool::set_threads(0);
+}
+
+TEST(DeliveryOracle, LockstepMatchesTheModel) {
+  run_delivery_oracle_at_widths(SchedulerConfig{});
+}
+
+TEST(DeliveryOracle, BoundedDelayMatchesTheModel) {
+  SchedulerConfig cfg;
+  cfg.mode = SchedulerMode::kBoundedDelay;
+  cfg.delta_max = 2;
+  cfg.seed = 17;
+  run_delivery_oracle_at_widths(cfg);
+}
+
+TEST(DeliveryOracle, ReorderRushMatchesTheModel) {
+  SchedulerConfig cfg;
+  cfg.mode = SchedulerMode::kReorderRush;
+  cfg.delta_max = 2;
+  cfg.seed = 23;
+  cfg.rush_depth = 1;
+  run_delivery_oracle_at_widths(cfg);
+}
+
+TEST(DeliveryOracle, InboxViewsOutliveTheNextRoundsTraffic) {
+  // Round r's inbox views — and envelopes taken from them — point into
+  // round r's send log. They must stay valid and unchanged while round
+  // r+1 is sent (enough to reallocate every round buffer) and read by the
+  // adversary, since the log is double-buffered.
+  Network net(6, 2);
+  net.corrupt(5);
+  net.multicast(0, {1, 2, 1}, make_words_payload(4, {10, 11, 12, 13}));
+  net.send(3, 1, make_value_payload(4, 30, 8));
+  net.send(2, 1, make_value_payload(2, 20, 8));
+  net.advance_round();
+  const InboxView ones = net.inbox(1);
+  const InboxView fours = net.inbox(1, 4);
+  ASSERT_EQ(ones.size(), 4u);
+  ASSERT_EQ(fours.size(), 3u);
+  std::vector<Msg> before;
+  for (const Envelope& e : ones) before.push_back(Msg::of(e));
+  const Envelope held = fours[0];
+  const WordVec& held_words = held.payload.words;
+  ASSERT_EQ(held_words.size(), 4u);
+  for (int i = 0; i < 5000; ++i)
+    net.multicast(static_cast<ProcId>(i % 5), {1, 5, 1},
+                  make_words_payload(4, {99, 98, 97}));
+  const auto view = net.pending_visible_to_adversary();
+  ASSERT_EQ(view.size(), 5000u);
+  EXPECT_EQ(net.pending_envelope(view.back()).payload.words[0], 99u);
+  net.corrupt(0);
+  EXPECT_EQ(net.pending_visible_to_adversary().size(), 7000u);
+  std::vector<Msg> after;
+  for (const Envelope& e : ones) after.push_back(Msg::of(e));
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(held.from, 0u);
+  EXPECT_EQ(held_words[3], 13u);
+  EXPECT_EQ(Msg::of(net.inbox(1)[0]), before[0]);
+  net.advance_round();
+  EXPECT_EQ(net.inbox(1).size(), 10000u);
 }
 
 TEST(Network, RejectsFullCorruption) {

@@ -68,10 +68,11 @@ void expect_parity(const char* name,
   Pool::set_threads(0);
   EXPECT_EQ(serial, two) << name << ": 2 workers diverged from serial";
   EXPECT_EQ(serial, eight) << name << ": 8 workers diverged from serial";
-  if (expected != 0)
+  if (expected != 0) {
     EXPECT_EQ(serial, expected)
         << name << ": scenario-layer wiring drifted from the recorded "
         << "hand-rolled digest";
+  }
 }
 
 /// Registry scenario -> serial-run fingerprint.

@@ -91,8 +91,9 @@ TEST(Layout, SequenceLengthFollowsCoinWords) {
 TEST(Layout, LevelTwoHasQCandidates) {
   Built b(512);
   EXPECT_EQ(b.layout.r_at(2), b.params.tree.q);
-  if (b.layout.num_levels() >= 4)
+  if (b.layout.num_levels() >= 4) {
     EXPECT_EQ(b.layout.r_at(3), b.params.tree.q * b.params.w);
+  }
 }
 
 TEST(Layout, RejectsFlatTrees) {
