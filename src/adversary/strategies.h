@@ -34,7 +34,6 @@ class StaticMaliciousAdversary : public Adversary,
   bool lies_in_share_flows() const override {
     return style_ == FaultStyle::lying;
   }
-  const char* name() const override { return "static-malicious"; }
 
   FaultStyle fault_style() const { return style_; }
 
@@ -52,7 +51,6 @@ class CrashAdversary : public Adversary, public ShareConduct {
       : fraction_(fraction), rng_(seed) {}
   void on_start(Network& net) override;
   bool lies_in_share_flows() const override { return false; }
-  const char* name() const override { return "crash"; }
 
  private:
   double fraction_;
@@ -81,7 +79,6 @@ class AdaptiveWinnerTakeover : public Adversary,
   void rush_votes(AebaMachine& machine, Network& net,
                   std::uint64_t round) override;
   bool lies_in_share_flows() const override { return true; }
-  const char* name() const override { return "adaptive-winner-takeover"; }
 
  private:
   Rng rng_;
@@ -104,7 +101,6 @@ class FloodingA2EAdversary : public Adversary, public A2EAttacker {
   std::optional<std::uint64_t> respond(ProcId q, ProcId p,
                                        std::uint32_t label, std::uint64_t k,
                                        std::uint64_t m_hint) const override;
-  const char* name() const override { return "a2e-flooding"; }
 
  private:
   double fraction_;

@@ -1,7 +1,6 @@
 #include "aeba/aeba_with_coins.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/pool.h"
 
@@ -130,7 +129,7 @@ void AebaMachine::send_votes(Network& net) const {
   std::vector<std::uint64_t> packed(wpm);
   for (std::size_t pos = 0; pos < members_.size(); ++pos) {
     const ProcId self = members_[pos];
-    if (net.is_corrupt(self)) continue;  // adversary moves in on_rush
+    if (net.is_corrupt(self)) continue;  // the adversary's VoteRusher votes
     for (std::size_t w = 0; w < wpm; ++w) packed[w] = votes_[pos * wpm + w];
     net.multicast(self, neighbor_ids_[pos],
                   make_vote_payload(context_, packed, instances_));
@@ -181,31 +180,33 @@ void AebaMachine::count_received(const Network& net, std::size_t pos,
   commit(pending);
 }
 
-void AebaMachine::tally_majority(const Network& net) {
-  std::vector<std::uint64_t> next = votes_;
-  count_scratch_.fit();
+void AebaMachine::count_votes(const Network& net) {
+  counts_.resize(members_.size() * instances_);
+  received_.resize(members_.size());
   Pool::for_each(
       members_.size(),
-      [&](std::size_t pos, std::size_t worker) {
+      [&](std::size_t pos, std::size_t) {
         if (net.is_corrupt(members_[pos])) return;
-        auto& count_ones = count_scratch_[worker];
-        count_ones.resize(instances_);
-        std::size_t received = 0;
-        count_received(net, pos, count_ones.data(), received);
-        if (received == 0) return;
-        for (std::size_t i = 0; i < instances_; ++i) {
-          if (get_bit(locked_, pos, i)) continue;
-          set_bit(next, pos, i, 2 * count_ones[i] >= received);
-        }
+        count_received(net, pos, counts_.data() + pos * instances_,
+                       received_[pos]);
       },
       /*min_grain=*/8);
-  votes_ = std::move(next);
+}
+
+void AebaMachine::tally_majority(const Network& net) {
+  count_votes(net);
+  for (std::size_t pos = 0; pos < members_.size(); ++pos) {
+    if (net.is_corrupt(members_[pos]) || received_[pos] == 0) continue;
+    const std::uint32_t* count_ones = counts_.data() + pos * instances_;
+    for (std::size_t i = 0; i < instances_; ++i) {
+      if (get_bit(locked_, pos, i)) continue;
+      set_bit(votes_, pos, i, 2 * count_ones[i] >= received_[pos]);
+    }
+  }
 }
 
 void AebaMachine::tally_votes(const Network& net, CoinSource& coins,
                               std::uint64_t protocol_round) {
-  std::vector<std::uint64_t> next = votes_;
-
   // Ground truth for Lemma 11 instrumentation (instance 0): the majority
   // bit among good members and its support f' = |S'| / m, where S' is the
   // set of good members voting that bit and m counts *all* members (the
@@ -220,13 +221,20 @@ void AebaMachine::tally_votes(const Network& net, CoinSource& coins,
   const double f_prime =
       static_cast<double>(gmaj ? good_ones : good_total - good_ones) /
       static_cast<double>(members_.size());
-  // Integral accumulators, so parallel and serial tallies agree exactly.
-  std::atomic<std::size_t> informed{0}, informed_denom{0};
+  std::size_t informed = 0, informed_denom = 0;
+  const double lock_at =
+      protocol_round == 0 ? std::min(params_.lock_threshold,
+                                     params_.first_round_lock_threshold)
+                          : params_.lock_threshold;
 
-  // The maj/coin rule for one good member, given its neighbour counts.
-  const auto apply = [&](std::size_t pos, const std::uint32_t* count_ones,
-                         std::size_t received) {
-    if (received == 0) return;  // keep current vote
+  count_votes(net);
+  // Coins read votes_ (UnreliableCoins' attack), so the rule writes the
+  // next votes into a copy.
+  std::vector<std::uint64_t> next = votes_;
+  for (std::size_t pos = 0; pos < members_.size(); ++pos) {
+    const std::size_t received = received_[pos];
+    if (net.is_corrupt(members_[pos]) || received == 0) continue;
+    const std::uint32_t* count_ones = counts_.data() + pos * instances_;
     for (std::size_t i = 0; i < instances_; ++i) {
       const bool maj = 2 * count_ones[i] >= received;
       const std::size_t maj_count =
@@ -234,20 +242,15 @@ void AebaMachine::tally_votes(const Network& net, CoinSource& coins,
       const double fraction =
           static_cast<double>(maj_count) / static_cast<double>(received);
       if (i == 0) {
-        informed_denom.fetch_add(1, std::memory_order_relaxed);
+        ++informed_denom;
         const bool lower_ok = fraction >= (1.0 - params_.eps0) * f_prime;
         const bool upper_ok =
             fraction <= (1.0 + params_.eps0) *
                             (f_prime + 1.0 / 3.0 - params_.eps) ||
             f_prime + 1.0 / 3.0 >= 1.0;  // vacuous when bound exceeds 1
-        if (lower_ok && upper_ok)
-          informed.fetch_add(1, std::memory_order_relaxed);
+        if (lower_ok && upper_ok) ++informed;
       }
       if (get_bit(locked_, pos, i)) continue;  // committed (decide rule)
-      const double lock_at = protocol_round == 0
-                                 ? std::min(params_.lock_threshold,
-                                            params_.first_round_lock_threshold)
-                                 : params_.lock_threshold;
       if (fraction >= params_.threshold()) {
         set_bit(next, pos, i, maj);
         if (fraction >= lock_at) set_bit(locked_, pos, i, true);
@@ -255,45 +258,11 @@ void AebaMachine::tally_votes(const Network& net, CoinSource& coins,
         set_bit(next, pos, i, coins.coin(pos, i, protocol_round));
       }
     }
-  };
-  const std::size_t m = members_.size();
-  if (coins.concurrent_safe()) {
-    count_scratch_.fit();
-    Pool::for_each(
-        m,
-        [&](std::size_t pos, std::size_t worker) {
-          if (net.is_corrupt(members_[pos])) return;
-          auto& count_ones = count_scratch_[worker];
-          count_ones.resize(instances_);
-          std::size_t received = 0;
-          count_received(net, pos, count_ones.data(), received);
-          apply(pos, count_ones.data(), received);
-        },
-        /*min_grain=*/8);
-  } else {
-    // Order-sensitive coin source (e.g. a lazily drawn shared-Rng cache):
-    // count in parallel, each member into its own slot, then apply the
-    // rule serially in member order, which keeps the coin draw order.
-    // Coins read votes_, which neither pass writes.
-    std::vector<std::uint32_t> counts(m * instances_);
-    std::vector<std::size_t> received(m, 0);
-    Pool::for_each(
-        m,
-        [&](std::size_t pos, std::size_t) {
-          if (net.is_corrupt(members_[pos])) return;
-          count_received(net, pos, counts.data() + pos * instances_,
-                         received[pos]);
-        },
-        /*min_grain=*/8);
-    for (std::size_t pos = 0; pos < m; ++pos)
-      if (!net.is_corrupt(members_[pos]))
-        apply(pos, counts.data() + pos * instances_, received[pos]);
   }
   informed_fraction_ =
-      informed_denom == 0
-          ? 1.0
-          : static_cast<double>(informed.load()) /
-                static_cast<double>(informed_denom.load());
+      informed_denom == 0 ? 1.0
+                          : static_cast<double>(informed) /
+                                static_cast<double>(informed_denom);
   votes_ = std::move(next);
 }
 
@@ -321,17 +290,23 @@ double AebaMachine::agreement_fraction(std::size_t instance,
                     : static_cast<double>(agree) / static_cast<double>(total);
 }
 
+void vote_round(Network& net, const std::vector<AebaMachine*>& machines,
+                VoteRusher* rusher) {
+  for (AebaMachine* m : machines) m->send_votes(net);
+  if (rusher != nullptr)
+    for (AebaMachine* m : machines) rusher->rush_votes(*m, net, net.round());
+  net.advance_round();
+}
+
 AebaResult run_aeba(Network& net, Adversary& adversary, AebaMachine& machine,
                     CoinSource& coins, std::size_t rounds,
                     std::size_t cleanup_rounds) {
   AebaResult result;
   auto* rusher = dynamic_cast<VoteRusher*>(&adversary);
+  const std::vector<AebaMachine*> machines{&machine};
   double informed_sum = 0.0;
   for (std::size_t r = 0; r < rounds; ++r) {
-    machine.send_votes(net);
-    adversary.on_rush(net, net.round());
-    if (rusher != nullptr) rusher->rush_votes(machine, net, net.round());
-    net.advance_round();
+    vote_round(net, machines, rusher);
     machine.tally_votes(net, coins, r);
     result.min_informed_fraction =
         std::min(result.min_informed_fraction, machine.informed_fraction());
@@ -340,10 +315,7 @@ AebaResult run_aeba(Network& net, Adversary& adversary, AebaMachine& machine,
   if (rounds > 0)
     result.mean_informed_fraction = informed_sum / static_cast<double>(rounds);
   for (std::size_t r = 0; r < cleanup_rounds; ++r) {
-    machine.send_votes(net);
-    adversary.on_rush(net, net.round());
-    if (rusher != nullptr) rusher->rush_votes(machine, net, net.round());
-    net.advance_round();
+    vote_round(net, machines, rusher);
     machine.tally_majority(net);
   }
   result.rounds = rounds + cleanup_rounds;

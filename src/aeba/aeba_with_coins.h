@@ -20,19 +20,20 @@
 // M votes of a round travel in one packed message, matching the paper's
 // "in parallel for all contestants" batching.
 //
-// Driver protocol per round (rushing adversary):
+// Driver protocol per round (rushing adversary), one vote_round() call
+// followed by the caller's tally:
 //   1. machine.send_votes(net)            — good members queue messages
-//   2. adversary.on_rush(net, round)      — may inject corrupt votes
-//      (strategies implement VoteRusher, probed by run_aeba)
+//   2. rusher->rush_votes(machine, ...)   — the adversary's VoteRusher,
+//      if it has one, injects corrupt votes after seeing the good ones
 //   3. net.advance_round()
-//   4. machine.tally_votes(net, coins)    — maj/coin update
+//   4. machine.tally_votes(net, coins)    — maj/coin update (or
+//      tally_majority in the coin-free cleanup rounds)
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
-#include "common/pool.h"
 #include "graph/regular_graph.h"
 #include "net/adversary.h"
 #include "net/network.h"
@@ -76,17 +77,10 @@ struct AebaParams {
 class CoinSource {
  public:
   virtual ~CoinSource() = default;
+  /// Called serially, in member order within a round, so sources may
+  /// draw lazily from a shared Rng.
   virtual bool coin(std::size_t member_pos, std::size_t instance,
                     std::uint64_t protocol_round) = 0;
-
-  /// True when coin() is safe to call from pool workers concurrently AND
-  /// its value depends only on (member_pos, instance, protocol_round) —
-  /// not on call order. Sources that lazily draw from a shared Rng (e.g.
-  /// SharedRandomCoins' first-access cache fill) must return false, or a
-  /// parallel tally would perturb the draw order; pure table lookups like
-  /// the tournament's exposed-word buffers return true. Gates whether
-  /// AebaMachine::tally_votes fans out across members.
-  virtual bool concurrent_safe() const { return false; }
 };
 
 /// Reliable shared coin: every member sees the same fresh random bit each
@@ -154,12 +148,10 @@ class AebaMachine {
   void send_votes(Network& net) const;
 
   /// Consume delivered votes and apply the maj/coin rule at every good
-  /// member. `protocol_round` feeds the coin source. Members are
-  /// independent, so the tally fans out across pool workers when the coin
-  /// source is concurrent-safe (serial execution is byte-identical: all
-  /// cross-member accumulation is integral and per-member state is
-  /// member-indexed). Otherwise only the vote counting fans out, and the
-  /// rule runs serially in member order, keeping the coin draw order.
+  /// member. `protocol_round` feeds the coin source. The vote counting
+  /// fans out across pool workers (each member into its own slot); the
+  /// rule then runs serially in member order, which fixes the coin call
+  /// order.
   void tally_votes(const Network& net, CoinSource& coins,
                    std::uint64_t protocol_round);
 
@@ -169,7 +161,7 @@ class AebaMachine {
   /// reach the keep-threshold onto the common value before committing
   /// (harmless asymptotically, essential at laptop scale — see
   /// AebaParams::lock_threshold and experiment E12's ablation).
-  /// Always fans out across pool workers (no coin source involved).
+  /// Counts like tally_votes, then applies the rule in member order.
   void tally_majority(const Network& net);
 
   /// Build a correctly framed vote payload — used by adversary strategies
@@ -203,6 +195,9 @@ class AebaMachine {
   /// count_ones[0, instances) and `received` (valid senders).
   void count_received(const Network& net, std::size_t pos,
                       std::uint32_t* count_ones, std::size_t& received) const;
+  /// count_received for every good member, fanned out across pool
+  /// workers, into counts_ / received_.
+  void count_votes(const Network& net);
 
   std::uint64_t context_;
   std::vector<ProcId> members_;
@@ -214,20 +209,29 @@ class AebaMachine {
   std::vector<std::uint64_t> votes_;   // member-major packed bits
   std::vector<std::uint64_t> locked_;  // members committed by the decide rule
   double informed_fraction_ = 1.0;
-  // Per-worker vote counts of the tallies; each member refills its
-  // worker's slot before reading it.
-  PerWorker<std::vector<std::uint32_t>> count_scratch_;
+  // The last count_votes pass, reused across rounds: member pos's ones
+  // per instance at counts_[pos * instances_, (pos + 1) * instances_)
+  // and its valid senders at received_[pos] (good members only).
+  std::vector<std::uint32_t> counts_;
+  std::vector<std::size_t> received_;
 };
 
 /// Optional adversary capability: strategies that rush AEBA votes
-/// implement this; run_aeba and the tournament probe for it with
-/// dynamic_cast after calling Adversary::on_rush.
+/// implement this; every AEBA driver probes for it with dynamic_cast and
+/// passes it to vote_round().
 class VoteRusher {
  public:
   virtual ~VoteRusher() = default;
   virtual void rush_votes(AebaMachine& machine, Network& net,
                           std::uint64_t round) = 0;
 };
+
+/// The traffic of one vote round shared by every AEBA driver: each
+/// machine's good members queue their votes (machines in order), then
+/// `rusher` (null: none) injects corrupt votes into each machine in the
+/// same round, then the network delivers. Callers tally afterwards.
+void vote_round(Network& net, const std::vector<AebaMachine*>& machines,
+                VoteRusher* rusher);
 
 struct AebaResult {
   std::vector<bool> decided;          ///< good-majority decision per instance

@@ -59,7 +59,6 @@ BaselineResult run_benor_ba(Network& net, Adversary& adversary,
         }
       }
       if (g == grace) break;
-      adversary.on_rush(net, net.round());
       net.advance_round();
     }
   };
@@ -71,7 +70,6 @@ BaselineResult run_benor_ba(Network& net, Adversary& adversary,
     std::uint64_t send_round = net.round();
     for (ProcId p = 0; p < n; ++p)
       if (!net.is_corrupt(p)) broadcast(p, kTagVote, value[p]);
-    adversary.on_rush(net, net.round());
     net.advance_round();
     tally_phase(kTagVote, 2, send_round);
     std::vector<std::uint64_t> proposal(n, kNoProposal);
@@ -88,7 +86,6 @@ BaselineResult run_benor_ba(Network& net, Adversary& adversary,
     send_round = net.round();
     for (ProcId p = 0; p < n; ++p)
       if (!net.is_corrupt(p)) broadcast(p, kTagProp, proposal[p]);
-    adversary.on_rush(net, net.round());
     net.advance_round();
     tally_phase(kTagProp, 3, send_round);
     bool all_decided = true;

@@ -118,7 +118,6 @@ ProcessorElectionResult ProcessorElectionBA::run(
       net.send(p, q, make_value_payload(kTagDecision, v, 1));
     }
   }
-  adversary.on_rush(net, net.round());
   net.advance_round();
 
   std::vector<std::uint8_t> out(n, 0);

@@ -35,10 +35,7 @@ BaselineResult run_rabin_ba(Network& net, Adversary& adversary,
 
   std::size_t r = 0;
   for (; r < max_rounds; ++r) {
-    machine.send_votes(net);
-    adversary.on_rush(net, net.round());
-    if (rusher != nullptr) rusher->rush_votes(machine, net, net.round());
-    net.advance_round();
+    vote_round(net, {&machine}, rusher);
     machine.tally_votes(net, coins, r);
     if (machine.agreement_fraction(0, net.corrupt_mask()) == 1.0) {
       ++r;

@@ -1,0 +1,19 @@
+// Strict decimal parsing for every count that enters the program from
+// outside it: command-line flags, BA_THREADS, scenario spec values and
+// sweep job lines.
+#pragma once
+
+#include <cstdint>
+#include <limits>
+#include <string>
+
+namespace ba {
+
+/// Strict unsigned decimal parse: every character a digit (no sign, no
+/// whitespace, not empty), and the value at most `max`. Throws
+/// BA_REQUIRE naming `what` otherwise.
+std::uint64_t parse_unsigned(
+    const std::string& v, const std::string& what,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+}  // namespace ba

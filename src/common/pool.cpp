@@ -1,5 +1,6 @@
 #include "common/pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -8,6 +9,8 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "common/parse.h"
 
 namespace ba {
 namespace pool_detail {
@@ -113,14 +116,17 @@ class Engine {
  private:
   Engine() : configured_(default_threads()) {}
 
+  /// BA_THREADS when set to a count >= 1 (a value that is not a count
+  /// up to Pool::kMaxThreads throws), else the hardware's, capped.
   static std::size_t default_threads() {
-    if (const char* env = std::getenv("BA_THREADS")) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(env, &end, 10);
-      if (end != env && v >= 1) return static_cast<std::size_t>(v);
+    const char* env = std::getenv("BA_THREADS");
+    if (env != nullptr && *env != '\0') {
+      const std::uint64_t v =
+          parse_unsigned(env, "BA_THREADS", Pool::kMaxThreads);
+      if (v >= 1) return static_cast<std::size_t>(v);
     }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+    return hw == 0 ? 1 : std::min<std::size_t>(hw, Pool::kMaxThreads);
   }
 
   void ensure_workers(std::unique_lock<std::mutex>&) {
@@ -199,6 +205,7 @@ bool inside_pool() { return t_inside_pool; }
 std::size_t Pool::num_threads() { return pool_detail::Engine::get().threads(); }
 
 void Pool::set_threads(std::size_t count) {
+  BA_REQUIRE(count <= kMaxThreads, "worker count above Pool::kMaxThreads");
   pool_detail::Engine::get().set_threads(count);
 }
 

@@ -69,12 +69,18 @@ bool inside_pool();
 
 class Pool {
  public:
+  /// Ceiling on the worker count from any source (set_threads,
+  /// BA_THREADS, the hardware default): a count from outside the program
+  /// must not start threads until the system refuses.
+  static constexpr std::size_t kMaxThreads = 256;
+
   /// Configured worker count (>= 1). Determines how many per-worker
   /// scratch slots callers must provision.
   static std::size_t num_threads();
 
   /// Override the worker count; 0 restores the BA_THREADS / hardware
-  /// default. Must not be called while a parallel loop is running.
+  /// default. A count above kMaxThreads throws (BA_REQUIRE) and changes
+  /// nothing. Must not be called while a parallel loop is running.
   static void set_threads(std::size_t count);
 
   /// True when parallel calls may actually fan out (> 1 worker).

@@ -27,9 +27,6 @@ class BufferCoins : public CoinSource {
     const std::size_t b = instance % bits_;
     return ((buffer_[pos * r_ + c]) >> b) & 1;
   }
-  /// Pure table lookup over words exposed before the tally starts:
-  /// order-independent, so the tally may fan out across workers.
-  bool concurrent_safe() const override { return true; }
 
  private:
   const std::uint64_t* buffer_;
@@ -219,19 +216,23 @@ AeResult AlmostEverywhereBA::run(Network& net, Adversary& adversary,
         max_rounds = std::max(max_rounds, e.candidates.size());
 
     for (std::size_t j = 0; j < max_rounds; ++j) {
+      // Round j runs the elections that still have a candidate j.
+      std::vector<NodeElection*> active;
+      std::vector<AebaMachine*> machines;
+      for (auto& e : elections)
+        if (e.machine != nullptr && j < e.candidates.size()) {
+          active.push_back(&e);
+          machines.push_back(e.machine.get());
+        }
       // Expose round-j coins: candidate j's coin words (Definition 4: the
       // j-th block supplies this round's coins for every instance) —
       // every active election's exposure rides one expose_batch call.
       {
         std::vector<ShareFlow::ExposeJob> jobs;
-        std::vector<NodeElection*> active;
-        for (auto& e : elections) {
-          if (e.machine == nullptr || j >= e.candidates.size()) continue;
-          const std::size_t r = e.candidates.size();
-          jobs.push_back({&arrays[e.candidates[j]], layout_.coin_word(lvl, 0),
-                          layout_.coin_word(lvl, 0) + r});
-          active.push_back(&e);
-        }
+        for (const NodeElection* e : active)
+          jobs.push_back({&arrays[e->candidates[j]],
+                          layout_.coin_word(lvl, 0),
+                          layout_.coin_word(lvl, 0) + e->candidates.size()});
         std::vector<ShareFlow::Exposure> exps = flow.expose_batch(jobs);
         for (std::size_t xi = 0; xi < active.size(); ++xi) {
           NodeElection& e = *active[xi];
@@ -244,37 +245,21 @@ AeResult AlmostEverywhereBA::run(Network& net, Adversary& adversary,
       }
       advance_rounds(net, ShareFlow::exposure_rounds(lvl));
 
-      for (auto& e : elections)
-        if (e.machine != nullptr && j < e.candidates.size())
-          e.machine->send_votes(net);
-      adversary.on_rush(net, net.round());
-      if (rusher != nullptr)
-        for (auto& e : elections)
-          if (e.machine != nullptr && j < e.candidates.size())
-            rusher->rush_votes(*e.machine, net, net.round());
-      net.advance_round();
+      vote_round(net, machines, rusher);
       // Node machines tally independently (each reads only its members'
-      // tag-indexed inboxes): fan out across nodes; the coin sources are
-      // exposed-word buffers, so per-member tallies may nest-fan too.
-      Pool::for_each(elections.size(), [&](std::size_t ei, std::size_t) {
-        NodeElection& e = elections[ei];
-        if (e.machine != nullptr && j < e.candidates.size())
-          e.machine->tally_votes(net, *e.coins, j);
+      // tag-indexed inboxes): fan out across nodes.
+      Pool::for_each(active.size(), [&](std::size_t xi, std::size_t) {
+        active[xi]->machine->tally_votes(net, *active[xi]->coins, j);
       });
     }
     // Coin-free cleanup rounds before committing (see AebaParams).
+    std::vector<AebaMachine*> machines;
+    for (auto& e : elections)
+      if (e.machine != nullptr) machines.push_back(e.machine.get());
     for (int cleanup = 0; cleanup < 2; ++cleanup) {
-      for (auto& e : elections)
-        if (e.machine != nullptr) e.machine->send_votes(net);
-      adversary.on_rush(net, net.round());
-      if (rusher != nullptr)
-        for (auto& e : elections)
-          if (e.machine != nullptr)
-            rusher->rush_votes(*e.machine, net, net.round());
-      net.advance_round();
-      Pool::for_each(elections.size(), [&](std::size_t ei, std::size_t) {
-        NodeElection& e = elections[ei];
-        if (e.machine != nullptr) e.machine->tally_majority(net);
+      vote_round(net, machines, rusher);
+      Pool::for_each(machines.size(), [&](std::size_t mi, std::size_t) {
+        machines[mi]->tally_majority(net);
       });
     }
 
@@ -419,6 +404,7 @@ AeResult AlmostEverywhereBA::run(Network& net, Adversary& adversary,
   std::uint64_t* root_coin_buffer = cold_arena.alloc(n);
   std::fill_n(root_coin_buffer, n, 0);
   BufferCoins root_coins(root_coin_buffer, 1, 1);
+  const std::vector<AebaMachine*> root_machines{&root_machine};
   const std::size_t root_rounds =
       root_cands.empty() ? 0 : ArrayLayout::kRootWords * root_cands.size();
   for (std::size_t j = 0; j < root_rounds; ++j) {
@@ -433,17 +419,11 @@ AeResult AlmostEverywhereBA::run(Network& net, Adversary& adversary,
       root_coin_buffer[pos] = mv.at(pos, 0).value();
     advance_rounds(net, ShareFlow::exposure_rounds(num_levels));
 
-    root_machine.send_votes(net);
-    adversary.on_rush(net, net.round());
-    if (rusher != nullptr) rusher->rush_votes(root_machine, net, net.round());
-    net.advance_round();
+    vote_round(net, root_machines, rusher);
     root_machine.tally_votes(net, root_coins, j);
   }
   for (int cleanup = 0; cleanup < 2; ++cleanup) {
-    root_machine.send_votes(net);
-    adversary.on_rush(net, net.round());
-    if (rusher != nullptr) rusher->rush_votes(root_machine, net, net.round());
-    net.advance_round();
+    vote_round(net, root_machines, rusher);
     root_machine.tally_majority(net);
   }
 

@@ -3,16 +3,15 @@
 // The paper's adversary is adaptive (corrupts anyone, any time, up to a
 // (1/3 - eps) fraction), rushing (moves after seeing good traffic each
 // round), malicious (arbitrary deviation, collusion, flooding) and chooses
-// every processor's input bit. Protocol drivers expose exactly these powers
-// through the hooks below; concrete strategies live in src/adversary.
-//
-// Protocol-specific adversaries additionally implement the *View
-// interfaces defined by each protocol (e.g. aeba::VoteView); drivers probe
-// for them with dynamic_cast so one strategy object can attack several
-// protocols.
+// every processor's input bit. This base class carries only the start
+// hook; every other power is a capability interface that the protocol
+// using it defines (VoteRusher in aeba/ for the rushing vote step,
+// TournamentObserver / ShareConduct / ArrayChooser in core/, A2EAttacker
+// in core/a2e.h). Drivers probe for them with dynamic_cast, so one
+// strategy object can attack several protocols; concrete strategies live
+// in src/adversary.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "net/network.h"
@@ -26,20 +25,6 @@ class Adversary {
   /// Chance to choose the initial corrupt set and inspect parameters.
   /// Called once before round 0. Default: corrupt nobody.
   virtual void on_start(Network& net) { (void)net; }
-
-  /// The rushing step: called each round after all good processors have
-  /// queued their messages and before delivery. The adversary may read
-  /// net.pending_visible_to_adversary() (resolving the PendingRef handles
-  /// with net.pending_envelope(); they stay valid while it injects), call
-  /// net.corrupt(), and net.send() from corrupted processors. Default: do
-  /// nothing.
-  virtual void on_rush(Network& net, std::uint64_t round) {
-    (void)net;
-    (void)round;
-  }
-
-  /// Human-readable strategy name for experiment tables.
-  virtual const char* name() const { return "passive"; }
 };
 
 /// Corrupts a fixed, uniformly random set of processors at start and then
@@ -54,7 +39,6 @@ class PassiveStaticAdversary : public Adversary {
   void on_start(Network& net) override {
     for (ProcId p : ids_) net.corrupt(p);
   }
-  const char* name() const override { return "passive-static"; }
 
  private:
   std::vector<ProcId> ids_;

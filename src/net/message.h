@@ -262,12 +262,12 @@ inline Payload make_value_payload(std::uint32_t tag, std::uint64_t value,
   return p;
 }
 
-/// One message as a reader sees it — a receiver, the rushing adversary,
-/// a transport backend: sender, receiver, send round, and a reference to
-/// the payload. Envelopes are views. The payload lives in the network's
-/// round store (net/network.h), which keeps it alive for as long as the
-/// message can be read, so no delivery step copies it. A reader that
-/// keeps a message past that copies the payload.
+/// One message as a reader sees it — a receiver or a transport backend:
+/// sender, receiver, send round, and a reference to the payload.
+/// Envelopes are views. The payload lives in the network's round store
+/// (net/network.h), which keeps it alive for as long as the message can
+/// be read, so no delivery step copies it. A reader that keeps a message
+/// past that copies the payload.
 struct Envelope {
   ProcId from = 0;
   ProcId to = 0;

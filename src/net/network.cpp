@@ -428,40 +428,6 @@ InboxView Network::inbox(ProcId p, std::uint32_t tag) const {
   return InboxView{};
 }
 
-std::vector<PendingRef> Network::pending_visible_to_adversary() const {
-  const RoundLog& log = logs_[sending_];
-  std::vector<PendingRef> visible;
-  // Rushing scheduler: private channels collapse — the adversary's view
-  // is the whole send log, honest traffic included, one round before its
-  // earliest possible delivery. Messages in scheduler custody (delayed
-  // past their send round) are never offered: refs die at
-  // advance_round() by the round-stamp contract.
-  const bool everything = scheduler_ && scheduler_->rushes();
-  // Private channels: filter the log by the current corruption mask. A
-  // mid-round corruption thereby reveals traffic already in flight, and
-  // the view keeps global send order.
-  if (!everything && corrupt_count_ == 0) return visible;
-  std::uint32_t k = 0;
-  for (const SendEntry& s : log.entries)
-    for (; k < s.recv_end; ++k) {
-      const ProcId to = log.receivers[k];
-      if (everything || corrupt_[s.from] || corrupt_[to])
-        visible.push_back(PendingRef{to, k, round_});
-    }
-  return visible;
-}
-
-Envelope Network::pending_envelope(PendingRef r) const {
-  const RoundLog& log = logs_[sending_];
-  BA_REQUIRE(r.round == round_ && r.index < log.receivers.size() &&
-                 log.receivers[r.index] == r.to,
-             "stale or out-of-range pending reference");
-  const auto it = std::upper_bound(
-      log.entries.begin(), log.entries.end(), r.index,
-      [](std::uint32_t pos, const SendEntry& s) { return pos < s.recv_end; });
-  return Envelope{it->from, r.to, round_, it->payload};
-}
-
 std::size_t Network::retained_capacity() const {
   std::size_t slots = stage_refs_.capacity() + inbox_refs_.capacity();
   for (const RoundLog& log : logs_)

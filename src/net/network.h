@@ -5,19 +5,22 @@
 //  * Fully connected: any processor may send to any other; the recipient
 //    learns the true sender identity (no spoofing).
 //  * Private channels: only the endpoints see a message's content. The
-//    adversary may inspect exactly those envelopes that touch a corrupted
-//    endpoint (`pending_visible_to_adversary`).
+//    network offers no view of pending traffic to anyone: the only reads
+//    are a receiver's own inbox after delivery and the transport's copy
+//    of what goes on the wire.
 //  * Synchrony: messages sent in round r are delivered at the start of
 //    round r+1 (after `advance_round`). set_scheduler() relaxes this to a
 //    bounded-delay partial-synchrony model — per-envelope delivery delays
-//    in [0, delta_max], optional reordering and rushing — seeded and
+//    in [0, delta_max] and optional per-receiver reordering — seeded and
 //    deterministic under the same parity contract (net/scheduler.h).
-//  * Rushing: protocol drivers make good processors send first each round,
-//    then invoke the adversary, which may read its visible pending traffic
-//    and inject messages from corrupted processors in the *same* round.
+//  * Rushing: a driver-side step, not a network feature. Each AEBA vote
+//    round queues the good processors' votes first, then lets the
+//    adversary's VoteRusher (aeba/aeba_with_coins.h) read the machine's
+//    vote state and inject votes from corrupted processors in the *same*
+//    round, then advances.
 //  * Adaptive takeover: `corrupt(p)` may be called at any time, up to the
 //    budget fixed at construction; protocol state handover to the adversary
-//    is the protocol driver's job (see Adversary::on_corrupt hooks).
+//    is the protocol driver's job (e.g. TournamentObserver in core/).
 //  * Flooding: corrupted processors may send unboundedly; receivers can
 //    bound processing with inbox caps at the protocol layer.
 //
@@ -27,9 +30,9 @@
 // receiver span) plus the receiver ids; a vote fanned out to k neighbours
 // is one entry and k 4-byte receiver ids. Each receiver of an entry is one
 // envelope, and its index in the round's receiver list is its global send
-// position. Nothing else ever holds a payload: inboxes, the adversary's
-// view and the transport all read the log through 4-byte refs (an entry
-// index) or Envelope views (net/message.h).
+// position. Nothing else ever holds a payload: inboxes and the transport
+// read the log through 4-byte refs (an entry index) or Envelope views
+// (net/message.h).
 //
 // advance_round() delivers the log in two steps:
 //   1. Staging: a counting sort of the receiver list into one flat array of
@@ -44,11 +47,11 @@
 //      row is charged here.
 // The log is double-buffered: one buffer collects the round being sent,
 // the other backs the inboxes of the round being read. So round r's inbox
-// views stay valid while round r+1 is sent and read by the adversary, and
-// die at the advance_round() that delivers round r+1. Under a delay
-// scheduler, a message delayed past its round is copied into the
-// scheduler's future queue, and due arrivals are served from a per-round
-// arrival store (refs with the kArrivalRef bit set). All round storage is
+// views stay valid while round r+1 is sent, and die at the advance_round()
+// that delivers round r+1. Under a delay scheduler, a message delayed past
+// its round is copied into the scheduler's future queue, and due arrivals
+// are served from a per-round arrival store (refs with the kArrivalRef bit
+// set). All round storage is
 // reused across rounds; steady-state rounds allocate nothing.
 //
 // Ledger charging: the accounting-only bulk flows (share movement,
@@ -58,13 +61,12 @@
 // random-access ledger touches per message into one receiver touch plus
 // two amortized sender updates. Flows whose message pattern is fixed in
 // advance fold it into per-processor rows once and charge the rows with
-// charge_table() on every repetition. The adversary's view is computed on
-// read: the send log filtered by the current corruption mask.
+// charge_table() on every repetition.
 //
 // Threading model (the parallel round engine, common/pool.h): sends,
-// corruptions, adversary reads, the scheduler's delay draws and the
-// transport replay are driver-side and single-threaded. Three passes fan
-// out, all over receivers:
+// corruptions, the scheduler's delay draws and the transport replay are
+// driver-side and single-threaded. Three passes fan out, all over
+// receivers:
 //   1. Staging. Each worker owns a contiguous chunk of send positions. It
 //      counts its chunk's receivers into a histogram row of its own, then
 //      (after a serial pass turns the rows into write cursors) writes its
@@ -80,9 +82,8 @@
 // Determinism contract: a receiver's staged bucket is a pure function of
 // the send log (the cursors order each bucket by chunk, and chunks by
 // position, whatever the split), and its inbox is a pure function of
-// that bucket, so
-// BA_THREADS=1 and BA_THREADS=N produce byte-identical inboxes, span
-// tables, adversary views, transport callbacks and ledgers at every round
+// that bucket, so BA_THREADS=1 and BA_THREADS=N produce byte-identical
+// inboxes, span tables, transport callbacks and ledgers at every round
 // (asserted by tests/parallel_parity_test.cpp and the delivery oracle in
 // tests/net_test.cpp).
 #pragma once
@@ -103,18 +104,6 @@ class DelayScheduler;
 struct SchedulerConfig;
 class Transport;
 struct TranscriptCapture;
-
-/// Stable handle to a pending (undelivered) envelope: its global send
-/// position in the round's log. It stays valid while the rushing adversary
-/// injects more traffic via send() in the same round, since the log only
-/// grows within a round. The handle is round-stamped: it dies loudly at
-/// the next advance_round() instead of silently resolving to whatever the
-/// next round sent at the same position.
-struct PendingRef {
-  ProcId to = 0;
-  std::uint32_t index = 0;  ///< global send position within its round
-  std::uint64_t round = 0;  ///< round the envelope was sent in
-};
 
 /// One send()/multicast() call in a round's send log: `payload` goes to
 /// the receivers at global send positions [previous entry's recv_end,
@@ -288,8 +277,8 @@ class Network {
   /// Queue one copy of `payload` to each of `receivers[0, count)` (in
   /// that order; duplicates send duplicate copies). Every receiver is
   /// validated before anything is charged or logged; the sender's ledger
-  /// row is charged once for all `count` messages. Inboxes, visibility
-  /// and the transport are exactly as after `count` send() calls.
+  /// row is charged once for all `count` messages. Inboxes and the
+  /// transport are exactly as after `count` send() calls.
   void multicast(ProcId from, const ProcId* receivers, std::size_t count,
                  Payload payload);
   void multicast(ProcId from, const std::vector<ProcId>& receivers,
@@ -328,21 +317,6 @@ class Network {
   /// The span of p's current inbox carrying `tag` (empty if none).
   /// Replaces whole-inbox filter scans in per-tag tally loops.
   InboxView inbox(ProcId p, std::uint32_t tag) const;
-
-  /// Pending (not yet delivered) envelopes with a corrupted endpoint, in
-  /// global send order. This is everything the rushing adversary is
-  /// allowed to read mid-round. Returned by value so the caller may keep
-  /// iterating while injecting; the handles themselves stay valid across
-  /// subsequent send() calls until the next advance_round(); dereference
-  /// them with pending_envelope().
-  std::vector<PendingRef> pending_visible_to_adversary() const;
-
-  /// Resolve a handle from pending_visible_to_adversary(). The round
-  /// stamp makes staleness loud: a handle held across advance_round()
-  /// whose position happens to be in range for the next round's log must
-  /// trip the contract check, not alias a different envelope. The view's
-  /// payload reference is valid until the next send.
-  Envelope pending_envelope(PendingRef r) const;
 
   /// Message slots the round buffers retain (send logs, receiver lists,
   /// ref arrays, delivery scratch). Stream-and-release bounds it by a

@@ -15,13 +15,11 @@
 // Modes:
 //  * kLockstep     — no scheduler; Network never allocates one.
 //  * kBoundedDelay — per-envelope random delay in [0, delta_max].
-//  * kReorderRush  — bounded delay, plus within-round arrival reordering
-//    and rushing: with rush_depth >= 1 the adversary's pending view is the
-//    *entire* round's traffic (private channels collapse — it sees honest
-//    messages one round before their earliest delivery), not just the
-//    corrupt-endpoint envelopes. The simulator stages exactly one round of
-//    pending traffic, so the depth saturates at 1; the knob is a size_t so
-//    deeper look-ahead pipelines can extend it without a spec change.
+//  * kReorderRush  — bounded delay, plus within-round arrival reordering:
+//    each receiver's merged bucket is shuffled before the inbox sort, so
+//    same-(tag, sender) duplicates arrive in an adversarial order. The
+//    name is the scenario value ("reorder_rush"); the rushing itself is
+//    the drivers' VoteRusher step, which runs identically in every mode.
 //
 // Determinism contract (the parity suite extends verbatim): delay draws
 // happen in ONE serial pass over the round's receiver list, in global send
@@ -47,10 +45,9 @@
 // round is delivered.
 //
 // Custody rule: once advance_round() moves a message into a future
-// queue, it is no longer pending in its send round — PendingRef handles
-// never reach scheduler custody (they are stale after advance_round(),
-// and pending_envelope round-stamps them loudly), and the rushing
-// adversary reads traffic only while it is in its send round's log.
+// queue, the scheduler holds the only copy and nothing reads it until it
+// falls due and lands in its receiver's inbox. The network offers no
+// pending-traffic view, so a delayed message is never visible in transit.
 #pragma once
 
 #include <cstdint>
@@ -64,14 +61,13 @@ namespace ba {
 enum class SchedulerMode {
   kLockstep,      ///< synchronous; Network keeps no scheduler state
   kBoundedDelay,  ///< random per-envelope delay in [0, delta_max]
-  kReorderRush,   ///< bounded delay + arrival reordering + rushing view
+  kReorderRush,   ///< bounded delay + per-receiver arrival reordering
 };
 
 struct SchedulerConfig {
   SchedulerMode mode = SchedulerMode::kLockstep;
   std::size_t delta_max = 0;   ///< max extra delivery rounds per envelope
   std::uint64_t seed = 0;      ///< delay-draw / reorder-shuffle stream
-  std::size_t rush_depth = 0;  ///< kReorderRush: >=1 shows all pending
 };
 
 /// Serial-pass counters (updated only by draw_delays, read after a run).
@@ -89,11 +85,6 @@ class DelayScheduler {
 
   const SchedulerConfig& config() const { return cfg_; }
   const SchedulerStats& stats() const { return stats_; }
-
-  /// True when the adversary's pending view is the whole send log.
-  bool rushes() const {
-    return cfg_.mode == SchedulerMode::kReorderRush && cfg_.rush_depth > 0;
-  }
 
   /// Driver-side serial pre-pass: one delay draw per envelope, in global
   /// send order (`receivers` is the round's receiver list, `stage_off`

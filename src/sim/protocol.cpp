@@ -115,7 +115,6 @@ void apply_scheduler(Network& net, const ScenarioSpec& s, std::uint64_t off) {
                  : SchedulerMode::kReorderRush;
   cfg.delta_max = s.delta_max;
   cfg.seed = s.scheduler_seed + off;
-  cfg.rush_depth = s.rush_depth;
   net.set_scheduler(cfg);
 }
 

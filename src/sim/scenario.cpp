@@ -1,12 +1,13 @@
 #include "sim/scenario.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "common/check.h"
+#include "common/parse.h"
+#include "common/pool.h"
 #include "sim/report.h"
 
 namespace ba::sim {
@@ -101,20 +102,6 @@ bool parse_bool(const std::string& v) {
 
 }  // namespace
 
-std::uint64_t parse_unsigned(const std::string& v, const std::string& what) {
-  // strtoull alone would accept a sign (wrapping "-5" to 2^64 - 5) and
-  // leading whitespace, and saturate out-of-range values silently.
-  const bool digits = !v.empty() && std::all_of(v.begin(), v.end(), [](char c) {
-    return c >= '0' && c <= '9';
-  });
-  BA_REQUIRE(digits,
-             what + ": expected an unsigned decimal integer, got '" + v + "'");
-  errno = 0;
-  const std::uint64_t out = std::strtoull(v.c_str(), nullptr, 10);
-  BA_REQUIRE(errno != ERANGE, what + ": " + v + " exceeds 2^64 - 1");
-  return out;
-}
-
 const char* to_string(ProtocolKind k) {
   return enum_name(kProtocolNames, static_cast<int>(k));
 }
@@ -151,7 +138,6 @@ BA_SIM_WITH(with_aeba_rounds, std::size_t, aeba_rounds)
 BA_SIM_WITH(with_aeba_instances, std::size_t, aeba_instances)
 BA_SIM_WITH(with_scheduler, SchedulerKind, scheduler)
 BA_SIM_WITH(with_delta_max, std::size_t, delta_max)
-BA_SIM_WITH(with_rush_depth, std::size_t, rush_depth)
 BA_SIM_WITH(with_scheduler_seed, std::uint64_t, scheduler_seed)
 BA_SIM_WITH(with_transport, TransportKind, transport)
 
@@ -203,7 +189,6 @@ std::vector<std::pair<std::string, std::string>> ScenarioSpec::to_kv() const {
   add("truth_message", std::to_string(truth_message));
   add("scheduler", to_string(scheduler));
   add("delta_max", std::to_string(delta_max));
-  add("rush_depth", std::to_string(rush_depth));
   add("scheduler_seed", std::to_string(scheduler_seed));
   add("transport", to_string(transport));
   return kv;
@@ -217,7 +202,8 @@ void ScenarioSpec::apply(const std::string& key, const std::string& value) {
     protocol = static_cast<ProtocolKind>(enum_value(kProtocolNames, value));
   else if (key == "n") n = parse_size(value);
   else if (key == "budget_div") budget_div = parse_size(value);
-  else if (key == "workers") workers = parse_size(value);
+  else if (key == "workers")
+    workers = parse_unsigned(value, "workers", Pool::kMaxThreads);
   else if (key == "adversary")
     adversary = static_cast<AdversaryKind>(enum_value(kAdversaryNames, value));
   else if (key == "corrupt_fraction") corrupt_fraction = parse_double(value);
@@ -261,7 +247,6 @@ void ScenarioSpec::apply(const std::string& key, const std::string& value) {
   else if (key == "scheduler")
     scheduler = static_cast<SchedulerKind>(enum_value(kSchedulerNames, value));
   else if (key == "delta_max") delta_max = parse_size(value);
-  else if (key == "rush_depth") rush_depth = parse_size(value);
   else if (key == "scheduler_seed") scheduler_seed = parse_u64(value);
   else if (key == "transport")
     transport = static_cast<TransportKind>(enum_value(kTransportNames, value));
@@ -769,10 +754,8 @@ void register_scheduler(std::vector<ScenarioSpec>& out) {
   out.push_back(benor_base.with_name("benor_rush")
                     .with_scheduler(SchedulerKind::kReorderRush)
                     .with_delta_max(2)
-                    .with_rush_depth(1)
                     .with_scheduler_seed(5));
-  out.back().note =
-      "Ben-Or vs delay + reorder + rushing adversary view of all traffic";
+  out.back().note = "Ben-Or vs delay + per-receiver arrival reordering";
   out.push_back(everywhere_base.with_name("everywhere_delay")
                     .with_scheduler(SchedulerKind::kBoundedDelay)
                     .with_delta_max(2)

@@ -71,7 +71,7 @@ enum class LabelRule {
 enum class SchedulerKind {
   kLockstep,      ///< synchronous rounds (the paper's model; no overhead)
   kBoundedDelay,  ///< per-message delivery delay in [0, delta_max]
-  kReorderRush,   ///< bounded delay + reordering + rushing adversary view
+  kReorderRush,   ///< bounded delay + per-receiver arrival reordering
 };
 
 /// Transport backend (transport/transport.h): in-process loopback, or the
@@ -97,7 +97,7 @@ struct ScenarioSpec {
   ProtocolKind protocol = ProtocolKind::kEverywhere;
   std::size_t n = 128;          ///< processors
   std::size_t budget_div = 3;   ///< corruption budget = n / budget_div
-  std::size_t workers = 0;      ///< pool workers for the run (0 = ambient)
+  std::size_t workers = 0;      ///< pool workers (0 = ambient), <= kMaxThreads
 
   // ---- adversary ----
   AdversaryKind adversary = AdversaryKind::kStaticMalicious;
@@ -146,8 +146,7 @@ struct ScenarioSpec {
   // parity suite pins it); Ben-Or runs get a per-phase grace window of
   // delta_max extra rounds so its asynchrony tolerance actually shows.
   SchedulerKind scheduler = SchedulerKind::kLockstep;
-  std::size_t delta_max = 0;   ///< max per-message delivery delay (rounds)
-  std::size_t rush_depth = 0;  ///< reorder_rush: >=1 shows all pending
+  std::size_t delta_max = 0;  ///< max per-message delivery delay (rounds)
   std::uint64_t scheduler_seed = 0;
 
   // ---- transport backend (transport/transport.h) ----
@@ -169,7 +168,6 @@ struct ScenarioSpec {
   ScenarioSpec with_aeba_instances(std::size_t v) const;
   ScenarioSpec with_scheduler(SchedulerKind v) const;
   ScenarioSpec with_delta_max(std::size_t v) const;
-  ScenarioSpec with_rush_depth(std::size_t v) const;
   ScenarioSpec with_scheduler_seed(std::uint64_t v) const;
   ScenarioSpec with_transport(TransportKind v) const;
 
@@ -191,12 +189,6 @@ struct ScenarioSpec {
     return !(*this == other);
   }
 };
-
-/// Strict unsigned decimal parse shared by the spec and job-line
-/// grammars: every character a digit (no sign, no whitespace, not
-/// empty), and the value must fit in 64 bits. Throws BA_REQUIRE naming
-/// `what` otherwise.
-std::uint64_t parse_unsigned(const std::string& v, const std::string& what);
 
 /// Named scenario configurations: the 5 examples plus the E-series
 /// experiment configs, exactly as the historical binaries wired them.

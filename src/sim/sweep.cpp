@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/parse.h"
 #include "common/table.h"
 #include "sim/protocol.h"
 
@@ -1146,8 +1147,6 @@ ScenarioSpec random_spec(Rng& rng) {
     s.scheduler = sched < 8 ? SchedulerKind::kBoundedDelay
                             : SchedulerKind::kReorderRush;
     s.delta_max = rng.below(5);
-    s.rush_depth =
-        s.scheduler == SchedulerKind::kReorderRush && rng.flip() ? 1 : 0;
     s.scheduler_seed = rng.below(1u << 20);
   }
   return s;

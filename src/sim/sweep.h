@@ -229,7 +229,7 @@ void write_ledger_json(std::ostream& os, const ProtocolLedger& ledger);
 
 /// A random valid ScenarioSpec drawn from the full dimension space:
 /// every protocol kind, adversary kind/fraction, input pattern (within
-/// each kind's supported set), scheduler mode/delta_max/rush_depth, and
+/// each kind's supported set), scheduler mode/delta_max, and
 /// the tournament/AEBA/A2E knobs, with n kept at fuzz scale (tournament
 /// kinds need n >= 4q = 16).
 ScenarioSpec random_spec(Rng& rng);

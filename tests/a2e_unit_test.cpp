@@ -69,7 +69,6 @@ class RogueFlooder : public Adversary, public A2EAttacker {
                       std::vector<FloodRequest>& out) override {
     out.push_back({from_, to_, 0});
   }
-  const char* name() const override { return "rogue-flooder"; }
 
  private:
   ProcId from_, to_;

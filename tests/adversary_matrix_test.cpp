@@ -157,7 +157,6 @@ sim::RunReport run_sched_cell(const ScenarioSpec& base,
                               sim::SchedulerKind mode, std::size_t delta) {
   return sim::run_scenario(base.with_scheduler(mode)
                                .with_delta_max(delta)
-                               .with_rush_depth(1)
                                .with_scheduler_seed(5));
 }
 

@@ -34,7 +34,6 @@ class MixedAdversary : public Adversary,
     // including nothing.
   }
   bool lies_in_share_flows() const override { return true; }
-  const char* name() const override { return "mixed"; }
 
  private:
   StaticMaliciousAdversary inner_;

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/pool.h"
 #include "sim/protocol.h"
 #include "sim/report.h"
 #include "sim/scenario.h"
@@ -197,6 +198,21 @@ TEST(RunScenario, SeedOffsetShiftsEverySeedUniformly) {
   baked.protocol_seed += 5;
   const RunReport direct = sim::run_scenario(baked, 0);
   EXPECT_EQ(shifted.fingerprint, direct.fingerprint);
+}
+
+TEST(RunScenario, WorkerCountsAboveThePoolCeilingAreRejected) {
+  // A count from outside the program (--workers, --set workers=,
+  // BA_THREADS) must be refused before any thread starts, and leave the
+  // pool as it was.
+  const std::size_t before = Pool::num_threads();
+  EXPECT_THROW(Pool::set_threads(Pool::kMaxThreads + 1), std::logic_error);
+  EXPECT_EQ(Pool::num_threads(), before);
+  ScenarioSpec spec = ScenarioRegistry::get("e9_benor_small");
+  EXPECT_THROW(spec.apply("workers", std::to_string(Pool::kMaxThreads + 1)),
+               std::logic_error);
+  spec.workers = Pool::kMaxThreads + 1;
+  EXPECT_THROW(sim::run_scenario(spec), std::logic_error);
+  EXPECT_EQ(Pool::num_threads(), before);
 }
 
 }  // namespace

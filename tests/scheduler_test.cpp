@@ -1,13 +1,12 @@
 // Tests for the adversarial delay scheduler (net/scheduler.h): bounded
 // delivery delay, the delta_max = 0 lockstep identity, the delivery-order
-// canon under merged late arrivals, rush visibility, custody of delayed
-// envelopes, and the seeded draw sequence the determinism contract pins.
+// canon under merged late arrivals, reordering, and the seeded draw
+// sequence the determinism contract pins.
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "common/rng.h"
-#include "net/adversary.h"
 #include "net/network.h"
 #include "net/scheduler.h"
 
@@ -22,13 +21,11 @@ SchedulerConfig bounded(std::size_t delta_max, std::uint64_t seed) {
   return cfg;
 }
 
-SchedulerConfig rushing(std::size_t delta_max, std::uint64_t seed,
-                        std::size_t rush_depth = 1) {
+SchedulerConfig reordering(std::size_t delta_max, std::uint64_t seed) {
   SchedulerConfig cfg;
   cfg.mode = SchedulerMode::kReorderRush;
   cfg.delta_max = delta_max;
   cfg.seed = seed;
-  cfg.rush_depth = rush_depth;
   return cfg;
 }
 
@@ -188,59 +185,13 @@ TEST(DelayScheduler, EveryEnvelopeLandsWithinTheDelayBound) {
   EXPECT_EQ(net.scheduler()->in_flight(), 0u);
 }
 
-TEST(DelayScheduler, RushModeRevealsHonestTraffic) {
-  // Under kReorderRush with rush_depth >= 1 the private-channel guarantee
-  // collapses: the adversary's mid-round view is the whole send log, not
-  // just envelopes with a corrupted endpoint.
-  Network net(4, 1);
-  net.set_scheduler(rushing(1, 7));
-  net.send(0, 1, make_value_payload(7, 41, 8));
-  net.send(2, 3, make_value_payload(7, 43, 8));
-  const auto visible = net.pending_visible_to_adversary();
-  ASSERT_EQ(visible.size(), 2u);
-  EXPECT_EQ(net.pending_envelope(visible[0]).payload.words[0], 41u);
-  EXPECT_EQ(net.pending_envelope(visible[1]).payload.words[0], 43u);
-}
-
-TEST(DelayScheduler, BoundedDelayKeepsChannelsPrivate) {
-  // kBoundedDelay delays but does not rush: honest-honest traffic stays
-  // invisible, exactly as in the lockstep model.
-  Network net(4, 1);
-  net.set_scheduler(bounded(2, 7));
-  net.send(0, 1, make_value_payload(7, 41, 8));
-  EXPECT_TRUE(net.pending_visible_to_adversary().empty());
-  net.corrupt(1);
-  EXPECT_EQ(net.pending_visible_to_adversary().size(), 1u);
-}
-
-TEST(DelayScheduler, DelayedEnvelopesLeaveTheAdversaryView) {
-  // Custody rule: once an envelope is delayed past its send round it
-  // lives in the scheduler's future queue and is never offered to the
-  // adversary again — the rush view covers the current round's log only,
-  // and any handle held across advance_round() dies loudly.
-  const std::size_t kDelta = 3;
-  const std::uint64_t kSeed = 42;
-  Rng probe(kSeed);
-  ASSERT_GT(probe.below(kDelta + 1), 0u)
-      << "seed must delay the first send for this test to bite";
-  Network net(3, 1);
-  net.set_scheduler(rushing(kDelta, kSeed));
-  net.send(0, 1, make_value_payload(7, 77, 8));
-  const auto visible = net.pending_visible_to_adversary();
-  ASSERT_EQ(visible.size(), 1u);
-  net.advance_round();
-  EXPECT_TRUE(net.inbox(1).empty());  // in scheduler custody
-  EXPECT_TRUE(net.pending_visible_to_adversary().empty());
-  EXPECT_THROW(net.pending_envelope(visible[0]), std::logic_error);
-}
-
 TEST(DelayScheduler, ReorderPreservesTheSortedInboxContract) {
   // Reordering happens before the counting sort, so the observable
   // permutation is confined to same-(tag, sender) duplicates — the
   // inbox's (tag, sender) lexicographic contract must survive.
   const std::size_t n = 6;
   Network net(n, 1);
-  net.set_scheduler(rushing(2, 31337));
+  net.set_scheduler(reordering(2, 31337));
   Rng rng(11);
   for (int round = 0; round < 6; ++round) {
     for (int i = 0; i < 60; ++i) {

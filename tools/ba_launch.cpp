@@ -13,6 +13,7 @@
 // --require-agreement, all nodes decided with everywhere-agreement);
 // 1 otherwise, with each mismatch and a replayable job line on stderr.
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +22,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/parse.h"
 #include "sim/scenario.h"
 #include "transport/launch.h"
 
@@ -67,16 +69,23 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&](std::uint64_t max) -> std::uint64_t {
+      const char* v = next();
+      try {
+        return ba::parse_unsigned(v, arg, max);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(usage(argv[0]));
+      }
+    };
     if (arg == "--scenario") scenario = next();
-    else if (arg == "--nodes") cfg.nodes = std::strtoul(next(), nullptr, 10);
+    else if (arg == "--nodes") cfg.nodes = number(65535);
     else if (arg == "--set") overrides.emplace_back(next());
-    else if (arg == "--seed-offset")
-      cfg.seed_offset = std::strtoull(next(), nullptr, 10);
+    else if (arg == "--seed-offset") cfg.seed_offset = number(UINT64_MAX);
     else if (arg == "--port-base")
-      cfg.port_base = static_cast<std::uint16_t>(
-          std::strtoul(next(), nullptr, 10));
+      cfg.port_base = static_cast<std::uint16_t>(number(65535));
     else if (arg == "--timeout-ms")
-      cfg.timeout_ms = static_cast<int>(std::strtol(next(), nullptr, 10));
+      cfg.timeout_ms = static_cast<int>(number(INT_MAX));
     else if (arg == "--node-bin") cfg.node_bin = next();
     else if (arg == "--json") json = true;
     else if (arg == "--timing") cfg.timing = true;
@@ -84,6 +93,10 @@ int main(int argc, char** argv) {
     else return usage(argv[0]);
   }
   if (scenario.empty()) return usage(argv[0]);
+  // A pinned port block [port_base, port_base + nodes) must fit in the
+  // port range.
+  if (cfg.port_base != 0 && cfg.port_base + cfg.nodes > 65536)
+    return usage(argv[0]);
   if (cfg.node_bin.empty()) cfg.node_bin = sibling_ba_node();
 
   try {

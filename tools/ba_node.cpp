@@ -14,6 +14,7 @@
 // simulator as inline differential oracle). Output: one RunReport JSON
 // line, then one `transcript_digest=<hex16> ...` key=value line that
 // ba_launch diffs against the in-process oracle.
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "sim/protocol.h"
 #include "sim/sweep.h"
 #include "transport/launch.h"
@@ -29,6 +31,8 @@
 #include "transport/transport.h"
 
 namespace {
+
+constexpr std::uint64_t kMaxPort = 65535;
 
 int usage(const char* argv0) {
   std::fprintf(
@@ -49,7 +53,7 @@ ba::transport::PeerAddr parse_peer(const std::string& s) {
       colon == std::string::npos ? s : s.substr(colon + 1);
   if (colon != std::string::npos && colon > 0) addr.host = s.substr(0, colon);
   addr.port = static_cast<std::uint16_t>(
-      std::strtoul(port_s.c_str(), nullptr, 10));
+      ba::parse_unsigned(port_s, "--peers port", kMaxPort));
   return addr;
 }
 
@@ -72,22 +76,57 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--id") id = std::strtol(next(), nullptr, 10);
-    else if (arg == "--nodes") nodes = std::strtol(next(), nullptr, 10);
-    else if (arg == "--port-base") port_base = std::strtol(next(), nullptr, 10);
+    auto number = [&](std::uint64_t max) -> std::uint64_t {
+      const char* v = next();
+      try {
+        return ba::parse_unsigned(v, arg, max);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(usage(argv[0]));
+      }
+    };
+    if (arg == "--id") id = static_cast<long>(number(kMaxPort));
+    else if (arg == "--nodes") nodes = static_cast<long>(number(kMaxPort));
+    else if (arg == "--port-base")
+      port_base = static_cast<long>(number(kMaxPort));
     else if (arg == "--peers") peers_arg = next();
     else if (arg == "--scenario") scenario = next();
     else if (arg == "--set") overrides.emplace_back(next());
-    else if (arg == "--seed-offset")
-      seed_offset = std::strtoull(next(), nullptr, 10);
+    else if (arg == "--seed-offset") seed_offset = number(UINT64_MAX);
     else if (arg == "--job") job_line = next();
-    else if (arg == "--timeout-ms") timeout_ms = std::strtol(next(), nullptr, 10);
+    else if (arg == "--timeout-ms")
+      timeout_ms = static_cast<long>(number(INT_MAX));
     else if (arg == "--timing") timing = true;
-    else if (arg == "--dump-proc") dump_proc = std::strtol(next(), nullptr, 10);
+    else if (arg == "--dump-proc")
+      dump_proc = static_cast<long>(number(UINT32_MAX));
     else return usage(argv[0]);
   }
   if (id < 0) return usage(argv[0]);
   if (job_line.empty() == scenario.empty()) return usage(argv[0]);
+
+  std::vector<ba::transport::PeerAddr> peers;
+  if (!peers_arg.empty()) {
+    std::size_t start = 0;
+    while (start <= peers_arg.size()) {
+      std::size_t comma = peers_arg.find(',', start);
+      if (comma == std::string::npos) comma = peers_arg.size();
+      try {
+        peers.push_back(parse_peer(peers_arg.substr(start, comma - start)));
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return usage(argv[0]);
+      }
+      start = comma + 1;
+    }
+  } else {
+    // Every peer port port_base + k must be a port.
+    if (nodes < 2 || port_base <= 0 ||
+        static_cast<std::uint64_t>(port_base + nodes - 1) > kMaxPort)
+      return usage(argv[0]);
+    for (long k = 0; k < nodes; ++k)
+      peers.push_back(ba::transport::PeerAddr{
+          "127.0.0.1", static_cast<std::uint16_t>(port_base + k)});
+  }
 
   try {
     ba::sim::ScenarioSpec spec;
@@ -114,22 +153,6 @@ int main(int argc, char** argv) {
       }
     }
     spec.transport = ba::sim::TransportKind::kTcp;
-
-    std::vector<ba::transport::PeerAddr> peers;
-    if (!peers_arg.empty()) {
-      std::size_t start = 0;
-      while (start <= peers_arg.size()) {
-        std::size_t comma = peers_arg.find(',', start);
-        if (comma == std::string::npos) comma = peers_arg.size();
-        peers.push_back(parse_peer(peers_arg.substr(start, comma - start)));
-        start = comma + 1;
-      }
-    } else {
-      if (nodes < 2 || port_base <= 0) return usage(argv[0]);
-      for (long k = 0; k < nodes; ++k)
-        peers.push_back(ba::transport::PeerAddr{
-            "127.0.0.1", static_cast<std::uint16_t>(port_base + k)});
-    }
 
     ba::transport::TcpEndpointConfig tcfg;
     tcfg.node_id = static_cast<std::uint32_t>(id);

@@ -11,14 +11,16 @@
 // `--seeds N` runs seed offsets 0..N-1 (the benches' `base + s` sweep).
 // `--json` emits one JSON object per run (NDJSON); the default is a
 // table. `--no-timing` omits wall_ms for byte-stable output (the golden
-// form). Environment defaults: BA_SEEDS, BA_WORKERS, BA_JSON=1,
-// BA_SCENARIO; BA_THREADS still controls the ambient pool size.
+// form). BA_THREADS sets the ambient pool size when --workers does not.
+// A count that is not an unsigned decimal (or a worker count above
+// Pool::kMaxThreads) exits 2 with the usage line.
 //
 //   ba_run --jobs-file <path>     # sweep-shard worker mode
 //
 // reads sweep job lines ("seed_offset=K key=value ..."; sim/sweep.h) and
 // emits one NDJSON report per job — the child-process half of ba_sweep's
 // sharding, and the manual way to replay any job-line artifact.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "common/pool.h"
 #include "common/table.h"
 #include "sim/protocol.h"
@@ -80,11 +83,6 @@ int main(int argc, char** argv) {
   std::size_t seeds = 1, workers = 0;
   std::vector<std::string> overrides;
 
-  if (const char* v = std::getenv("BA_SCENARIO")) scenario_name = v;
-  if (const char* v = std::getenv("BA_SEEDS")) seeds = std::strtoul(v, nullptr, 10);
-  if (const char* v = std::getenv("BA_WORKERS")) workers = std::strtoul(v, nullptr, 10);
-  if (const char* v = std::getenv("BA_JSON")) json = v[0] == '1';
-
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -94,6 +92,15 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto count = [&](std::uint64_t max) -> std::size_t {
+      const char* v = next();
+      try {
+        return ba::parse_unsigned(v, arg, max);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(usage(argv[0]));
+      }
+    };
     if (arg == "--list") list = true;
     else if (arg == "--heavy") heavy = true;
     else if (arg == "--all") all = true;
@@ -102,8 +109,8 @@ int main(int argc, char** argv) {
     else if (arg == "--scenario") scenario_name = next();
     else if (arg == "--describe") describe_name = next();
     else if (arg == "--jobs-file") jobs_file = next();
-    else if (arg == "--seeds") seeds = std::strtoul(next(), nullptr, 10);
-    else if (arg == "--workers") workers = std::strtoul(next(), nullptr, 10);
+    else if (arg == "--seeds") seeds = count(SIZE_MAX);
+    else if (arg == "--workers") workers = count(ba::Pool::kMaxThreads);
     else if (arg == "--set") overrides.emplace_back(next());
     else return usage(argv[0]);
   }
@@ -153,7 +160,14 @@ int main(int argc, char** argv) {
   }
   if (scenario_name.empty() && !all) return usage(argv[0]);
   if (seeds == 0) seeds = 1;
-  if (workers > 0) ba::Pool::set_threads(workers);
+  try {
+    // workers == 0 keeps the BA_THREADS / hardware default, which this
+    // reads and checks.
+    ba::Pool::set_threads(workers);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return usage(argv[0]);
+  }
 
   std::vector<ScenarioSpec> specs;
   if (all) {

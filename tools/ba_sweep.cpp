@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "sim/protocol.h"
 #include "sim/sweep.h"
 
@@ -45,6 +46,10 @@ namespace {
 
 using ba::sim::RunReport;
 using ba::sim::SweepJob;
+
+/// --shard-timeout ceiling (seconds): keeps the shard deadline
+/// (steady_clock::now() + timeout) inside the clock's range.
+constexpr std::uint64_t kMaxShardTimeout = 1000000000;
 
 int usage(const char* argv0) {
   std::fprintf(
@@ -295,22 +300,30 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&](const char* v, std::uint64_t max) -> std::uint64_t {
+      try {
+        return ba::parse_unsigned(v, arg, max);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(usage(argv[0]));
+      }
+    };
     if (arg == "--grid") grid_name = next();
-    else if (arg == "--jobs") jobs_procs = std::strtoul(next(), nullptr, 10);
+    else if (arg == "--jobs") jobs_procs = number(next(), SIZE_MAX);
     else if (arg == "--shard-timeout")
-      shard_timeout_s = std::strtol(next(), nullptr, 10);
+      shard_timeout_s = static_cast<long>(number(next(), kMaxShardTimeout));
     else if (arg == "--out") out_path = next();
     else if (arg == "--ledger") ledger_path = next();
     else if (arg == "--print-jobs") print_jobs = true;
     else if (arg == "--fuzz") {
       have_fuzz = true;
-      fuzz_count = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--seed") fuzz_seed = std::strtoull(next(), nullptr, 10);
+      fuzz_count = number(next(), SIZE_MAX);
+    } else if (arg == "--seed") fuzz_seed = number(next(), UINT64_MAX);
     else if (arg == "--seed-from-ci") {
       // Deterministic per CI run but varying across runs, so the corpus
       // moves while every failure stays replayable via --seed.
       const char* run = std::getenv("GITHUB_RUN_NUMBER");
-      fuzz_seed = run != nullptr ? std::strtoull(run, nullptr, 10) : 1;
+      fuzz_seed = run != nullptr ? number(run, UINT64_MAX) : 1;
     } else if (arg == "--ndjson") ndjson_path = next();
     else if (arg == "--replay") replay_line = next();
     else return usage(argv[0]);
