@@ -8,6 +8,9 @@
 // buckets over many dealings); (b) reveal correctness through iterated
 // recombination; (c) the Berlekamp–Welch extension: decode success vs
 // number of corrupted shares (the margin that makes sendDown concrete).
+// Tables (b) and (c) are also checks: the program exits 1 if any round
+// trip fails, or if any decode within the error budget (<= 4 corrupted
+// shares) fails.
 #include <cmath>
 #include <functional>
 #include <iostream>
@@ -20,6 +23,7 @@
 int main() {
   using namespace ba;
   const std::size_t trials = 8000;
+  bool failed = false;
 
   {
     Table t(
@@ -92,6 +96,7 @@ int main() {
         for (const auto& s : ones) folded.push_back(fold(s, depth - 1));
         if (recover_secret(folded, tt) != secret) ++failures;
       }
+      failed |= failures != 0;
       t.row({static_cast<std::int64_t>(n), static_cast<std::int64_t>(tt),
              static_cast<std::int64_t>(depth), std::int64_t{4},
              static_cast<std::int64_t>(reps),
@@ -117,11 +122,16 @@ int main() {
         auto rec = robust_reconstruct(shares, 3);
         if (rec && *rec == secret) ++ok;
       }
+      failed |= bad <= 4 && ok != reps;
       t.row({static_cast<std::int64_t>(bad),
              static_cast<double>(ok) / static_cast<double>(reps),
              std::string(bad <= 4 ? "yes" : "no")});
     }
     t.print(std::cout);
+  }
+  if (failed) {
+    std::cerr << "E8: a round trip or a within-budget decode failed\n";
+    return 1;
   }
   return 0;
 }

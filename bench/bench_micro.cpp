@@ -492,60 +492,6 @@ Comparison compare_damaged_word_decode_m12_one_error() {
   return c;
 }
 
-Comparison compare_tagged_inbox_scan() {
-  // Acceptance target: >= 2x on per-tag tally loops at n = 4096. Four
-  // protocol tags multiplexed over one round (the tournament's steady
-  // state); the tally walks one tag's envelopes per receiver. Seed:
-  // whole-inbox filter scan. Current: per-(receiver, tag) span index
-  // built during delivery.
-  constexpr std::size_t kN = 4096, kFanout = 8, kTags = 4;
-  Network net(kN, kN / 3);
-  legacy::Network lnet(kN, kN / 3);
-  for (std::size_t p = 0; p < kN; ++p) {
-    for (std::size_t j = 0; j < kFanout; ++j) {
-      const auto to =
-          static_cast<std::uint32_t>((p * 2654435761u + 977u * j) % kN);
-      for (std::uint32_t tg = 0; tg < kTags; ++tg) {
-        net.send(static_cast<ProcId>(p), to,
-                 make_value_payload(100 + tg, p + tg, kWordBits));
-        lnet.send(static_cast<std::uint32_t>(p), to,
-                  legacy::make_value_payload(100 + tg, p + tg, kWordBits));
-      }
-    }
-  }
-  net.advance_round();
-  lnet.advance_round();
-  const auto legacy_tally = [&] {
-    std::uint64_t acc = 0;
-    for (std::uint32_t p = 0; p < kN; ++p)
-      for (const auto& env : lnet.inbox(p))
-        if (env.payload.tag == 102) acc += env.payload.words[0];
-    return acc;
-  };
-  const auto current_tally = [&] {
-    std::uint64_t acc = 0;
-    for (ProcId p = 0; p < kN; ++p)
-      for (const auto& env : net.inbox(p, 102)) acc += env.payload.words[0];
-    return acc;
-  };
-  BA_REQUIRE(legacy_tally() == current_tally(),
-             "legacy and tagged tallies disagree");
-  Comparison c;
-  c.name = "tagged_inbox_scan";
-  c.params = "n=4096 fanout=8 tags=4";
-  time_pair(
-      c,
-      [&] {
-        auto acc = legacy_tally();
-        benchmark::DoNotOptimize(acc);
-      },
-      [&] {
-        auto acc = current_tally();
-        benchmark::DoNotOptimize(acc);
-      });
-  return c;
-}
-
 Comparison compare_network_round() {
   // Acceptance target: >= 2x on per-round delivery at n = 4096. Senders
   // fire in a scrambled order (as they do once the rushing adversary
@@ -1134,7 +1080,6 @@ int write_comparison_json() {
   comps.push_back(compare_damaged_word_decode_m12_one_error());
   comps.push_back(compare_network_round());
   comps.push_back(compare_payload_churn());
-  comps.push_back(compare_tagged_inbox_scan());
   comps.push_back(compare_share_fanout_arena());
   comps.push_back(compare_send_open_tally());
   comps.push_back(compare_simd_dealing_matmul());

@@ -231,9 +231,6 @@ class Network {
     ++round_;
   }
 
-  const std::vector<Envelope>& inbox(std::uint32_t p) const {
-    return inboxes_[p];
-  }
   BitLedger& ledger() { return ledger_; }
 
  private:

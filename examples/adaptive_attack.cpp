@@ -11,13 +11,16 @@
 //
 // Each act is one registry scenario (adaptive_attack_act1..act4).
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.h"
 #include "sim/protocol.h"
 #include "sim/scenario.h"
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 256;
+  // Every act runs at the same n, parsed once into a spec of its own.
+  ba::sim::ScenarioSpec args = ba::sim::ScenarioSpec{}.with_n(256);
+  if (!ba::examples::apply_args(args, argc, argv, {"n"}, "[n]")) return 2;
+  const std::size_t n = args.n;
   auto act = [n](const char* scenario) {
     return ba::sim::run_scenario(
         ba::sim::ScenarioRegistry::get(scenario).with_n(n));

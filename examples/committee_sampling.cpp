@@ -8,17 +8,17 @@
 // no long-lived secrets — sample fresh, use immediately, rotate. The
 // wiring is the registry's `committee_sampling` scenario.
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "example_args.h"
 #include "sim/protocol.h"
 #include "sim/scenario.h"
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 256;
-
-  const ba::sim::ScenarioSpec spec =
-      ba::sim::ScenarioRegistry::get("committee_sampling").with_n(n);
+  ba::sim::ScenarioSpec spec =
+      ba::sim::ScenarioRegistry::get("committee_sampling").with_n(256);
+  if (!ba::examples::apply_args(spec, argc, argv, {"n"}, "[n]")) return 2;
+  const std::size_t n = spec.n;
   const ba::sim::RunReport report = ba::sim::run_scenario(spec);
   const ba::UniverseResult& res = *report.detail->universe;
 

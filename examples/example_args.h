@@ -1,0 +1,32 @@
+// Positional arguments of the example programs. Each one sets a spec key
+// through ScenarioSpec::apply, the strict parser behind `ba_run --set`,
+// so `64x` or `abc` is an error rather than a silent 64 or 0.
+#pragma once
+
+#include <cstdio>
+#include <exception>
+#include <initializer_list>
+
+#include "common/check.h"
+#include "sim/scenario.h"
+
+namespace ba::examples {
+
+/// Apply argv[1..] to `spec`, the i-th argument under keys[i - 1]. On a
+/// bad value or a surplus argument, print the error and the usage line
+/// (`argv[0] usage_args`) and return false; the caller exits 2.
+inline bool apply_args(sim::ScenarioSpec& spec, int argc, char** argv,
+                       std::initializer_list<const char*> keys,
+                       const char* usage_args) {
+  try {
+    BA_REQUIRE(static_cast<std::size_t>(argc - 1) <= keys.size(),
+               "too many arguments");
+    for (int i = 1; i < argc; ++i) spec.apply(keys.begin()[i - 1], argv[i]);
+    return true;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\nusage: %s %s\n", e.what(), argv[0], usage_args);
+    return false;
+  }
+}
+
+}  // namespace ba::examples

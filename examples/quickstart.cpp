@@ -13,21 +13,22 @@
 // protocol and returns a RunReport with everything printed below. Try
 // `ba_run --scenario quickstart --json` for the machine-readable form.
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.h"
 #include "sim/protocol.h"
 #include "sim/scenario.h"
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 128;
-  const double corrupt = argc > 2 ? std::strtod(argv[2], nullptr) : 0.10;
-
-  const ba::sim::ScenarioSpec spec = ba::sim::ScenarioRegistry::get("quickstart")
-                                         .with_n(n)
-                                         .with_corrupt_fraction(corrupt);
+  ba::sim::ScenarioSpec spec = ba::sim::ScenarioRegistry::get("quickstart")
+                                   .with_n(128)
+                                   .with_corrupt_fraction(0.10);
+  if (!ba::examples::apply_args(spec, argc, argv, {"n", "corrupt_fraction"},
+                                "[n] [corrupt_fraction]"))
+    return 2;
   const ba::sim::RunReport report = ba::sim::run_scenario(spec);
 
-  std::printf("n = %zu, corrupt = %.0f%%\n", n, 100 * corrupt);
+  std::printf("n = %zu, corrupt = %.0f%%\n", spec.n,
+              100 * spec.corrupt_fraction);
   std::printf("decided bit:              %d\n", report.decided_bit);
   std::printf("validity (some good input): %s\n",
               report.validity == 1 ? "yes" : "no");

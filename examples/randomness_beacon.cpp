@@ -10,18 +10,18 @@
 // `randomness_beacon` scenario; the word views come from the report's
 // detail block (the full AeResult).
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "core/global_coin.h"
+#include "example_args.h"
 #include "sim/protocol.h"
 #include "sim/scenario.h"
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 256;
-
-  const ba::sim::ScenarioSpec spec =
-      ba::sim::ScenarioRegistry::get("randomness_beacon").with_n(n);
+  ba::sim::ScenarioSpec spec =
+      ba::sim::ScenarioRegistry::get("randomness_beacon").with_n(256);
+  if (!ba::examples::apply_args(spec, argc, argv, {"n"}, "[n]")) return 2;
+  const std::size_t n = spec.n;
   const ba::sim::RunReport report = ba::sim::run_scenario(spec);
   const ba::AeResult& result = *report.detail->ae;
   const ba::SequenceQuality& quality = *report.detail->sequence_quality;

@@ -14,17 +14,18 @@
 // per decision (run_scenario's seed_offset); the quadratic alternative is
 // the `replica_sync_rabin` scenario on the same simulator and ledger.
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.h"
 #include "sim/protocol.h"
 #include "sim/scenario.h"
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 256;
+  ba::sim::ScenarioSpec commit_spec =
+      ba::sim::ScenarioRegistry::get("replica_sync_commit").with_n(256);
+  if (!ba::examples::apply_args(commit_spec, argc, argv, {"n"}, "[n]"))
+    return 2;
+  const std::size_t n = commit_spec.n;
   std::printf("replica fleet: %zu replicas, 10%% Byzantine\n\n", n);
-
-  const ba::sim::ScenarioSpec commit_spec =
-      ba::sim::ScenarioRegistry::get("replica_sync_commit").with_n(n);
 
   const double seen[] = {0.95, 0.70, 0.30, 0.05};
   std::printf("%-22s %-10s %-12s %-16s\n", "update visibility", "commit?",

@@ -110,10 +110,9 @@ void AdaptiveWinnerTakeover::on_level_elected(
     if (level > tree.num_levels()) continue;
     const auto& members = tree.node(level, ni).members;
     for (ProcId m : members) {
-      // Keep a third of the budget in reserve for later levels.
-      if (net.corruption_budget_left() <=
-          net.size() / 16)
-        return;
+      // Keep n/16 corruptions in reserve for later levels (3/16 of an
+      // n/3 budget).
+      if (net.corruption_budget_left() <= net.size() / 16) return;
       if (!net.is_corrupt(m)) net.corrupt(m);
     }
   }

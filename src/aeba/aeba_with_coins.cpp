@@ -160,11 +160,11 @@ void AebaMachine::count_received(const Network& net, std::size_t pos,
       count_ones[i] += (word >> (i % 64)) & 1;
     }
   };
-  // Tag-indexed delivery: iterate exactly the vote envelopes instead of
-  // filtering the whole inbox (the tournament multiplexes many machines
-  // and exposure flows over one network).
-  for (const auto& env : net.inbox(self, kTagAebaVote)) {
-    if (env.payload.words.empty() || env.payload.words[0] != context_)
+  // The tournament runs many machines over one network: keep this
+  // machine's votes (tag, then context word) and skip the rest.
+  for (const auto& env : net.inbox(self)) {
+    if (env.payload.tag != kTagAebaVote || env.payload.words.empty() ||
+        env.payload.words[0] != context_)
       continue;
     if (env.from >= member_pos_.size() || member_pos_[env.from] < 0)
       continue;

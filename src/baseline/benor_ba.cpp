@@ -52,8 +52,8 @@ BaselineResult run_benor_ba(Network& net, Adversary& adversary,
     for (std::size_t g = 0;; ++g) {
       for (ProcId p = 0; p < n; ++p) {
         if (net.is_corrupt(p)) continue;
-        for (const auto& env : net.inbox(p, tag)) {
-          if (env.payload.words.empty()) continue;
+        for (const auto& env : net.inbox(p)) {
+          if (env.payload.tag != tag || env.payload.words.empty()) continue;
           if (env.round != send_round) continue;
           phase_counts[p][env.payload.words[0] % values] += 1;
         }

@@ -123,8 +123,9 @@ ProcessorElectionResult ProcessorElectionBA::run(
   std::vector<std::uint8_t> out(n, 0);
   for (ProcId q = 0; q < n; ++q) {
     std::size_t votes = 0, ones = 0;
-    for (const auto& env : net.inbox(q, kTagDecision)) {
-      if (env.payload.words.empty()) continue;
+    for (const auto& env : net.inbox(q)) {
+      if (env.payload.tag != kTagDecision || env.payload.words.empty())
+        continue;
       ++votes;
       ones += env.payload.words[0] & 1;
     }

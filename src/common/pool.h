@@ -157,10 +157,6 @@ class PerWorker {
   void each(F&& f) {
     for (Slot& s : slots_) f(s.value);
   }
-  template <typename F>
-  void each(F&& f) const {
-    for (const Slot& s : slots_) f(s.value);
-  }
 
  private:
   struct alignas(kCacheLine) Slot {

@@ -246,8 +246,8 @@ AeResult AlmostEverywhereBA::run(Network& net, Adversary& adversary,
       advance_rounds(net, ShareFlow::exposure_rounds(lvl));
 
       vote_round(net, machines, rusher);
-      // Node machines tally independently (each reads only its members'
-      // tag-indexed inboxes): fan out across nodes.
+      // Node machines tally independently (each only reads its members'
+      // inboxes): fan out across nodes.
       Pool::for_each(active.size(), [&](std::size_t xi, std::size_t) {
         active[xi]->machine->tally_votes(net, *active[xi]->coins, j);
       });

@@ -12,28 +12,13 @@
 // coin flip), so `WordVec` keeps up to two words inline and only spills to
 // the heap for bulk arrays. At n = 4096 a single all-to-all round is ~16M
 // payloads; making them allocation-free is what keeps the simulator at the
-// protocol's asymptotics instead of the allocator's.
-//
-// Heap spills are copy-on-write: the spilled buffer carries an atomic
-// refcount, copying a spilled WordVec shares the buffer, and the first
-// mutating access (non-const data()/operator[]/iterators, push_back,
-// insert, reserve-growth) detaches a private copy. Bulk fan-out — the
-// same multi-word payload replicated to every receiver of a dealing
-// group, an adversary echoing a captured payload — degrades from one
-// O(words) allocation+copy per receiver to one pointer copy plus a
-// relaxed increment. The inline fast path is untouched: tiny payloads
-// never allocate, never refcount. Sharing is thread-compatible the same
-// way shared_ptr is (the count is atomic; distinct WordVec instances
-// sharing one buffer may be copied/destroyed from different pool
-// workers, concurrent mutation of one instance is still the caller's
-// race).
+// protocol's asymptotics instead of the allocator's. A spilled WordVec
+// owns its heap words, and a copy copies them.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
-#include <new>
 #include <vector>
 
 #include "common/check.h"
@@ -49,9 +34,7 @@ inline constexpr std::size_t kHeaderBits = 16;
 /// Word storage with inline capacity for the common tiny messages.
 /// Mirrors the slice of std::vector<uint64_t> the protocols use
 /// (push_back / reserve / insert-at-end / indexing / iteration) but never
-/// touches the heap for sizes <= kInlineWords. Heap spills are shared
-/// copy-on-write buffers (see the header comment): copies alias, mutation
-/// detaches.
+/// touches the heap for sizes <= kInlineWords.
 class WordVec {
  public:
   static constexpr std::size_t kInlineWords = 2;
@@ -63,13 +46,10 @@ class WordVec {
   /// Convenience bridge from vector-producing call sites (bulk arrays).
   WordVec(const std::vector<std::uint64_t>& v) { assign(v.data(), v.size()); }
 
-  WordVec(const WordVec& o) { adopt(o); }
+  WordVec(const WordVec& o) { assign(o.data(), o.size_); }
   WordVec(WordVec&& o) noexcept { steal(o); }
   WordVec& operator=(const WordVec& o) {
-    if (this != &o) {
-      release();
-      adopt(o);
-    }
+    if (this != &o) assign(o.data(), o.size_);
     return *this;
   }
   WordVec& operator=(WordVec&& o) noexcept {
@@ -86,17 +66,8 @@ class WordVec {
   std::size_t capacity() const { return cap_; }
   /// True while the contents live in the inline buffer (no allocation).
   bool is_inline() const { return heap_ == nullptr; }
-  /// True while this spilled buffer is aliased by other WordVecs
-  /// (instrumentation; inline contents are never shared).
-  bool is_shared() const {
-    return heap_ != nullptr &&
-           refs_of(heap_).load(std::memory_order_acquire) > 1;
-  }
 
-  std::uint64_t* data() {
-    detach();
-    return heap_ ? heap_ : inline_;
-  }
+  std::uint64_t* data() { return heap_ ? heap_ : inline_; }
   const std::uint64_t* data() const { return heap_ ? heap_ : inline_; }
 
   std::uint64_t& operator[](std::size_t i) { return data()[i]; }
@@ -114,15 +85,11 @@ class WordVec {
   }
 
   void push_back(std::uint64_t w) {
-    if (size_ == cap_)
-      grow(size_ + 1);  // grow always lands on a private buffer
-    else
-      detach();
-    (heap_ ? heap_ : inline_)[size_++] = w;
+    if (size_ == cap_) grow(size_ + 1);
+    data()[size_++] = w;
   }
 
-  /// Insert [first, last) before pos (pos must point into this WordVec,
-  /// obtained from a non-const begin()/end() — i.e. after any detach).
+  /// Insert [first, last) before pos (pos must point into this WordVec).
   template <typename It>
   std::uint64_t* insert(std::uint64_t* pos, It first, It last) {
     const std::size_t at = static_cast<std::size_t>(pos - begin());
@@ -130,7 +97,7 @@ class WordVec {
     const std::size_t count = static_cast<std::size_t>(std::distance(first, last));
     if (count == 0) return begin() + at;
     if (size_ + count > cap_) grow(size_ + count);
-    std::uint64_t* base = heap_ ? heap_ : inline_;
+    std::uint64_t* base = data();
     std::memmove(base + at + count, base + at, (size_ - at) * sizeof(std::uint64_t));
     for (std::size_t i = 0; i < count; ++i, ++first) base[at + i] = *first;
     size_ += count;
@@ -139,70 +106,22 @@ class WordVec {
 
   friend bool operator==(const WordVec& a, const WordVec& b) {
     if (a.size_ != b.size_) return false;
-    if (a.heap_ != nullptr && a.heap_ == b.heap_) return true;  // aliased
     return std::memcmp(a.data(), b.data(), a.size_ * sizeof(std::uint64_t)) == 0;
   }
   friend bool operator!=(const WordVec& a, const WordVec& b) { return !(a == b); }
 
  private:
-  using RefCount = std::atomic<std::uint64_t>;
-
-  /// Heap buffers carry an atomic refcount in an 8-byte header directly
-  /// before the words (keeps the word run 8-aligned).
-  static std::uint64_t* new_buf(std::size_t cap) {
-    void* raw = ::operator new(sizeof(RefCount) + cap * sizeof(std::uint64_t));
-    new (raw) RefCount(1);
-    return reinterpret_cast<std::uint64_t*>(static_cast<char*>(raw) +
-                                            sizeof(RefCount));
-  }
-  static RefCount& refs_of(std::uint64_t* heap) {
-    return *reinterpret_cast<RefCount*>(reinterpret_cast<char*>(heap) -
-                                        sizeof(RefCount));
-  }
-  static void release_buf(std::uint64_t* heap) {
-    RefCount& r = refs_of(heap);
-    if (r.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      r.~RefCount();
-      ::operator delete(reinterpret_cast<char*>(heap) - sizeof(RefCount));
-    }
-  }
-
   void assign(const std::uint64_t* src, std::size_t n) {
     if (n > cap_) grow(n);
     // An empty source may be a null pointer, which memcpy must not get.
-    if (n != 0)
-      std::memcpy(heap_ ? heap_ : inline_, src, n * sizeof(std::uint64_t));
+    if (n != 0) std::memcpy(data(), src, n * sizeof(std::uint64_t));
     size_ = static_cast<std::uint32_t>(n);
-  }
-  /// Copy-construct from o into a released/fresh state: inline contents
-  /// copy, spilled contents share.
-  void adopt(const WordVec& o) {
-    size_ = o.size_;
-    if (o.heap_ != nullptr) {
-      refs_of(o.heap_).fetch_add(1, std::memory_order_relaxed);
-      heap_ = o.heap_;
-      cap_ = o.cap_;
-    } else {
-      std::memcpy(inline_, o.inline_, size_ * sizeof(std::uint64_t));
-    }
-  }
-  /// Replace a shared buffer with a private copy before the first write.
-  /// One acquire load on the (common) unique path.
-  void detach() {
-    if (heap_ == nullptr ||
-        refs_of(heap_).load(std::memory_order_acquire) == 1)
-      return;
-    auto* nheap = new_buf(cap_);
-    std::memcpy(nheap, heap_, size_ * sizeof(std::uint64_t));
-    release_buf(heap_);
-    heap_ = nheap;
   }
   void steal(WordVec& o) noexcept {
     heap_ = o.heap_;
     size_ = o.size_;
     cap_ = o.cap_;
-    if (!heap_)
-      std::memcpy(inline_, o.inline_, size_ * sizeof(std::uint64_t));
+    if (!heap_) std::memcpy(inline_, o.inline_, sizeof(inline_));
     o.heap_ = nullptr;
     o.size_ = 0;
     o.cap_ = kInlineWords;
@@ -210,15 +129,14 @@ class WordVec {
   void grow(std::size_t need) {
     std::size_t ncap = cap_ * 2;
     if (ncap < need) ncap = need;
-    auto* nheap = new_buf(ncap);
-    std::memcpy(nheap, heap_ ? heap_ : inline_,
-                size_ * sizeof(std::uint64_t));
-    if (heap_ != nullptr) release_buf(heap_);
+    auto* nheap = new std::uint64_t[ncap];
+    std::memcpy(nheap, data(), size_ * sizeof(std::uint64_t));
+    delete[] heap_;
     heap_ = nheap;
     cap_ = static_cast<std::uint32_t>(ncap);
   }
   void release() {
-    if (heap_ != nullptr) release_buf(heap_);
+    delete[] heap_;
     heap_ = nullptr;
     cap_ = kInlineWords;
     size_ = 0;

@@ -39,7 +39,6 @@ Network::Network(std::size_t n, std::size_t max_corrupt)
       corrupt_(n, false),
       stage_off_(n + 1, 0),
       inbox_off_(n + 1, 0),
-      inbox_spans_(n),
       ledger_(n) {
   BA_REQUIRE(n > 0, "network needs at least one processor");
   BA_REQUIRE(max_corrupt < n, "adversary cannot own every processor");
@@ -208,27 +207,20 @@ MessageStore Network::store_for(ProcId p, const RoundLog& log,
 void Network::deliver_bucket(ProcId p, const std::uint32_t* in,
                              std::size_t count, const MessageStore& store,
                              DeliveryScratch& s) {
-  auto& spans = inbox_spans_[p];
-  spans.clear();
   if (count == 0) return;
   std::uint32_t* out = inbox_refs_.data() + inbox_off_[p];
-  // One pass: sum receipts, find where the sender order descends, and
-  // check tag uniformity (almost every bucket carries a single tag).
+  // One pass: sum receipts and find where the sender order descends.
   std::size_t descents = 0, split = 0;
   ProcId prev = 0;
-  const std::uint32_t first_tag = store.payload(in[0]).tag;
-  bool uniform_tag = true;
   std::uint64_t bits = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const ProcId from = store.from(in[i]);
-    const Payload& payload = store.payload(in[i]);
-    bits += payload.bits();
+    bits += store.payload(in[i]).bits();
     if (from < prev) {
       ++descents;
       split = i;
     }
     prev = from;
-    uniform_tag &= payload.tag == first_tag;
   }
   ledger_.charge_recv(p, bits);
   // Stable sort by sender. Drivers send in processor order, so a bucket
@@ -259,51 +251,6 @@ void Network::deliver_bucket(ProcId p, const std::uint32_t* in,
     for (std::size_t i = 0; i < count; ++i)
       out[s.sender_slot[store.from(in[i])]++] = in[i];
     for (ProcId sender : s.touched_senders) s.sender_slot[sender] = 0;
-  }
-  const auto size = static_cast<std::uint32_t>(count);
-  if (uniform_tag) {
-    spans.push_back({first_tag, 0, size});
-  } else {
-    // Mixed-tag bucket (rare): count the distinct tags in a second
-    // pass — they are few, so a linear scan with a most-recent check
-    // suffices.
-    s.touched_tags.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::uint32_t tag = store.payload(out[i]).tag;
-      if (s.touched_tags.empty() || s.touched_tags.back().first != tag) {
-        auto it = s.touched_tags.begin();
-        for (; it != s.touched_tags.end() && it->first != tag; ++it) {
-        }
-        if (it == s.touched_tags.end())
-          s.touched_tags.emplace_back(tag, 0);
-        else
-          std::swap(*it, s.touched_tags.back());
-      }
-      s.touched_tags.back().second += 1;
-    }
-    // Second stable counting pass grouping by tag (ascending), giving
-    // the (tag, sender) lexicographic inbox and its span table in one
-    // distribution sweep.
-    std::sort(s.touched_tags.begin(), s.touched_tags.end());
-    std::uint32_t offset = 0;
-    for (auto& [tag, c] : s.touched_tags) {
-      const std::uint32_t width = c;
-      spans.push_back({tag, offset, offset + width});
-      c = offset;  // becomes this tag's running write cursor
-      offset += width;
-    }
-    s.tag_scratch.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      std::uint32_t slot = 0;
-      const std::uint32_t tag = store.payload(out[i]).tag;
-      while (s.touched_tags[slot].first != tag) ++slot;
-      s.tag_scratch[s.touched_tags[slot].second++] = out[i];
-    }
-    std::copy(s.tag_scratch.begin(), s.tag_scratch.end(), out);
-    // Bound the per-worker scratch by this bucket, or one receiver's
-    // spike capacity stays with whichever worker delivered it and peak
-    // RSS becomes a function of the worker schedule.
-    release_if_oversized(s.tag_scratch, count);
   }
   if (transcript_) {
     // Per-receiver transcript slot — disjoint across pool workers, the
@@ -417,23 +364,10 @@ InboxView Network::inbox(ProcId p) const {
                    store_for(p, logs_[sending_ ^ 1], round_ - 1), p);
 }
 
-InboxView Network::inbox(ProcId p, std::uint32_t tag) const {
-  BA_REQUIRE(p < n_, "processor id out of range");
-  for (const TagSpan& s : inbox_spans_[p]) {
-    if (s.tag != tag) continue;
-    const std::uint32_t* base = inbox_refs_.data() + inbox_off_[p];
-    return InboxView(base + s.begin, base + s.end,
-                     store_for(p, logs_[sending_ ^ 1], round_ - 1), p);
-  }
-  return InboxView{};
-}
-
 std::size_t Network::retained_capacity() const {
   std::size_t slots = stage_refs_.capacity() + inbox_refs_.capacity();
   for (const RoundLog& log : logs_)
     slots += log.entries.capacity() + log.receivers.capacity();
-  delivery_scratch_.each(
-      [&](const DeliveryScratch& s) { slots += s.tag_scratch.capacity(); });
   return slots;
 }
 

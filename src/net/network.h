@@ -37,14 +37,12 @@
 // advance_round() delivers the log in two steps:
 //   1. Staging: a counting sort of the receiver list into one flat array of
 //      refs bucketed by receiver (CSR), each bucket in send order.
-//   2. Delivery: each receiver's bucket is stably sorted into (tag, sender)
-//      lexicographic order — by sender first (a counting sort over the
-//      touched senders; already-sorted buckets are copied), then, only
-//      when a bucket mixes tags, a second stable counting pass by tag —
-//      into a second flat ref array, the inboxes, plus a per-receiver tag
-//      span table. inbox(p, tag) yields exactly one tag's envelopes in
-//      sender order; inbox(p) yields all of them. The receiver's ledger
-//      row is charged here.
+//   2. Delivery: each receiver's bucket is stably sorted by sender (a
+//      counting sort over the touched senders; already-sorted buckets are
+//      copied) into a second flat ref array, the inboxes. inbox(p) yields
+//      them in sender order. A reader that tallies one message kind skips
+//      the other tags itself; what it keeps is still in sender order. The
+//      receiver's ledger row is charged here.
 // The log is double-buffered: one buffer collects the round being sent,
 // the other backs the inboxes of the round being read. So round r's inbox
 // views stay valid while round r+1 is sent, and die at the advance_round()
@@ -74,8 +72,8 @@
 //   2. The scheduler merge (only with a delay scheduler): receiver p's
 //      delayed messages leave for its future queue, its due arrivals join
 //      in front. Touches only p-indexed scheduler state.
-//   3. Delivery. Receiver p's inbox bucket, tag spans and ledger row
-//      bits_recv_[p] are written by exactly one worker. The counting-sort
+//   3. Delivery. Receiver p's inbox bucket and ledger row bits_recv_[p]
+//      are written by exactly one worker. The counting-sort
 //      scratch is per worker (DeliveryScratch, one PerWorker slot on its
 //      own cache line), reinitialized per bucket so worker assignment is
 //      unobservable. Shared read-only: the log, the corruption mask, n.
@@ -83,7 +81,7 @@
 // the send log (the cursors order each bucket by chunk, and chunks by
 // position, whatever the split), and its inbox is a pure function of
 // that bucket, so BA_THREADS=1 and BA_THREADS=N produce byte-identical
-// inboxes, span tables, transport callbacks and ledgers at every round
+// inboxes, transport callbacks and ledgers at every round
 // (asserted by tests/parallel_parity_test.cpp and the delivery oracle in
 // tests/net_test.cpp).
 #pragma once
@@ -150,8 +148,7 @@ struct MessageStore {
   }
 };
 
-/// A contiguous run of one receiver's delivered envelopes — the whole
-/// inbox, or one tag's span of it, in sender order. Iteration yields
+/// One receiver's delivered envelopes, in sender order. Iteration yields
 /// Envelope views by value; each view's payload reference stays valid
 /// until the advance_round() that delivers the next round.
 class InboxView {
@@ -311,15 +308,11 @@ class Network {
   void advance_round();
 
   /// Messages delivered to p this round (sent during the previous round),
-  /// grouped by tag (ascending), sorted stably by sender within each tag.
+  /// sorted stably by sender.
   InboxView inbox(ProcId p) const;
 
-  /// The span of p's current inbox carrying `tag` (empty if none).
-  /// Replaces whole-inbox filter scans in per-tag tally loops.
-  InboxView inbox(ProcId p, std::uint32_t tag) const;
-
   /// Message slots the round buffers retain (send logs, receiver lists,
-  /// ref arrays, delivery scratch). Stream-and-release bounds it by a
+  /// ref arrays). Stream-and-release bounds it by a
   /// small multiple of the recent traffic once a spike has passed.
   std::size_t retained_capacity() const;
 
@@ -340,21 +333,12 @@ class Network {
   std::vector<ProcId> good_procs() const;
 
  private:
-  /// One tag's contiguous range within a receiver's inbox bucket.
-  struct TagSpan {
-    std::uint32_t tag = 0;
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-  };
-
   /// Counting-sort scratch: one PerWorker slot per pool worker, reused across
   /// rounds. Every field is (re)initialized by each bucket that uses it,
   /// so which worker delivers which receiver is unobservable.
   struct DeliveryScratch {
     std::vector<std::uint32_t> sender_slot;
     std::vector<ProcId> touched_senders;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> touched_tags;
-    std::vector<std::uint32_t> tag_scratch;
   };
 
   /// One round's message store: the send()/multicast() calls in call
@@ -374,7 +358,7 @@ class Network {
   /// global send order, then the sync_round barrier.
   void replay_to_transport();
   /// Sort receiver p's staged refs `in[0, count)` into its inbox bucket
-  /// and span table and charge its receipts. Touches only p-indexed state
+  /// and charge its receipts. Touches only p-indexed state
   /// plus `s`.
   void deliver_bucket(ProcId p, const std::uint32_t* in, std::size_t count,
                       const MessageStore& store, DeliveryScratch& s);
@@ -397,10 +381,9 @@ class Network {
   std::vector<std::uint32_t> stage_refs_;
   // Staging's per-chunk receiver histograms, then write cursors.
   std::vector<std::uint32_t> stage_cursor_;
-  // Delivered CSR, sorted per bucket, plus each bucket's tag index.
+  // Delivered CSR, each bucket sorted by sender.
   std::vector<std::uint32_t> inbox_off_;
   std::vector<std::uint32_t> inbox_refs_;
-  std::vector<std::vector<TagSpan>> inbox_spans_;
   PerWorker<DeliveryScratch> delivery_scratch_;
   // Per-receiver views of the round handed to Transport::sync_round;
   // filled only while a transport is attached.

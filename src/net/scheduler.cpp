@@ -112,9 +112,9 @@ void DelayScheduler::merge(ProcId p, const std::uint32_t* staged,
   // Reorder mode: permute the merged arrival order with a stream that is
   // a pure function of (seed, round, receiver) — forked, never drawn
   // from the shared generator, so the fan-out stays byte-identical at
-  // any worker count. The counting sort downstream restores the (tag,
-  // sender) inbox canon; what the shuffle observably permutes is the
-  // relative order of same-(tag, sender) duplicates.
+  // any worker count. The counting sort downstream restores the inbox's
+  // sender order; what the shuffle observably permutes is the relative
+  // order of one sender's messages.
   if (cfg_.mode == SchedulerMode::kReorderRush && out.size() > 1) {
     Rng r = shuffle_base_.fork(round * n_ + p);
     r.shuffle(out);

@@ -17,7 +17,7 @@
 //  * kBoundedDelay — per-envelope random delay in [0, delta_max].
 //  * kReorderRush  — bounded delay, plus within-round arrival reordering:
 //    each receiver's merged bucket is shuffled before the inbox sort, so
-//    same-(tag, sender) duplicates arrive in an adversarial order. The
+//    messages from one sender arrive in an adversarial order. The
 //    name is the scenario value ("reorder_rush"); the rushing itself is
 //    the drivers' VoteRusher step, which runs identically in every mode.
 //
@@ -33,9 +33,9 @@
 // Delivery-order canon: arrivals due in a round are merged *in front of*
 // the round's on-time traffic, in (send round, global send order) — older
 // sends first. The merged bucket then flows through the normal counting
-// sort, so inboxes keep their (tag, sender) lexicographic contract; what
-// delay and reorder observably change is which round a message lands in
-// and the relative order of same-(tag, sender) duplicates.
+// sort, so inboxes keep their sender order; what delay and reorder
+// observably change is which round a message lands in and the relative
+// order of one sender's messages.
 //
 // Storage: the merge works on 4-byte message refs (net/network.h). A
 // message delayed past its send round is copied out of the round's send

@@ -2,6 +2,8 @@
 // Lemmas 11-13).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "adversary/strategies.h"
 #include "aeba/aeba_with_coins.h"
 
@@ -192,6 +194,39 @@ TEST(Aeba, IgnoresForeignContextsAndNonMembers) {
   SharedRandomCoins coins(Rng(27));
   f.machine.tally_votes(f.net, coins, 0);
   EXPECT_TRUE(f.machine.vote_of(0, 0));  // unanimous true unaffected
+}
+
+TEST(Aeba, TallySkipsForeignTagsFromNeighbors) {
+  // Half of member 0's graph neighbours (rounded up) vote true, so the
+  // majority rule gives true by one vote. Neighbour a then sends one more
+  // envelope, framed like a vote for this machine (context word, a 0
+  // bit) but under another tag. It follows a's real vote in the
+  // sender-ordered inbox, so a tally that kept it would take it as a's
+  // latest vote and flip member 0 to false. The tally must match the same
+  // round without it.
+  const auto run = [](bool stray) {
+    Fixture f(20, 4, 1, 31, 6);
+    std::vector<ProcId> nbrs = f.machine.neighbor_ids(0);
+    std::sort(nbrs.begin(), nbrs.end());
+    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
+    const std::size_t yes = (nbrs.size() + 1) / 2;
+    for (std::size_t p = 0; p < f.n; ++p)
+      f.machine.set_input(
+          p, 0, std::find(nbrs.begin(), nbrs.begin() + yes, p) !=
+                    nbrs.begin() + yes);
+    f.machine.send_votes(f.net);
+    if (stray) {
+      Payload p = AebaMachine::make_vote_payload(f.machine.context(), {0}, 1);
+      p.tag = kTagAebaVote + 1;
+      f.net.send(nbrs[0], 0, std::move(p));
+    }
+    f.net.advance_round();
+    f.machine.tally_majority(f.net);
+    return f.machine.packed_votes();
+  };
+  const std::vector<std::uint64_t> clean = run(false);
+  EXPECT_EQ(clean[0] & 1, 1u);  // member 0 took true by one vote
+  EXPECT_EQ(run(true), clean);
 }
 
 TEST(Aeba, RejectsDuplicateMembers) {

@@ -107,6 +107,29 @@ TEST(BenOr, SurvivesCrashMinority) {
   EXPECT_TRUE(res.all_good_agree);
 }
 
+TEST(BenOr, TallySkipsForeignTags) {
+  // With t = 0 a single phase-2 proposal decides everyone, and a 2-2
+  // split proposes nothing, so the clean run needs more than one round.
+  // One extra envelope, sent in the first vote round under another tag
+  // and carrying a 1, would give processor 0 a 3-of-4 majority for 1 if
+  // the vote tally kept it: processor 0 would propose 1 and everyone
+  // would decide in round 1. The tally must match the run without it.
+  const std::vector<std::uint8_t> inputs{0, 0, 1, 1};
+  const auto run = [&](bool stray) {
+    Network net(4, 0);
+    PassiveStaticAdversary adv({});
+    if (stray) net.send(1, 0, make_value_payload(0xBE7A, 1, 2));
+    return run_benor_ba(net, adv, inputs, 12, 50);
+  };
+  const BaselineResult clean = run(false);
+  const BaselineResult strayed = run(true);
+  EXPECT_GT(clean.rounds, 1u);
+  EXPECT_EQ(strayed.rounds, clean.rounds);
+  EXPECT_EQ(strayed.decided_bit, clean.decided_bit);
+  EXPECT_EQ(strayed.agreement_fraction, clean.agreement_fraction);
+  EXPECT_EQ(strayed.all_good_agree, clean.all_good_agree);
+}
+
 // --------------------------------------------------- processor election --
 
 TreeParams pe_tree(std::size_t n) {

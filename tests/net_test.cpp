@@ -94,17 +94,15 @@ TEST(Network, GoodProcsExcludesCorrupt) {
 
 TEST(Network, MixedTagSpikeCapacityIsReleased) {
   // Stream-and-release after a spike: the round buffers (send logs, ref
-  // arrays) and the per-worker mixed-tag scratch all grew to the spike,
-  // and a small mixed-tag round after it must leave none of them holding
-  // spike capacity — including the scratch, or the capacity would stay
-  // with whichever worker delivered the spike.
-  Network net(2, 1);  // n <= 64: all delivery on one worker, one scratch
+  // arrays) all grew to the spike, and a small mixed-tag round after it
+  // must leave none of them holding spike capacity.
+  Network net(2, 1);
   const std::size_t kSpike = 5000;
   for (std::size_t i = 0; i < kSpike; ++i)
     net.send(1, 0, make_value_payload(10 + (i % 2), i, 16));
   net.advance_round();
   ASSERT_EQ(net.inbox(0).size(), kSpike);
-  // Small mixed-tag round through the same worker's scratch.
+  // Small mixed-tag round: one sender, so send order is inbox order.
   net.send(1, 0, make_value_payload(10, 1, 16));
   net.send(1, 0, make_value_payload(11, 2, 16));
   net.advance_round();
@@ -117,49 +115,27 @@ TEST(Network, MixedTagSpikeCapacityIsReleased) {
       << "spike capacity survived the small round";
 }
 
-TEST(Network, TaggedInboxPartitionsByTag) {
+TEST(Network, MixedTagInboxIsSenderOrdered) {
+  // One inbox for every tag, stably sorted by sender: a tag filter over
+  // it yields that tag's envelopes in sender order, and duplicates from
+  // one sender stay in send order across tags.
   Network net(4, 1);
   net.send(2, 0, make_value_payload(9, 20, 4));
   net.send(1, 0, make_value_payload(7, 10, 4));
   net.send(3, 0, make_value_payload(7, 30, 4));
   net.send(1, 0, make_value_payload(9, 11, 4));
+  net.send(1, 0, make_value_payload(7, 12, 4));
   net.advance_round();
-  // Inbox is (tag, sender) ordered: tag 7 group first, then tag 9.
-  ASSERT_EQ(net.inbox(0).size(), 4u);
-  InboxView sevens = net.inbox(0, 7);
-  ASSERT_EQ(sevens.size(), 2u);
-  EXPECT_EQ(sevens.begin()[0].from, 1u);
-  EXPECT_EQ(sevens.begin()[1].from, 3u);
-  InboxView nines = net.inbox(0, 9);
-  ASSERT_EQ(nines.size(), 2u);
-  EXPECT_EQ(nines.begin()[0].from, 1u);
-  EXPECT_EQ(nines.begin()[0].payload.words[0], 11u);
-  EXPECT_EQ(nines.begin()[1].from, 2u);
-  EXPECT_TRUE(net.inbox(0, 8).empty());
-  EXPECT_TRUE(net.inbox(1, 7).empty());  // empty inbox, empty span
-}
-
-TEST(Network, TaggedInboxKeepsSenderStability) {
-  // Within a tag, duplicates from one sender stay adjacent and ordered —
-  // the same subsequence a tag filter over the sender-sorted inbox gave.
-  Network net(3, 1);
-  net.send(1, 0, make_value_payload(5, 1, 4));
-  net.send(2, 0, make_value_payload(4, 99, 4));
-  net.send(1, 0, make_value_payload(5, 2, 4));
-  net.advance_round();
-  InboxView fives = net.inbox(0, 5);
-  ASSERT_EQ(fives.size(), 2u);
-  EXPECT_EQ(fives.begin()[0].payload.words[0], 1u);
-  EXPECT_EQ(fives.begin()[1].payload.words[0], 2u);
-}
-
-TEST(Network, TaggedInboxResetsEachRound) {
-  Network net(3, 1);
-  net.send(1, 0, make_value_payload(5, 1, 4));
-  net.advance_round();
-  EXPECT_EQ(net.inbox(0, 5).size(), 1u);
-  net.advance_round();
-  EXPECT_TRUE(net.inbox(0, 5).empty());
+  const InboxView box = net.inbox(0);
+  const std::vector<std::tuple<ProcId, std::uint32_t, std::uint64_t>> want =
+      {{1, 7, 10}, {1, 9, 11}, {1, 7, 12}, {2, 9, 20}, {3, 7, 30}};
+  ASSERT_EQ(box.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(std::make_tuple(box[i].from, box[i].payload.tag,
+                              box[i].payload.words[0]),
+              want[i])
+        << i;
+  EXPECT_TRUE(net.inbox(1).empty());
 }
 
 TEST(Network, ChargeBatchMatchesChargeBulk) {
@@ -250,10 +226,10 @@ TEST(Network, RejectsBadIds) {
 // A from-the-definition model of the network: every message is a plain
 // owned record, each receiver's round is its messages in send order
 // (arrivals due from earlier rounds first, then shuffled per receiver in
-// reorder mode), stably sorted by (tag, sender). The network's delivery
-// by reference must reproduce it exactly — inbox streams, tag spans,
-// ledger rows and the transport's on_send sequence (global send order) —
-// at any worker count.
+// reorder mode), stably sorted by sender. The network's delivery by
+// reference must reproduce it exactly — inbox streams, ledger rows and
+// the transport's on_send sequence (global send order) — at any worker
+// count.
 
 /// One message as the model and the comparisons see it.
 struct Msg {
@@ -429,7 +405,7 @@ class NetworkModel {
         r.shuffle(got);
       }
       std::stable_sort(got.begin(), got.end(), [](const Msg& a, const Msg& b) {
-        return std::tie(a.tag, a.from) < std::tie(b.tag, b.from);
+        return a.from < b.from;
       });
       for (const Msg& m : got) recv_bits_[p] += m.content_bits + kHeaderBits;
       inbox_[p] = std::move(got);
@@ -507,8 +483,7 @@ void run_delivery_oracle(const SchedulerConfig& cfg, std::uint64_t seed) {
         total_sent += to.size();
       }
       // Rushed injections follow the phase's sends: corrupt senders echo
-      // payloads already sent this round (shared spilled buffers) and
-      // send fresh ones.
+      // payloads already sent this round and send fresh ones.
       std::size_t echoes = 0;
       for (const auto& [from, sent] : round_sends) {
         if (echoes == 10) break;
@@ -540,16 +515,6 @@ void run_delivery_oracle(const SchedulerConfig& cfg, std::uint64_t seed) {
       for (std::size_t i = 0; i < want.size(); ++i)
         EXPECT_EQ(Msg::of(box[i]), want[i])
             << "round " << round << " to " << p << " slot " << i;
-      // Each tag span is exactly that tag's subsequence.
-      for (std::uint32_t tag = 0; tag < 12; ++tag) {
-        std::vector<Msg> sub;
-        for (const Msg& m : want)
-          if (m.tag == tag) sub.push_back(m);
-        std::vector<Msg> span;
-        for (const Envelope& e : net.inbox(p, tag)) span.push_back(Msg::of(e));
-        EXPECT_EQ(span, sub) << "round " << round << " to " << p
-                             << " tag " << tag;
-      }
       EXPECT_EQ(net.ledger().bits_sent(p), model.bits_sent(p)) << p;
       EXPECT_EQ(net.ledger().msgs_sent(p), model.msgs_sent(p)) << p;
       EXPECT_EQ(net.ledger().bits_received(p), model.bits_received(p)) << p;
@@ -605,12 +570,10 @@ TEST(DeliveryOracle, InboxViewsOutliveTheNextRoundsTraffic) {
   net.send(2, 1, make_value_payload(2, 20, 8));
   net.advance_round();
   const InboxView ones = net.inbox(1);
-  const InboxView fours = net.inbox(1, 4);
   ASSERT_EQ(ones.size(), 4u);
-  ASSERT_EQ(fours.size(), 3u);
   std::vector<Msg> before;
   for (const Envelope& e : ones) before.push_back(Msg::of(e));
-  const Envelope held = fours[0];
+  const Envelope held = ones[0];
   const WordVec& held_words = held.payload.words;
   ASSERT_EQ(held_words.size(), 4u);
   for (int i = 0; i < 5000; ++i)
@@ -702,72 +665,31 @@ TEST(WordVec, SpillsToHeapAndPreservesContents) {
   EXPECT_EQ(small[3], 10u);
 }
 
-TEST(WordVec, CopyOnWriteSharesSpilledBuffersUntilMutation) {
-  WordVec a;
-  for (std::uint64_t i = 0; i < 8; ++i) a.push_back(i);
-  ASSERT_FALSE(a.is_inline());
-  EXPECT_FALSE(a.is_shared());
-  WordVec b = a;  // bulk fan-out: pointer copy, no word copy
-  EXPECT_TRUE(a.is_shared());
-  EXPECT_TRUE(b.is_shared());
-  const WordVec& ca = a;
-  const WordVec& cb = b;
-  EXPECT_EQ(ca.data(), cb.data());  // aliased; const reads don't detach
-  EXPECT_EQ(a, b);
-  b[3] = 99;  // first mutating access detaches a private copy
-  EXPECT_FALSE(a.is_shared());
-  EXPECT_FALSE(b.is_shared());
-  EXPECT_NE(ca.data(), cb.data());
-  EXPECT_EQ(a[3], 3u);
-  EXPECT_EQ(b[3], 99u);
-}
-
-TEST(WordVec, CopyOnWriteSurvivesSourceDestruction) {
-  WordVec survivor;
+TEST(WordVec, CopyOfSpilledWordsIsIndependent) {
+  // A copy owns its words: mutating or destroying either side leaves the
+  // other as it was.
+  WordVec copy;
+  WordVec assigned{1, 2, 3, 4, 5, 6, 7, 8, 9};
   {
     WordVec source;
-    for (std::uint64_t i = 0; i < 16; ++i) source.push_back(i * 7);
-    survivor = source;
-    EXPECT_TRUE(survivor.is_shared());
-  }  // source released its reference
-  EXPECT_FALSE(survivor.is_shared());
-  for (std::uint64_t i = 0; i < 16; ++i) EXPECT_EQ(survivor[i], i * 7);
-}
-
-TEST(WordVec, SharedPushBackAndClearDetachCorrectly) {
-  WordVec a;
-  for (std::uint64_t i = 0; i < 5; ++i) a.push_back(i);
-  WordVec b = a;
-  b.push_back(100);  // must not grow through a's buffer
-  ASSERT_EQ(a.size(), 5u);
-  ASSERT_EQ(b.size(), 6u);
-  EXPECT_EQ(b[5], 100u);
-  WordVec c = a;
-  c.clear();          // size-only; no write yet
-  c.push_back(42);    // detaches before writing slot 0
-  EXPECT_EQ(a[0], 0u);
-  EXPECT_EQ(c[0], 42u);
-}
-
-TEST(WordVec, InlinePayloadsNeverShare) {
-  WordVec a{1, 2};
-  WordVec b = a;
-  EXPECT_TRUE(a.is_inline());
-  EXPECT_TRUE(b.is_inline());
-  EXPECT_FALSE(a.is_shared());
-  b[0] = 5;
-  EXPECT_EQ(a[0], 1u);  // inline copies were always independent
-}
-
-TEST(WordVec, MovedFromSharedBufferKeepsOtherHoldersAlive) {
-  WordVec a;
-  for (std::uint64_t i = 0; i < 8; ++i) a.push_back(i);
-  WordVec b = a;
-  WordVec c = std::move(a);  // c takes a's reference; b unaffected
-  EXPECT_TRUE(b.is_shared());
-  EXPECT_TRUE(c.is_shared());
-  EXPECT_EQ(b, c);
-  EXPECT_EQ(a.size(), 0u);
+    for (std::uint64_t i = 0; i < 8; ++i) source.push_back(i);
+    ASSERT_FALSE(source.is_inline());
+    copy = source;
+    assigned = source;
+    EXPECT_NE(copy.data(), source.data());
+    EXPECT_EQ(copy, source);
+    copy[3] = 99;
+    copy.push_back(100);
+    EXPECT_EQ(source[3], 3u);
+    EXPECT_EQ(source.size(), 8u);
+    source.clear();
+    source.push_back(42);
+  }
+  ASSERT_EQ(assigned.size(), 8u);
+  for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(assigned[i], i);
+  ASSERT_EQ(copy.size(), 9u);
+  EXPECT_EQ(copy[3], 99u);
+  EXPECT_EQ(copy[8], 100u);
 }
 
 TEST(PassiveStaticAdversary, CorruptsItsSetOnly) {

@@ -192,11 +192,11 @@ TEST(ParallelParity, BoundedDelayBenOr) {
 }
 
 TEST(ParallelParity, ReorderRushBenOr) {
-  // The full adversarial mode: delay + within-round reordering + the
-  // rushing view of all pending traffic. Reordering only permutes
-  // same-(tag, sender) duplicates after the counting sort, and Ben-Or
-  // sends one message per (sender, tag) pair — so this pin equals the
-  // bounded-delay one. That equality is itself part of the contract.
+  // The full adversarial mode: delay + within-round reordering.
+  // Reordering only permutes one sender's messages after the counting
+  // sort, and Ben-Or tallies one message per (sender, tag) pair — so this
+  // pin equals the bounded-delay one. That equality is itself part of
+  // the contract.
   expect_parity("benor_rush",
                 registry_scenario(ScenarioRegistry::get("benor_rush")),
                 0x788f2115ce4705c1ULL);
@@ -557,9 +557,9 @@ TEST(ParallelParity, BatchedExposeEqualsSerialUnderDenseFailures) {
 }
 
 TEST(ParallelParity, NetworkDeliveryMixedTags) {
-  // Delivery-layer parity in isolation, with the mixed-tag (two-pass
-  // counting sort) path exercised — protocol runs above mostly stay on
-  // the uniform-tag fast path.
+  // Delivery-layer parity in isolation: random senders and mixed tags,
+  // so buckets take the counting sort rather than the copy or merge
+  // shortcuts that protocol rounds mostly take.
   auto scenario = [] {
     const std::size_t n = 512;
     Network net(n, n / 3);
@@ -588,7 +588,7 @@ TEST(ParallelParity, NetworkDeliveryMixedTags) {
     mix_ledger(d, net);
     return d.h;
   };
-  expect_parity("network_mixed_tags", scenario, 0x3be79e5fc38f109dULL);
+  expect_parity("network_mixed_tags", scenario, 0xc666a61a9a560fcfULL);
 }
 
 /// Transport that digests every on_send callback and round barrier, in

@@ -122,9 +122,9 @@ TEST(DelayScheduler, DeltaZeroIsByteIdenticalToLockstep) {
 
 TEST(DelayScheduler, MergedInboxKeepsTheDeliveryCanon) {
   // Late arrivals merge ahead of on-time traffic, then the counting sort
-  // restores (tag, sender) lexicographic order; within one (tag, sender)
-  // pair the stable sort keeps older sends first. Drive a delayed storm
-  // and assert the canon at every receiver every round.
+  // restores sender order; within one sender the stable sort keeps older
+  // sends first. Drive a delayed storm of mixed tags and assert the canon
+  // at every receiver every round.
   const std::size_t n = 8;
   Network net(n, 2);
   net.set_scheduler(bounded(3, 1234));
@@ -145,8 +145,7 @@ TEST(DelayScheduler, MergedInboxKeepsTheDeliveryCanon) {
       for (std::size_t i = 1; i < in.size(); ++i) {
         const Envelope& a = in[i - 1];
         const Envelope& b = in[i];
-        if (a.payload.tag != b.payload.tag) continue;  // span boundary
-        EXPECT_LE(a.from, b.from) << "sender order broken within a tag";
+        EXPECT_LE(a.from, b.from) << "sender order broken";
         if (a.from == b.from) {
           EXPECT_LE(a.round, b.round)
               << "older send delivered after a newer one";
@@ -187,8 +186,8 @@ TEST(DelayScheduler, EveryEnvelopeLandsWithinTheDelayBound) {
 
 TEST(DelayScheduler, ReorderPreservesTheSortedInboxContract) {
   // Reordering happens before the counting sort, so the observable
-  // permutation is confined to same-(tag, sender) duplicates — the
-  // inbox's (tag, sender) lexicographic contract must survive.
+  // permutation is confined to one sender's messages — the inbox's sender
+  // order must survive.
   const std::size_t n = 6;
   Network net(n, 1);
   net.set_scheduler(reordering(2, 31337));
@@ -204,9 +203,7 @@ TEST(DelayScheduler, ReorderPreservesTheSortedInboxContract) {
     for (ProcId p = 0; p < n; ++p) {
       const auto& in = net.inbox(p);
       for (std::size_t i = 1; i < in.size(); ++i)
-        if (in[i - 1].payload.tag == in[i].payload.tag) {
-          EXPECT_LE(in[i - 1].from, in[i].from);
-        }
+        EXPECT_LE(in[i - 1].from, in[i].from);
     }
   }
 }
