@@ -16,10 +16,9 @@
 #include "sim/protocol.h"
 #include "sim/scenario.h"
 
-int main(int argc, char** argv) {
-  // Every act runs at the same n, parsed once into a spec of its own.
-  ba::sim::ScenarioSpec args = ba::sim::ScenarioSpec{}.with_n(256);
-  if (!ba::examples::apply_args(args, argc, argv, {"n"}, "[n]")) return 2;
+namespace {
+
+int run(const ba::sim::ScenarioSpec& args) {
   const std::size_t n = args.n;
   auto act = [n](const char* scenario) {
     return ba::sim::run_scenario(
@@ -79,4 +78,12 @@ int main(int argc, char** argv) {
         report.validity == 1 ? "yes" : "no");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Every act runs at the same n, parsed once into a spec of its own.
+  return ba::examples::run_example(ba::sim::ScenarioSpec{}.with_n(256), argc,
+                                   argv, {"n"}, "[n]", run);
 }

@@ -14,10 +14,9 @@
 #include "sim/protocol.h"
 #include "sim/scenario.h"
 
-int main(int argc, char** argv) {
-  ba::sim::ScenarioSpec spec =
-      ba::sim::ScenarioRegistry::get("committee_sampling").with_n(256);
-  if (!ba::examples::apply_args(spec, argc, argv, {"n"}, "[n]")) return 2;
+namespace {
+
+int run(const ba::sim::ScenarioSpec& spec) {
   const std::size_t n = spec.n;
   const ba::sim::RunReport report = ba::sim::run_scenario(spec);
   const ba::UniverseResult& res = *report.detail->universe;
@@ -55,4 +54,12 @@ int main(int argc, char** argv) {
       "can corrupt this committee (Section 1.3) — it must hold no\n"
       "long-lived secrets.\n");
   return res.view_agreement > 0.8 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ba::examples::run_example(
+      ba::sim::ScenarioRegistry::get("committee_sampling").with_n(256), argc,
+      argv, {"n"}, "[n]", run);
 }

@@ -12,20 +12,23 @@
 
 namespace ba::examples {
 
-/// Apply argv[1..] to `spec`, the i-th argument under keys[i - 1]. On a
-/// bad value or a surplus argument, print the error and the usage line
-/// (`argv[0] usage_args`) and return false; the caller exits 2.
-inline bool apply_args(sim::ScenarioSpec& spec, int argc, char** argv,
-                       std::initializer_list<const char*> keys,
-                       const char* usage_args) {
+/// Apply argv[1..] to `spec`, the i-th argument under keys[i - 1], and
+/// return `body(spec)`, the example's exit status. A bad value, a surplus
+/// argument, or a value the protocol rejects when it runs (`body`
+/// throws) prints the error and the usage line (`argv[0] usage_args`)
+/// and returns 2.
+template <class Body>
+int run_example(sim::ScenarioSpec spec, int argc, char** argv,
+                std::initializer_list<const char*> keys,
+                const char* usage_args, Body body) {
   try {
     BA_REQUIRE(static_cast<std::size_t>(argc - 1) <= keys.size(),
                "too many arguments");
     for (int i = 1; i < argc; ++i) spec.apply(keys.begin()[i - 1], argv[i]);
-    return true;
+    return body(spec);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\nusage: %s %s\n", e.what(), argv[0], usage_args);
-    return false;
+    return 2;
   }
 }
 

@@ -18,13 +18,9 @@
 #include "sim/protocol.h"
 #include "sim/scenario.h"
 
-int main(int argc, char** argv) {
-  ba::sim::ScenarioSpec spec = ba::sim::ScenarioRegistry::get("quickstart")
-                                   .with_n(128)
-                                   .with_corrupt_fraction(0.10);
-  if (!ba::examples::apply_args(spec, argc, argv, {"n", "corrupt_fraction"},
-                                "[n] [corrupt_fraction]"))
-    return 2;
+namespace {
+
+int run(const ba::sim::ScenarioSpec& spec) {
   const ba::sim::RunReport report = ba::sim::run_scenario(spec);
 
   std::printf("n = %zu, corrupt = %.0f%%\n", spec.n,
@@ -43,4 +39,14 @@ int main(int argc, char** argv) {
   std::printf("total bits sent by good processors: %llu\n",
               static_cast<unsigned long long>(report.total_bits_good));
   return report.all_good_agree == 1 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ba::examples::run_example(
+      ba::sim::ScenarioRegistry::get("quickstart")
+          .with_n(128)
+          .with_corrupt_fraction(0.10),
+      argc, argv, {"n", "corrupt_fraction"}, "[n] [corrupt_fraction]", run);
 }

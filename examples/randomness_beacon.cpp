@@ -17,10 +17,9 @@
 #include "sim/protocol.h"
 #include "sim/scenario.h"
 
-int main(int argc, char** argv) {
-  ba::sim::ScenarioSpec spec =
-      ba::sim::ScenarioRegistry::get("randomness_beacon").with_n(256);
-  if (!ba::examples::apply_args(spec, argc, argv, {"n"}, "[n]")) return 2;
+namespace {
+
+int run(const ba::sim::ScenarioSpec& spec) {
   const std::size_t n = spec.n;
   const ba::sim::RunReport report = ba::sim::run_scenario(spec);
   const ba::AeResult& result = *report.detail->ae;
@@ -61,4 +60,12 @@ int main(int argc, char** argv) {
     ++shown;
   }
   return quality.good_words * 2 >= quality.length ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ba::examples::run_example(
+      ba::sim::ScenarioRegistry::get("randomness_beacon").with_n(256), argc,
+      argv, {"n"}, "[n]", run);
 }

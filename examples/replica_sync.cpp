@@ -19,11 +19,9 @@
 #include "sim/protocol.h"
 #include "sim/scenario.h"
 
-int main(int argc, char** argv) {
-  ba::sim::ScenarioSpec commit_spec =
-      ba::sim::ScenarioRegistry::get("replica_sync_commit").with_n(256);
-  if (!ba::examples::apply_args(commit_spec, argc, argv, {"n"}, "[n]"))
-    return 2;
+namespace {
+
+int run(const ba::sim::ScenarioSpec& commit_spec) {
   const std::size_t n = commit_spec.n;
   std::printf("replica fleet: %zu replicas, 10%% Byzantine\n\n", n);
 
@@ -56,4 +54,12 @@ int main(int argc, char** argv) {
       "(At this laptop-scale fleet the tournament's constants dominate; "
       "the asymptotic win is the E9 bench's crossover table.)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ba::examples::run_example(
+      ba::sim::ScenarioRegistry::get("replica_sync_commit").with_n(256), argc,
+      argv, {"n"}, "[n]", run);
 }

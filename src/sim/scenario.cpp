@@ -863,4 +863,17 @@ std::vector<std::string> ScenarioRegistry::names(bool include_heavy) {
   return out;
 }
 
+ScenarioSpec resolve_scenario(const std::string& name,
+                              const std::vector<std::string>& overrides) {
+  const ScenarioSpec* found = ScenarioRegistry::find(name);
+  BA_REQUIRE(found != nullptr, "unknown scenario: " + name);
+  ScenarioSpec spec = *found;
+  for (const std::string& kv : overrides) {
+    const std::size_t eq = kv.find('=');
+    BA_REQUIRE(eq != std::string::npos, "--set expects key=value, got: " + kv);
+    spec.apply(kv.substr(0, eq), kv.substr(eq + 1));
+  }
+  return spec;
+}
+
 }  // namespace ba::sim

@@ -207,4 +207,11 @@ class ScenarioRegistry {
   static std::vector<std::string> names(bool include_heavy = false);
 };
 
+/// The registered scenario `name` with each "key=value" override applied
+/// in order: the one lookup behind every tool's `--scenario` and `--set`.
+/// Throws BA_REQUIRE on an unknown name, an override without '=', or a
+/// value apply() rejects.
+ScenarioSpec resolve_scenario(const std::string& name,
+                              const std::vector<std::string>& overrides);
+
 }  // namespace ba::sim

@@ -8,7 +8,7 @@
 // the scenario layer into curve machinery:
 //
 //  * SweepJob + the key=value job line — ONE replayable artifact format
-//    shared by grid shard files, `ba_run --jobs-file`, fuzz failure
+//    shared by grid shard job lists, `ba_run --jobs-file`, fuzz failure
 //    artifacts and `ba_sweep --replay`. A job line is the spec's full
 //    `to_kv()` plus the run's `seed_offset`, percent-escaped so the
 //    free-text fields survive the space-separated grammar byte-exactly.

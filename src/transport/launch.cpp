@@ -1,19 +1,14 @@
 #include "transport/launch.h"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/subprocess.h"
 #include "sim/protocol.h"
 #include "sim/sweep.h"
 #include "transport/transport.h"
@@ -21,14 +16,6 @@
 namespace ba::transport {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-int ms_until(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - Clock::now());
-  return static_cast<int>(left.count());
-}
 
 std::string hex64(std::uint64_t v) {
   char buf[24];
@@ -154,120 +141,28 @@ LaunchOutcome launch_local(const LaunchConfig& cfg) {
     port_base = static_cast<std::uint16_t>(
         20000 + (static_cast<std::uint32_t>(::getpid()) * 131u) % 12000u);
 
-  // Argv strings are built before fork: the child may only run
-  // async-signal-safe code between fork and exec.
-  const std::string nodes_s = std::to_string(cfg.nodes);
-  const std::string port_s = std::to_string(port_base);
-  const std::string timeout_s = std::to_string(cfg.timeout_ms);
-
-  struct Child {
-    pid_t pid = -1;
-    int fd = -1;  ///< read end of the stdout pipe; -1 once closed
-  };
-  std::vector<Child> kids(cfg.nodes);
-
+  // One ba_node per node id, all under the fleet-wide deadline: a node
+  // still running at the deadline is SIGKILLed and reported, never hung
+  // on. Its partial output is kept for diagnostics.
+  std::vector<ChildCommand> fleet(cfg.nodes);
   for (std::size_t i = 0; i < cfg.nodes; ++i) {
-    out.nodes[i].node_id = static_cast<std::uint32_t>(i);
-    int pfd[2];
-    BA_REQUIRE(::pipe(pfd) == 0, "launch_local: pipe failed");
-    const std::string id_s = std::to_string(i);
-    std::vector<const char*> argvv = {
-        cfg.node_bin.c_str(), "--id",       id_s.c_str(),
-        "--nodes",            nodes_s.c_str(), "--port-base",
-        port_s.c_str(),       "--job",      out.job_line.c_str(),
-        "--timeout-ms",       timeout_s.c_str()};
-    if (cfg.timing) argvv.push_back("--timing");
-    argvv.push_back(nullptr);
-    const pid_t pid = ::fork();
-    BA_REQUIRE(pid >= 0, "launch_local: fork failed");
-    if (pid == 0) {
-      ::dup2(pfd[1], STDOUT_FILENO);
-      ::close(pfd[0]);
-      ::close(pfd[1]);
-      ::execv(cfg.node_bin.c_str(), const_cast<char* const*>(argvv.data()));
-      std::_Exit(127);
-    }
-    ::close(pfd[1]);
-    const int fl = ::fcntl(pfd[0], F_GETFL, 0);
-    ::fcntl(pfd[0], F_SETFL, fl | O_NONBLOCK);
-    kids[i] = Child{pid, pfd[0]};
+    fleet[i].argv = {cfg.node_bin,
+                     "--id", std::to_string(i),
+                     "--nodes", std::to_string(cfg.nodes),
+                     "--port-base", std::to_string(port_base),
+                     "--job", out.job_line,
+                     "--timeout-ms", std::to_string(cfg.timeout_ms)};
+    if (cfg.timing) fleet[i].argv.push_back("--timing");
   }
-
-  // Read every pipe to EOF under one fleet-wide deadline. Children write
-  // well under a pipe buffer of output, so EOF tracks child exit.
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(cfg.timeout_ms);
-  std::size_t open_fds = cfg.nodes;
-  while (open_fds > 0) {
-    const int left = ms_until(deadline);
-    if (left <= 0) break;
-    std::vector<pollfd> fds;
-    std::vector<std::size_t> idx;
-    for (std::size_t i = 0; i < cfg.nodes; ++i)
-      if (kids[i].fd >= 0) {
-        fds.push_back(pollfd{kids[i].fd, POLLIN, 0});
-        idx.push_back(i);
-      }
-    const int rc = ::poll(fds.data(), fds.size(),
-                          left < 200 ? left : 200);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      BA_REQUIRE(false, "launch_local: poll failed");
-    }
-    for (std::size_t j = 0; j < fds.size(); ++j) {
-      if (fds[j].revents == 0) continue;
-      const std::size_t i = idx[j];
-      char buf[4096];
-      for (;;) {
-        const ssize_t got = ::read(kids[i].fd, buf, sizeof buf);
-        if (got > 0) {
-          out.nodes[i].output.append(buf, static_cast<std::size_t>(got));
-        } else if (got == 0) {
-          ::close(kids[i].fd);
-          kids[i].fd = -1;
-          --open_fds;
-          break;
-        } else {
-          if (errno == EINTR) continue;
-          break;  // EAGAIN: drained for now
-        }
-      }
-    }
-  }
-
-  // Deadline hit with pipes still open: kill the stragglers. Their
-  // partial output is kept for diagnostics.
-  for (std::size_t i = 0; i < cfg.nodes; ++i)
-    if (kids[i].fd >= 0) {
-      out.nodes[i].timed_out = true;
-      ::kill(kids[i].pid, SIGKILL);
-      ::close(kids[i].fd);
-      kids[i].fd = -1;
-    }
-
-  // Reap. After EOF (or SIGKILL) children exit promptly; the WNOHANG loop
-  // with its own short deadline keeps a pathological child from hanging
-  // the merge — it gets SIGKILLed and reaped for real.
+  std::vector<ChildResult> ran =
+      run_children(fleet, std::chrono::milliseconds(cfg.timeout_ms));
   for (std::size_t i = 0; i < cfg.nodes; ++i) {
-    const auto reap_deadline = Clock::now() + std::chrono::seconds(10);
-    bool killed = false;
-    int status = 0;
-    for (;;) {
-      const pid_t r = ::waitpid(kids[i].pid, &status, WNOHANG);
-      if (r == kids[i].pid) {
-        out.nodes[i].exit_code =
-            WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-        break;
-      }
-      if (r < 0) break;  // already reaped / lost: exit_code stays -1
-      if (Clock::now() >= reap_deadline && !killed) {
-        ::kill(kids[i].pid, SIGKILL);
-        out.nodes[i].timed_out = true;
-        killed = true;
-      }
-      ::usleep(20000);
-    }
-    parse_node_output(out.nodes[i]);
+    NodeOutcome& node = out.nodes[i];
+    node.node_id = static_cast<std::uint32_t>(i);
+    node.exit_code = ran[i].exit_code;
+    node.timed_out = ran[i].timed_out;
+    node.output = std::move(ran[i].output);
+    parse_node_output(node);
   }
 
   // The differential oracle: the same (spec, seed) through the in-process

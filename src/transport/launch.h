@@ -1,5 +1,6 @@
-// The multiprocess launcher: spawn N `ba_node` processes on localhost,
-// collect their RunReports and transcript digests, run the in-process
+// The multiprocess launcher: run N `ba_node` processes on localhost
+// through the child-process supervisor (common/subprocess.h), collect
+// their RunReports and transcript digests, run the in-process
 // simulator at the same (spec, seed) as the differential oracle, and diff
 // every semantic field plus both digests. This is the engine behind the
 // `ba_launch` CLI and the transport_parity test.
@@ -31,7 +32,7 @@ std::uint64_t job_config_digest(const sim::ScenarioSpec& spec,
 
 struct LaunchConfig {
   std::string node_bin;           ///< path to the ba_node executable
-  std::size_t nodes = 8;          ///< OS processes to spawn (>= 2)
+  std::size_t nodes = 8;          ///< OS processes to spawn, 2..kMaxChildren
   sim::ScenarioSpec spec;         ///< fully resolved (overrides applied)
   std::uint64_t seed_offset = 0;
   std::uint16_t port_base = 0;    ///< first of `nodes` ports; 0 = from pid
@@ -58,12 +59,14 @@ struct LaunchOutcome {
   bool parity() const { return errors.empty(); }
 };
 
-/// Spawn `cfg.nodes` ba_node processes on localhost ports
-/// [port_base, port_base + nodes), each with one stdout pipe; read the
-/// pipes to EOF under a hard deadline (stragglers are SIGKILLed and
-/// reported, never hung on), parse each node's report, then run the
-/// in-process oracle and compare. Throws only on launcher-side failures
-/// (fork/pipe); node failures and mismatches land in `errors`.
+/// Run `cfg.nodes` ba_node processes on localhost ports
+/// [port_base, port_base + nodes) through the child-process supervisor
+/// (common/subprocess.h): one stdout pipe each, drained under one hard
+/// deadline, with stragglers SIGKILLed and reported, never hung on.
+/// Parse each node's report, then run the in-process oracle and compare.
+/// The oracle runs after every node has exited. Throws only on
+/// launcher-side failures (pipe/fork, more than kMaxChildren nodes);
+/// node failures and mismatches land in `errors`.
 LaunchOutcome launch_local(const LaunchConfig& cfg);
 
 }  // namespace ba::transport

@@ -185,6 +185,59 @@ TEST(ProcessorElection, SubQuadraticAgainstStatic) {
   EXPECT_LT(total, n * n * (1 + kHeaderBits));
 }
 
+/// Corrupts the first half (rounded down) of the final committee the
+/// moment it is elected. With `stray`, also sends one envelope under a
+/// foreign tag into the decision round, carrying the value that would
+/// flip the decision of the first good odd processor if the tally kept
+/// it.
+class HalfCommitteeTakeover : public Adversary, public TournamentObserver {
+ public:
+  explicit HalfCommitteeTakeover(bool stray) : stray_(stray) {}
+
+  void on_level_elected(
+      const TournamentTree& tree, std::size_t level,
+      const std::vector<std::vector<std::uint32_t>>& winners_per_node,
+      Network& net) override {
+    if (level != tree.num_levels()) return;
+    const std::vector<std::uint32_t>& committee = winners_per_node[0];
+    for (std::size_t i = 0; i < committee.size() / 2; ++i)
+      net.corrupt(committee[i]);
+    if (!stray_) return;
+    ProcId target = 1;
+    while (net.is_corrupt(target)) target += 2;
+    // With all inputs 0 the good members send 0 and the corrupt ones
+    // send 1 to an odd processor. Of c votes it sees floor(c/2) ones: an
+    // even c is a tie, which decides 1 and one more 0 breaks; an odd c
+    // is one short of a tie, which one more 1 makes up.
+    const std::uint64_t flip = committee.size() % 2;
+    net.send(0, target, make_value_payload(0xE1ED, flip, 1));
+  }
+
+ private:
+  bool stray_;
+};
+
+TEST(ProcessorElection, DecisionTallySkipsForeignTags) {
+  const std::size_t n = 256;
+  const auto run = [n](bool stray) {
+    Network net(n, n / 3);
+    HalfCommitteeTakeover adv(stray);
+    ProcessorElectionBA proto(pe_tree(n), 2, 17);
+    return proto.run(net, adv, unanimous(n, 0));
+  };
+  const ProcessorElectionResult clean = run(false);
+  const ProcessorElectionResult strayed = run(true);
+  ASSERT_GE(clean.committee.size(), 2u);
+  EXPECT_EQ(clean.committee_corrupt, clean.committee.size() / 2);
+  EXPECT_EQ(strayed.committee, clean.committee);
+  EXPECT_EQ(strayed.committee_corrupt, clean.committee_corrupt);
+  EXPECT_EQ(strayed.ba.decided_bit, clean.ba.decided_bit);
+  EXPECT_EQ(strayed.ba.agreement_fraction, clean.ba.agreement_fraction);
+  EXPECT_EQ(strayed.ba.all_good_agree, clean.ba.all_good_agree);
+  EXPECT_EQ(strayed.ba.validity, clean.ba.validity);
+  EXPECT_EQ(strayed.ba.rounds, clean.ba.rounds);
+}
+
 // ------------------------------------------------------------ adversary --
 
 TEST(Strategies, CorruptFractionRespectsBudget) {

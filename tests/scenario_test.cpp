@@ -9,7 +9,8 @@
 //      ba_run --scenario <name> --set n=64 --json --no-timing
 //    after a *deliberate* protocol or schema change;
 //  * report semantics — fingerprint invariance vs the run detail,
-//    stable double formatting, unknown-key rejection.
+//    stable double formatting, unknown-key rejection;
+//  * resolve_scenario — the tools' one --scenario/--set lookup.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -95,6 +96,26 @@ TEST(ScenarioSpec, ApplyRejectsSignedPaddedAndOutOfRangeIntegers) {
   EXPECT_THROW(spec.apply("input_value", "256"), std::logic_error);
   spec.apply("input_value", "0");
   EXPECT_EQ(spec.input_value, 0);
+}
+
+TEST(ScenarioSpec, ResolveAppliesOverridesInOrderAndRejectsBadInput) {
+  // The lookup behind every tool's --scenario/--set: later overrides
+  // win, and every kind of bad input throws (the tools exit 2 on it).
+  const ScenarioSpec spec = sim::resolve_scenario(
+      "quickstart", {"n=64", "corrupt_fraction=0.2", "n=96"});
+  EXPECT_EQ(spec.name, "quickstart");
+  EXPECT_EQ(spec.n, 96u);
+  EXPECT_EQ(spec.corrupt_fraction, 0.2);
+  EXPECT_EQ(sim::resolve_scenario("quickstart", {}),
+            ScenarioRegistry::get("quickstart"));
+  EXPECT_THROW(sim::resolve_scenario("no_such_scenario", {}),
+               std::logic_error);
+  EXPECT_THROW(sim::resolve_scenario("quickstart", {"n64"}),
+               std::logic_error);
+  EXPECT_THROW(sim::resolve_scenario("quickstart", {"n=abc"}),
+               std::logic_error);
+  EXPECT_THROW(sim::resolve_scenario("quickstart", {"no_such_key=1"}),
+               std::logic_error);
 }
 
 TEST(ScenarioSpec, FromKvRejectsDuplicateKeys) {

@@ -12,12 +12,16 @@
 //    keys, no empty tables, fits naming real columns), every table grid
 //    prints from one seed per row, malformed grids throw, and
 //    `ba_sweep --grid nope` exits 2 naming the known grids;
+//  * shards — `ba_sweep --jobs 1` and `--jobs 3` print the same tables,
+//    a shard count above kMaxChildren is a usage error, and a timed-out
+//    shard fails the sweep with a replay line and leaves no file behind;
 //  * aggregation — rates/medians over a synthetic report set, and the
 //    exponent fit recovers a planted √n · log³ curve;
 //  * the fuzzer itself — a bounded smoke sweep (the CI job runs 1000+)
 //    with every invariant holding.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -276,17 +280,62 @@ TEST(NamedGrids, MalformedGridsFailLoudly) {
   EXPECT_THROW(prints(t), std::logic_error) << "a2e reports no validity";
 }
 
-TEST(NamedGrids, UnknownGridExitsTwoListingTheKnownOnes) {
-  std::FILE* p = ::popen(BA_SWEEP_BIN " --grid nope 2>&1", "r");
-  ASSERT_NE(p, nullptr);
-  std::string out;
-  char buf[256];
-  while (std::fgets(buf, sizeof buf, p) != nullptr) out += buf;
+struct Shell {
+  int status = -1;  ///< exit status; -1 unless the shell exited
+  std::string out;  ///< the command's stdout
+};
+
+/// Run `cmd` through /bin/sh and collect its stdout and exit status.
+Shell shell(const std::string& cmd) {
+  Shell r;
+  std::FILE* p = ::popen(cmd.c_str(), "r");
+  if (p == nullptr) return r;
+  char buf[4096];
+  std::size_t got;
+  while ((got = std::fread(buf, 1, sizeof buf, p)) > 0) r.out.append(buf, got);
   const int status = ::pclose(p);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 2);
+  if (WIFEXITED(status)) r.status = WEXITSTATUS(status);
+  return r;
+}
+
+TEST(NamedGrids, UnknownGridExitsTwoListingTheKnownOnes) {
+  const Shell r = shell(BA_SWEEP_BIN " --grid nope 2>&1");
+  EXPECT_EQ(r.status, 2);
   for (const sim::NamedGrid& grid : sim::named_grids())
-    EXPECT_NE(out.find(" " + grid.name), std::string::npos) << out;
+    EXPECT_NE(r.out.find(" " + grid.name), std::string::npos) << r.out;
+}
+
+TEST(Shards, OneShardPrintsWhatThreeShardsPrint) {
+  // --jobs 1 is one ba_run child like any other shard count, and the
+  // merge restores job order, so the tables are byte-identical.
+  const Shell one = shell(BA_SWEEP_BIN " --grid e7 --jobs 1 2>/dev/null");
+  const Shell three = shell(BA_SWEEP_BIN " --grid e7 --jobs 3 2>/dev/null");
+  EXPECT_EQ(one.status, 0);
+  EXPECT_EQ(three.status, 0);
+  EXPECT_FALSE(one.out.empty());
+  EXPECT_EQ(one.out, three.out);
+}
+
+TEST(Shards, ShardCountsAboveTheChildCapAreUsageErrors) {
+  // Refused while parsing the flags, before any child starts.
+  EXPECT_EQ(shell(BA_SWEEP_BIN " --grid e7 --jobs 257 2>/dev/null").status, 2);
+}
+
+TEST(Shards, TimedOutShardsFailWithAReplayLineAndLeaveNoFile) {
+  // e13's shards take well over a second; each is killed at the
+  // deadline, and the sweep names the job it was on. Run in an empty
+  // directory: nothing may be left in it on this exit path.
+  std::string dir = ::testing::TempDir() + "ba_sweep_timeout_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const Shell r = shell("cd '" + dir + "' && " BA_SWEEP_BIN
+                        " --grid e13 --jobs 2 --shard-timeout 1 2>&1");
+  EXPECT_EQ(r.status, 1);
+  EXPECT_NE(r.out.find("timed out and was killed"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("ba_sweep --replay 'seed_offset="), std::string::npos)
+      << r.out;
+  // rmdir succeeds only on an empty directory.
+  EXPECT_EQ(::rmdir(dir.c_str()), 0) << "files left in " << dir;
 }
 
 TEST(LeastSquaresSlope, RecoversALogLogExponent) {

@@ -5,24 +5,26 @@
 //   ba_launch --scenario quickstart --nodes 4 --set n=64 --seed-offset 3
 //   ba_launch --scenario quickstart --nodes 8 --require-agreement --json
 //
-// Forks `--nodes` copies of the sibling ba_node binary (one stdout pipe
-// each, hard deadline + SIGKILL for stragglers), collects their
-// RunReports and transcript digests, runs the loopback oracle in-process,
-// and compares every semantic field plus both digests
-// (transport/launch.h). Exit status: 0 on full parity (and, under
-// --require-agreement, all nodes decided with everywhere-agreement);
-// 1 otherwise, with each mismatch and a replayable job line on stderr.
+// Runs `--nodes` copies of the sibling ba_node binary (at most
+// kMaxChildren) through the child-process supervisor (common/
+// subprocess.h: one stdout pipe each, one hard deadline, SIGKILL for
+// stragglers), collects their RunReports and transcript digests, runs
+// the loopback oracle in-process, and compares every semantic field plus
+// both digests (transport/launch.h). Exit status: 0 on full parity (and,
+// under --require-agreement, all nodes decided with everywhere-
+// agreement); 1 otherwise, with each mismatch and a replayable job line
+// on stderr; 2 on a usage error (a bad count, an unknown scenario or a
+// bad --set).
 #include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "common/parse.h"
+#include "common/subprocess.h"
 #include "sim/scenario.h"
 #include "transport/launch.h"
 
@@ -37,19 +39,6 @@ int usage(const char* argv0) {
       "          [--require-agreement]\n",
       argv0);
   return 2;
-}
-
-/// Absolute path of the sibling ba_node binary (same directory as this
-/// executable, resolved through /proc/self/exe).
-std::string sibling_ba_node() {
-  char buf[PATH_MAX];
-  const ssize_t len = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (len <= 0) return "ba_node";
-  buf[len] = '\0';
-  std::string path(buf);
-  const std::size_t slash = path.rfind('/');
-  return slash == std::string::npos ? "ba_node"
-                                    : path.substr(0, slash + 1) + "ba_node";
 }
 
 }  // namespace
@@ -79,7 +68,7 @@ int main(int argc, char** argv) {
       }
     };
     if (arg == "--scenario") scenario = next();
-    else if (arg == "--nodes") cfg.nodes = number(65535);
+    else if (arg == "--nodes") cfg.nodes = number(ba::kMaxChildren);
     else if (arg == "--set") overrides.emplace_back(next());
     else if (arg == "--seed-offset") cfg.seed_offset = number(UINT64_MAX);
     else if (arg == "--port-base")
@@ -97,26 +86,15 @@ int main(int argc, char** argv) {
   // port range.
   if (cfg.port_base != 0 && cfg.port_base + cfg.nodes > 65536)
     return usage(argv[0]);
-  if (cfg.node_bin.empty()) cfg.node_bin = sibling_ba_node();
+  if (cfg.node_bin.empty()) cfg.node_bin = ba::sibling_path("ba_node");
+  try {
+    cfg.spec = ba::sim::resolve_scenario(scenario, overrides);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return usage(argv[0]);
+  }
 
   try {
-    const ba::sim::ScenarioSpec* found =
-        ba::sim::ScenarioRegistry::find(scenario);
-    if (found == nullptr) {
-      std::fprintf(stderr, "unknown scenario: %s\n", scenario.c_str());
-      return 2;
-    }
-    cfg.spec = *found;
-    for (const std::string& kv : overrides) {
-      const std::size_t eq = kv.find('=');
-      if (eq == std::string::npos) {
-        std::fprintf(stderr, "--set expects key=value, got: %s\n",
-                     kv.c_str());
-        return 2;
-      }
-      cfg.spec.apply(kv.substr(0, eq), kv.substr(eq + 1));
-    }
-
     std::fprintf(stderr, "launching %zu ba_node processes, scenario %s, "
                          "n=%zu, seed_offset=%llu\n",
                  cfg.nodes, scenario.c_str(), cfg.spec.n,

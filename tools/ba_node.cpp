@@ -128,32 +128,24 @@ int main(int argc, char** argv) {
           "127.0.0.1", static_cast<std::uint16_t>(port_base + k)});
   }
 
+  // The job to run: a job line, or a registered scenario with --set
+  // overrides. A bad one is a usage error.
+  ba::sim::ScenarioSpec spec;
   try {
-    ba::sim::ScenarioSpec spec;
     if (!job_line.empty()) {
       const ba::sim::SweepJob job = ba::sim::parse_job_line(job_line);
       spec = job.spec;
       seed_offset = job.seed_offset;
     } else {
-      const ba::sim::ScenarioSpec* found =
-          ba::sim::ScenarioRegistry::find(scenario);
-      if (found == nullptr) {
-        std::fprintf(stderr, "unknown scenario: %s\n", scenario.c_str());
-        return 2;
-      }
-      spec = *found;
-      for (const std::string& kv : overrides) {
-        const std::size_t eq = kv.find('=');
-        if (eq == std::string::npos) {
-          std::fprintf(stderr, "--set expects key=value, got: %s\n",
-                       kv.c_str());
-          return 2;
-        }
-        spec.apply(kv.substr(0, eq), kv.substr(eq + 1));
-      }
+      spec = ba::sim::resolve_scenario(scenario, overrides);
     }
-    spec.transport = ba::sim::TransportKind::kTcp;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return usage(argv[0]);
+  }
+  spec.transport = ba::sim::TransportKind::kTcp;
 
+  try {
     ba::transport::TcpEndpointConfig tcfg;
     tcfg.node_id = static_cast<std::uint32_t>(id);
     tcfg.peers = peers;

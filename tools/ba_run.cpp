@@ -13,13 +13,15 @@
 // table. `--no-timing` omits wall_ms for byte-stable output (the golden
 // form). BA_THREADS sets the ambient pool size when --workers does not.
 // A count that is not an unsigned decimal (or a worker count above
-// Pool::kMaxThreads) exits 2 with the usage line.
+// Pool::kMaxThreads), an unknown scenario or a bad `--set` exits 2 with
+// the usage line.
 //
 //   ba_run --jobs-file <path>     # sweep-shard worker mode
 //
 // reads sweep job lines ("seed_offset=K key=value ..."; sim/sweep.h) and
 // emits one NDJSON report per job — the child-process half of ba_sweep's
-// sharding, and the manual way to replay any job-line artifact.
+// sharding (each shard reads its lines as `--jobs-file /dev/stdin`), and
+// the manual way to replay any job-line artifact.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -124,7 +126,7 @@ int main(int argc, char** argv) {
     const ScenarioSpec* spec = ScenarioRegistry::find(describe_name);
     if (spec == nullptr) {
       std::fprintf(stderr, "unknown scenario: %s\n", describe_name.c_str());
-      return 1;
+      return usage(argv[0]);
     }
     for (const auto& [key, value] : spec->to_kv())
       std::printf("%s=%s\n", key.c_str(), value.c_str());
@@ -149,7 +151,9 @@ int main(int argc, char** argv) {
         const RunReport report =
             ba::sim::run_scenario(job.spec, job.seed_offset);
         report.write_json(std::cout, timing);
-        std::cout << '\n';
+        // Flushed per job, so a shard killed at its deadline has shown
+        // every finished report and ba_sweep names the job it was on.
+        std::cout << '\n' << std::flush;
       } catch (const std::exception& e) {
         std::fprintf(stderr, "%s:%zu: %s\n", jobs_file.c_str(), lineno,
                      e.what());
@@ -160,43 +164,19 @@ int main(int argc, char** argv) {
   }
   if (scenario_name.empty() && !all) return usage(argv[0]);
   if (seeds == 0) seeds = 1;
+  std::vector<ScenarioSpec> specs;
   try {
     // workers == 0 keeps the BA_THREADS / hardware default, which this
     // reads and checks.
     ba::Pool::set_threads(workers);
+    const std::vector<std::string> names =
+        all ? ScenarioRegistry::names(heavy)
+            : std::vector<std::string>{scenario_name};
+    for (const std::string& name : names)
+      specs.push_back(ba::sim::resolve_scenario(name, overrides));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return usage(argv[0]);
-  }
-
-  std::vector<ScenarioSpec> specs;
-  if (all) {
-    for (const auto& name : ScenarioRegistry::names(heavy))
-      specs.push_back(ScenarioRegistry::get(name));
-  } else {
-    const ScenarioSpec* spec = ScenarioRegistry::find(scenario_name);
-    if (spec == nullptr) {
-      std::fprintf(stderr, "unknown scenario: %s (try --list)\n",
-                   scenario_name.c_str());
-      return 1;
-    }
-    specs.push_back(*spec);
-  }
-  for (auto& spec : specs) {
-    for (const auto& kv : overrides) {
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos) {
-        std::fprintf(stderr, "--set expects key=value, got: %s\n",
-                     kv.c_str());
-        return 2;
-      }
-      try {
-        spec.apply(kv.substr(0, eq), kv.substr(eq + 1));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "bad --set %s: %s\n", kv.c_str(), e.what());
-        return 2;
-      }
-    }
   }
 
   std::vector<RunReport> reports;  // table mode only — a long --json

@@ -9,13 +9,15 @@
 //   ba_sweep --replay 'seed_offset=0 name=... protocol=...'
 //
 // Grid mode expands (scenario × n × workers × seed-range) axes into a
-// job list (sim/sweep.h), splits it round-robin across `--jobs` child
-// processes (fork + exec of the sibling `ba_run --jobs-file`, stdout
-// redirected to a shard file; `--jobs 1` runs in-process), merges the
-// shard NDJSON streams back into job order, and aggregates them into the
-// BENCH_protocol.json ledger — including the least-squares fitted
-// exponent of max-bits vs n for the everywhere-BA family, gated at
-// kLog3ExponentCeiling (the Õ(√n) story). A table grid (e1…e13, one per
+// job list (sim/sweep.h), splits it round-robin across `--jobs` shards
+// (at most kMaxChildren; `--jobs 1` is one shard like any other), runs
+// each as a sibling `ba_run --jobs-file /dev/stdin` child through the
+// child-process supervisor (common/subprocess.h: job lines in on stdin,
+// NDJSON out on stdout, one `--shard-timeout` deadline, no file on
+// disk), merges the shard streams back into job order, and aggregates
+// them into the BENCH_protocol.json ledger — including the least-squares
+// fitted exponent of max-bits vs n for the everywhere-BA family, gated
+// at kLog3ExponentCeiling (the Õ(√n) story). A table grid (e1…e13, one per
 // paper claim) prints its tables to stdout instead, and writes the
 // ledger only when --ledger is given.
 //
@@ -23,15 +25,9 @@
 // every cross-cutting invariant (sim/sweep.h check_job), and prints any
 // failure with its replayable key=value artifact. --replay re-checks one
 // such artifact line. Exit status 1 on any invariant failure.
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <chrono>
-#include <climits>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -39,6 +35,7 @@
 #include <vector>
 
 #include "common/parse.h"
+#include "common/subprocess.h"
 #include "sim/protocol.h"
 #include "sim/sweep.h"
 
@@ -61,50 +58,6 @@ int usage(const char* argv0) {
       "       %s --replay 'seed_offset=K key=value ...'\n",
       argv0, argv0, argv0, argv0);
   return 2;
-}
-
-/// Absolute path of the sibling ba_run binary (same directory as this
-/// executable, resolved through /proc/self/exe).
-std::string sibling_ba_run() {
-  char buf[PATH_MAX];
-  const ssize_t len = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (len <= 0) return "ba_run";
-  buf[len] = '\0';
-  std::string path(buf);
-  const std::size_t slash = path.rfind('/');
-  return slash == std::string::npos ? "ba_run"
-                                    : path.substr(0, slash + 1) + "ba_run";
-}
-
-/// Run one shard as a child process: write its job lines to
-/// `<prefix>.jobs`, fork, point stdout at `<prefix>.ndjson`, exec
-/// `ba_run --jobs-file`. Returns the child pid (exits on spawn failure).
-pid_t spawn_shard(const std::string& ba_run, const std::string& prefix,
-                  const std::vector<const SweepJob*>& shard) {
-  const std::string jobs_path = prefix + ".jobs";
-  const std::string out_path = prefix + ".ndjson";
-  {
-    std::ofstream jobs(jobs_path);
-    for (const SweepJob* job : shard)
-      jobs << ba::sim::format_job_line(*job) << '\n';
-  }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    std::perror("fork");
-    std::exit(1);
-  }
-  if (pid == 0) {
-    std::FILE* out = std::fopen(out_path.c_str(), "w");
-    if (out == nullptr || ::dup2(::fileno(out), STDOUT_FILENO) < 0) {
-      std::perror(out_path.c_str());
-      std::_Exit(127);
-    }
-    ::execl(ba_run.c_str(), ba_run.c_str(), "--jobs-file", jobs_path.c_str(),
-            static_cast<char*>(nullptr));
-    std::perror(ba_run.c_str());
-    std::_Exit(127);
-  }
-  return pid;
 }
 
 int run_grid(const std::string& grid_name, std::size_t jobs_procs,
@@ -130,111 +83,54 @@ int run_grid(const std::string& grid_name, std::size_t jobs_procs,
                grid_name.c_str(), jobs.size(), jobs_procs,
                jobs_procs == 1 ? "" : "es");
 
+  // Round-robin split into shards, each a sibling `ba_run --jobs-file`
+  // child reading its job lines on stdin and writing NDJSON reports to
+  // stdout: job i is line i / P of shard i % P.
+  std::vector<ba::ChildCommand> shards(
+      jobs_procs,
+      {{ba::sibling_path("ba_run"), "--jobs-file", "/dev/stdin"}, ""});
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    shards[i % jobs_procs].input += ba::sim::format_job_line(jobs[i]) + '\n';
+  // One deadline for every shard: a shard that wedges (or dies) is
+  // SIGKILLed and reported, and the merge never hangs on it. The failure
+  // artifact is the first job line the shard produced no report for,
+  // replayable via `ba_sweep --replay`.
+  const std::vector<ba::ChildResult> results =
+      ba::run_children(shards, std::chrono::seconds(shard_timeout_s));
+  bool child_failed = false;
+  std::vector<std::vector<std::string>> shard_lines(jobs_procs);
+  for (std::size_t s = 0; s < jobs_procs; ++s) {
+    const ba::ChildResult& r = results[s];
+    if (r.timed_out || r.exit_code != 0) {
+      std::fprintf(stderr, "shard %zu %s (exit code %d)\n", s,
+                   r.timed_out ? "timed out and was killed" : "failed",
+                   r.exit_code);
+      child_failed = true;
+    }
+    std::istringstream in(r.output);
+    std::string line;
+    while (std::getline(in, line))
+      if (!line.empty()) shard_lines[s].push_back(line);
+    const std::size_t got = shard_lines[s].size();
+    const std::size_t want = (jobs.size() - s + jobs_procs - 1) / jobs_procs;
+    if (got != want) {
+      std::fprintf(stderr, "shard %zu: %zu reports for %zu jobs\n", s, got,
+                   want);
+      if (got < want)
+        std::fprintf(
+            stderr, "shard %zu failed at job; replay with:\n"
+                    "  ba_sweep --replay '%s'\n",
+            s, ba::sim::format_job_line(jobs[s + got * jobs_procs]).c_str());
+      child_failed = true;
+    }
+  }
+  if (child_failed) return 1;
+
   // One NDJSON line per job, in job order.
   std::vector<std::string> lines;
   lines.reserve(jobs.size());
-  if (jobs_procs == 1) {
-    // In-process fallback: same artifact path (format -> parse -> run)
-    // as the sharded mode, so both modes exercise the job-line grammar.
-    for (const SweepJob& job : jobs) {
-      const SweepJob parsed =
-          ba::sim::parse_job_line(ba::sim::format_job_line(job));
-      const RunReport r =
-          ba::sim::run_scenario(parsed.spec, parsed.seed_offset);
-      std::ostringstream os;
-      r.write_json(os, /*include_timing=*/true);
-      lines.push_back(os.str());
-    }
-  } else {
-    // Round-robin split; the merge below interleaves the shard streams
-    // in the same round-robin order, restoring the original job order.
-    const std::string ba_run = sibling_ba_run();
-    const std::string prefix =
-        out_path.empty() ? std::string("ba_sweep_tmp") : out_path;
-    std::vector<std::vector<const SweepJob*>> shards(jobs_procs);
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-      shards[i % jobs_procs].push_back(&jobs[i]);
-    std::vector<pid_t> pids;
-    std::vector<std::string> prefixes;
-    for (std::size_t s = 0; s < jobs_procs; ++s) {
-      prefixes.push_back(prefix + ".shard" + std::to_string(s));
-      pids.push_back(spawn_shard(ba_run, prefixes.back(), shards[s]));
-    }
-    // Reap with a hard deadline instead of a blocking waitpid: a shard
-    // that wedges (or dies) gets SIGKILLed and reported — the merge never
-    // hangs on a child. The failure artifact is the first job line the
-    // shard produced no report for, replayable via `ba_sweep --replay`.
-    bool child_failed = false;
-    {
-      using Clock = std::chrono::steady_clock;
-      const auto deadline =
-          Clock::now() + std::chrono::seconds(shard_timeout_s);
-      std::vector<int> exit_codes(jobs_procs, -1);
-      std::vector<bool> done(jobs_procs, false), killed(jobs_procs, false);
-      std::size_t live = jobs_procs;
-      while (live > 0) {
-        for (std::size_t s = 0; s < jobs_procs; ++s) {
-          if (done[s]) continue;
-          int status = 0;
-          const pid_t r = ::waitpid(pids[s], &status, WNOHANG);
-          if (r == pids[s]) {
-            exit_codes[s] = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-            done[s] = true;
-            --live;
-          } else if (r < 0) {  // lost to the reaper: treat as failed
-            done[s] = true;
-            --live;
-          }
-        }
-        if (live == 0) break;
-        if (Clock::now() >= deadline) {
-          for (std::size_t s = 0; s < jobs_procs; ++s)
-            if (!done[s] && !killed[s]) {
-              ::kill(pids[s], SIGKILL);
-              killed[s] = true;
-            }
-          // One more WNOHANG sweep will reap the kills; keep looping.
-        }
-        ::usleep(50000);
-      }
-      for (std::size_t s = 0; s < jobs_procs; ++s)
-        if (killed[s] || exit_codes[s] != 0) {
-          std::fprintf(stderr, "shard %zu (pid %d) %s\n", s,
-                       static_cast<int>(pids[s]),
-                       killed[s] ? "timed out and was killed"
-                                 : "exited nonzero");
-          child_failed = true;
-        }
-    }
-    std::vector<std::vector<std::string>> shard_lines(jobs_procs);
-    for (std::size_t s = 0; s < jobs_procs; ++s) {
-      std::ifstream in(prefixes[s] + ".ndjson");
-      std::string line;
-      while (std::getline(in, line))
-        if (!line.empty()) shard_lines[s].push_back(line);
-      if (shard_lines[s].size() != shards[s].size()) {
-        std::fprintf(stderr, "shard %zu: %zu reports for %zu jobs\n", s,
-                     shard_lines[s].size(), shards[s].size());
-        // The job the shard was on (first without a report) is the
-        // replayable failure artifact.
-        if (shard_lines[s].size() < shards[s].size())
-          std::fprintf(stderr, "shard %zu failed at job; replay with:\n"
-                               "  ba_sweep --replay '%s'\n",
-                       s,
-                       ba::sim::format_job_line(
-                           *shards[s][shard_lines[s].size()])
-                           .c_str());
-        child_failed = true;
-      }
-    }
-    if (child_failed) return 1;
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-      lines.push_back(std::move(shard_lines[i % jobs_procs][i / jobs_procs]));
-    for (const std::string& p : prefixes) {
-      std::remove((p + ".jobs").c_str());
-      std::remove((p + ".ndjson").c_str());
-    }
-  }
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    lines.push_back(std::move(shard_lines[i % jobs_procs][i / jobs_procs]));
 
   if (!out_path.empty()) {
     std::ofstream out(out_path);
@@ -242,8 +138,8 @@ int run_grid(const std::string& grid_name, std::size_t jobs_procs,
   }
 
   // Aggregate. Parsing the NDJSON (rather than keeping RunReport objects)
-  // is deliberate: the ledger is a pure function of the report stream, so
-  // in-process and sharded runs cannot drift.
+  // is deliberate: the ledger is a pure function of the report stream,
+  // whatever the shard count.
   std::vector<RunReport> reports;
   reports.reserve(lines.size());
   for (const std::string& line : lines)
@@ -309,7 +205,7 @@ int main(int argc, char** argv) {
       }
     };
     if (arg == "--grid") grid_name = next();
-    else if (arg == "--jobs") jobs_procs = number(next(), SIZE_MAX);
+    else if (arg == "--jobs") jobs_procs = number(next(), ba::kMaxChildren);
     else if (arg == "--shard-timeout")
       shard_timeout_s = static_cast<long>(number(next(), kMaxShardTimeout));
     else if (arg == "--out") out_path = next();
@@ -368,8 +264,14 @@ int main(int argc, char** argv) {
     return summary.failures.empty() ? 0 : 1;
   }
 
-  if (!grid_name.empty() || print_jobs)
-    return run_grid(grid_name.empty() ? "default" : grid_name, jobs_procs,
-                    out_path, ledger_path, print_jobs, shard_timeout_s);
+  if (!grid_name.empty() || print_jobs) {
+    try {
+      return run_grid(grid_name.empty() ? "default" : grid_name, jobs_procs,
+                      out_path, ledger_path, print_jobs, shard_timeout_s);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "ba_sweep: %s\n", e.what());
+      return 1;
+    }
+  }
   return usage(argv[0]);
 }
