@@ -788,8 +788,8 @@ Comparison compare_send_open_tally() {
       for (std::uint32_t leaf_abs : node.ell[pos]) {
         const TreeNode& leaf = tree.node(1, leaf_abs);
         for (const ProcId s : leaf.members)
-          net.charge_batch(s, node.members[pos],
-                           lv.nwords() * kWordBits);
+          net.charge_multicast(s, &node.members[pos], 1,
+                               lv.nwords() * kWordBits);
       }
       for (std::size_t w = 0; w < lv.nwords(); ++w) {
         node_tally.clear();

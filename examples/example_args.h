@@ -6,8 +6,8 @@
 #include <cstdio>
 #include <exception>
 #include <initializer_list>
+#include <stdexcept>
 
-#include "common/check.h"
 #include "sim/scenario.h"
 
 namespace ba::examples {
@@ -22,8 +22,8 @@ int run_example(sim::ScenarioSpec spec, int argc, char** argv,
                 std::initializer_list<const char*> keys,
                 const char* usage_args, Body body) {
   try {
-    BA_REQUIRE(static_cast<std::size_t>(argc - 1) <= keys.size(),
-               "too many arguments");
+    if (static_cast<std::size_t>(argc - 1) > keys.size())
+      throw std::invalid_argument("too many arguments");
     for (int i = 1; i < argc; ++i) spec.apply(keys.begin()[i - 1], argv[i]);
     return body(spec);
   } catch (const std::exception& e) {

@@ -70,7 +70,6 @@ void StaticMaliciousAdversary::on_start(Network& net) {
 
 void StaticMaliciousAdversary::rush_votes(AebaMachine& machine, Network& net,
                                           std::uint64_t) {
-  if (style_ == FaultStyle::silent) return;
   rush_anti_majority(machine, net);
 }
 

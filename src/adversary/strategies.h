@@ -24,23 +24,17 @@ class StaticMaliciousAdversary : public Adversary,
                                  public VoteRusher,
                                  public ShareConduct {
  public:
-  StaticMaliciousAdversary(double fraction, std::uint64_t seed,
-                           FaultStyle style = FaultStyle::lying)
-      : fraction_(fraction), rng_(seed), style_(style) {}
+  StaticMaliciousAdversary(double fraction, std::uint64_t seed)
+      : fraction_(fraction), rng_(seed) {}
 
   void on_start(Network& net) override;
   void rush_votes(AebaMachine& machine, Network& net,
                   std::uint64_t round) override;
-  bool lies_in_share_flows() const override {
-    return style_ == FaultStyle::lying;
-  }
-
-  FaultStyle fault_style() const { return style_; }
+  bool lies_in_share_flows() const override { return true; }
 
  private:
   double fraction_;
   Rng rng_;
-  FaultStyle style_;
 };
 
 /// Crash-fault adversary: corrupts a random fraction which simply stops

@@ -64,8 +64,7 @@ ProcessorElectionResult ProcessorElectionBA::run(
       }
       const auto& members = tree.node(lvl, ni).members;
       for (std::size_t c = 0; c < cs.size(); ++c)
-        for (ProcId m : members)
-          net.charge_batch(cs[c], m, ep.bits_per_bin());
+        net.charge_multicast(cs[c], members, ep.bits_per_bin());
       auto widx = lightest_bin_winners(bins, ep);
       for (auto wi : widx) winners_per_node[ni].push_back(cs[wi]);
     }

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-
-#include "common/check.h"
+#include <stdexcept>
 
 namespace ba {
 
@@ -15,12 +14,14 @@ std::uint64_t parse_unsigned(const std::string& v, const std::string& what,
   const bool digits = !v.empty() && std::all_of(v.begin(), v.end(), [](char c) {
     return c >= '0' && c <= '9';
   });
-  BA_REQUIRE(digits,
-             what + ": expected an unsigned decimal integer, got '" + v + "'");
+  if (!digits)
+    throw std::invalid_argument(
+        what + ": expected an unsigned decimal integer, got '" + v + "'");
   errno = 0;
   const std::uint64_t out = std::strtoull(v.c_str(), nullptr, 10);
-  BA_REQUIRE(errno != ERANGE && out <= max,
-             what + ": " + v + " exceeds " + std::to_string(max));
+  if (errno == ERANGE || out > max)
+    throw std::invalid_argument(what + ": " + v + " exceeds " +
+                                std::to_string(max));
   return out;
 }
 

@@ -390,9 +390,9 @@ std::vector<std::vector<ShareRec>> ShareFlow::deal_to_leaf_batch(
       recs[pos].chain = chain_root(static_cast<std::uint16_t>(pos));
       recs[pos].holder_pos = static_cast<std::uint32_t>(pos);
       if (lies) fill_garbage(recs[pos].ys, job.words->size(), rng_);
-      net_.charge_batch(job.owner, leaf.members[pos],
-                        job.words->size() * kWordBits);
     }
+    net_.charge_multicast(job.owner, leaf.members,
+                          job.words->size() * kWordBits);
   }
   // Parallel pass: honest dealings are draw-free Vandermonde products
   // writing job-indexed records.
@@ -430,6 +430,7 @@ void ShareFlow::send_secret_up(
   std::vector<std::vector<Fp>> coeffs_of;  // parallel to `honest`
   std::vector<ShareRec> next;
   next.reserve(a.recs.size() * d);
+  std::vector<ProcId> receivers(d);  // one holder's uplink targets
 
   // Serial driver pass: inclusion, chains, draws and charges in record
   // order. Lying holders' garbage is terminal work and lands directly in
@@ -460,8 +461,8 @@ void ShareFlow::send_secret_up(
       next.push_back(std::move(nr));
     }
     for (std::size_t i = 0; i < d; ++i)
-      net_.charge_batch(holder, p_node.members[targets[i]],
-                        slice_words * kWordBits);
+      receivers[i] = p_node.members[targets[i]];
+    net_.charge_multicast(holder, receivers, slice_words * kWordBits);
   }
 
   // Parallel pass: slice + Vandermonde product per honest record,

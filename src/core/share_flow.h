@@ -50,9 +50,9 @@
 //
 // All traffic is charged to the BitLedger through the plans' charge
 // tables (Network::charge_table, which equals the same messages'
-// charge_batch calls); round costs are advanced by the orchestrator (one
-// network round per tree hop). Dealing and sendSecretUp charge per
-// message with Network::charge_batch.
+// charge_multicast calls); round costs are advanced by the orchestrator
+// (one network round per tree hop). Dealing and sendSecretUp charge one
+// Network::charge_multicast per sender.
 //
 // Crypto goes through a per-flow SchemeCache (crypto/scheme_cache.h): the
 // (k1, t1) leaf scheme and the (d_up, t_up) uplink scheme are built once
@@ -176,7 +176,6 @@ class MemberViews {
 enum class FaultStyle {
   lying,   ///< send garbage shares/values (malicious; the default)
   silent,  ///< send nothing (crash faults)
-  honest,  ///< follow the protocol (corruption used only for spying)
 };
 
 class ShareFlow {

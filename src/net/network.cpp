@@ -171,13 +171,15 @@ void Network::replay_to_transport() {
   }
 }
 
-void Network::charge_batch(ProcId from, ProcId to, std::size_t content_bits) {
-  BA_REQUIRE(from < n_ && to < n_, "processor id out of range");
-  if (batch_msgs_ != 0 && from != batch_from_) flush_charge_batch();
-  batch_from_ = from;
-  batch_bits_ += content_bits + kHeaderBits;
-  batch_msgs_ += 1;
-  ledger_.charge_recv(to, content_bits + kHeaderBits);
+void Network::charge_multicast(ProcId from, const ProcId* receivers,
+                               std::size_t count, std::size_t content_bits) {
+  BA_REQUIRE(from < n_, "processor id out of range");
+  for (std::size_t i = 0; i < count; ++i)
+    BA_REQUIRE(receivers[i] < n_, "processor id out of range");
+  const std::uint64_t bits = content_bits + kHeaderBits;
+  ledger_.charge_send_batch(from, count, count * bits);
+  for (std::size_t i = 0; i < count; ++i)
+    ledger_.charge_recv(receivers[i], bits);
 }
 
 void Network::charge_table(const std::vector<ChargeRow>& rows,
@@ -188,13 +190,6 @@ void Network::charge_table(const std::vector<ChargeRow>& rows,
     ledger_.charge_send_batch(r.proc, r.sent, r.sent * bits);
     ledger_.charge_recv(r.proc, r.received * bits);
   }
-}
-
-void Network::flush_charge_batch() const {
-  if (batch_msgs_ == 0) return;
-  ledger_.charge_send_batch(batch_from_, batch_msgs_, batch_bits_);
-  batch_msgs_ = 0;
-  batch_bits_ = 0;
 }
 
 MessageStore Network::store_for(ProcId p, const RoundLog& log,
@@ -283,7 +278,6 @@ void Network::deliver_bucket(ProcId p, const std::uint32_t* in,
 }
 
 void Network::advance_round() {
-  flush_charge_batch();
   stage_round();
   // Transport round barrier: a socket backend ships and reconciles the
   // round's wire traffic here — before the scheduler's delay pass and the

@@ -52,14 +52,12 @@
 // set). All round storage is
 // reused across rounds; steady-state rounds allocate nothing.
 //
-// Ledger charging: the accounting-only bulk flows (share movement,
-// sendOpen, query floods) go through charge_batch(), which accumulates
-// consecutive same-sender charges into one pending (sender, round) batch
-// drained at advance_round() (or on ledger access). That turns the three
-// random-access ledger touches per message into one receiver touch plus
-// two amortized sender updates. Flows whose message pattern is fixed in
-// advance fold it into per-processor rows once and charge the rows with
-// charge_table() on every repetition.
+// Ledger charging: every charge lands in the ledger at call time. The
+// accounting-only bulk flows (share movement, sendOpen, query floods) go
+// through charge_multicast(), shaped like multicast(): one sender charge
+// for all of its receivers plus one touch per receiver. Flows whose
+// message pattern is fixed in advance fold it into per-processor rows
+// once and charge the rows with charge_table() on every repetition.
 //
 // Threading model (the parallel round engine, common/pool.h): sends,
 // corruptions, the scheduler's delay draws and the transport replay are
@@ -283,24 +281,27 @@ class Network {
     multicast(from, receivers.data(), receivers.size(), std::move(payload));
   }
 
-  /// Accounting-only send for bulk data flows whose receiver-side effect
-  /// the protocol driver computes directly (share movement, sendOpen,
-  /// query floods): charges the ledger exactly like send() — content bits
-  /// plus the per-message header — but materialises no envelope, which
-  /// keeps multi-million-message flows at O(1) memory without losing a
-  /// bit of the paper's cost measure. The sender-side charge is
-  /// accumulated per (sender, round) and drained at advance_round() (or
-  /// on ledger access), so a fan-out loop touches the ledger once per
-  /// receiver instead of three times per message.
-  void charge_batch(ProcId from, ProcId to, std::size_t content_bits);
+  /// Accounting-only multicast for bulk data flows whose receiver-side
+  /// effect the protocol driver computes directly (share movement,
+  /// sendOpen, query floods): charges the ledger exactly like
+  /// multicast() — `count` messages of content bits plus the per-message
+  /// header, one sender charge and one charge per receiver — but
+  /// materialises no envelope, which keeps multi-million-message flows at
+  /// O(1) memory without losing a bit of the paper's cost measure. Every
+  /// id is validated before anything is charged.
+  void charge_multicast(ProcId from, const ProcId* receivers,
+                        std::size_t count, std::size_t content_bits);
+  void charge_multicast(ProcId from, const std::vector<ProcId>& receivers,
+                        std::size_t content_bits) {
+    charge_multicast(from, receivers.data(), receivers.size(), content_bits);
+  }
 
   /// Aggregated variant for flows whose message pattern is fixed in
-  /// advance: row r stands for r.sent charge_batch calls from r.proc and
-  /// r.received calls to r.proc, every message carrying `content_bits`.
-  /// The three ledger columns end up exactly as after those calls, in any
-  /// order relative to a pending charge_batch sender batch (the ledger
-  /// only digests per-processor totals). Each row's processor must be in
-  /// range.
+  /// advance: row r stands for r.sent messages from r.proc and r.received
+  /// messages to r.proc, every message carrying `content_bits`. The three
+  /// ledger columns end up exactly as after the equivalent
+  /// charge_multicast calls (the ledger only digests per-processor
+  /// totals). Each row's processor must be in range.
   void charge_table(const std::vector<ChargeRow>& rows,
                     std::size_t content_bits);
 
@@ -316,18 +317,9 @@ class Network {
   /// small multiple of the recent traffic once a spike has passed.
   std::size_t retained_capacity() const;
 
-  /// The bit ledger, with any pending charge_batch() totals drained at
-  /// call time. Do not retain the reference across further charge_batch()
-  /// traffic — a held alias can miss up to one pending sender batch;
-  /// re-call ledger() at each read point instead.
-  BitLedger& ledger() {
-    flush_charge_batch();
-    return ledger_;
-  }
-  const BitLedger& ledger() const {
-    flush_charge_batch();
-    return ledger_;
-  }
+  /// The bit ledger: every charge so far, sends and receipts.
+  BitLedger& ledger() { return ledger_; }
+  const BitLedger& ledger() const { return ledger_; }
 
   /// All processor ids with is_corrupt(p) == false.
   std::vector<ProcId> good_procs() const;
@@ -349,7 +341,6 @@ class Network {
     std::vector<ProcId> receivers;
   };
 
-  void flush_charge_batch() const;
   bool nothing_pending() const { return logs_[sending_].entries.empty(); }
   /// Counting-sort the sending log's receiver list into the staged CSR
   /// (stage_off_, stage_refs_).
@@ -388,12 +379,7 @@ class Network {
   // Per-receiver views of the round handed to Transport::sync_round;
   // filled only while a transport is attached.
   std::vector<std::vector<Envelope>> transport_buckets_;
-  // Pending per-(sender, round) charge batch (drained lazily, hence
-  // mutable: const ledger reads must see drained totals).
-  mutable ProcId batch_from_ = 0;
-  mutable std::uint64_t batch_msgs_ = 0;
-  mutable std::uint64_t batch_bits_ = 0;
-  mutable BitLedger ledger_;
+  BitLedger ledger_;
   // Partial-synchrony mode (net/scheduler.h); null in lockstep mode so
   // the synchronous delivery path carries zero scheduler overhead.
   std::unique_ptr<DelayScheduler> scheduler_;

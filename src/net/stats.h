@@ -24,8 +24,8 @@ class BitLedger {
     bits_sent_[p] += bits;
     msgs_sent_[p] += 1;
   }
-  /// Drain one (sender, round) charge batch: `msgs` messages totalling
-  /// `bits` (headers included). Equivalent to `msgs` charge_send calls.
+  /// Charge `msgs` messages from p totalling `bits` (headers included).
+  /// Equivalent to `msgs` charge_send calls.
   void charge_send_batch(ProcId p, std::uint64_t msgs, std::uint64_t bits) {
     bits_sent_[p] += bits;
     msgs_sent_[p] += msgs;

@@ -103,10 +103,10 @@ void mix_run_ledger(RunDigest& d, const Network& net) {
 
 namespace {
 
-/// Install the spec's delay scheduler on a freshly built network. Every
-/// adapter calls this right after constructing its Network, before any
-/// traffic is staged; seed shifts with the trial offset like every other
-/// randomness stream. Lockstep specs never allocate scheduler state.
+/// Install the spec's delay scheduler on a freshly built network, before
+/// any traffic is staged; the seed shifts with the trial offset like
+/// every other randomness stream. Lockstep specs never allocate scheduler
+/// state.
 void apply_scheduler(Network& net, const ScenarioSpec& s, std::uint64_t off) {
   if (s.scheduler == SchedulerKind::kLockstep) return;
   SchedulerConfig cfg;
@@ -120,20 +120,13 @@ void apply_scheduler(Network& net, const ScenarioSpec& s, std::uint64_t off) {
 
 /// Full network configuration for one run: the spec's delay scheduler
 /// plus whatever the ambient RunEnv injects (transport/transport.h) — a
-/// transport backend and/or a transcript capture. A spec asking for the
-/// tcp backend refuses to run bare: the socket endpoint exists only
-/// inside a ba_node process, which installs it via ScopedRunEnv. The
-/// loopback spec value runs with or without an environment (ba_launch's
-/// in-process oracle installs a LoopbackTransport to get comparable
-/// frame/byte accounting).
+/// transport backend and/or a transcript capture. The environment alone
+/// picks the backend: ba_node installs its socket endpoint, ba_launch's
+/// in-process oracle a LoopbackTransport, and a bare run has neither.
 void configure_network(Network& net, const ScenarioSpec& s,
                        std::uint64_t off) {
   apply_scheduler(net, s, off);
   const RunEnv* env = current_run_env();
-  if (s.transport == TransportKind::kTcp)
-    BA_REQUIRE(env != nullptr && env->transport != nullptr,
-               "transport=tcp needs a socket endpoint installed via "
-               "ScopedRunEnv — run this spec through ba_node/ba_launch");
   if (env == nullptr) return;
   if (env->transport != nullptr) net.set_transport(env->transport);
   if (env->transcript != nullptr) net.set_transcript(env->transcript);
@@ -146,7 +139,7 @@ std::size_t benor_grace(const ScenarioSpec& s) {
   return s.scheduler == SchedulerKind::kLockstep ? 0 : s.delta_max;
 }
 
-/// The ledger summary every adapter reports (good-processor cost).
+/// The ledger summary every run reports (good-processor cost).
 void fill_ledger_totals(RunReport& r, const Network& net) {
   const BitLedger& ledger = net.ledger();
   const auto& mask = net.corrupt_mask();
@@ -188,579 +181,400 @@ void fill_ledger_totals(RunReport& r, const Network& net) {
   }
 }
 
-RunReport base_report(const ScenarioSpec& s, ProtocolKind kind) {
+/// One run in progress: what run_scenario built, and what a protocol-kind
+/// function fills — its digest head in `d`, its report fields and extras
+/// in `r`, its result in its `detail` member.
+struct Run {
+  const ScenarioSpec& s;
+  std::uint64_t off;
+  Network& net;
+  Adversary& adversary;
+  RunDigest d;
   RunReport r;
-  r.protocol = kind;
-  r.n = s.n;
-  return r;
+  RunDetail& detail;
+};
+
+/// Share-flow instrumentation of a tournament run: pooled sendOpen tally
+/// fan-out, failed and damaged (Gao-decoded) sendDown words (extras only
+/// — never fingerprinted, so the parity contract is untouched by the
+/// worker count).
+void add_share_flow_extras(RunReport& r, const AeResult& ae) {
+  r.extras.emplace_back("open_tally_receivers",
+                        static_cast<double>(ae.open_tally_receivers));
+  r.extras.emplace_back("open_tally_dispatches",
+                        static_cast<double>(ae.open_tally_dispatches));
+  r.extras.emplace_back("open_fast_leaf_tallies",
+                        static_cast<double>(ae.open_fast_leaf_tallies));
+  r.extras.emplace_back("open_tally_workers",
+                        static_cast<double>(Pool::num_threads()));
+  r.extras.emplace_back("share_decode_failures",
+                        static_cast<double>(ae.share_decode_failures));
+  r.extras.emplace_back("share_damaged_words",
+                        static_cast<double>(ae.share_damaged_words));
+  r.extras.emplace_back("share_gao_words",
+                        static_cast<double>(ae.share_gao_words));
+  r.extras.emplace_back("share_plans_built",
+                        static_cast<double>(ae.share_plans_built));
+  r.extras.emplace_back("share_plan_reuses",
+                        static_cast<double>(ae.share_plan_reuses));
+}
+
+/// Digest head and report fields of a BaselineResult: Ben-Or, Rabin and
+/// the processor election's committee BA.
+void report_baseline(Run& run, const BaselineResult& res) {
+  run.d.mix(res.decided_bit ? 1 : 0);
+  run.d.mix(res.all_good_agree ? 1 : 0);
+  run.d.mix(res.validity ? 1 : 0);
+  run.d.mix(res.rounds);
+  run.d.mix_double(res.agreement_fraction);
+  run.r.decided_bit = res.decided_bit ? 1 : 0;
+  run.r.validity = res.validity ? 1 : 0;
+  run.r.all_good_agree = res.all_good_agree ? 1 : 0;
+  run.r.agreement_fraction = res.agreement_fraction;
+  run.r.rounds = res.rounds;
 }
 
 // ------------------------------------------------- everywhere (Thm 1) --
 
-class EverywhereProtocol final : public Protocol {
- public:
-  ProtocolKind kind() const override { return ProtocolKind::kEverywhere; }
+void run_everywhere(Run& run) {
+  const ScenarioSpec& s = run.s;
+  EverywhereBA proto(tournament_params(s), A2EParams::laptop_scale(s.n),
+                     s.protocol_seed + run.off);
+  EverywhereResult res =
+      proto.run(run.net, run.adversary, make_bit_inputs(s, run.off));
 
-  RunReport run(const ScenarioSpec& s, std::uint64_t off) const override {
-    Network net(s.n, s.n / s.budget_div);
-    configure_network(net, s, off);
-    auto adversary = make_adversary(s, off);
-    auto inputs = make_bit_inputs(s, off);
-    EverywhereBA proto(tournament_params(s), A2EParams::laptop_scale(s.n),
-                       s.protocol_seed + off);
-    EverywhereResult res = proto.run(net, *adversary, inputs);
-
-    RunDigest d;
-    d.mix(res.decided_bit ? 1 : 0);
-    d.mix(res.all_good_agree ? 1 : 0);
-    d.mix(res.validity ? 1 : 0);
-    d.mix(res.rounds);
-    d.mix_double(res.ae.agreement_fraction);
-    for (auto bit : res.ae.decision) d.mix(bit);
-    for (auto m : res.a2e.message) d.mix(m);
-    mix_run_ledger(d, net);
-
-    RunReport r = base_report(s, kind());
-    r.decided_bit = res.decided_bit ? 1 : 0;
-    r.validity = res.validity ? 1 : 0;
-    r.all_good_agree = res.all_good_agree ? 1 : 0;
-    r.agreement_fraction = res.ae.agreement_fraction;
-    r.rounds = res.rounds;
-    r.fingerprint = d.h;
-    r.extras.emplace_back("a2e_agree_count",
-                          static_cast<double>(res.a2e.agree_count));
-    r.extras.emplace_back("a2e_wrong_count",
-                          static_cast<double>(res.a2e.wrong_count));
-    // Margin diagnostics for the Algorithm 3 polling: how many good
-    // processors never met the Lemma 7 threshold, how many loops ran, and
-    // how strongly good processors agreed on the sequence words the loops
-    // keyed their labels off (the per-loop response mean is proportional
-    // to this agreement — when it sags toward the threshold, stragglers
-    // appear; see A2EParams::laptop_scale).
-    {
-      const auto& mask = net.corrupt_mask();
-      std::size_t undecided = 0;
-      for (ProcId p = 0; p < s.n; ++p)
-        if (!mask[p] && !res.a2e.decided[p]) ++undecided;
-      r.extras.emplace_back("a2e_undecided_count",
-                            static_cast<double>(undecided));
-      const std::size_t loops = res.a2e.loops.size();
-      r.extras.emplace_back("a2e_loops", static_cast<double>(loops));
-      if (!res.ae.seq_views.empty() && loops > 0) {
-        double min_agree = 1.0, sum_agree = 0.0;
-        for (std::size_t l = 0; l < loops; ++l) {
-          const auto& views = res.ae.seq_views[l % res.ae.seq_views.size()];
-          std::unordered_map<std::uint64_t, std::size_t> count;
-          std::size_t good = 0, best = 0;
-          for (ProcId p = 0; p < s.n; ++p) {
-            if (mask[p]) continue;
-            ++good;
-            best = std::max(best, ++count[views[p]]);
-          }
-          const double agree =
-              good > 0 ? static_cast<double>(best) / static_cast<double>(good)
-                       : 0.0;
-          min_agree = std::min(min_agree, agree);
-          sum_agree += agree;
-        }
-        r.extras.emplace_back("seq_view_agree_min", min_agree);
-        r.extras.emplace_back("seq_view_agree_mean",
-                              sum_agree / static_cast<double>(loops));
-      }
-    }
-    // Share-flow instrumentation: pooled sendOpen tally fan-out, failed
-    // and damaged (Gao-decoded) sendDown words (extras only — never
-    // fingerprinted, so the parity contract is untouched by the worker
-    // count).
-    r.extras.emplace_back("open_tally_receivers",
-                          static_cast<double>(res.ae.open_tally_receivers));
-    r.extras.emplace_back("open_tally_dispatches",
-                          static_cast<double>(res.ae.open_tally_dispatches));
-    r.extras.emplace_back(
-        "open_fast_leaf_tallies",
-        static_cast<double>(res.ae.open_fast_leaf_tallies));
-    r.extras.emplace_back("open_tally_workers",
-                          static_cast<double>(Pool::num_threads()));
-    r.extras.emplace_back(
-        "share_decode_failures",
-        static_cast<double>(res.ae.share_decode_failures));
-    r.extras.emplace_back("share_damaged_words",
-                          static_cast<double>(res.ae.share_damaged_words));
-    r.extras.emplace_back("share_gao_words",
-                          static_cast<double>(res.ae.share_gao_words));
-    r.extras.emplace_back("share_plans_built",
-                          static_cast<double>(res.ae.share_plans_built));
-    r.extras.emplace_back("share_plan_reuses",
-                          static_cast<double>(res.ae.share_plan_reuses));
-    fill_ledger_totals(r, net);
-
-    auto detail = std::make_shared<RunDetail>();
-    detail->corrupt_mask = net.corrupt_mask();
-    detail->everywhere = std::move(res);
-    r.detail = std::move(detail);
-    return r;
-  }
-};
-
-// ------------------------------------- almost-everywhere (Thm 2, §3.5) --
-
-class AlmostEverywhereProtocol final : public Protocol {
- public:
-  ProtocolKind kind() const override {
-    return ProtocolKind::kAlmostEverywhere;
-  }
-
-  RunReport run(const ScenarioSpec& s, std::uint64_t off) const override {
-    Network net(s.n, s.n / s.budget_div);
-    configure_network(net, s, off);
-    auto adversary = make_adversary(s, off);
-    auto inputs = make_bit_inputs(s, off);
-    AlmostEverywhereBA proto(tournament_params(s), s.protocol_seed + off);
-    AeResult res = proto.run(net, *adversary, inputs, s.release_sequence);
-
-    RunReport r = base_report(s, kind());
-    auto detail = std::make_shared<RunDetail>();
-    RunDigest d;
-    if (s.release_sequence) {
-      // The randomness-beacon digest: every released word view counts.
-      SequenceQuality quality = assess_sequence(res, net.corrupt_mask());
-      d.mix(quality.length);
-      d.mix(quality.good_words);
-      d.mix_double(quality.min_good_agreement);
-      for (const auto& word_views : res.seq_views)
-        for (auto v : word_views) d.mix(v);
-      for (auto t : res.seq_truth) d.mix(t);
-      r.extras.emplace_back("seq_length",
-                            static_cast<double>(quality.length));
-      r.extras.emplace_back("seq_good_words",
-                            static_cast<double>(quality.good_words));
-      r.extras.emplace_back("seq_min_agreement", quality.min_good_agreement);
-      r.extras.emplace_back("seq_bit_bias", quality.good_bit_bias);
-      detail->sequence_quality = quality;
-    } else {
-      d.mix(res.decided_bit ? 1 : 0);
-      d.mix(res.validity ? 1 : 0);
-      d.mix(res.rounds);
-      d.mix_double(res.agreement_fraction);
-      for (auto bit : res.decision) d.mix(bit);
-      // Per-level tournament stats (Lemma 6), then the mean election
-      // agreement over levels.
-      double agree = 0.0;
-      for (const AeLevelStats& lvl : res.levels) {
-        const std::string p = "level" + std::to_string(lvl.level) + "_";
-        r.extras.emplace_back(p + "elections",
-                              static_cast<double>(lvl.elections));
-        r.extras.emplace_back(p + "winners",
-                              static_cast<double>(lvl.winners_total));
-        r.extras.emplace_back(p + "good_winners",
-                              static_cast<double>(lvl.winners_good));
-        r.extras.emplace_back(p + "election_agreement",
-                              lvl.mean_bin_agreement);
-        agree += lvl.mean_bin_agreement;
-      }
-      r.extras.emplace_back(
-          "election_agreement",
-          res.levels.empty() ? 1.0
-                             : agree / static_cast<double>(res.levels.size()));
-    }
-    mix_run_ledger(d, net);
-
-    r.decided_bit = res.decided_bit ? 1 : 0;
-    r.validity = res.validity ? 1 : 0;
-    r.all_good_agree = res.agreement_fraction >= 1.0 ? 1 : 0;
-    r.agreement_fraction = res.agreement_fraction;
-    r.rounds = res.rounds;
-    r.fingerprint = d.h;
-    // Share-flow instrumentation (extras only — never fingerprinted).
-    r.extras.emplace_back("open_tally_receivers",
-                          static_cast<double>(res.open_tally_receivers));
-    r.extras.emplace_back("open_tally_dispatches",
-                          static_cast<double>(res.open_tally_dispatches));
-    r.extras.emplace_back(
-        "open_fast_leaf_tallies",
-        static_cast<double>(res.open_fast_leaf_tallies));
-    r.extras.emplace_back("open_tally_workers",
-                          static_cast<double>(Pool::num_threads()));
-    r.extras.emplace_back(
-        "share_decode_failures",
-        static_cast<double>(res.share_decode_failures));
-    r.extras.emplace_back("share_damaged_words",
-                          static_cast<double>(res.share_damaged_words));
-    r.extras.emplace_back("share_gao_words",
-                          static_cast<double>(res.share_gao_words));
-    r.extras.emplace_back("share_plans_built",
-                          static_cast<double>(res.share_plans_built));
-    r.extras.emplace_back("share_plan_reuses",
-                          static_cast<double>(res.share_plan_reuses));
-    fill_ledger_totals(r, net);
-
-    detail->corrupt_mask = net.corrupt_mask();
-    detail->ae = std::move(res);
-    r.detail = std::move(detail);
-    return r;
-  }
-};
-
-// ------------------------------------------- standalone AEBA (Alg. 5) --
-
-class AebaProtocol final : public Protocol {
- public:
-  ProtocolKind kind() const override { return ProtocolKind::kAeba; }
-
-  RunReport run(const ScenarioSpec& s, std::uint64_t off) const override {
-    Network net(s.n, s.n / s.budget_div);
-    configure_network(net, s, off);
-    Rng gr(s.graph_seed + off);
-    const std::size_t degree =
-        s.aeba_degree != 0
-            ? s.aeba_degree
-            : 2 * static_cast<std::size_t>(
-                      std::log2(static_cast<double>(s.n)));
-    auto graph = RegularGraph::random(s.n, degree, gr);
-    std::vector<ProcId> members(s.n);
-    std::iota(members.begin(), members.end(), ProcId{0});
-    AebaMachine machine(1, members, &graph, AebaParams{}, s.aeba_instances);
-    auto adversary = make_adversary(s, off);
-    adversary->on_start(net);  // run_aeba leaves corruption to the caller
-    if (s.inputs == InputPattern::kUnanimous) {
-      for (std::size_t p = 0; p < s.n; ++p)
-        for (std::size_t i = 0; i < s.aeba_instances; ++i)
-          machine.set_input(p, i, s.input_value != 0);
-    } else {
-      BA_REQUIRE(s.inputs == InputPattern::kRandom,
-                 "aeba supports unanimous or random inputs");
-      Rng in(s.input_seed + off);
-      for (std::size_t p = 0; p < s.n; ++p)
-        for (std::size_t i = 0; i < s.aeba_instances; ++i)
-          machine.set_input(p, i, in.flip());
-    }
-
-    AebaResult res;
-    if (s.aeba_shared_coins) {
-      SharedRandomCoins coins(Rng(s.coin_seed + off));
-      res = run_aeba(net, *adversary, machine, coins, s.aeba_rounds);
-    } else {
-      std::vector<bool> bad(s.aeba_rounds, false);
-      Rng badr(s.bad_round_seed + off);
-      for (std::size_t rd = 0; rd < s.aeba_rounds; ++rd)
-        bad[rd] = badr.bernoulli(s.bad_coin_fraction);
-      UnreliableCoins coins(Rng(s.coin_seed + off), bad);
-      coins.attach_votes(&machine.packed_votes(), machine.num_instances());
-      res = run_aeba(net, *adversary, machine, coins, s.aeba_rounds);
-    }
-
-    RunDigest d;
-    for (std::size_t i = 0; i < res.decided.size(); ++i) {
-      d.mix(res.decided[i] ? 1 : 0);
-      d.mix_double(res.agreement[i]);
-    }
-    d.mix(res.rounds);
-    for (auto w : machine.packed_votes()) d.mix(w);
-    mix_run_ledger(d, net);
-
-    RunReport r = base_report(s, kind());
-    r.decided_bit = res.decided.empty() ? -1 : (res.decided[0] ? 1 : 0);
-    r.agreement_fraction = res.agreement.empty() ? 0.0 : res.agreement[0];
-    r.rounds = res.rounds;
-    r.fingerprint = d.h;
-    r.extras.emplace_back("min_informed_fraction",
-                          res.min_informed_fraction);
-    r.extras.emplace_back("mean_informed_fraction",
-                          res.mean_informed_fraction);
-    // Unanimous inputs: was the input kept by >= 95% of good processors?
-    if (s.inputs == InputPattern::kUnanimous)
-      r.extras.emplace_back(
-          "input_preserved",
-          r.decided_bit == s.input_value && r.agreement_fraction >= 0.95
-              ? 1.0
-              : 0.0);
-    fill_ledger_totals(r, net);
-
-    auto detail = std::make_shared<RunDetail>();
-    detail->corrupt_mask = net.corrupt_mask();
-    detail->aeba_votes = machine.packed_votes();
-    detail->aeba = std::move(res);
-    r.detail = std::move(detail);
-    return r;
-  }
-};
-
-// --------------------------------------------- quadratic baselines --
-
-/// Shared reporting for the BaselineResult-returning drivers.
-RunReport baseline_report(const ScenarioSpec& s, ProtocolKind kind,
-                          BaselineResult res, const Network& net) {
-  RunDigest d;
+  RunDigest& d = run.d;
   d.mix(res.decided_bit ? 1 : 0);
   d.mix(res.all_good_agree ? 1 : 0);
   d.mix(res.validity ? 1 : 0);
   d.mix(res.rounds);
-  d.mix_double(res.agreement_fraction);
-  mix_run_ledger(d, net);
+  d.mix_double(res.ae.agreement_fraction);
+  for (auto bit : res.ae.decision) d.mix(bit);
+  for (auto m : res.a2e.message) d.mix(m);
 
-  RunReport r = base_report(s, kind);
+  RunReport& r = run.r;
   r.decided_bit = res.decided_bit ? 1 : 0;
   r.validity = res.validity ? 1 : 0;
   r.all_good_agree = res.all_good_agree ? 1 : 0;
-  r.agreement_fraction = res.agreement_fraction;
+  r.agreement_fraction = res.ae.agreement_fraction;
   r.rounds = res.rounds;
-  r.fingerprint = d.h;
-  fill_ledger_totals(r, net);
-
-  auto detail = std::make_shared<RunDetail>();
-  detail->corrupt_mask = net.corrupt_mask();
-  detail->baseline = res;
-  r.detail = std::move(detail);
-  return r;
+  r.extras.emplace_back("a2e_agree_count",
+                        static_cast<double>(res.a2e.agree_count));
+  r.extras.emplace_back("a2e_wrong_count",
+                        static_cast<double>(res.a2e.wrong_count));
+  // Margin diagnostics for the Algorithm 3 polling: how many good
+  // processors never met the Lemma 7 threshold, how many loops ran, and
+  // how strongly good processors agreed on the sequence words the loops
+  // keyed their labels off (the per-loop response mean is proportional
+  // to this agreement — when it sags toward the threshold, stragglers
+  // appear; see A2EParams::laptop_scale).
+  const auto& mask = run.net.corrupt_mask();
+  std::size_t undecided = 0;
+  for (ProcId p = 0; p < s.n; ++p)
+    if (!mask[p] && !res.a2e.decided[p]) ++undecided;
+  r.extras.emplace_back("a2e_undecided_count",
+                        static_cast<double>(undecided));
+  const std::size_t loops = res.a2e.loops.size();
+  r.extras.emplace_back("a2e_loops", static_cast<double>(loops));
+  if (!res.ae.seq_views.empty() && loops > 0) {
+    double min_agree = 1.0, sum_agree = 0.0;
+    for (std::size_t l = 0; l < loops; ++l) {
+      const auto& views = res.ae.seq_views[l % res.ae.seq_views.size()];
+      std::unordered_map<std::uint64_t, std::size_t> count;
+      std::size_t good = 0, best = 0;
+      for (ProcId p = 0; p < s.n; ++p) {
+        if (mask[p]) continue;
+        ++good;
+        best = std::max(best, ++count[views[p]]);
+      }
+      const double agree =
+          good > 0 ? static_cast<double>(best) / static_cast<double>(good)
+                   : 0.0;
+      min_agree = std::min(min_agree, agree);
+      sum_agree += agree;
+    }
+    r.extras.emplace_back("seq_view_agree_min", min_agree);
+    r.extras.emplace_back("seq_view_agree_mean",
+                          sum_agree / static_cast<double>(loops));
+  }
+  add_share_flow_extras(r, res.ae);
+  run.detail.everywhere = std::move(res);
 }
 
-class BenOrProtocol final : public Protocol {
- public:
-  ProtocolKind kind() const override { return ProtocolKind::kBenOr; }
+// ------------------------------------- almost-everywhere (Thm 2, §3.5) --
 
-  RunReport run(const ScenarioSpec& s, std::uint64_t off) const override {
-    Network net(s.n, s.n / s.budget_div);
-    configure_network(net, s, off);
-    auto adversary = make_adversary(s, off);
-    BaselineResult res =
-        run_benor_ba(net, *adversary, make_bit_inputs(s, off),
-                     s.protocol_seed + off, s.max_rounds, benor_grace(s));
-    return baseline_report(s, kind(), res, net);
+void run_almost_everywhere(Run& run) {
+  const ScenarioSpec& s = run.s;
+  AlmostEverywhereBA proto(tournament_params(s), s.protocol_seed + run.off);
+  AeResult res = proto.run(run.net, run.adversary,
+                           make_bit_inputs(s, run.off), s.release_sequence);
+
+  RunDigest& d = run.d;
+  RunReport& r = run.r;
+  if (s.release_sequence) {
+    // The randomness-beacon digest: every released word view counts.
+    SequenceQuality quality = assess_sequence(res, run.net.corrupt_mask());
+    d.mix(quality.length);
+    d.mix(quality.good_words);
+    d.mix_double(quality.min_good_agreement);
+    for (const auto& word_views : res.seq_views)
+      for (auto v : word_views) d.mix(v);
+    for (auto t : res.seq_truth) d.mix(t);
+    r.extras.emplace_back("seq_length", static_cast<double>(quality.length));
+    r.extras.emplace_back("seq_good_words",
+                          static_cast<double>(quality.good_words));
+    r.extras.emplace_back("seq_min_agreement", quality.min_good_agreement);
+    r.extras.emplace_back("seq_bit_bias", quality.good_bit_bias);
+    run.detail.sequence_quality = quality;
+  } else {
+    d.mix(res.decided_bit ? 1 : 0);
+    d.mix(res.validity ? 1 : 0);
+    d.mix(res.rounds);
+    d.mix_double(res.agreement_fraction);
+    for (auto bit : res.decision) d.mix(bit);
+    // Per-level tournament stats (Lemma 6), then the mean election
+    // agreement over levels.
+    double agree = 0.0;
+    for (const AeLevelStats& lvl : res.levels) {
+      const std::string p = "level" + std::to_string(lvl.level) + "_";
+      r.extras.emplace_back(p + "elections",
+                            static_cast<double>(lvl.elections));
+      r.extras.emplace_back(p + "winners",
+                            static_cast<double>(lvl.winners_total));
+      r.extras.emplace_back(p + "good_winners",
+                            static_cast<double>(lvl.winners_good));
+      r.extras.emplace_back(p + "election_agreement",
+                            lvl.mean_bin_agreement);
+      agree += lvl.mean_bin_agreement;
+    }
+    r.extras.emplace_back(
+        "election_agreement",
+        res.levels.empty() ? 1.0
+                           : agree / static_cast<double>(res.levels.size()));
   }
-};
 
-class RabinProtocol final : public Protocol {
- public:
-  ProtocolKind kind() const override { return ProtocolKind::kRabin; }
+  r.decided_bit = res.decided_bit ? 1 : 0;
+  r.validity = res.validity ? 1 : 0;
+  r.all_good_agree = res.agreement_fraction >= 1.0 ? 1 : 0;
+  r.agreement_fraction = res.agreement_fraction;
+  r.rounds = res.rounds;
+  add_share_flow_extras(r, res);
+  run.detail.ae = std::move(res);
+}
 
-  RunReport run(const ScenarioSpec& s, std::uint64_t off) const override {
-    Network net(s.n, s.n / s.budget_div);
-    configure_network(net, s, off);
-    auto adversary = make_adversary(s, off);
+// ------------------------------------------- standalone AEBA (Alg. 5) --
+
+void run_standalone_aeba(Run& run) {
+  const ScenarioSpec& s = run.s;
+  const std::uint64_t off = run.off;
+  Rng gr(s.graph_seed + off);
+  const std::size_t degree =
+      s.aeba_degree != 0
+          ? s.aeba_degree
+          : 2 * static_cast<std::size_t>(std::log2(static_cast<double>(s.n)));
+  auto graph = RegularGraph::random(s.n, degree, gr);
+  std::vector<ProcId> members(s.n);
+  std::iota(members.begin(), members.end(), ProcId{0});
+  AebaMachine machine(1, members, &graph, AebaParams{}, s.aeba_instances);
+  run.adversary.on_start(run.net);  // run_aeba leaves corruption to the caller
+  if (s.inputs == InputPattern::kUnanimous) {
+    for (std::size_t p = 0; p < s.n; ++p)
+      for (std::size_t i = 0; i < s.aeba_instances; ++i)
+        machine.set_input(p, i, s.input_value != 0);
+  } else {
+    BA_REQUIRE(s.inputs == InputPattern::kRandom,
+               "aeba supports unanimous or random inputs");
+    Rng in(s.input_seed + off);
+    for (std::size_t p = 0; p < s.n; ++p)
+      for (std::size_t i = 0; i < s.aeba_instances; ++i)
+        machine.set_input(p, i, in.flip());
+  }
+
+  AebaResult res;
+  if (s.aeba_shared_coins) {
     SharedRandomCoins coins(Rng(s.coin_seed + off));
-    BaselineResult res = run_rabin_ba(net, *adversary,
-                                      make_bit_inputs(s, off), coins,
-                                      s.max_rounds);
-    return baseline_report(s, kind(), res, net);
+    res = run_aeba(run.net, run.adversary, machine, coins, s.aeba_rounds);
+  } else {
+    std::vector<bool> bad(s.aeba_rounds, false);
+    Rng badr(s.bad_round_seed + off);
+    for (std::size_t rd = 0; rd < s.aeba_rounds; ++rd)
+      bad[rd] = badr.bernoulli(s.bad_coin_fraction);
+    UnreliableCoins coins(Rng(s.coin_seed + off), bad);
+    coins.attach_votes(&machine.packed_votes(), machine.num_instances());
+    res = run_aeba(run.net, run.adversary, machine, coins, s.aeba_rounds);
   }
-};
+
+  RunDigest& d = run.d;
+  for (std::size_t i = 0; i < res.decided.size(); ++i) {
+    d.mix(res.decided[i] ? 1 : 0);
+    d.mix_double(res.agreement[i]);
+  }
+  d.mix(res.rounds);
+  for (auto w : machine.packed_votes()) d.mix(w);
+
+  RunReport& r = run.r;
+  r.decided_bit = res.decided.empty() ? -1 : (res.decided[0] ? 1 : 0);
+  r.agreement_fraction = res.agreement.empty() ? 0.0 : res.agreement[0];
+  r.rounds = res.rounds;
+  r.extras.emplace_back("min_informed_fraction", res.min_informed_fraction);
+  r.extras.emplace_back("mean_informed_fraction", res.mean_informed_fraction);
+  // Unanimous inputs: was the input kept by >= 95% of good processors?
+  if (s.inputs == InputPattern::kUnanimous)
+    r.extras.emplace_back(
+        "input_preserved",
+        r.decided_bit == s.input_value && r.agreement_fraction >= 0.95 ? 1.0
+                                                                       : 0.0);
+  run.detail.aeba_votes = machine.packed_votes();
+  run.detail.aeba = std::move(res);
+}
+
+// --------------------------------------------- quadratic baselines --
+
+void run_benor(Run& run) {
+  const ScenarioSpec& s = run.s;
+  BaselineResult res = run_benor_ba(
+      run.net, run.adversary, make_bit_inputs(s, run.off),
+      s.protocol_seed + run.off, s.max_rounds, benor_grace(s));
+  report_baseline(run, res);
+  run.detail.baseline = res;
+}
+
+void run_rabin(Run& run) {
+  const ScenarioSpec& s = run.s;
+  SharedRandomCoins coins(Rng(s.coin_seed + run.off));
+  BaselineResult res = run_rabin_ba(run.net, run.adversary,
+                                    make_bit_inputs(s, run.off), coins,
+                                    s.max_rounds);
+  report_baseline(run, res);
+  run.detail.baseline = res;
+}
 
 // ------------------------------------------- standalone A2E (Alg. 3) --
 
-class A2EProtocol final : public Protocol {
- public:
-  ProtocolKind kind() const override { return ProtocolKind::kA2E; }
-
-  RunReport run(const ScenarioSpec& s, std::uint64_t off) const override {
-    Network net(s.n, s.n / s.budget_div);
-    configure_network(net, s, off);
-    auto adversary = make_adversary(s, off);
-    adversary->on_start(net);  // historical wiring corrupts before setup
-    std::vector<std::uint64_t> beliefs(s.n, 0);
-    switch (s.inputs) {
-      case InputPattern::kUnanimous:
-        for (auto& b : beliefs) b = s.input_value;
-        break;
-      case InputPattern::kSampledOnes: {
-        Rng pick(s.input_seed + off);
-        const auto count = static_cast<std::size_t>(
-            s.input_fraction * static_cast<double>(s.n));
-        for (auto p : pick.sample_without_replacement(s.n, count))
-          beliefs[p] = 1;
-        break;
-      }
-      default:
-        BA_REQUIRE(false, "a2e supports unanimous or sampled_ones inputs");
+void run_standalone_a2e(Run& run) {
+  const ScenarioSpec& s = run.s;
+  const std::uint64_t off = run.off;
+  run.adversary.on_start(run.net);  // historical wiring corrupts before setup
+  std::vector<std::uint64_t> beliefs(s.n, 0);
+  switch (s.inputs) {
+    case InputPattern::kUnanimous:
+      for (auto& b : beliefs) b = s.input_value;
+      break;
+    case InputPattern::kSampledOnes: {
+      Rng pick(s.input_seed + off);
+      const auto count = static_cast<std::size_t>(
+          s.input_fraction * static_cast<double>(s.n));
+      for (auto p : pick.sample_without_replacement(s.n, count))
+        beliefs[p] = 1;
+      break;
     }
-
-    std::function<std::uint64_t(std::size_t, ProcId)> label_view;
-    if (s.label_rule == LabelRule::kSplitmix) {
-      const std::uint64_t base = s.label_seed + off;
-      label_view = [base](std::size_t loop, ProcId) {
-        std::uint64_t st = base + loop * 1000003ULL;
-        return splitmix64(st);
-      };
-    } else {
-      label_view = [](std::size_t loop, ProcId) {
-        return loop * 2654435761u;
-      };
-    }
-
-    A2EParams ap = A2EParams::laptop_scale(s.n);
-    if (s.a2e_repeats) ap.repeats = s.a2e_repeats;
-    AlmostToEverywhere a2e(ap, s.protocol_seed + off);
-    A2EResult res =
-        a2e.run(net, *adversary, beliefs, s.truth_message, label_view);
-
-    RunDigest d;
-    for (auto m : res.message) d.mix(m);
-    for (bool b : res.decided) d.mix(b ? 1 : 0);
-    d.mix(res.agree_count);
-    d.mix(res.wrong_count);
-    d.mix(res.rounds);
-    mix_run_ledger(d, net);
-
-    RunReport r = base_report(s, kind());
-    r.all_good_agree = res.all_good_agree ? 1 : 0;
-    const double good = static_cast<double>(net.good_procs().size());
-    r.agreement_fraction =
-        good > 0 ? static_cast<double>(res.agree_count) / good : 0.0;
-    r.rounds = res.rounds;
-    r.fingerprint = d.h;
-    r.extras.emplace_back("agree_count",
-                          static_cast<double>(res.agree_count));
-    r.extras.emplace_back("wrong_count",
-                          static_cast<double>(res.wrong_count));
-    r.extras.emplace_back(
-        "wrong_fraction",
-        good > 0 ? static_cast<double>(res.wrong_count) / good : 0.0);
-    r.extras.emplace_back(
-        "first_loop_success",
-        !res.loops.empty() && res.loops.front().loop_success ? 1.0 : 0.0);
-    std::size_t overloaded = 0;
-    for (const auto& loop : res.loops)
-      overloaded = std::max(overloaded, loop.overloaded_knowledgeable);
-    r.extras.emplace_back("max_overloaded",
-                          static_cast<double>(overloaded));
-    fill_ledger_totals(r, net);
-
-    auto detail = std::make_shared<RunDetail>();
-    detail->corrupt_mask = net.corrupt_mask();
-    detail->a2e = std::move(res);
-    r.detail = std::move(detail);
-    return r;
+    default:
+      BA_REQUIRE(false, "a2e supports unanimous or sampled_ones inputs");
   }
-};
+
+  std::function<std::uint64_t(std::size_t, ProcId)> label_view;
+  if (s.label_rule == LabelRule::kSplitmix) {
+    const std::uint64_t base = s.label_seed + off;
+    label_view = [base](std::size_t loop, ProcId) {
+      std::uint64_t st = base + loop * 1000003ULL;
+      return splitmix64(st);
+    };
+  } else {
+    label_view = [](std::size_t loop, ProcId) {
+      return loop * 2654435761u;
+    };
+  }
+
+  A2EParams ap = A2EParams::laptop_scale(s.n);
+  if (s.a2e_repeats) ap.repeats = s.a2e_repeats;
+  AlmostToEverywhere a2e(ap, s.protocol_seed + off);
+  A2EResult res =
+      a2e.run(run.net, run.adversary, beliefs, s.truth_message, label_view);
+
+  RunDigest& d = run.d;
+  for (auto m : res.message) d.mix(m);
+  for (bool b : res.decided) d.mix(b ? 1 : 0);
+  d.mix(res.agree_count);
+  d.mix(res.wrong_count);
+  d.mix(res.rounds);
+
+  RunReport& r = run.r;
+  r.all_good_agree = res.all_good_agree ? 1 : 0;
+  const double good = static_cast<double>(run.net.good_procs().size());
+  r.agreement_fraction =
+      good > 0 ? static_cast<double>(res.agree_count) / good : 0.0;
+  r.rounds = res.rounds;
+  r.extras.emplace_back("agree_count", static_cast<double>(res.agree_count));
+  r.extras.emplace_back("wrong_count", static_cast<double>(res.wrong_count));
+  r.extras.emplace_back(
+      "wrong_fraction",
+      good > 0 ? static_cast<double>(res.wrong_count) / good : 0.0);
+  r.extras.emplace_back(
+      "first_loop_success",
+      !res.loops.empty() && res.loops.front().loop_success ? 1.0 : 0.0);
+  std::size_t overloaded = 0;
+  for (const auto& loop : res.loops)
+    overloaded = std::max(overloaded, loop.overloaded_knowledgeable);
+  r.extras.emplace_back("max_overloaded", static_cast<double>(overloaded));
+  run.detail.a2e = std::move(res);
+}
 
 // ------------------------------------------- universe reduction (§1) --
 
-class UniverseReductionProtocol final : public Protocol {
- public:
-  ProtocolKind kind() const override {
-    return ProtocolKind::kUniverseReduction;
-  }
+void run_universe_reduction(Run& run) {
+  const ScenarioSpec& s = run.s;
+  UniverseReduction reduction(tournament_params(s), s.committee_size,
+                              s.protocol_seed + run.off);
+  UniverseResult res = reduction.run(run.net, run.adversary);
 
-  RunReport run(const ScenarioSpec& s, std::uint64_t off) const override {
-    Network net(s.n, s.n / s.budget_div);
-    configure_network(net, s, off);
-    auto adversary = make_adversary(s, off);
-    UniverseReduction reduction(tournament_params(s), s.committee_size,
-                                s.protocol_seed + off);
-    UniverseResult res = reduction.run(net, *adversary);
+  RunDigest& d = run.d;
+  for (auto p : res.committee) d.mix(p);
+  d.mix_double(res.view_agreement);
+  d.mix_double(res.good_fraction_at_sampling);
+  d.mix(res.ae.decided_bit ? 1 : 0);
+  d.mix(res.ae.rounds);
 
-    RunDigest d;
-    for (auto p : res.committee) d.mix(p);
-    d.mix_double(res.view_agreement);
-    d.mix_double(res.good_fraction_at_sampling);
-    d.mix(res.ae.decided_bit ? 1 : 0);
-    d.mix(res.ae.rounds);
-    mix_run_ledger(d, net);
-
-    RunReport r = base_report(s, kind());
-    r.decided_bit = res.ae.decided_bit ? 1 : 0;
-    r.validity = res.ae.validity ? 1 : 0;
-    r.agreement_fraction = res.view_agreement;
-    r.rounds = res.ae.rounds;
-    r.fingerprint = d.h;
-    r.extras.emplace_back("committee_good_fraction",
-                          res.good_fraction_at_sampling);
-    r.extras.emplace_back("population_good_fraction",
-                          res.population_good_fraction);
-    r.extras.emplace_back("ae_agreement_fraction",
-                          res.ae.agreement_fraction);
-    fill_ledger_totals(r, net);
-
-    auto detail = std::make_shared<RunDetail>();
-    detail->corrupt_mask = net.corrupt_mask();
-    detail->universe = std::move(res);
-    r.detail = std::move(detail);
-    return r;
-  }
-};
+  RunReport& r = run.r;
+  r.decided_bit = res.ae.decided_bit ? 1 : 0;
+  r.validity = res.ae.validity ? 1 : 0;
+  r.agreement_fraction = res.view_agreement;
+  r.rounds = res.ae.rounds;
+  r.extras.emplace_back("committee_good_fraction",
+                        res.good_fraction_at_sampling);
+  r.extras.emplace_back("population_good_fraction",
+                        res.population_good_fraction);
+  r.extras.emplace_back("ae_agreement_fraction", res.ae.agreement_fraction);
+  run.detail.universe = std::move(res);
+}
 
 // -------------------------------- processor-election baseline (§1.3) --
 
-class ProcessorElectionProtocol final : public Protocol {
- public:
-  ProtocolKind kind() const override {
-    return ProtocolKind::kProcessorElection;
-  }
+void run_processor_election(Run& run) {
+  const ScenarioSpec& s = run.s;
+  ProtocolParams params = tournament_params(s);
+  ProcessorElectionBA proto(params.tree, params.w, s.protocol_seed + run.off);
+  ProcessorElectionResult res =
+      proto.run(run.net, run.adversary, make_bit_inputs(s, run.off));
 
-  RunReport run(const ScenarioSpec& s, std::uint64_t off) const override {
-    Network net(s.n, s.n / s.budget_div);
-    configure_network(net, s, off);
-    auto adversary = make_adversary(s, off);
-    ProtocolParams params = tournament_params(s);
-    ProcessorElectionBA proto(params.tree, params.w, s.protocol_seed + off);
-    ProcessorElectionResult res =
-        proto.run(net, *adversary, make_bit_inputs(s, off));
-
-    RunDigest d;
-    for (auto p : res.committee) d.mix(p);
-    d.mix(res.committee_corrupt);
-    d.mix(res.ba.decided_bit ? 1 : 0);
-    d.mix(res.ba.all_good_agree ? 1 : 0);
-    d.mix(res.ba.validity ? 1 : 0);
-    d.mix(res.ba.rounds);
-    d.mix_double(res.ba.agreement_fraction);
-    mix_run_ledger(d, net);
-
-    RunReport r = base_report(s, kind());
-    r.decided_bit = res.ba.decided_bit ? 1 : 0;
-    r.validity = res.ba.validity ? 1 : 0;
-    r.all_good_agree = res.ba.all_good_agree ? 1 : 0;
-    r.agreement_fraction = res.ba.agreement_fraction;
-    r.rounds = res.ba.rounds;
-    r.fingerprint = d.h;
-    r.extras.emplace_back("committee_size",
-                          static_cast<double>(res.committee.size()));
-    r.extras.emplace_back("committee_corrupt",
-                          static_cast<double>(res.committee_corrupt));
-    r.extras.emplace_back(
-        "committee_corrupt_fraction",
-        res.committee.empty()
-            ? 0.0
-            : static_cast<double>(res.committee_corrupt) /
-                  static_cast<double>(res.committee.size()));
-    fill_ledger_totals(r, net);
-
-    auto detail = std::make_shared<RunDetail>();
-    detail->corrupt_mask = net.corrupt_mask();
-    detail->election = std::move(res);
-    r.detail = std::move(detail);
-    return r;
-  }
-};
-
-}  // namespace
-
-const Protocol& protocol_for(ProtocolKind kind) {
-  static const EverywhereProtocol everywhere;
-  static const AlmostEverywhereProtocol almost_everywhere;
-  static const AebaProtocol aeba;
-  static const BenOrProtocol benor;
-  static const RabinProtocol rabin;
-  static const A2EProtocol a2e;
-  static const UniverseReductionProtocol universe;
-  static const ProcessorElectionProtocol election;
-  switch (kind) {
-    case ProtocolKind::kEverywhere: return everywhere;
-    case ProtocolKind::kAlmostEverywhere: return almost_everywhere;
-    case ProtocolKind::kAeba: return aeba;
-    case ProtocolKind::kBenOr: return benor;
-    case ProtocolKind::kRabin: return rabin;
-    case ProtocolKind::kA2E: return a2e;
-    case ProtocolKind::kUniverseReduction: return universe;
-    case ProtocolKind::kProcessorElection: return election;
-  }
-  BA_REQUIRE(false, "unknown protocol kind");
-  return everywhere;
+  for (auto p : res.committee) run.d.mix(p);
+  run.d.mix(res.committee_corrupt);
+  report_baseline(run, res.ba);
+  RunReport& r = run.r;
+  r.extras.emplace_back("committee_size",
+                        static_cast<double>(res.committee.size()));
+  r.extras.emplace_back("committee_corrupt",
+                        static_cast<double>(res.committee_corrupt));
+  r.extras.emplace_back(
+      "committee_corrupt_fraction",
+      res.committee.empty()
+          ? 0.0
+          : static_cast<double>(res.committee_corrupt) /
+                static_cast<double>(res.committee.size()));
+  run.detail.election = std::move(res);
 }
 
-namespace {
-
 /// Pins the pool for one run and restores the previous width on every
-/// exit path (including adapter exceptions).
+/// exit path (including protocol exceptions).
 struct PoolPin {
   explicit PoolPin(std::size_t workers) : active(workers > 0) {
     if (active) {
@@ -781,7 +595,32 @@ RunReport run_scenario(const ScenarioSpec& spec, std::uint64_t seed_offset) {
   BA_REQUIRE(spec.budget_div > 0, "corruption budget divisor must be > 0");
   PoolPin pin(spec.workers);
   const auto t0 = std::chrono::steady_clock::now();
-  RunReport report = protocol_for(spec.protocol).run(spec, seed_offset);
+  Network net(spec.n, spec.n / spec.budget_div);
+  configure_network(net, spec, seed_offset);
+  const std::unique_ptr<Adversary> adversary =
+      make_adversary(spec, seed_offset);
+  auto detail = std::make_shared<RunDetail>();
+  Run run{spec, seed_offset, net, *adversary, {}, {}, *detail};
+  run.r.protocol = spec.protocol;
+  run.r.n = spec.n;
+  switch (spec.protocol) {
+    case ProtocolKind::kEverywhere: run_everywhere(run); break;
+    case ProtocolKind::kAlmostEverywhere: run_almost_everywhere(run); break;
+    case ProtocolKind::kAeba: run_standalone_aeba(run); break;
+    case ProtocolKind::kBenOr: run_benor(run); break;
+    case ProtocolKind::kRabin: run_rabin(run); break;
+    case ProtocolKind::kA2E: run_standalone_a2e(run); break;
+    case ProtocolKind::kUniverseReduction: run_universe_reduction(run); break;
+    case ProtocolKind::kProcessorElection: run_processor_election(run); break;
+  }
+  // The tail every run shares: the fingerprint closes over the full
+  // per-processor ledger, then the ledger summary, then the detail.
+  RunReport& report = run.r;
+  mix_run_ledger(run.d, net);
+  report.fingerprint = run.d.h;
+  fill_ledger_totals(report, net);
+  run.detail.corrupt_mask = net.corrupt_mask();
+  report.detail = std::move(detail);
   const auto t1 = std::chrono::steady_clock::now();
   report.scenario = spec.name;
   report.seed_offset = seed_offset;
@@ -789,7 +628,7 @@ RunReport run_scenario(const ScenarioSpec& spec, std::uint64_t seed_offset) {
   report.wall_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
   report.peak_rss_kb = current_peak_rss_kb();
-  return report;
+  return std::move(report);
 }
 
 }  // namespace ba::sim

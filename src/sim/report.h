@@ -1,6 +1,6 @@
 // RunReport — the unified, machine-readable outcome of one scenario run.
 //
-// Every protocol adapter (sim/protocol.h) fills the same header fields:
+// Every run (sim/protocol.h, run_scenario) fills the same header fields:
 // decision, validity, agreement, rounds, the good-processor ledger
 // totals, wall time, worker count, and a 64-bit run fingerprint that
 // digests *everything observable* from the run (result structure plus the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "common/check.h"
@@ -57,11 +58,6 @@ constexpr EnumName kSchedulerNames[] = {
     {static_cast<int>(SchedulerKind::kReorderRush), "reorder_rush"},
 };
 
-constexpr EnumName kTransportNames[] = {
-    {static_cast<int>(TransportKind::kLoopback), "loopback"},
-    {static_cast<int>(TransportKind::kTcp), "tcp"},
-};
-
 template <std::size_t N>
 const char* enum_name(const EnumName (&table)[N], int value) {
   for (const auto& e : table)
@@ -74,8 +70,7 @@ template <std::size_t N>
 int enum_value(const EnumName (&table)[N], const std::string& name) {
   for (const auto& e : table)
     if (name == e.name) return e.value;
-  BA_REQUIRE(false, "unknown enum name in scenario spec");
-  return 0;
+  throw std::invalid_argument("unknown enum name in scenario spec: " + name);
 }
 
 std::uint64_t parse_u64(const std::string& v) {
@@ -89,14 +84,16 @@ std::size_t parse_size(const std::string& v) {
 double parse_double(const std::string& v) {
   char* end = nullptr;
   const double out = std::strtod(v.c_str(), &end);
-  BA_REQUIRE(end != v.c_str() && *end == '\0',
-             "numeric spec values must be decimal numbers");
+  if (end == v.c_str() || *end != '\0')
+    throw std::invalid_argument(
+        "numeric spec values must be decimal numbers, got '" + v + "'");
   return out;
 }
 
 bool parse_bool(const std::string& v) {
-  BA_REQUIRE(v == "0" || v == "1" || v == "true" || v == "false",
-             "boolean spec values must be 0/1/true/false");
+  if (v != "0" && v != "1" && v != "true" && v != "false")
+    throw std::invalid_argument(
+        "boolean spec values must be 0/1/true/false, got '" + v + "'");
   return v == "1" || v == "true";
 }
 
@@ -117,9 +114,6 @@ const char* to_string(LabelRule r) {
 const char* to_string(SchedulerKind k) {
   return enum_name(kSchedulerNames, static_cast<int>(k));
 }
-const char* to_string(TransportKind k) {
-  return enum_name(kTransportNames, static_cast<int>(k));
-}
 
 #define BA_SIM_WITH(method, type, field)            \
   ScenarioSpec ScenarioSpec::method(type v) const { \
@@ -139,7 +133,6 @@ BA_SIM_WITH(with_aeba_instances, std::size_t, aeba_instances)
 BA_SIM_WITH(with_scheduler, SchedulerKind, scheduler)
 BA_SIM_WITH(with_delta_max, std::size_t, delta_max)
 BA_SIM_WITH(with_scheduler_seed, std::uint64_t, scheduler_seed)
-BA_SIM_WITH(with_transport, TransportKind, transport)
 
 #undef BA_SIM_WITH
 
@@ -190,7 +183,6 @@ std::vector<std::pair<std::string, std::string>> ScenarioSpec::to_kv() const {
   add("scheduler", to_string(scheduler));
   add("delta_max", std::to_string(delta_max));
   add("scheduler_seed", std::to_string(scheduler_seed));
-  add("transport", to_string(transport));
   return kv;
 }
 
@@ -215,7 +207,7 @@ void ScenarioSpec::apply(const std::string& key, const std::string& value) {
     inputs = static_cast<InputPattern>(enum_value(kInputNames, value));
   else if (key == "input_value") {
     const std::uint64_t bit = parse_u64(value);
-    BA_REQUIRE(bit <= 1, "input_value must be 0 or 1");
+    if (bit > 1) throw std::invalid_argument("input_value must be 0 or 1");
     input_value = static_cast<std::uint8_t>(bit);
   }
   else if (key == "input_fraction") input_fraction = parse_double(value);
@@ -248,10 +240,8 @@ void ScenarioSpec::apply(const std::string& key, const std::string& value) {
     scheduler = static_cast<SchedulerKind>(enum_value(kSchedulerNames, value));
   else if (key == "delta_max") delta_max = parse_size(value);
   else if (key == "scheduler_seed") scheduler_seed = parse_u64(value);
-  else if (key == "transport")
-    transport = static_cast<TransportKind>(enum_value(kTransportNames, value));
   else
-    BA_REQUIRE(false, "unknown scenario spec key: " + key);
+    throw std::invalid_argument("unknown scenario spec key: " + key);
 }
 
 ScenarioSpec ScenarioSpec::from_kv(
@@ -263,8 +253,8 @@ ScenarioSpec ScenarioSpec::from_kv(
   std::vector<std::string> seen;
   seen.reserve(kv.size());
   for (const auto& [key, value] : kv) {
-    BA_REQUIRE(std::find(seen.begin(), seen.end(), key) == seen.end(),
-               "duplicate scenario spec key: " + key);
+    if (std::find(seen.begin(), seen.end(), key) != seen.end())
+      throw std::invalid_argument("duplicate scenario spec key: " + key);
     seen.push_back(key);
     spec.apply(key, value);
   }
@@ -866,11 +856,13 @@ std::vector<std::string> ScenarioRegistry::names(bool include_heavy) {
 ScenarioSpec resolve_scenario(const std::string& name,
                               const std::vector<std::string>& overrides) {
   const ScenarioSpec* found = ScenarioRegistry::find(name);
-  BA_REQUIRE(found != nullptr, "unknown scenario: " + name);
+  if (found == nullptr)
+    throw std::invalid_argument("unknown scenario: " + name);
   ScenarioSpec spec = *found;
   for (const std::string& kv : overrides) {
     const std::size_t eq = kv.find('=');
-    BA_REQUIRE(eq != std::string::npos, "--set expects key=value, got: " + kv);
+    if (eq == std::string::npos)
+      throw std::invalid_argument("--set expects key=value, got: " + kv);
     spec.apply(kv.substr(0, eq), kv.substr(eq + 1));
   }
   return spec;

@@ -74,20 +74,11 @@ enum class SchedulerKind {
   kReorderRush,   ///< bounded delay + per-receiver arrival reordering
 };
 
-/// Transport backend (transport/transport.h): in-process loopback, or the
-/// TCP socket backend (requires a TcpEndpoint installed via ScopedRunEnv
-/// — ba_node does this; a bare run_scenario refuses).
-enum class TransportKind {
-  kLoopback,  ///< in-process delivery (the historical behavior)
-  kTcp,       ///< real OS processes exchanging wire frames (ba_node)
-};
-
 const char* to_string(ProtocolKind k);
 const char* to_string(AdversaryKind k);
 const char* to_string(InputPattern p);
 const char* to_string(LabelRule r);
 const char* to_string(SchedulerKind k);
-const char* to_string(TransportKind k);
 
 struct ScenarioSpec {
   std::string name;  ///< registry key; also the report's scenario field
@@ -149,12 +140,6 @@ struct ScenarioSpec {
   std::size_t delta_max = 0;  ///< max per-message delivery delay (rounds)
   std::uint64_t scheduler_seed = 0;
 
-  // ---- transport backend (transport/transport.h) ----
-  // kTcp runs the protocol across real OS processes (ba_node/ba_launch);
-  // the spec itself is still deterministic — the backend must reproduce
-  // the loopback transcript byte for byte (the transport_parity pin).
-  TransportKind transport = TransportKind::kLoopback;
-
   // ---- fluent builder (value-returning: spec.with_n(64).with_... ) ----
   // Setters exist for the fields code sets in C++; apply() sets any
   // field by key.
@@ -169,7 +154,6 @@ struct ScenarioSpec {
   ScenarioSpec with_scheduler(SchedulerKind v) const;
   ScenarioSpec with_delta_max(std::size_t v) const;
   ScenarioSpec with_scheduler_seed(std::uint64_t v) const;
-  ScenarioSpec with_transport(TransportKind v) const;
 
   // ---- serialization ----
   /// Every field as "key=value", one pair per field, in declaration

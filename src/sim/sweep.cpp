@@ -8,6 +8,7 @@
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/check.h"
 #include "common/parse.h"
@@ -48,9 +49,9 @@ std::string unescape_value(const std::string& v) {
       out += v[i];
       continue;
     }
-    BA_REQUIRE(i + 2 < v.size() && std::isxdigit(v[i + 1]) &&
-                   std::isxdigit(v[i + 2]),
-               "job line: bad %XX escape in value");
+    if (i + 2 >= v.size() || !std::isxdigit(v[i + 1]) ||
+        !std::isxdigit(v[i + 2]))
+      throw std::invalid_argument("job line: bad %XX escape in value");
     out += static_cast<char>(
         std::strtoul(v.substr(i + 1, 2).c_str(), nullptr, 16));
     i += 2;
@@ -82,12 +83,14 @@ SweepJob parse_job_line(const std::string& line) {
     if (end > pos) {
       const std::string token = line.substr(pos, end - pos);
       const std::size_t eq = token.find('=');
-      BA_REQUIRE(eq != std::string::npos && eq > 0,
-                 "job line: token is not key=value: " + token);
+      if (eq == std::string::npos || eq == 0)
+        throw std::invalid_argument("job line: token is not key=value: " +
+                                    token);
       std::string key = token.substr(0, eq);
       std::string value = unescape_value(token.substr(eq + 1));
       if (key == "seed_offset") {
-        BA_REQUIRE(!saw_offset, "job line: duplicate seed_offset");
+        if (saw_offset)
+          throw std::invalid_argument("job line: duplicate seed_offset");
         saw_offset = true;
         job.seed_offset = parse_unsigned(value, "job line: seed_offset");
       } else {

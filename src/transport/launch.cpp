@@ -107,10 +107,8 @@ void compare_node(const NodeOutcome& node, const sim::RunReport& oracle,
 
 std::uint64_t job_config_digest(const sim::ScenarioSpec& spec,
                                 std::uint64_t seed_offset) {
-  sim::ScenarioSpec tcp_spec = spec;
-  tcp_spec.transport = sim::TransportKind::kTcp;
   const std::string line =
-      sim::format_job_line(sim::SweepJob{tcp_spec, seed_offset});
+      sim::format_job_line(sim::SweepJob{spec, seed_offset});
   Fnv1a d;
   for (char c : line) d.mix(static_cast<unsigned char>(c));
   return d.h;
@@ -123,11 +121,8 @@ LaunchOutcome launch_local(const LaunchConfig& cfg) {
              "launch_local: every node needs at least one processor "
              "(n >= nodes)");
 
-  sim::ScenarioSpec tcp_spec = cfg.spec;
-  tcp_spec.transport = sim::TransportKind::kTcp;
-
   LaunchOutcome out;
-  out.job_line = sim::format_job_line(sim::SweepJob{tcp_spec, cfg.seed_offset});
+  out.job_line = sim::format_job_line(sim::SweepJob{cfg.spec, cfg.seed_offset});
   out.nodes.resize(cfg.nodes);
 
   // Port block when the caller didn't pin one: derived from the pid so
@@ -168,13 +163,11 @@ LaunchOutcome launch_local(const LaunchConfig& cfg) {
   // The differential oracle: the same (spec, seed) through the in-process
   // loopback backend. Transport extras are excluded from the fingerprint,
   // so backend choice cannot move any compared field.
-  sim::ScenarioSpec loop_spec = cfg.spec;
-  loop_spec.transport = sim::TransportKind::kLoopback;
   LoopbackTransport loopback;
   TranscriptCapture capture;
   {
     ScopedRunEnv env(RunEnv{&loopback, &capture});
-    out.oracle = sim::run_scenario(loop_spec, cfg.seed_offset);
+    out.oracle = sim::run_scenario(cfg.spec, cfg.seed_offset);
   }
   out.oracle_transcript = capture.combined();
 

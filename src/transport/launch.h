@@ -23,10 +23,10 @@
 
 namespace ba::transport {
 
-/// Digest of the run's replayable job line (spec with transport forced to
-/// tcp, plus seed_offset) — carried in every Hello frame so nodes that
-/// were launched with different jobs fail at handshake, not as a
-/// mysterious transcript divergence rounds later.
+/// Digest of the run's replayable job line (spec plus seed_offset) —
+/// carried in every Hello frame so nodes that were launched with
+/// different jobs fail at handshake, not as a mysterious transcript
+/// divergence rounds later.
 std::uint64_t job_config_digest(const sim::ScenarioSpec& spec,
                                 std::uint64_t seed_offset);
 

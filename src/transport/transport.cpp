@@ -8,7 +8,7 @@ namespace ba {
 namespace {
 
 // The ambient environment is driver-side state: installed before a run on
-// the thread that owns the Network, read once when the protocol adapter
+// the thread that owns the Network, read once when run_scenario
 // constructs it. Plain statics (no TLS) keep the contract honest — two
 // concurrent ScopedRunEnvs in one process is a bug, not a race to paper
 // over.

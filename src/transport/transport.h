@@ -145,11 +145,11 @@ struct TranscriptCapture {
 
 /// Ambient run environment: how a driver process (ba_node, ba_launch's
 /// in-process oracle, tests) injects a transport endpoint and a transcript
-/// capture into the Network that the protocol adapter will construct.
-/// Installed via ScopedRunEnv around run_scenario; specs with
-/// transport=tcp refuse to run without an endpoint installed.
+/// capture into the Network that run_scenario will construct.
+/// Installed via ScopedRunEnv around run_scenario; it alone picks the
+/// backend (none installed means in-process delivery).
 struct RunEnv {
-  Transport* transport = nullptr;       ///< attached when spec asks for it
+  Transport* transport = nullptr;       ///< attached to the run's Network
   TranscriptCapture* transcript = nullptr;
 };
 

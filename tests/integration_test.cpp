@@ -80,10 +80,11 @@ TEST(Budget, NeverExceededByAnyStrategy) {
   }
 }
 
-TEST(FaultStyles, HonestCorruptionOnlySpies) {
-  // An adversary whose corrupt processors follow the protocol must leave
-  // a perfect run (it can only *read*).
-  class SpyOnly : public Adversary, public ShareConduct {
+TEST(FaultStyles, CorruptMembersSilentInShareFlows) {
+  // Corrupt members that stay silent in share flows
+  // (lies_in_share_flows() == false maps to FaultStyle::silent) must still
+  // leave the run agreeing on the unanimous input.
+  class SilentInShareFlows : public Adversary, public ShareConduct {
    public:
     void on_start(Network& net) override {
       for (ProcId p = 0; p < 12; ++p) net.corrupt(p);
@@ -92,7 +93,7 @@ TEST(FaultStyles, HonestCorruptionOnlySpies) {
   };
   const std::size_t n = 64;
   Network net(n, n / 3);
-  SpyOnly adv;
+  SilentInShareFlows adv;
   AlmostEverywhereBA proto(ProtocolParams::laptop_scale(n), 11);
   auto res = proto.run(net, adv, std::vector<std::uint8_t>(n, 1));
   EXPECT_TRUE(res.decided_bit);

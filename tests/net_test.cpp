@@ -14,9 +14,9 @@
 namespace ba {
 namespace {
 
-/// The oracle for Network::charge_batch: one message's ledger charge made
-/// at once, content bits plus the header on both ends, as send() charges
-/// it.
+/// The oracle for Network::charge_multicast and charge_table: one
+/// message's ledger charge, content bits plus the header on both ends, as
+/// send() charges it.
 void charge_bulk(Network& net, ProcId from, ProcId to,
                  std::size_t content_bits) {
   net.ledger().charge_send(from, content_bits + kHeaderBits);
@@ -138,19 +138,20 @@ TEST(Network, MixedTagInboxIsSenderOrdered) {
   EXPECT_TRUE(net.inbox(1).empty());
 }
 
-TEST(Network, ChargeBatchMatchesChargeBulk) {
-  // charge_batch must be bit-for-bit equivalent to charge_bulk, including
-  // message counts, across interleaved senders and mid-round reads.
+TEST(Network, ChargeMulticastMatchesChargeBulk) {
+  // charge_multicast must be bit-for-bit equivalent to one charge_bulk per
+  // receiver, including message counts, across interleaved senders and
+  // mid-round reads.
   Network a(4, 1), b(4, 1);
+  const std::vector<ProcId> fan = {1, 2, 3};
   for (int rep = 0; rep < 3; ++rep) {
-    for (ProcId to = 1; to < 4; ++to) {
-      charge_bulk(a, 0, to, 61);
-      b.charge_batch(0, to, 61);
-    }
-    charge_bulk(a, 2, 1, 7);  // sender switch flushes the batch
-    b.charge_batch(2, 1, 7);
+    for (ProcId to : fan) charge_bulk(a, 0, to, 61);
+    b.charge_multicast(0, fan, 61);
+    charge_bulk(a, 2, 1, 7);  // another sender in between
+    const ProcId one = 1;
+    b.charge_multicast(2, &one, 1, 7);
   }
-  // Ledger access drains the pending batch even before advance_round.
+  // The ledger holds every charge before advance_round.
   for (ProcId p = 0; p < 4; ++p) {
     EXPECT_EQ(a.ledger().bits_sent(p), b.ledger().bits_sent(p));
     EXPECT_EQ(a.ledger().msgs_sent(p), b.ledger().msgs_sent(p));
@@ -160,12 +161,17 @@ TEST(Network, ChargeBatchMatchesChargeBulk) {
   b.advance_round();
   EXPECT_EQ(a.ledger().total_bits_sent(std::vector<bool>(4, false), false),
             b.ledger().total_bits_sent(std::vector<bool>(4, false), false));
+  // Every receiver is validated before anything is charged.
+  EXPECT_THROW(b.charge_multicast(0, std::vector<ProcId>{1, 4}, 61),
+               std::logic_error);
+  EXPECT_EQ(b.ledger().bits_sent(0), a.ledger().bits_sent(0));
+  EXPECT_EQ(b.ledger().bits_received(1), a.ledger().bits_received(1));
 }
 
-TEST(Network, ChargeTableMatchesChargeBatch) {
-  // One charge_table call must equal the charge_batch calls it stands
-  // for, on all three ledger columns, also when it lands between another
-  // sender's pending batch and that batch's drain.
+TEST(Network, ChargeTableMatchesChargeBulk) {
+  // One charge_table call must equal the charge_bulk calls it stands
+  // for, on all three ledger columns, also when it lands between two
+  // charges of another sender.
   const std::size_t n = 5;
   const std::size_t bits = 61;
   Network a(n, 1), b(n, 1);
@@ -174,12 +180,12 @@ TEST(Network, ChargeTableMatchesChargeBatch) {
       {0, 1}, {0, 1}, {0, 3}, {2, 1}, {4, 0}, {4, 0}, {4, 0}};
   const std::vector<ChargeRow> rows = {
       {0, 3, 3}, {1, 0, 3}, {2, 1, 0}, {3, 0, 1}, {4, 3, 0}};
-  a.charge_batch(3, 2, 9);  // pending batch of another sender
-  b.charge_batch(3, 2, 9);
-  for (const auto& [from, to] : msgs) a.charge_batch(from, to, bits);
+  charge_bulk(a, 3, 2, 9);  // another sender's charge before the table
+  charge_bulk(b, 3, 2, 9);
+  for (const auto& [from, to] : msgs) charge_bulk(a, from, to, bits);
   b.charge_table(rows, bits);
-  a.charge_batch(3, 4, 9);
-  b.charge_batch(3, 4, 9);
+  charge_bulk(a, 3, 4, 9);
+  charge_bulk(b, 3, 4, 9);
   for (ProcId p = 0; p < n; ++p) {
     EXPECT_EQ(a.ledger().bits_sent(p), b.ledger().bits_sent(p)) << p;
     EXPECT_EQ(a.ledger().msgs_sent(p), b.ledger().msgs_sent(p)) << p;
@@ -187,7 +193,7 @@ TEST(Network, ChargeTableMatchesChargeBatch) {
   }
   EXPECT_EQ(b.ledger().msgs_sent(3), 2u);
   EXPECT_EQ(b.ledger().msgs_sent(0), 3u);
-  // The range check of charge_batch survives aggregation.
+  // The range check of the per-message charges survives aggregation.
   EXPECT_THROW(b.charge_table({{static_cast<ProcId>(n), 1, 0}}, bits),
                std::logic_error);
 }

@@ -10,9 +10,9 @@
 // decisions, agreement state, round counts, released sequence views —
 // and each test asserts the fingerprint is invariant under the worker
 // count. The fingerprints are additionally pinned to committed constants:
-// the scenario layer adapters must reproduce the historical hand-rolled
-// wiring bit for bit, and a pinned digest catches any drift in adapter
-// wiring, Rng draw order, or ledger charging. (If a future PR
+// the scenario layer's per-kind run functions must reproduce the
+// historical hand-rolled wiring bit for bit, and a pinned digest catches
+// any drift in that wiring, Rng draw order, or ledger charging. (If a future PR
 // deliberately changes protocol draw order, re-record the constants from
 // a trusted serial run — the full procedure is documented under
 // "Re-pinning the parity baseline" in docs/ARCHITECTURE.md. The pins
@@ -25,7 +25,7 @@
 // (E3), Ben-Or (E9), almost-everywhere-to-everywhere (E4), and universe
 // reduction (E13). Three harness-level scenarios (the ShareFlow secret-
 // sharing storm, mixed-tag delivery, and multicast staging) exercise
-// layers below the protocol adapters and stay hand-rolled.
+// layers below run_scenario and stay hand-rolled.
 #include <gtest/gtest.h>
 
 #include <cmath>

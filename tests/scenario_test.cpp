@@ -3,11 +3,12 @@
 //
 //  * spec round-trip — every registry spec serializes to key=value and
 //    parses back identical (the `ba_run --describe` / `--set` grammar);
-//  * golden RunReport JSON — the quickstart and randomness_beacon
-//    scenarios at fixed seed must emit byte-identical JSON (schema and
-//    values) to the committed files under tests/golden/. Regenerate with
-//      ba_run --scenario <name> --set n=64 --json --no-timing
-//    after a *deliberate* protocol or schema change;
+//  * golden RunReport JSON — one scenario per protocol kind at fixed
+//    seed must emit byte-identical JSON (schema, values and extras) to
+//    the committed files under tests/golden/. Regenerate with
+//      ba_run --scenario <name> --set workers=1 --json --no-timing
+//    (plus `--set n=64` for quickstart and randomness_beacon) after a
+//    *deliberate* protocol or schema change;
 //  * report semantics — fingerprint invariance vs the run detail,
 //    stable double formatting, unknown-key rejection;
 //  * resolve_scenario — the tools' one --scenario/--set lookup.
@@ -16,7 +17,9 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/pool.h"
 #include "sim/protocol.h"
@@ -108,14 +111,20 @@ TEST(ScenarioSpec, ResolveAppliesOverridesInOrderAndRejectsBadInput) {
   EXPECT_EQ(spec.corrupt_fraction, 0.2);
   EXPECT_EQ(sim::resolve_scenario("quickstart", {}),
             ScenarioRegistry::get("quickstart"));
-  EXPECT_THROW(sim::resolve_scenario("no_such_scenario", {}),
-               std::logic_error);
   EXPECT_THROW(sim::resolve_scenario("quickstart", {"n64"}),
-               std::logic_error);
+               std::invalid_argument);
   EXPECT_THROW(sim::resolve_scenario("quickstart", {"n=abc"}),
-               std::logic_error);
+               std::invalid_argument);
   EXPECT_THROW(sim::resolve_scenario("quickstart", {"no_such_key=1"}),
-               std::logic_error);
+               std::invalid_argument);
+  // The error text is only what a user needs: no checked expression and
+  // no source location.
+  try {
+    sim::resolve_scenario("no_such_scenario", {});
+    FAIL() << "unknown scenario accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown scenario: no_such_scenario");
+  }
 }
 
 TEST(ScenarioSpec, FromKvRejectsDuplicateKeys) {
@@ -177,6 +186,34 @@ TEST(RunReportGolden, RandomnessBeaconJsonIsByteStable) {
                             .with_n(64)
                             .with_workers(1));
   EXPECT_EQ(report_json(report), read_golden("randomness_beacon_n64.json"));
+}
+
+TEST(RunReportGolden, OneFullReportPerProtocolKind) {
+  // The registry golden pins fingerprints only; these pin every report
+  // field and every extra, in order, for the kinds the two goldens above
+  // leave out (almost_everywhere here with release_sequence=0).
+  using sim::ProtocolKind;
+  const std::pair<const char*, ProtocolKind> pinned[] = {
+      {"e4_flooding", ProtocolKind::kA2E},
+      {"e3_aeba_unanimous", ProtocolKind::kAeba},
+      {"e2_almost_everywhere", ProtocolKind::kAlmostEverywhere},
+      {"benor_delay", ProtocolKind::kBenOr},
+      {"e9_rabin", ProtocolKind::kRabin},
+      {"e13_universe_small", ProtocolKind::kUniverseReduction},
+      {"e10_proc_adaptive", ProtocolKind::kProcessorElection},
+  };
+  std::set<ProtocolKind> kinds = {ProtocolKind::kEverywhere,
+                                  ProtocolKind::kAlmostEverywhere};
+  for (const auto& [name, kind] : pinned) {
+    const ScenarioSpec spec = ScenarioRegistry::get(name).with_workers(1);
+    EXPECT_EQ(spec.protocol, kind) << name;
+    const RunReport report = sim::run_scenario(spec);
+    EXPECT_EQ(report_json(report), read_golden(std::string(name) + ".json"))
+        << name;
+    kinds.insert(kind);
+  }
+  EXPECT_FALSE(ScenarioRegistry::get("e2_almost_everywhere").release_sequence);
+  EXPECT_EQ(kinds.size(), 8u);  // every ProtocolKind
 }
 
 TEST(RunReport, TimingFieldOnlyInTimedForm) {

@@ -9,8 +9,7 @@
 // bit ledger), per-processor delivered-message transcript digests, and
 // every semantic report field. Also pinned here: the loopback backend
 // itself is a bit-for-bit no-op on the protocol (attaching it must not
-// move the fingerprint), and transport=tcp refuses to run without an
-// endpoint installed.
+// move the fingerprint).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -25,7 +24,6 @@ namespace {
 using sim::RunReport;
 using sim::ScenarioRegistry;
 using sim::ScenarioSpec;
-using sim::TransportKind;
 
 transport::LaunchConfig base_config() {
   transport::LaunchConfig cfg;
@@ -53,13 +51,6 @@ TEST(TransportParity, LoopbackBackendIsInvisibleToTheFingerprint) {
   EXPECT_GT(loopback.stats().frames_sent, 0u);
   EXPECT_EQ(capture.rounds, bare.rounds);
   EXPECT_NE(capture.combined(), 0u);
-}
-
-TEST(TransportParity, TcpSpecRefusesWithoutAnEndpoint) {
-  const ScenarioSpec spec = ScenarioRegistry::get("quickstart")
-                                .with_n(16)
-                                .with_transport(TransportKind::kTcp);
-  EXPECT_THROW(sim::run_scenario(spec, 0), std::logic_error);
 }
 
 TEST(TransportParity, FourNodesMatchTheOracleByteForByte) {

@@ -4,7 +4,7 @@
 //
 //   ba_node --id 0 --nodes 8 --port-base 21000 --scenario quickstart
 //   ba_node --id 3 --nodes 8 --port-base 21000
-//           --job 'seed_offset=0 name=quickstart ... transport=tcp'
+//           --job 'seed_offset=0 name=quickstart ... scheduler_seed=0'
 //   ba_node --id 1 --peers 10.0.0.1:9000,10.0.0.2:9000 --scenario quickstart
 //
 // Every node runs the full seeded protocol replay; what crosses the wire
@@ -143,7 +143,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", e.what());
     return usage(argv[0]);
   }
-  spec.transport = ba::sim::TransportKind::kTcp;
 
   try {
     ba::transport::TcpEndpointConfig tcfg;
